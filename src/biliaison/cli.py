@@ -9,7 +9,9 @@ examples        run the built-in examples against their expected values
 
 Exit codes: 0 success / admissible; 1 rejection or example mismatch;
 2 parse error; 3 hypothesis certification failure without a trust flag;
-4 degree/minor budget exhaustion; 5 dissociated sheaf (minimal-family).
+4 degree budget exhaustion; 5 dissociated sheaf (minimal-family).
+The minor budget bounds only the exhaustive minor ideal that certifies local
+freeness; past it the check exits with code 3.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", default=None, metavar="MIN:MAX",
                        help="degree window override, e.g. 0:8")
         p.add_argument("--minor-budget", type=int, default=qprofile.DEFAULT_MINOR_BUDGET,
-                       help="enumerate all minors below this count (default 20000)")
+                       help="largest number of rank-level minors enumerated to certify "
+                            "local freeness (default 20000)")
         p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--assume-locally-free", action="store_true",
                        help="trust that the cokernel of the presentation is locally free")
@@ -163,7 +166,6 @@ def _profile_for(matrix: GradedMatrix, args) -> qprofile.QProfile:
             matrix,
             window=_parse_window(args.window),
             seed=args.seed,
-            minor_budget=args.minor_budget,
         )
     except qprofile.ProfileConsistencyError as exc:
         raise CliError(EXIT_HYPOTHESIS, str(exc)) from exc
@@ -205,9 +207,7 @@ def cmd_minimal_family(args, out, err) -> int:
     _certify_hypotheses(matrix, args, err)
     profile = _profile_for(matrix, args)
     try:
-        report = families.minimal_family(
-            matrix, seed=args.seed, profile=profile, minor_budget=args.minor_budget
-        )
+        report = families.minimal_family(matrix, seed=args.seed, profile=profile)
     except qprofile.DissociatedSheafError as exc:
         print(f"error: {exc}", file=out)
         return EXIT_DISSOCIATED
@@ -302,10 +302,8 @@ def cmd_examples(args, out, err) -> int:
                 matrix = GradedMatrix(field, matrix.row_degrees, matrix.col_degrees, grid)
                 desc = fixtures.ExampleDescriptor(name, matrix, desc.expected, desc.notes,
                                                   desc.hypothesis_certifiable)
-            profile = qprofile.compute_q_profile(matrix, seed=args.seed,
-                                                 minor_budget=args.minor_budget)
-            report = families.minimal_family(matrix, seed=args.seed, profile=profile,
-                                             minor_budget=args.minor_budget)
+            profile = qprofile.compute_q_profile(matrix, seed=args.seed)
+            report = families.minimal_family(matrix, seed=args.seed, profile=profile)
             checks = _expected_checks(desc, profile, report)
         except Exception as exc:  # noqa: BLE001 - negative controls must surface as failures
             print(f"[FAIL] {name}: {type(exc).__name__}: {exc}", file=out)

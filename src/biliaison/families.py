@@ -23,7 +23,7 @@ import json
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from biliaison import modgb
 from biliaison.grmatrix import (
@@ -36,7 +36,6 @@ from biliaison.grmatrix import (
 from biliaison.modgb import HilbertPolynomial
 from biliaison.polyring import FieldSpec, MultiPoly
 from biliaison.qprofile import (
-    DEFAULT_MINOR_BUDGET,
     DEFAULT_SEED,
     DissociatedSheafError,
     QProfile,
@@ -200,7 +199,6 @@ def verify_general_morphism(
     v: GradedMatrix,
     profile: Optional[QProfile] = None,
     seed: int = DEFAULT_SEED,
-    minor_budget: int = DEFAULT_MINOR_BUDGET,
 ) -> Certificate:
     """Certify injectivity at the closed point and a torsion-free cokernel."""
     if profile is None:
@@ -215,9 +213,7 @@ def verify_general_morphism(
         raise RankDeficiencyError(
             f"composite has rank {rank} at the closed point, needs {r - 1}"
         )
-    analysis = coprime_minor_analysis(
-        w, r - 1, seed=subseed(seed, "verify"), minor_budget=minor_budget
-    )
+    analysis = coprime_minor_analysis(w, r - 1, seed=subseed(seed, "verify"))
     if not analysis.coprime:
         raise TorsionError(
             f"(r-1)-minors share the factor {analysis.common_factor}; "
@@ -311,11 +307,10 @@ def minimal_family(
     seed: int = DEFAULT_SEED,
     profile: Optional[QProfile] = None,
     retry_cap: int = 10,
-    minor_budget: int = DEFAULT_MINOR_BUDGET,
 ) -> MinimalFamilyReport:
     """Minimal-shift curve family for the presented sheaf (p = q)."""
     if profile is None:
-        profile = compute_q_profile(s, seed=seed, minor_budget=minor_budget)
+        profile = compute_q_profile(s, seed=seed)
     if profile.dissociated:
         raise DissociatedSheafError("no minimal curve family for a dissociated sheaf")
     if not profile.stabilized:
@@ -328,9 +323,7 @@ def minimal_family(
         attempt_seed = subseed(seed, "minimal-family", attempt)
         v = sample_general_morphism(s, q, seed=attempt_seed, profile=profile)
         try:
-            cert = verify_general_morphism(
-                s, v, profile=profile, seed=attempt_seed, minor_budget=minor_budget
-            )
+            cert = verify_general_morphism(s, v, profile=profile, seed=attempt_seed)
             h, d, g = family_degree_genus(s, v, q, profile=profile, deg_n=deg_n)
         except (RankDeficiencyError, TorsionError, ShapeMismatchError) as exc:
             last_error = exc

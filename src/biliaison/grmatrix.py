@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,9 +28,7 @@ from biliaison.polyring import (
     FieldSpec,
     MultiPoly,
     PARAM_INDEX,
-    VAR_NAMES,
     gcd,
-    gcd_many,
 )
 
 
@@ -86,9 +83,6 @@ class CharFunction:
     def weighted_sum(self) -> int:
         """Sum of n * f(n)."""
         return sum(d * m for d, m in self.support.items())
-
-    def restrict_leq(self, n: int) -> "CharFunction":
-        return CharFunction({d: m for d, m in self.support.items() if d <= n})
 
     def add(self, other: "CharFunction") -> "CharFunction":
         out = dict(self.support)
@@ -492,16 +486,6 @@ def _block_rank(sub: GradedMatrix) -> int:
         return modgb.leading_component_rank(sub)
     rank, _, _, _, _ = _bareiss(sub.entries, sub.field)
     return rank
-
-
-def rank_witness(m: GradedMatrix) -> Tuple[int, List[int], List[int], MultiPoly]:
-    """Rank plus a nonsingular submatrix witness (rows, cols, its determinant).
-
-    Only used on blocks small enough for Bareiss.
-    """
-    rank, rows, cols, last_pivot, sign = _bareiss(m.entries, m.field)
-    det = last_pivot if sign > 0 else -last_pivot
-    return rank, rows, cols, det
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,30 @@ and assembles the cumulative q-function:
 
 stabilizing at (stable rank) - 1 for non-dissociated presentations.
 
-beta is computed by a layered minor-GCD analysis: any hypersurface dropping
-the rank below k divides every k-minor, so the squarefree factors of the GCD
-of a sample containing one nonzero witness minor are a complete candidate
-list; each candidate's actual rank drop is then measured exactly.  Blocks of
-a block-diagonal matrix are analyzed independently, and a seeded random plane
-restriction gives a sound fast path for certifying coprimality.
+beta is computed by one minor analysis per block of a block-diagonal matrix,
+where k is the rank of the block.  No minor is enumerated:
+
+1. Plane certificate.  Restrict the block to a seeded random plane, so every
+   entry becomes a binary form, and draw nonsingular k x k witnesses from
+   fraction-free elimination on seeded shuffles.  Keep a running GCD g of the
+   restricted witness minors and stop as soon as it is constant: any set of
+   nonzero restricted k-minors with GCD 1 certifies that the k-minors are
+   coprime.
+2. Restricted rank.  If g stays nonconstant, measure the rank of the
+   restricted block modulo each squarefree factor f of g.  Rank k for every f
+   also certifies coprimality.  Proof: let F be a nonconstant common factor
+   of all k-minors.  The plane carries a nonzero witness, so F restricted to
+   the plane is a nonzero binary form of positive degree dividing every
+   restricted k-minor, hence dividing g.  One of its irreducible components
+   divides some f, and modulo that component every restricted k-minor
+   vanishes, so the restricted rank modulo f drops below k.
+3. Honest fallback.  Only when some f lowers the restricted rank is the GCD
+   of a few true witness minors taken.  Any hypersurface dropping the rank
+   below k divides every k-minor, so the squarefree factors of that GCD are a
+   complete candidate list; the rank modulo each candidate is then measured
+   exactly on the original matrix.
+
+Randomness only chooses which certificate is tried, never the answer.
 """
 
 from __future__ import annotations
@@ -33,7 +51,7 @@ import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from biliaison import modgb
 from biliaison.grmatrix import (
@@ -47,7 +65,7 @@ from biliaison.grmatrix import (
     restrict_to_plane,
     _bareiss,
 )
-from biliaison.polyring import FieldSpec, MultiPoly, gcd_many, squarefree_factors
+from biliaison.polyring import MultiPoly, gcd, gcd_many, squarefree_factors
 
 DEFAULT_SEED = 0xB111A150
 DEFAULT_MINOR_BUDGET = 20000
@@ -173,18 +191,19 @@ class MinorAnalysis:
         return self.min_rank >= self.level
 
 
-def _shuffled_witnesses(
+def _iter_witnesses(
     m: GradedMatrix, k: int, seed: int, count: int
-) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], MultiPoly]]:
+) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], MultiPoly]]:
     """Nonsingular k x k submatrices found by elimination on seeded shuffles.
 
-    Each run of fraction-free elimination on a row/column permutation yields
-    pivot rows/columns whose minor is provably nonzero, with the determinant
-    (up to sign) available as the final pivot.  Shuffling produces distinct
-    witnesses even when random index picks are almost always singular.
+    Each of `count` runs of fraction-free elimination on a row/column
+    permutation yields pivot rows/columns whose minor is provably nonzero,
+    with the determinant (up to sign) available as the final pivot.
+    Shuffling produces distinct witnesses even when random index picks are
+    almost always singular.  Witnesses are yielded as found, so a caller can
+    stop early.
     """
     rng = random.Random(seed)
-    out = []
     seen = set()
     for t in range(count):
         rp = list(range(m.nrows))
@@ -205,41 +224,43 @@ def _shuffled_witnesses(
         if (rows_orig, cols_orig) in seen:
             continue
         seen.add((rows_orig, cols_orig))
-        out.append((rows_orig, cols_orig, last_pivot if sign > 0 else -last_pivot))
-    return out
+        yield rows_orig, cols_orig, last_pivot if sign > 0 else -last_pivot
 
 
 def _restricted_minor_gcd(
     block: GradedMatrix, k: int, seed: int, sample_size: int = 6
-) -> Tuple[Optional[bool], List[Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
-    """Plane fast path: (verdict, witness index sets).
+) -> Tuple[bool, List[Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
+    """Plane certificate: (verdict, witness index sets).
 
-    Restrict the block to a seeded random plane; a nonconstant common factor
-    of all k-minors restricts to a nonconstant common factor of the restricted
-    minors as long as one restricted minor is nonzero.  Verdict True certifies
-    coprimality exactly; None means the plane was inconclusive.  The witness
-    index sets carry provably nonzero minors of the original block.
+    Verdict True certifies exactly that the k-minors of the block are
+    coprime, either by a constant GCD of restricted witness minors or by full
+    restricted rank modulo every squarefree factor of that GCD (see the
+    module docstring).  False means some factor lowered the restricted rank,
+    or no plane kept rank k.  The witness index sets carry provably nonzero
+    minors of the original block.
     """
     for attempt in range(3):
         restricted = restrict_to_plane(block, subseed(seed, "plane", attempt))
-        witnesses = _shuffled_witnesses(
+        index_sets = []
+        g: Optional[MultiPoly] = None
+        for rows, cols, minor in _iter_witnesses(
             restricted, k, subseed(seed, "plane-shuffle", attempt), sample_size
-        )
-        if not witnesses:
+        ):
+            index_sets.append((rows, cols))
+            g = minor.monic() if g is None else gcd(g, minor)
+            if g.is_constant():
+                return True, index_sets
+        if g is None:
             continue  # unlucky plane: restricted rank dropped
-        g = gcd_many([w[2] for w in witnesses])
-        index_sets = [(w[0], w[1]) for w in witnesses]
-        if g.is_constant():
-            return True, index_sets
-        return None, index_sets
-    return None, []
+        coprime = all(
+            rank_modulo_hypersurface(restricted, f) == k for f in squarefree_factors(g)
+        )
+        return coprime, index_sets
+    return False, []
 
 
 def coprime_minor_analysis(
-    w: GradedMatrix,
-    k: int,
-    seed: int = DEFAULT_SEED,
-    minor_budget: int = DEFAULT_MINOR_BUDGET,
+    w: GradedMatrix, k: int, seed: int = DEFAULT_SEED
 ) -> MinorAnalysis:
     """Exact analysis of the k-minors of w, for k = rank(w).
 
@@ -261,17 +282,11 @@ def coprime_minor_analysis(
     for bi, (sub, kb) in enumerate(sub_infos):
         if kb == 0:
             continue
-        count = comb(sub.nrows, kb) * comb(sub.ncols, kb)
-        if count <= minor_budget and kb <= 8:
-            mins = minors(sub, kb, "all")
-            nonzero = [m for m in mins if not m.is_zero()]
-            g = gcd_many(nonzero)
-        else:
-            verdict, index_sets = _restricted_minor_gcd(sub, kb, subseed(seed, "block", bi))
-            if verdict is True:
-                continue
-            notes.append(f"block {bi}: plane certificate inconclusive, honest fallback")
-            g = _honest_sampled_gcd(sub, kb, subseed(seed, "honest", bi), index_sets)
+        coprime, index_sets = _restricted_minor_gcd(sub, kb, subseed(seed, "block", bi))
+        if coprime:
+            continue
+        notes.append(f"block {bi}: plane certificate inconclusive, honest fallback")
+        g = _honest_sampled_gcd(sub, kb, subseed(seed, "honest", bi), index_sets)
         if not g.is_constant():
             overall = overall * g
     if overall.is_constant():
@@ -299,8 +314,7 @@ def _honest_sampled_gcd(
     """
     picks = list(index_sets[:sample_size])
     if len(picks) < sample_size:
-        witnesses = _shuffled_witnesses(sub, k, seed, sample_size - len(picks))
-        for rows, cols, _ in witnesses:
+        for rows, cols, _ in _iter_witnesses(sub, k, seed, sample_size - len(picks)):
             if (rows, cols) not in picks:
                 picks.append((rows, cols))
     if not picks:
@@ -327,18 +341,13 @@ def alpha(s: GradedMatrix, n: int) -> int:
     return rank_fraction_field(s.truncate_columns(n).specialize_closed_point())
 
 
-def beta(
-    s: GradedMatrix,
-    n: int,
-    seed: int = DEFAULT_SEED,
-    minor_budget: int = DEFAULT_MINOR_BUDGET,
-) -> int:
+def beta(s: GradedMatrix, n: int, seed: int = DEFAULT_SEED) -> int:
     """Largest k such that the k-minors of s_{n,t} have no common factor."""
     w = s.truncate_columns(n).specialize_closed_point()
     k = rank_fraction_field(w)
     if k == 0:
         return 0
-    return coprime_minor_analysis(w, k, seed=seed, minor_budget=minor_budget).min_rank
+    return coprime_minor_analysis(w, k, seed=seed).min_rank
 
 
 def _column_module_free(w: GradedMatrix, target_rank: int) -> bool:
@@ -349,30 +358,17 @@ def _column_module_free(w: GradedMatrix, target_rank: int) -> bool:
     return mu.rank() == target_rank
 
 
-def compute_b0(
-    s: GradedMatrix,
-    n_max: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
-    minor_budget: int = DEFAULT_MINOR_BUDGET,
-) -> Tuple[int, bool]:
-    """Largest n <= n_max satisfying the b0 conditions; (value, is_lower_bound)."""
-    profile = compute_q_profile(s, seed=seed, minor_budget=minor_budget,
-                                window=(None, n_max) if n_max is not None else None)
-    return profile.b0, profile.b0_is_lower_bound
-
-
 def compute_q_profile(
     s: GradedMatrix,
     window: Optional[Tuple[Optional[int], Optional[int]]] = None,
     seed: int = DEFAULT_SEED,
-    minor_budget: int = DEFAULT_MINOR_BUDGET,
 ) -> QProfile:
     """Full per-degree profile (alpha, beta, q#) with b0 and the stable rank.
 
     The window defaults to [inf L2 - 1, sup L2 + 8] and the scan stops as
     soon as the profile provably stabilizes.
     """
-    key = (s.fingerprint(), window, seed, minor_budget)
+    key = (s.fingerprint(), window, seed)
     cached = _PROFILE_CACHE.get(key)
     if cached is not None:
         return cached
@@ -408,12 +404,8 @@ def compute_q_profile(
         alpha_n = rank_fraction_field(w)
         if alpha_n == 0:
             beta_n = 0
-            analysis = None
         else:
-            analysis = coprime_minor_analysis(
-                w, alpha_n, seed=subseed(seed, "beta", n), minor_budget=minor_budget
-            )
-            beta_n = analysis.min_rank
+            beta_n = coprime_minor_analysis(w, alpha_n, seed=subseed(seed, "beta", n)).min_rank
         if in_free_regime:
             conditions = alpha_n == beta_n and _column_module_free(w, alpha_n)
             if conditions:
@@ -566,8 +558,7 @@ def q_oracle(
                 continue
             if mass < r:
                 analysis = coprime_minor_analysis(
-                    w, mass, seed=subseed(seed, "oracle-analysis", n, mass, attempt),
-                    minor_budget=minor_budget,
+                    w, mass, seed=subseed(seed, "oracle-analysis", n, mass, attempt)
                 )
                 if analysis.coprime:
                     return mass

@@ -131,6 +131,19 @@ def test_verify_detects_torsion_on_toy_instance():
     assert cert.coprime
 
 
+def test_minimal_family_34_at_seed_11(example_runs):
+    # at this seed the witness (r-1)-minors share a linear factor that does
+    # not divide all of them; the restricted rank on the plane settles it,
+    # where exact determinants of these 16-minors would not finish
+    desc, profile, _ = example_runs.get("3.4")
+    report = families.minimal_family(desc.matrix, seed=11, profile=profile)
+    exp = desc.expected
+    assert (report.deg_N, report.h0, report.d0, report.g0) == (
+        exp["deg_N"], exp["h0"], exp["d0"], exp["g0"]
+    )
+    assert report.q.support == exp["q"]
+
+
 # ---------------------------------------------------------------------------
 # degree and genus
 

@@ -3,10 +3,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biliaison import families, fixtures, modgb, qprofile
-from biliaison.grmatrix import CharFunction, GradedMatrix, rank_fraction_field
-from biliaison.polyring import FieldSpec, MultiPoly
+from biliaison.grmatrix import (
+    CharFunction,
+    GradedMatrix,
+    minors,
+    rank_fraction_field,
+    rank_modulo_hypersurface,
+)
+from biliaison.polyring import FieldSpec, MultiPoly, gcd_many, squarefree_factors
 
 F = FieldSpec.prime()
 
@@ -52,6 +60,105 @@ def test_minor_analysis_requires_rank_level():
         qprofile.coprime_minor_analysis(col, 2)
 
 
+def _exhaustive_min_rank(w: GradedMatrix, k: int) -> int:
+    """Oracle: measure every squarefree factor of the GCD of all k-minors."""
+    g = gcd_many([m for m in minors(w, k, "all") if not m.is_zero()])
+    if g.is_constant():
+        return k
+    return min(rank_modulo_hypersurface(w, f) for f in squarefree_factors(g))
+
+
+def _random_form(degree: int, rng: random.Random) -> MultiPoly:
+    """Sparse form: at most two terms keep the exhaustive minor GCD cheap."""
+    form = MultiPoly.zero(F)
+    for mono in rng.sample(modgb.monomials_of_degree(degree), 2):
+        form = form + MultiPoly.monomial(F, tuple(mono) + (0,), rng.randrange(32003))
+    return form
+
+
+def _random_block(nrows, ncols, quadratic_col, scale, index, seed) -> GradedMatrix:
+    """Linear entries, quadratic in at most one column; `scale` ("row", "col"
+    or None) multiplies one row or column of linear entries by a shared
+    linear form.  A 4 x 4 block stays linear: every minor has degree <= 4,
+    which keeps the multivariate GCDs of both sides cheap."""
+    rng = random.Random(seed)
+    row_degs = [0] * nrows
+    col_degs = [1] * ncols
+    if min(nrows, ncols) == 4:
+        quadratic_col = scale = None
+    if scale is None and quadratic_col is not None:
+        col_degs[quadratic_col % ncols] = 2
+    grid = [[_random_form(d, rng) for d in col_degs] for _ in range(nrows)]
+    form = _random_form(1, rng)
+    if scale == "row":
+        i = index % nrows
+        grid[i] = [form * p for p in grid[i]]
+        row_degs[i] = -1
+    elif scale == "col":
+        j = index % ncols
+        for row in grid:
+            row[j] = form * row[j]
+        col_degs[j] = 2
+    return GradedMatrix(F, row_degs, col_degs, grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nrows=st.integers(2, 4),
+    ncols=st.integers(2, 4),
+    quadratic_col=st.one_of(st.none(), st.integers(0, 3)),
+    scale=st.sampled_from([None, "row", "col"]),
+    index=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_minor_analysis_matches_exhaustive_oracle(
+    nrows, ncols, quadratic_col, scale, index, seed
+):
+    w = _random_block(nrows, ncols, quadratic_col, scale, index, seed)
+    k = rank_fraction_field(w)
+    if k == 0:
+        return
+    analysis = qprofile.coprime_minor_analysis(w, k, seed=seed)
+    assert analysis.min_rank == _exhaustive_min_rank(w, k)
+
+
+def test_restricted_rank_settles_plane_without_fallback(monkeypatch):
+    # on any plane the quadrics restrict to cheaper pivots than the cubic, so
+    # every witness is one of them and all share the factor X; the cubic
+    # makes the 1-minors coprime, and only the restricted rank modulo X sees it
+    row = M([0], [2, 2, 2, 3], [["X*Y", "X*Z", "X*T", "Y^3 + Z^3 + T^3"]])
+    measured = []
+
+    def spy(m, f):
+        measured.append(f)
+        return rank_modulo_hypersurface(m, f)
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("honest fallback reached")
+
+    monkeypatch.setattr(qprofile, "rank_modulo_hypersurface", spy)
+    monkeypatch.setattr(qprofile, "_honest_sampled_gcd", no_fallback)
+    analysis = qprofile.coprime_minor_analysis(row, 1)
+    assert analysis.coprime and analysis.notes == []
+    assert measured and all(f.degree == 1 for f in measured)
+
+
+def test_genuine_common_factor_reaches_fallback(monkeypatch):
+    row = M([0], [2, 2, 2, 3], [["X*Y", "X*Z", "X*T", "X*Y^2 + X*Z^2 + X*T^2"]])
+    calls = []
+    honest = qprofile._honest_sampled_gcd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(qprofile, "_honest_sampled_gcd", counted)
+    analysis = qprofile.coprime_minor_analysis(row, 1)
+    assert calls
+    assert analysis.min_rank == 0
+    assert analysis.common_factor == P("X")
+
+
 # ---------------------------------------------------------------------------
 # b0
 
@@ -65,8 +172,8 @@ def test_b0_values(example_runs):
 
 def test_b0_standalone_operation(example_runs):
     desc, _, _ = example_runs.get("3.2")
-    value, is_lower = qprofile.compute_b0(desc.matrix)
-    assert (value, is_lower) == (0, False)
+    profile = qprofile.compute_q_profile(desc.matrix)
+    assert (profile.b0, profile.b0_is_lower_bound) == (0, False)
 
 
 # ---------------------------------------------------------------------------

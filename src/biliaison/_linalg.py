@@ -1,8 +1,9 @@
 """Exact dense linear algebra over F_p (numpy-backed) and over Q.
 
 All degreewise dimension counts, kernels and minimal-generator counts reduce
-to ranks/kernels of integer matrices mod p.  Arithmetic stays in int64: with
-p < 2^15 every intermediate product fits comfortably.
+to ranks/kernels of integer matrices mod p.  Arithmetic stays in int64:
+`FieldSpec` admits only p < 2^31, so a product of two residues is below 2^62
+and a difference of two such values still fits.
 """
 
 from __future__ import annotations

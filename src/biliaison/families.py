@@ -71,6 +71,10 @@ class PresentationError(RuntimeError):
     """The presentation produced a non-integral sheaf degree."""
 
 
+class ConservationError(RuntimeError):
+    """A verified morphism violates the Hilbert conservation P_Q + P_P = P_N."""
+
+
 @dataclass
 class Certificate:
     rank: int
@@ -226,16 +230,6 @@ def verify_general_morphism(
 # Hilbert polynomial of the quotient and (d, g)
 
 
-def _fit_cubic_window(values_fn, start: int, budget: int) -> HilbertPolynomial:
-    """First 10-degree window whose values lie on a single cubic."""
-    for w in range(start, budget - 8):
-        values = [values_fn(n) for n in range(w, w + 10)]
-        poly = HilbertPolynomial.fit_cubic(list(range(w, w + 4)), values[:4])
-        if all(poly(n) == val for n, val in zip(range(w, w + 10), values)):
-            return poly
-    raise modgb.BudgetExhaustedError("no stable cubic window within the degree budget")
-
-
 def quotient_hilbert_data(
     s: GradedMatrix, v: GradedMatrix
 ) -> Tuple[HilbertPolynomial, HilbertPolynomial]:
@@ -254,7 +248,7 @@ def quotient_hilbert_data(
     def q_dim(n: int) -> int:
         return pres_n.hilbert_function(n) - pres_u.hilbert_function(n)
 
-    p_q = _fit_cubic_window(q_dim, start, budget)
+    p_q = modgb.fit_cubic_window(q_dim, start, budget)
     return p_n, p_q
 
 
@@ -272,6 +266,11 @@ def family_degree_genus(
         deg_n = sheaf_degree(s, profile)
     h = deg_n + p.weighted_sum()
     _, p_q = quotient_hilbert_data(s, v)
+    return (h,) + _degree_genus(h, p_q)
+
+
+def _degree_genus(h: int, p_q: HilbertPolynomial) -> Tuple[int, int]:
+    """(d, g) read off the quotient Hilbert polynomial P_Q for shift h."""
     # P_Q(n) = C(n+h+3,3) - d*(n+h) - 1 + g
     twisted = HilbertPolynomial.binomial_shift(-h)
     diff = twisted - p_q  # should be d*(n+h) + 1 - g, a linear polynomial
@@ -286,7 +285,7 @@ def family_degree_genus(
     g = d * h + 1 - diff.coeffs[0]
     if g.denominator != 1:
         raise ShapeMismatchError(f"genus {g} is not an integer")
-    return h, d, int(g)
+    return d, int(g)
 
 
 def hilbert_conservation(
@@ -294,8 +293,7 @@ def hilbert_conservation(
 ) -> Tuple[HilbertPolynomial, HilbertPolynomial, HilbertPolynomial]:
     """(P_N, P_P, P_Q); a verified morphism satisfies P_Q + P_P = P_N."""
     p_n, p_q = quotient_hilbert_data(s, v)
-    p_p = HilbertPolynomial.dissociated(p)
-    return p_n, p_p, p_q
+    return p_n, HilbertPolynomial.dissociated(p), p_q
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +322,18 @@ def minimal_family(
         v = sample_general_morphism(s, q, seed=attempt_seed, profile=profile)
         try:
             cert = verify_general_morphism(s, v, profile=profile, seed=attempt_seed)
-            h, d, g = family_degree_genus(s, v, q, profile=profile, deg_n=deg_n)
+            p_n, p_q = quotient_hilbert_data(s, v)
+            d, g = _degree_genus(h0, p_q)
         except (RankDeficiencyError, TorsionError, ShapeMismatchError) as exc:
             last_error = exc
             continue
-        if h != h0:
-            raise PresentationError(f"shift {h} disagrees with h0 = {h0}")
+        p_p = HilbertPolynomial.dissociated(q)
+        if p_q + p_p != p_n:
+            raise ConservationError(
+                f"P_Q + P_P = {p_q + p_p} differs from P_N = {p_n} for a verified morphism"
+            )
         cert.retries = attempt
         cert.seed = seed
-        p_n, p_p, p_q = hilbert_conservation(s, v, q)
         ideal_poly = HilbertPolynomial.binomial_shift(0) - HilbertPolynomial.from_coeffs(
             [Fraction(1) - g, Fraction(d)]
         )

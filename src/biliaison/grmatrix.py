@@ -342,32 +342,24 @@ def determinant(m: GradedMatrix) -> MultiPoly:
             - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
             + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
         )
-    rank, _, _, det, sign = _bareiss(m.entries, field, want_det=True)
+    rank, det, sign = _bareiss(m.entries, field)
     if rank < n:
         return MultiPoly.zero(field)
     return det if sign > 0 else -det
 
 
 def _bareiss(
-    entries: Sequence[Sequence[MultiPoly]],
-    field: FieldSpec,
-    want_det: bool = False,
-    row_major: bool = False,
-) -> Tuple[int, List[int], List[int], MultiPoly, int]:
-    """Fraction-free elimination.
+    entries: Sequence[Sequence[MultiPoly]], field: FieldSpec
+) -> Tuple[int, MultiPoly, int]:
+    """Fraction-free elimination with the globally smallest pivots.
 
-    Returns (rank, pivot_rows, pivot_cols, last_pivot, swap_sign).  The last
-    pivot equals (up to the recorded sign) the determinant of the submatrix
-    on the pivot rows/columns.  With row_major=True pivots are taken from the
-    topmost usable row instead of globally smallest entries, so the pivot row
-    set follows the given row order; useful for harvesting diverse witness
-    minors.
+    Returns (rank, last_pivot, swap_sign).  The last pivot equals (up to the
+    recorded sign) the determinant of the submatrix on the pivot rows and
+    columns; for a nonsingular square matrix, of the matrix itself.
     """
     grid = [list(row) for row in entries]
     nrows = len(grid)
     ncols = len(grid[0]) if nrows else 0
-    row_idx = list(range(nrows))
-    col_idx = list(range(ncols))
     prev = MultiPoly.one(field)
     sign = 1
     k = 0
@@ -384,19 +376,15 @@ def _bareiss(
                 if best is None or score < best:
                     best = score
                     pivot = (i, j)
-            if row_major and pivot is not None:
-                break
         if pivot is None:
             break
         pi, pj = pivot
         if pi != k:
             grid[k], grid[pi] = grid[pi], grid[k]
-            row_idx[k], row_idx[pi] = row_idx[pi], row_idx[k]
             sign = -sign
         if pj != k:
             for row in grid:
                 row[k], row[pj] = row[pj], row[k]
-            col_idx[k], col_idx[pj] = col_idx[pj], col_idx[k]
             sign = -sign
         pk = grid[k][k]
         for i in range(k + 1, nrows):
@@ -407,7 +395,7 @@ def _bareiss(
             grid[i][k] = MultiPoly.zero(field)
         prev = pk
         k += 1
-    return k, sorted(row_idx[:k]), sorted(col_idx[:k]), prev, sign
+    return k, prev, sign
 
 
 # ---------------------------------------------------------------------------
@@ -473,18 +461,18 @@ def _block_rank(sub: GradedMatrix) -> int:
     # plane restriction: certified lower bound, cheap exact arithmetic
     seed_base = int(sub.fingerprint()[:12], 16) ^ 0x9E3779B9
     restricted = restrict_to_plane(sub, seed_base)
-    r_restr, _, _, _, _ = _bareiss(restricted.entries, sub.field)
+    r_restr, _, _ = _bareiss(restricted.entries, sub.field)
     lower = max(lower, r_restr)
     if lower == cap:
         return cap
     if cap <= 6 or nrows * ncols <= 60:
-        rank, _, _, _, _ = _bareiss(sub.entries, sub.field)
+        rank, _, _ = _bareiss(sub.entries, sub.field)
         return rank
     if not sub.has_parameter():
         from biliaison import modgb
 
         return modgb.leading_component_rank(sub)
-    rank, _, _, _, _ = _bareiss(sub.entries, sub.field)
+    rank, _, _ = _bareiss(sub.entries, sub.field)
     return rank
 
 
@@ -611,7 +599,7 @@ def _rank_modulo_linear(sub: GradedMatrix, f: MultiPoly) -> int:
     image = (-rest).scale(inv)
     images = {var: image}
     grid = [[p.substitute(images) for p in row] for row in sub.entries]
-    rank, _, _, _, _ = _bareiss(grid, field)
+    rank, _, _ = _bareiss(grid, field)
     return rank
 
 

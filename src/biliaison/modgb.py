@@ -11,6 +11,25 @@ broken toward the smaller component index.  Buchberger runs degree by degree
 (inputs are homogeneous), with the chain criterion for pair pruning and an
 optional S-pair degree cap; a capped run certifies every leading term up to
 the cap and is exactly what the Hilbert-function consumers need.
+
+Packed term keys.  Inside the engine a term (comp, e0, e1, e2, e3) is one
+int holding five fixed-width fields of _BITS = 10 bits, most significant
+first:
+
+    deg = e0 + e1 + e2 + e3,  R - e3,  R - e2,  R - e1,  R - comp
+
+with R = 2**_BITS - 1 = 1023.  Integer order is then exactly the module
+order, and multiplying a term by x^m adds the constant
+key(x^m * t) - key(t), so a reducer's terms are shifted by one integer
+addition each.  Normal forms pop the largest live key from a heap (Monagan
+and Pearce, "Polynomial Division Using Dynamic Arrays, Heaps, and Packed
+Exponent Vectors", CASC 2007).  The supported range is at most R + 1 = 1024
+components and monomial degree at most R in every component: a vector of
+degree d over ambient degrees a_c only holds terms of monomial degree
+d - a_c, so d - min(a) <= R keeps every field of every term, and of every
+multiple formed while reducing it, inside [0, R].  Inputs and S-pairs
+outside that range raise `TermRangeError`; nothing wraps silently.  Keys are
+converted to and from tuples only at the module boundary.
 """
 
 from __future__ import annotations
@@ -18,7 +37,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,8 +57,39 @@ class InhomogeneousError(ValueError):
     """Generators must be homogeneous."""
 
 
-def _term_key(t: Term) -> tuple:
-    return (t[1] + t[2] + t[3] + t[4], -t[4], -t[3], -t[2], -t[0])
+class TermRangeError(BudgetExhaustedError):
+    """A degree or component index does not fit the packed term key."""
+
+
+_BITS = 10
+_R = (1 << _BITS) - 1
+
+
+def _pack(t: Term) -> int:
+    """Packed key of a term; integer order is the module order."""
+    comp, e0, e1, e2, e3 = t
+    deg = e0 + e1 + e2 + e3
+    if not (0 <= comp <= _R and min(e0, e1, e2, e3) >= 0 and deg <= _R):
+        raise TermRangeError(f"term {t} exceeds the packed key range (degree, component <= {_R})")
+    return ((((deg << _BITS | _R - e3) << _BITS | _R - e2) << _BITS | _R - e1) << _BITS) | _R - comp
+
+
+def _unpack(k: int) -> Term:
+    comp = _R - (k & _R)
+    e1 = _R - (k >> _BITS & _R)
+    e2 = _R - (k >> 2 * _BITS & _R)
+    e3 = _R - (k >> 3 * _BITS & _R)
+    return (comp, (k >> 4 * _BITS) - e1 - e2 - e3, e1, e2, e3)
+
+
+def _check_range(degree: int, ambient_degrees: Sequence[int]) -> None:
+    """Every term of a degree-`degree` vector, and of every multiple formed
+    while reducing it, fits the packed key (see the module docstring)."""
+    if len(ambient_degrees) > _R + 1 or degree - min(ambient_degrees, default=0) > _R:
+        raise TermRangeError(
+            f"degree {degree} over ambient degrees {tuple(ambient_degrees)} exceeds "
+            f"the packed key range (monomial degree <= {_R}, at most {_R + 1} components)"
+        )
 
 
 def _mono_divides(a: Term, b: Term) -> bool:
@@ -67,18 +117,27 @@ def monomials_of_degree(d: int) -> List[Expo4]:
 
 
 class _Vec:
-    """Homogeneous element of the ambient free module (internal)."""
+    """Homogeneous element of the ambient free module (internal).
 
-    __slots__ = ("terms", "degree", "_lead")
+    ``terms`` maps packed term keys to nonzero scalars.
+    """
 
-    def __init__(self, terms: Dict[Term, Scalar], degree: int):
+    __slots__ = ("terms", "degree", "_lead_key", "_lead")
+
+    def __init__(self, terms: Dict[int, Scalar], degree: int):
         self.terms = terms
         self.degree = degree
+        self._lead_key: Optional[int] = None
         self._lead: Optional[Term] = None
+
+    def lead_key(self) -> int:
+        if self._lead_key is None:
+            self._lead_key = max(self.terms)
+        return self._lead_key
 
     def lead(self) -> Term:
         if self._lead is None:
-            self._lead = max(self.terms, key=_term_key)
+            self._lead = _unpack(self.lead_key())
         return self._lead
 
     def is_zero(self) -> bool:
@@ -159,12 +218,8 @@ class SubmodulePresentation:
         return total
 
     def hilbert_polynomial(self, budget: Optional[int] = None) -> "HilbertPolynomial":
-        """Cubic agreeing with the Hilbert function from the fitted window on.
-
-        The window is the first start w such that ten consecutive values
-        w..w+9 lie on one cubic (four consecutive exact fits, validated on
-        three further degrees).
-        """
+        """Cubic agreeing with the Hilbert function from the fitted window on
+        (see `fit_cubic_window`)."""
         degrees = [self.ambient_degrees[c] for c in self._by_component] or [0]
         start = min(degrees)
         if budget is None:
@@ -173,14 +228,7 @@ class SubmodulePresentation:
             budget = start + 40
         if self.truncated_at is not None:
             budget = min(budget, self.truncated_at)
-        for w in range(start, budget - 8):
-            values = [self.hilbert_function(n) for n in range(w, w + 10)]
-            poly = HilbertPolynomial.fit_cubic(list(range(w, w + 4)), values[:4])
-            if all(poly(n) == v for n, v in zip(range(w, w + 10), values)):
-                return poly
-        raise BudgetExhaustedError(
-            f"no stable cubic window within degree budget {budget}"
-        )
+        return fit_cubic_window(self.hilbert_function, start, budget)
 
 
 @dataclass(frozen=True)
@@ -258,6 +306,19 @@ class HilbertPolynomial:
         return " + ".join(f"({c})*n^{k}" for k, c in enumerate(self.coeffs) if c != 0) or "0"
 
 
+def fit_cubic_window(values: Callable[[int], int], start: int, budget: int) -> HilbertPolynomial:
+    """Cubic through the first window of ten consecutive degrees w..w+9,
+    start <= w and w + 9 <= budget, whose values lie on one cubic: four
+    values fix the cubic and the other six confirm it."""
+    for w in range(start, budget - 8):
+        window = range(w, w + 10)
+        vals = [values(n) for n in window]
+        poly = HilbertPolynomial.fit_cubic(list(window[:4]), vals[:4])
+        if all(poly(n) == v for n, v in zip(window, vals)):
+            return poly
+    raise BudgetExhaustedError(f"no stable cubic window within degree budget {budget}")
+
+
 # ---------------------------------------------------------------------------
 # conversion helpers
 
@@ -268,7 +329,8 @@ def _column_to_vec(
     ambient_degrees: Tuple[int, ...],
     field: FieldSpec,
 ) -> _Vec:
-    terms: Dict[Term, Scalar] = {}
+    _check_range(degree, ambient_degrees)
+    terms: Dict[int, Scalar] = {}
     for comp, poly in enumerate(column):
         if poly.is_zero():
             continue
@@ -279,7 +341,7 @@ def _column_to_vec(
                 f"component {comp} is not homogeneous of degree {degree - ambient_degrees[comp]}"
             )
         for e, c in poly.terms.items():
-            terms[(comp, e[0], e[1], e[2], e[3])] = c
+            terms[_pack((comp, e[0], e[1], e[2], e[3]))] = c
     return _Vec(terms, degree)
 
 
@@ -287,7 +349,8 @@ def _vec_to_column(
     vec: _Vec, ambient_degrees: Tuple[int, ...], field: FieldSpec
 ) -> List[MultiPoly]:
     polys: List[Dict] = [dict() for _ in ambient_degrees]
-    for (comp, e0, e1, e2, e3), c in vec.terms.items():
+    for k, c in vec.terms.items():
+        comp, e0, e1, e2, e3 = _unpack(k)
         polys[comp][(e0, e1, e2, e3, 0)] = c
     return [MultiPoly(field, d) for d in polys]
 
@@ -297,52 +360,63 @@ def _vec_to_column(
 
 
 def _sub_scaled(
-    target: Dict[Term, Scalar],
-    source: Dict[Term, Scalar],
-    mono: Expo4,
+    target: Dict[int, Scalar],
+    source: Dict[int, Scalar],
+    shift: int,
     coeff: Scalar,
     field: FieldSpec,
+    heap: Optional[List[int]] = None,
 ) -> None:
-    """target -= coeff * x^mono * source (in place)."""
+    """target -= coeff * x^m * source in place, where shift = key(x^m t) - key(t).
+
+    Keys new to ``target`` are pushed, negated, onto ``heap`` when given.
+    """
     prime = field.kind == "prime"
     p = field.characteristic
-    m0, m1, m2, m3 = mono
-    for (c, e0, e1, e2, e3), v in source.items():
-        t = (c, e0 + m0, e1 + m1, e2 + m2, e3 + m3)
-        if prime:
-            nv = (target.get(t, 0) - coeff * v) % p
+    get = target.get
+    for k, v in source.items():
+        k += shift
+        old = get(k)
+        if old is None:
+            target[k] = (-coeff * v) % p if prime else -coeff * v
+            if heap is not None:
+                heapq.heappush(heap, -k)
         else:
-            nv = target.get(t, Fraction(0)) - coeff * v
-        if nv:
-            target[t] = nv
-        elif t in target:
-            del target[t]
+            nv = (old - coeff * v) % p if prime else old - coeff * v
+            if nv:
+                target[k] = nv
+            else:
+                del target[k]
 
 
 def _normal_form(
     vec: _Vec, by_component: Dict[int, List[_Vec]], field: FieldSpec
 ) -> _Vec:
+    """Fully reduce vec; the largest live term is popped from a max-heap of keys."""
     work = dict(vec.terms)
-    remainder: Dict[Term, Scalar] = {}
-    while work:
-        t = max(work, key=_term_key)
+    heap = [-k for k in work]
+    heapq.heapify(heap)
+    remainder: Dict[int, Scalar] = {}
+    while heap:
+        k = -heapq.heappop(heap)
+        c = work.get(k)
+        if c is None:
+            continue  # cancelled since it was pushed
+        t = _unpack(k)
         reducer = None
         for g in by_component.get(t[0], ()):  # basis elements are monic
-            lt = g.lead()
-            if _mono_divides(lt, t):
+            if _mono_divides(g.lead(), t):
                 reducer = g
                 break
         if reducer is None:
-            remainder[t] = work.pop(t)
+            remainder[k] = work.pop(k)
             continue
-        lt = reducer.lead()
-        mono = (t[1] - lt[1], t[2] - lt[2], t[3] - lt[3], t[4] - lt[4])
-        _sub_scaled(work, reducer.terms, mono, work[t], field)
+        _sub_scaled(work, reducer.terms, k - reducer.lead_key(), c, field, heap)
     return _Vec(remainder, vec.degree)
 
 
 def _make_monic(vec: _Vec, field: FieldSpec) -> _Vec:
-    lc = vec.terms[vec.lead()]
+    lc = vec.terms[vec.lead_key()]
     if lc == (1 if field.kind == "prime" else Fraction(1)):
         return vec
     inv = field.invert(lc)
@@ -415,11 +489,11 @@ def _buchberger(
         processed.add((i, j))
         if skip:
             continue
-        mono_i = (L[1] - li[1], L[2] - li[2], L[3] - li[3], L[4] - li[4])
-        mono_j = (L[1] - lj[1], L[2] - lj[2], L[3] - lj[3], L[4] - lj[4])
-        s: Dict[Term, Scalar] = {}
-        _sub_scaled(s, fi.terms, mono_i, field.normalize(-1), field)
-        _sub_scaled(s, fj.terms, mono_j, field.normalize(1), field)
+        _check_range(deg, ambient_degrees)
+        key_l = _pack(L)
+        s: Dict[int, Scalar] = {}
+        _sub_scaled(s, fi.terms, key_l - fi.lead_key(), field.normalize(-1), field)
+        _sub_scaled(s, fj.terms, key_l - fj.lead_key(), field.normalize(1), field)
         svec = _Vec(s, deg)
         if svec.is_zero():
             continue

@@ -13,6 +13,7 @@ scope; callers are written to be correct with any coprime squarefree split.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +54,11 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Coefficient field: Q (characteristic 0) or F_p for an odd prime p."""
+    """Coefficient field: Q (characteristic 0) or F_p for a prime 1000 <= p < 2^31.
+
+    The bound on p keeps every product of two reduced residues below 2^62, so
+    the numpy kernels of `_linalg` cannot overflow int64.
+    """
 
     kind: str
     characteristic: int
@@ -64,12 +69,12 @@ class FieldSpec:
                 raise ValueError("rationals have characteristic 0")
         elif self.kind == "prime":
             p = self.characteristic
-            if not _is_prime(p):
-                raise ValueError(f"{p} is not prime")
             if p < 1000:
                 raise ValueError("prime field too small for generic sampling (need >= 1000)")
-            if p == 2:
-                raise ValueError("characteristic must be odd")
+            if p >= 2 ** 31:
+                raise ValueError("prime too large for the int64 kernels (need p < 2^31)")
+            if not _is_prime(p):
+                raise ValueError(f"{p} is not prime")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
 
@@ -121,6 +126,11 @@ class FieldSpec:
 def monomial_key(e: Expo) -> tuple:
     """Graded reverse lexicographic sort key; the parameter `a` sorts last."""
     return (e[0] + e[1] + e[2] + e[3] + e[4], -e[4], -e[3], -e[2], -e[1])
+
+
+def _heap_key(e: Expo) -> tuple:
+    """Min-heap entry that pops the largest monomial first; e rides last."""
+    return (-(e[0] + e[1] + e[2] + e[3] + e[4]), e[4], e[3], e[2], e[1], e)
 
 
 class MultiPoly:
@@ -344,41 +354,51 @@ class MultiPoly:
         return r
 
     def _divmod(self, divisor: "MultiPoly") -> Tuple["MultiPoly", "MultiPoly"]:
+        """(quotient, remainder) of division by one polynomial.
+
+        Terms are taken largest first from a heap over the remainder: a term
+        divisible by LT(divisor) is reduced, any other one is final, since a
+        reduction step only creates terms below the term it cancels.
+        """
         self._check_field(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         field = self.field
         lead_d = divisor.leading_expo()
-        lc_d = divisor.terms[lead_d]
-        inv_lc = field.invert(lc_d)
+        d0, d1, d2, d3, d4 = lead_d
+        inv_lc = field.invert(divisor.terms[lead_d])
+        tail = [(e, c) for e, c in divisor.terms.items() if e != lead_d]
         rem = dict(self.terms)
+        heap = [_heap_key(e) for e in rem]
+        heapq.heapify(heap)
         quo: Dict[Expo, Scalar] = {}
+        out: Dict[Expo, Scalar] = {}
         prime = field.kind == "prime"
         p = field.characteristic
-        while rem:
-            # largest remaining monomial divisible by LT(divisor)
-            cand = None
-            for e in rem:
-                if all(e[i] >= lead_d[i] for i in range(NVARS)):
-                    if cand is None or monomial_key(e) > monomial_key(cand):
-                        cand = e
-            if cand is None:
-                break
-            c = rem[cand]
-            qe = tuple(cand[i] - lead_d[i] for i in range(NVARS))
+        while heap:
+            e = heapq.heappop(heap)[-1]
+            c = rem.pop(e, None)
+            if c is None:
+                continue  # cancelled since it was pushed
+            if e[0] < d0 or e[1] < d1 or e[2] < d2 or e[3] < d3 or e[4] < d4:
+                out[e] = c
+                continue
+            qe = (e[0] - d0, e[1] - d1, e[2] - d2, e[3] - d3, e[4] - d4)
             qc = (c * inv_lc) % p if prime else c * inv_lc
             quo[qe] = qc
-            for e2, c2 in divisor.terms.items():
-                e = (qe[0] + e2[0], qe[1] + e2[1], qe[2] + e2[2], qe[3] + e2[3], qe[4] + e2[4])
-                if prime:
-                    v = (rem.get(e, 0) - qc * c2) % p
-                else:
-                    v = rem.get(e, Fraction(0)) - qc * c2
+            for e2, c2 in tail:
+                t = (qe[0] + e2[0], qe[1] + e2[1], qe[2] + e2[2], qe[3] + e2[3], qe[4] + e2[4])
+                old = rem.get(t)
+                if old is None:
+                    rem[t] = (-qc * c2) % p if prime else -qc * c2
+                    heapq.heappush(heap, _heap_key(t))
+                    continue
+                v = (old - qc * c2) % p if prime else old - qc * c2
                 if v:
-                    rem[e] = v
-                elif e in rem:
-                    del rem[e]
-        return self._new(quo), self._new(rem)
+                    rem[t] = v
+                else:
+                    del rem[t]
+        return self._new(quo), self._new(out)
 
     # substitution / evaluation -------------------------------------------
     def specialize_parameter(self, value: Scalar) -> "MultiPoly":

@@ -22,11 +22,15 @@ beta is computed by one minor analysis per block of a block-diagonal matrix,
 where k is the rank of the block.  No minor is enumerated:
 
 1. Plane certificate.  Restrict the block to a seeded random plane, so every
-   entry becomes a binary form, and draw nonsingular k x k witnesses from
-   fraction-free elimination on seeded shuffles.  Keep a running GCD g of the
-   restricted witness minors and stop as soon as it is constant: any set of
-   nonzero restricted k-minors with GCD 1 certifies that the k-minors are
-   coprime.
+   entry becomes a binary form in X, Y.  On each seeded shuffle, scalar
+   elimination at one seeded point of the line Y = 1 picks k pivot rows and
+   columns; their minor is nonzero at that point, hence a nonzero binary
+   form.  It is homogeneous of the known degree D = (sum of column degrees)
+   - (sum of row degrees), so its values at D + 1 distinct points of Y = 1
+   determine it exactly, and interpolation recovers it with scalar
+   arithmetic only.  Keep a running GCD g of these restricted witness minors
+   and stop as soon as it is constant: any set of nonzero restricted
+   k-minors with GCD 1 certifies that the k-minors are coprime.
 2. Restricted rank.  If g stays nonconstant, measure the rank of the
    restricted block modulo each squarefree factor f of g.  Rank k for every f
    also certifies coprimality.  Proof: let F be a nonconstant common factor
@@ -57,15 +61,15 @@ from biliaison import modgb
 from biliaison.grmatrix import (
     CharFunction,
     GradedMatrix,
+    HomogeneityError,
     block_decomposition,
     determinant,
     minors,
     rank_fraction_field,
     rank_modulo_hypersurface,
     restrict_to_plane,
-    _bareiss,
 )
-from biliaison.polyring import MultiPoly, gcd, gcd_many, squarefree_factors
+from biliaison.polyring import FieldSpec, MultiPoly, Scalar, gcd, gcd_many, squarefree_factors
 
 DEFAULT_SEED = 0xB111A150
 DEFAULT_MINOR_BUDGET = 20000
@@ -89,6 +93,10 @@ class ProfileConsistencyError(RuntimeError):
 
 class BudgetExceededError(RuntimeError):
     """An instance is too large for the requested (oracle) computation."""
+
+
+class InterpolationRangeError(modgb.BudgetExhaustedError):
+    """A witness minor's degree needs more interpolation points than the field has."""
 
 
 def subseed(seed: int, *labels) -> int:
@@ -191,19 +199,22 @@ class MinorAnalysis:
         return self.min_rank >= self.level
 
 
-def _iter_witnesses(
+def _pivot_sets(
     m: GradedMatrix, k: int, seed: int, count: int
-) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], MultiPoly]]:
-    """Nonsingular k x k submatrices found by elimination on seeded shuffles.
+) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[Scalar, ...]]]:
+    """(rows, cols, point) of k x k minors of m that are nonzero at the point.
 
-    Each of `count` runs of fraction-free elimination on a row/column
-    permutation yields pivot rows/columns whose minor is provably nonzero,
-    with the determinant (up to sign) available as the final pivot.
-    Shuffling produces distinct witnesses even when random index picks are
-    almost always singular.  Witnesses are yielded as found, so a caller can
-    stop early.
+    Each of `count` seeded runs shuffles the rows and columns (the first run
+    keeps their order), evaluates m at one seeded point with Y = 1 and picks
+    pivots by scalar elimination following the shuffled row order; each row
+    pivots on its nonzero column of least degree, which keeps the minors'
+    degrees low.  A minor that is nonzero at a point is a nonzero
+    polynomial, so every yielded index set is a certified witness.  Repeated
+    index sets are skipped.
     """
+    field = m.field
     rng = random.Random(seed)
+    span = field.characteristic or 1000  # any point is valid; F_p has p >= 1000
     seen = set()
     for t in range(count):
         rp = list(range(m.nrows))
@@ -211,20 +222,130 @@ def _iter_witnesses(
         if t:
             rng.shuffle(rp)
             rng.shuffle(cp)
-        # row-major pivoting follows the shuffled row order, driving genuinely
-        # different row subsets into the witnesses; the first run keeps the
-        # globally cheapest pivots
-        rank, rows, cols, last_pivot, sign = _bareiss(
-            [[m.entries[i][j] for j in cp] for i in rp], m.field, row_major=bool(t)
+        cp.sort(key=lambda j: m.col_degrees[j])
+        x, z, w = (rng.randrange(1, span) for _ in range(3))
+        point = tuple(field.normalize(v) for v in (x, 1, z, w, 0))
+        values = [[m.entries[i][j].evaluate(point) for j in cp] for i in rp]
+        pivots = _scalar_elimination(values, field, k)
+        if len(pivots) < k:
+            continue
+        rows = tuple(sorted(rp[i] for i, _, _ in pivots))
+        cols = tuple(sorted(cp[j] for _, j, _ in pivots))
+        if (rows, cols) in seen:
+            continue
+        seen.add((rows, cols))
+        yield rows, cols, point
+
+
+def _scalar_elimination(
+    values: List[List[Scalar]], field: FieldSpec, k: int
+) -> List[Tuple[int, int, Scalar]]:
+    """Row-major elimination of a scalar matrix, stopping at k pivots.
+
+    Each row, in order, is reduced by the earlier pivot rows and pivots on
+    its first nonzero column.  Returns the pivots as (row, column, value).
+    """
+    norm = field.normalize
+    reduced: List[Tuple[int, Scalar, List[Scalar]]] = []  # (column, inverse pivot, row)
+    pivots: List[Tuple[int, int, Scalar]] = []
+    for i, row in enumerate(values):
+        for j, inv, prow in reduced:
+            if row[j]:
+                f = norm(row[j] * inv)
+                row = [norm(a - f * b) for a, b in zip(row, prow)]
+        j = next((j for j, c in enumerate(row) if c), None)
+        if j is None:
+            continue
+        reduced.append((j, field.invert(row[j]), row))
+        pivots.append((i, j, row[j]))
+        if len(pivots) == k:
+            break
+    return pivots
+
+
+def _scalar_det(values: List[List[Scalar]], field: FieldSpec) -> Scalar:
+    """Determinant of a square scalar matrix: the product of the pivots of
+    `_scalar_elimination`, signed by the order of their columns."""
+    n = len(values)
+    pivots = _scalar_elimination(values, field, n)
+    if len(pivots) < n:
+        return field.normalize(0)
+    det = field.normalize(1)
+    for _, _, value in pivots:
+        det = field.normalize(det * value)
+    order = [j for _, j, _ in pivots]
+    inversions = sum(a > b for x, a in enumerate(order) for b in order[x + 1:])
+    return field.neg(det) if inversions % 2 else det
+
+
+def _interpolated_minor(
+    m: GradedMatrix, rows: Sequence[int], cols: Sequence[int], point: Sequence[Scalar]
+) -> MultiPoly:
+    """The minor of a matrix of binary forms in X, Y on the given rows and
+    columns, nonzero at `point`, by evaluation and interpolation.
+
+    It is a binary form of degree D = (sum of column degrees) - (sum of row
+    degrees), so its values at D + 1 distinct points of the line Y = 1
+    determine it exactly.
+    """
+    field = m.field
+    norm = field.normalize
+    degree = sum(m.col_degrees[j] for j in cols) - sum(m.row_degrees[i] for i in rows)
+    if field.characteristic and degree + 1 > field.characteristic:
+        raise InterpolationRangeError(
+            f"a witness minor of degree {degree} needs {degree + 1} points, more than F_{field.characteristic} has"
         )
-        if rank < k:
-            continue
-        rows_orig = tuple(sorted(rp[i] for i in rows))
-        cols_orig = tuple(sorted(cp[j] for j in cols))
-        if (rows_orig, cols_orig) in seen:
-            continue
-        seen.add((rows_orig, cols_orig))
-        yield rows_orig, cols_orig, last_pivot if sign > 0 else -last_pivot
+    # each entry as univariate terms in X on Y = 1
+    uni = [[[(e[0], c) for e, c in m.entries[i][j].terms.items()] for j in cols] for i in rows]
+    top = max((e for line in uni for entry in line for e, _ in entry), default=0)
+
+    def det_at(x: Scalar) -> Scalar:
+        powers = [norm(1)]
+        for _ in range(top):
+            powers.append(norm(powers[-1] * x))
+        grid = [[norm(sum(c * powers[e] for e, c in entry)) for entry in line] for line in uni]
+        return _scalar_det(grid, field)
+
+    xs = [norm(x) for x in range(degree + 1)]
+    coeffs = _interpolate(xs, [det_at(x) for x in xs], field)
+    minor = MultiPoly(field, {(i, degree - i, 0, 0, 0): c for i, c in enumerate(coeffs) if c})
+    if minor.evaluate(point) != det_at(point[0]):
+        raise HomogeneityError("a witness minor is not a binary form of the expected degree")
+    return minor
+
+
+def _interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar], field: FieldSpec) -> List[Scalar]:
+    """Coefficients c_0..c_D of the polynomial of degree <= D through the D + 1
+    points (xs, ys), by Newton divided differences."""
+    norm = field.normalize
+    n = len(xs)
+    dd = list(ys)
+    for step in range(1, n):
+        for i in range(n - 1, step - 1, -1):
+            dd[i] = norm((dd[i] - dd[i - 1]) * field.invert(norm(xs[i] - xs[i - step])))
+    coeffs = [dd[n - 1]]
+    for i in range(n - 2, -1, -1):  # coeffs := coeffs * (x - xs[i]) + dd[i]
+        shifted = [norm(0)] + coeffs
+        for e, c in enumerate(coeffs):
+            shifted[e] = norm(shifted[e] - xs[i] * c)
+        shifted[0] = norm(shifted[0] + dd[i])
+        coeffs = shifted
+    return coeffs
+
+
+def _iter_witnesses(
+    m: GradedMatrix, k: int, seed: int, count: int
+) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], MultiPoly]]:
+    """Nonzero k x k minors of a plane-restricted matrix, as found.
+
+    Every entry of m is a binary form in X, Y.  Pivots come from scalar
+    elimination at a seeded point of the line Y = 1 (`_pivot_sets`), so
+    each minor is nonzero there, hence nonzero; its value is then
+    interpolated exactly from D + 1 points (`_interpolated_minor`).
+    Witnesses are yielded as found, so a caller can stop early.
+    """
+    for rows, cols, point in _pivot_sets(m, k, seed, count):
+        yield rows, cols, _interpolated_minor(m, rows, cols, point)
 
 
 def _restricted_minor_gcd(
@@ -314,7 +435,7 @@ def _honest_sampled_gcd(
     """
     picks = list(index_sets[:sample_size])
     if len(picks) < sample_size:
-        for rows, cols, _ in _iter_witnesses(sub, k, seed, sample_size - len(picks)):
+        for rows, cols, _ in _pivot_sets(sub, k, seed, sample_size - len(picks)):
             if (rows, cols) not in picks:
                 picks.append((rows, cols))
     if not picks:

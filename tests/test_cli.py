@@ -71,6 +71,12 @@ def test_parse_error_exit_code(tmp_path):
     assert code == 2
 
 
+def test_prime_beyond_int64_kernels_is_parse_error():
+    code, out, _ = run(["qprofile", "--fixture", "3.2", "--field", "prime:4294967311"])
+    assert code == 2
+    assert "2^31" in out
+
+
 def test_inhomogeneous_input_is_parse_error(tmp_path):
     path = tmp_path / "inhom.json"
     path.write_text(json.dumps({

@@ -229,6 +229,37 @@ def _random_admissible(profile, rng):
 # conservation and augmentation
 
 
+def test_minimal_family_computes_quotient_data_once(monkeypatch):
+    desc = fixtures.example("3.2")
+    profile = qprofile.compute_q_profile(desc.matrix)
+    calls = []
+    real = families.quotient_hilbert_data
+
+    def counted(s, v):
+        calls.append(v)
+        return real(s, v)
+
+    monkeypatch.setattr(families, "quotient_hilbert_data", counted)
+    report = families.minimal_family(desc.matrix, profile=profile)
+    assert len(calls) == 1
+    p_n, p_p, p_q = report.conservation
+    assert p_q + p_p == p_n
+
+
+def test_minimal_family_raises_on_conservation_mismatch(monkeypatch):
+    desc = fixtures.example("3.2")
+    profile = qprofile.compute_q_profile(desc.matrix)
+    real = families.quotient_hilbert_data
+
+    def skewed(s, v):
+        p_n, p_q = real(s, v)
+        return p_n + HilbertPolynomial.from_coeffs([1]), p_q
+
+    monkeypatch.setattr(families, "quotient_hilbert_data", skewed)
+    with pytest.raises(families.ConservationError):
+        families.minimal_family(desc.matrix, profile=profile)
+
+
 def test_hilbert_conservation(example_runs):
     for name in fixtures.FIXTURE_NAMES:
         _, _, report = example_runs.get(name)

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biliaison import fixtures, modgb
 from biliaison.grmatrix import CharFunction, GradedMatrix
@@ -279,3 +281,55 @@ def test_hilbert_polynomial_budget_error():
     if pres.truncated_at is not None:
         with pytest.raises(modgb.BudgetExhaustedError):
             pres.hilbert_polynomial(budget=4)
+
+
+# ---------------------------------------------------------------------------
+# packed term keys
+
+
+def _module_order(t):
+    """The module order: monomial degree, reverse lex, smaller component first."""
+    comp, e0, e1, e2, e3 = t
+    return (e0 + e1 + e2 + e3, -e3, -e2, -e1, -comp)
+
+
+_exps = st.integers(0, 120)
+_terms = st.tuples(st.integers(0, 1023), _exps, _exps, _exps, _exps)
+_monos = st.tuples(_exps, _exps, _exps, _exps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terms, _terms)
+def test_packed_order_is_module_order(a, b):
+    ka, kb = modgb._pack(a), modgb._pack(b)
+    assert (ka < kb) == (_module_order(a) < _module_order(b))
+    assert (ka == kb) == (a == b)
+    assert modgb._unpack(ka) == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terms, _terms, _monos)
+def test_packed_monomial_multiplication_is_one_addition(t, u, m):
+    def times(term):
+        return (term[0],) + tuple(e + x for e, x in zip(term[1:], m))
+
+    shift = modgb._pack(times(u)) - modgb._pack(u)
+    assert modgb._pack(times(t)) == modgb._pack(t) + shift
+
+
+def test_packed_key_range_raises_typed_error():
+    modgb._pack((1023, 1023, 0, 0, 0))
+    for bad in ((0, 1024, 0, 0, 0), (0, 600, 424, 0, 0), (1024, 0, 0, 0, 0), (0, -1, 0, 0, 0)):
+        with pytest.raises(modgb.TermRangeError):
+            modgb._pack(bad)
+    # through the public API: an input column, and an S-pair of degree 1200
+    with pytest.raises(modgb.TermRangeError):
+        modgb.groebner_basis(M([0], [1024], [["X^1024"]]))
+    with pytest.raises(modgb.TermRangeError):
+        modgb.groebner_basis(M([0, 0], [601, 601], [["X^600*Y", "X*Y^600"], ["0", "0"]]),
+                             degree_cap=None)
+    # every term fits, but reducing a degree-10 vector may create terms of
+    # monomial degree 10 + 1014 in the second component
+    modgb._check_range(10, (0, -1013))
+    with pytest.raises(modgb.TermRangeError):
+        modgb.groebner_basis(M([0, -1014], [10], [["X^10"], ["0"]]))

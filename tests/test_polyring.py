@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from biliaison.polyring import (
@@ -208,6 +208,41 @@ def test_specialize_is_multiplicative(p, q):
 @given(polys())
 def test_parse_roundtrip(p):
     assert MultiPoly.parse(str(p), F) == p
+
+
+def _over_q(p: MultiPoly) -> MultiPoly:
+    """The same polynomial with balanced integer coefficients, over Q."""
+    return MultiPoly(Q, {e: Fraction(c if c < 16002 else c - 32003) for e, c in p.terms.items()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys(), st.booleans())
+def test_divmod_is_division_with_reduced_remainder(f, d, rational):
+    assume(not d.is_zero())
+    if rational:
+        f, d = _over_q(f), _over_q(d)
+    q, r = f._divmod(d)
+    assert q * d + r == f
+    lead = d.leading_expo()
+    assert not any(all(e[i] >= lead[i] for i in range(5)) for e in r.terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys())
+def test_exact_divide_recovers_both_factors(f, g):
+    assume(not f.is_zero() and not g.is_zero())
+    h = f * g
+    assert h.exact_divide(g) == f
+    assert h.exact_divide(f) == g
+
+
+def test_field_spec_bounds_p_for_int64_kernels():
+    assert FieldSpec.prime(2**31 - 1).characteristic == 2**31 - 1
+    for too_large in (2**31 + 11, 4294967311):
+        with pytest.raises(ValueError, match="2\\^31"):
+            FieldSpec.prime(too_large)
+    with pytest.raises(ValueError):
+        FieldSpec.parse("prime:4294967311")
 
 
 def test_degree_of_zero_is_minus_infinity():

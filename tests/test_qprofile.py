@@ -10,9 +10,12 @@ from biliaison import families, fixtures, modgb, qprofile
 from biliaison.grmatrix import (
     CharFunction,
     GradedMatrix,
+    HomogeneityError,
+    determinant,
     minors,
     rank_fraction_field,
     rank_modulo_hypersurface,
+    restrict_to_plane,
 )
 from biliaison.polyring import FieldSpec, MultiPoly, gcd_many, squarefree_factors
 
@@ -120,6 +123,71 @@ def test_minor_analysis_matches_exhaustive_oracle(
         return
     analysis = qprofile.coprime_minor_analysis(w, k, seed=seed)
     assert analysis.min_rank == _exhaustive_min_rank(w, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    nrows=st.integers(1, 4),
+    ncols=st.integers(1, 4),
+    rational=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interpolated_witnesses_are_nonzero_minors(nrows, ncols, rational, seed):
+    # random forms of degree 0-3, some entries zero, restricted to a plane
+    field = FieldSpec.rationals() if rational else F
+    rng = random.Random(seed)
+    row_degs = [rng.randrange(2) for _ in range(nrows)]
+    col_degs = [rng.randrange(1, 4) for _ in range(ncols)]
+    grid = []
+    for r in row_degs:
+        line = []
+        for c in col_degs:
+            terms = {}
+            if rng.random() < 0.8:
+                for mono in rng.sample(modgb.monomials_of_degree(c - r), 2 if c > r else 1):
+                    terms[tuple(mono) + (0,)] = field.normalize(rng.randrange(1, 50))
+            line.append(MultiPoly(field, terms))
+        grid.append(line)
+    restricted = restrict_to_plane(GradedMatrix(field, row_degs, col_degs, grid), seed)
+    k = rank_fraction_field(restricted)
+    if k == 0:
+        return
+    witnesses = list(qprofile._iter_witnesses(restricted, k, seed, 6))
+    assert witnesses
+    for rows, cols, minor in witnesses:
+        assert not minor.is_zero()
+        assert minor.is_homogeneous(
+            sum(col_degs[j] for j in cols) - sum(row_degs[i] for i in rows)
+        )
+        det = determinant(restricted.submatrix(rows, cols))
+        assert minor in (det, -det)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_scalar_det_matches_sympy(n, seed):
+    # sparse entries move the pivots off the diagonal, so the sign matters
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(seed)
+    values = [[rng.randrange(32003) if rng.random() < 0.5 else 0 for _ in range(n)]
+              for _ in range(n)]
+    K = GF(32003)
+    oracle = DomainMatrix([[K(x) for x in row] for row in values], (n, n), K).det()
+    assert qprofile._scalar_det(values, F) == int(oracle) % 32003
+
+
+def test_interpolation_raises_typed_errors():
+    # a degree-1009 minor needs 1010 points, more than F_1009 has
+    small = FieldSpec.prime(1009)
+    x_power = MultiPoly.monomial(small, (1009, 0, 0, 0, 0))
+    with pytest.raises(qprofile.InterpolationRangeError):
+        list(qprofile._iter_witnesses(GradedMatrix(small, [0], [1009], [[x_power]]), 1, 0, 1))
+    # an entry above its column degree fails the check at the pivot point
+    wrong = GradedMatrix(F, [0], [2], [[P("X^3 + Y^3")]], validate=False)
+    with pytest.raises(HomogeneityError):
+        list(qprofile._iter_witnesses(wrong, 1, 0, 1))
 
 
 def test_restricted_rank_settles_plane_without_fallback(monkeypatch):

@@ -7,6 +7,9 @@ minimal-family  q, deg N, h0, d0, g0 and the verification certificate
 check-p         admissibility of a candidate characteristic function
 examples        run the built-in examples against their expected values
 
+Coefficients live in F_p for a prime 1000 <= p < 2^31 (default 32003);
+any other --field, and a matrix JSON over any other field, is a parse error.
+
 Exit codes: 0 success / admissible; 1 rejection or example mismatch;
 2 parse error; 3 hypothesis certification failure without a trust flag;
 4 degree budget exhaustion; 5 dissociated sheaf (minimal-family).
@@ -52,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         src.add_argument("--fixture", choices=fixtures.FIXTURE_NAMES, help="built-in example")
         src.add_argument("--input", help="path to a matrix JSON file")
         p.add_argument("--field", default="prime:32003",
-                       help="coefficient field: rationals or prime:P (default prime:32003)")
+                       help="coefficient field: prime:P, 1000 <= P < 2^31 (default prime:32003)")
         p.add_argument("--seed", type=int, default=qprofile.DEFAULT_SEED,
                        help="seed for all randomized certificates (default 0x%X)" % qprofile.DEFAULT_SEED)
         p.add_argument("--window", default=None, metavar="MIN:MAX",
@@ -98,11 +101,15 @@ def _parse_window(text: Optional[str]) -> Optional[Tuple[Optional[int], Optional
         raise CliError(EXIT_PARSE, f"bad --window {text!r}: expected MIN:MAX") from exc
 
 
-def _load_matrix(args) -> GradedMatrix:
+def _parse_field(args) -> FieldSpec:
     try:
-        field = FieldSpec.parse(args.field)
+        return FieldSpec.parse(args.field)
     except ValueError as exc:
         raise CliError(EXIT_PARSE, f"bad --field: {exc}") from exc
+
+
+def _load_matrix(args) -> GradedMatrix:
+    field = _parse_field(args)
     if args.fixture:
         matrix = fixtures.example(args.fixture, field).matrix
     elif args.input:
@@ -287,7 +294,7 @@ def _expected_checks(desc, profile, report) -> List[Tuple[str, object, object]]:
 
 
 def cmd_examples(args, out, err) -> int:
-    field = FieldSpec.parse(args.field)
+    field = _parse_field(args)
     all_ok = True
     results = {}
     for name in fixtures.FIXTURE_NAMES:

@@ -163,12 +163,9 @@ def random_homogeneous(field: FieldSpec, degree: int, rng: random.Random) -> Mul
         return MultiPoly.zero(field)
     terms = {}
     for mono in modgb.monomials_of_degree(degree):
-        if field.kind == "prime":
-            c = rng.randrange(field.characteristic)
-        else:
-            c = rng.randrange(-20, 21)
+        c = rng.randrange(field.characteristic)
         if c:
-            terms[(mono[0], mono[1], mono[2], mono[3], 0)] = field.normalize(c)
+            terms[(mono[0], mono[1], mono[2], mono[3], 0)] = c
     return MultiPoly(field, terms)
 
 

@@ -8,10 +8,9 @@ exact rank over the fraction field, minor enumeration/sampling, and rank over
 the local ring at a codimension-1 point (a hypersurface).
 
 Rank strategy: random-point evaluation certifies full-rank blocks instantly;
-a seeded plane restriction gives a cheap certified lower bound; small blocks
-finish with fraction-free Bareiss elimination, large ones with a Groebner
-leading-component count.  Everything is exact; sampling only ever produces
-certificates, never answers.
+small blocks finish with fraction-free Bareiss elimination, large ones with a
+Groebner leading-component count.  Everything is exact; sampling only ever
+produces certificates, never answers.
 """
 
 from __future__ import annotations
@@ -165,7 +164,9 @@ class GradedMatrix:
     def fingerprint(self) -> str:
         if self._fingerprint is None:
             h = hashlib.sha256()
-            h.update(repr((self.field.kind, self.field.characteristic,
+            # the literal "prime" is part of the hashed bytes: the rank
+            # evaluation points are drawn from the fingerprint
+            h.update(repr(("prime", self.field.characteristic,
                            self.row_degrees, self.col_degrees)).encode())
             for row in self.entries:
                 for p in row:
@@ -272,9 +273,7 @@ class GradedMatrix:
 
     # evaluation ---------------------------------------------------------------
     def evaluate(self, point: Sequence) -> np.ndarray:
-        """Evaluate all entries at a point of F_p^5 (prime fields only)."""
-        if self.field.kind != "prime":
-            raise ValueError("numeric evaluation needs a prime field")
+        """Evaluate all entries at a point of F_p^5."""
         out = np.zeros((self.nrows, self.ncols), dtype=np.int64)
         for i, row in enumerate(self.entries):
             for j, p in enumerate(row):
@@ -416,15 +415,11 @@ def random_plane(field: FieldSpec, seed: int) -> Dict[int, MultiPoly]:
     rng = random.Random(seed)
     x = MultiPoly.variable(field, "X")
     y = MultiPoly.variable(field, "Y")
-    if field.kind == "prime":
-        p = field.characteristic
-        draw = lambda: rng.randrange(p)
-    else:
-        draw = lambda: rng.randrange(-50, 51)
+    p = field.characteristic
     images: Dict[int, MultiPoly] = {}
     for i in range(4):
-        images[i] = x.scale(draw()) + y.scale(draw())
-    images[PARAM_INDEX] = MultiPoly.const(field, draw())
+        images[i] = x.scale(rng.randrange(p)) + y.scale(rng.randrange(p))
+    images[PARAM_INDEX] = MultiPoly.const(field, rng.randrange(p))
     return images
 
 
@@ -451,20 +446,10 @@ def _block_rank(sub: GradedMatrix) -> int:
     cap = min(nrows, ncols)
     if cap == 0:
         return 0
-    lower = 0
-    if sub.field.kind == "prime":
-        p = sub.field.characteristic
-        for point in _eval_points(sub, 2):
-            lower = max(lower, _linalg.rank_mod_p(sub.evaluate(point), p))
-            if lower == cap:
-                return cap
-    # plane restriction: certified lower bound, cheap exact arithmetic
-    seed_base = int(sub.fingerprint()[:12], 16) ^ 0x9E3779B9
-    restricted = restrict_to_plane(sub, seed_base)
-    r_restr, _, _ = _bareiss(restricted.entries, sub.field)
-    lower = max(lower, r_restr)
-    if lower == cap:
-        return cap
+    p = sub.field.characteristic
+    for point in _eval_points(sub, 2):
+        if _linalg.rank_mod_p(sub.evaluate(point), p) == cap:
+            return cap
     if cap <= 6 or nrows * ncols <= 60:
         rank, _, _ = _bareiss(sub.entries, sub.field)
         return rank

@@ -371,18 +371,17 @@ def _sub_scaled(
 
     Keys new to ``target`` are pushed, negated, onto ``heap`` when given.
     """
-    prime = field.kind == "prime"
     p = field.characteristic
     get = target.get
     for k, v in source.items():
         k += shift
         old = get(k)
         if old is None:
-            target[k] = (-coeff * v) % p if prime else -coeff * v
+            target[k] = (-coeff * v) % p
             if heap is not None:
                 heapq.heappush(heap, -k)
         else:
-            nv = (old - coeff * v) % p if prime else old - coeff * v
+            nv = (old - coeff * v) % p
             if nv:
                 target[k] = nv
             else:
@@ -417,12 +416,11 @@ def _normal_form(
 
 def _make_monic(vec: _Vec, field: FieldSpec) -> _Vec:
     lc = vec.terms[vec.lead_key()]
-    if lc == (1 if field.kind == "prime" else Fraction(1)):
+    if lc == 1:
         return vec
     inv = field.invert(lc)
-    prime = field.kind == "prime"
     p = field.characteristic
-    terms = {t: (v * inv) % p if prime else v * inv for t, v in vec.terms.items()}
+    terms = {t: (v * inv) % p for t, v in vec.terms.items()}
     return _Vec(terms, vec.degree)
 
 
@@ -704,33 +702,8 @@ def module_dimension_oracle(gens: GradedMatrix, n: int) -> int:
     Independent of the Groebner path; used as a test oracle and by the
     degreewise minimal-generator computation.
     """
-    if gens.field.kind != "prime":
-        return _module_dimension_frac(gens, n)
     mat, _ = _span_matrix_mod_p(gens, n)
     return _linalg.rank_mod_p(mat, gens.field.characteristic)
-
-
-def _frac_span_rows(gens: GradedMatrix, n: int, min_mult_degree: int = 0):
-    basis = _degree_basis(gens.row_degrees, n)
-    index = {be: i for i, be in enumerate(basis)}
-    cols = []
-    for j, dj in enumerate(gens.col_degrees):
-        k = n - dj
-        if k < min_mult_degree:
-            continue
-        for mono in monomials_of_degree(k):
-            vec = [Fraction(0)] * len(basis)
-            for comp in range(gens.nrows):
-                poly = gens.entries[comp][j]
-                for e, c in poly.terms.items():
-                    t = (comp, (e[0] + mono[0], e[1] + mono[1], e[2] + mono[2], e[3] + mono[3]))
-                    vec[index[t]] += Fraction(c)
-            cols.append(vec)
-    return cols
-
-
-def _module_dimension_frac(gens: GradedMatrix, n: int) -> int:
-    return _linalg.rank_frac(_frac_span_rows(gens, n))
 
 
 def minimal_generator_count(gens: GradedMatrix) -> CharFunction:
@@ -741,17 +714,12 @@ def minimal_generator_count(gens: GradedMatrix) -> CharFunction:
         raise ValueError("specialize the parameter first")
     lo = min(gens.col_degrees)
     hi = max(gens.col_degrees)
+    p = gens.field.characteristic
     out: Dict[int, int] = {}
     for d in range(lo, hi + 1):
-        if gens.field.kind == "prime":
-            p = gens.field.characteristic
-            full, _ = _span_matrix_mod_p(gens, d, 0)
-            proper, _ = _span_matrix_mod_p(gens, d, 1)
-            mu = _linalg.rank_mod_p(full, p) - _linalg.rank_mod_p(proper, p)
-        else:
-            mu = _linalg.rank_frac(_frac_span_rows(gens, d, 0)) - _linalg.rank_frac(
-                _frac_span_rows(gens, d, 1)
-            )
+        full, _ = _span_matrix_mod_p(gens, d, 0)
+        proper, _ = _span_matrix_mod_p(gens, d, 1)
+        mu = _linalg.rank_mod_p(full, p) - _linalg.rank_mod_p(proper, p)
         if mu:
             out[d] = mu
     return CharFunction(out)
@@ -759,40 +727,21 @@ def minimal_generator_count(gens: GradedMatrix) -> CharFunction:
 
 def _degree_kernel(gens: GradedMatrix, d: int):
     """(kernel basis vectors as dicts, column labels) of the degree-d evaluation."""
-    if gens.field.kind == "prime":
-        p = gens.field.characteristic
-        mat, columns = _span_matrix_mod_p(gens, d)
-        if not columns:
-            return [], columns
-        kernel = _linalg.nullspace_mod_p(mat, p)
-        vecs = [
-            {columns[i]: int(krow[i]) for i in range(len(columns)) if krow[i]}
-            for krow in kernel
-        ]
-        return vecs, columns
-    cols = _frac_span_rows(gens, d)
-    columns = []
-    for j, dj in enumerate(gens.col_degrees):
-        if d - dj >= 0:
-            for mono in monomials_of_degree(d - dj):
-                columns.append((j, mono))
+    mat, columns = _span_matrix_mod_p(gens, d)
     if not columns:
         return [], columns
-    rows = [[cols[c][r] for c in range(len(columns))] for r in range(len(cols[0]))]
-    kernel = _linalg.nullspace_frac(rows, len(columns))
+    kernel = _linalg.nullspace_mod_p(mat, gens.field.characteristic)
     vecs = [
-        {columns[i]: krow[i] for i in range(len(columns)) if krow[i] != 0}
+        {columns[i]: int(krow[i]) for i in range(len(columns)) if krow[i]}
         for krow in kernel
     ]
     return vecs, columns
 
 
-def _row_rank(rows: List, ncols: int, field: FieldSpec) -> int:
+def _row_rank(rows: List, field: FieldSpec) -> int:
     if not rows:
         return 0
-    if field.kind == "prime":
-        return _linalg.rank_mod_p(np.array(rows, dtype=np.int64), field.characteristic)
-    return _linalg.rank_frac(rows)
+    return _linalg.rank_mod_p(np.array(rows, dtype=np.int64), field.characteristic)
 
 
 def syzygies(gens: GradedMatrix, up_to_degree: int) -> GradedMatrix:
@@ -829,10 +778,10 @@ def syzygies(gens: GradedMatrix, up_to_degree: int) -> GradedMatrix:
                     m2[var] += 1
                     shifted[(j, tuple(m2))] = c
                 stacked.append(as_row(shifted))
-        current_rank = _row_rank(stacked, len(columns), gens.field)
+        current_rank = _row_rank(stacked, gens.field)
         for vec in kernel:
             trial = stacked + [as_row(vec)]
-            r = _row_rank(trial, len(columns), gens.field)
+            r = _row_rank(trial, gens.field)
             if r > current_rank:
                 stacked = trial
                 current_rank = r

@@ -1,9 +1,9 @@
-"""Exact multivariate polynomial arithmetic over Q and prime fields.
+"""Exact multivariate polynomial arithmetic over a prime field F_p.
 
 Everything downstream is built on `MultiPoly`: a polynomial in the four
 projective coordinates X, Y, Z, T plus a degree-zero deformation parameter
 ``a`` (the uniformizer of the base valuation ring).  Coefficients are exact:
-Python ints reduced mod p for a prime field, `fractions.Fraction` over Q.
+Python ints reduced mod p.
 
 The module also provides multivariate GCDs (recursive content / primitive
 part, with a fast path for binary forms) and a coprime squarefree splitting
@@ -16,8 +16,7 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 NVARS = 5
 VAR_NAMES = ("X", "Y", "Z", "T", "a")
@@ -26,7 +25,7 @@ DEFAULT_PRIME = 32003
 MINUS_INFINITY = float("-inf")
 
 Expo = Tuple[int, int, int, int, int]
-Scalar = Union[int, Fraction]
+Scalar = int  # a residue mod p, kept in [0, p)
 
 _ZERO_EXPO: Expo = (0, 0, 0, 0, 0)
 
@@ -54,73 +53,56 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Coefficient field: Q (characteristic 0) or F_p for a prime 1000 <= p < 2^31.
+    """The coefficient field F_p, for a prime 1000 <= p < 2^31.
 
-    The bound on p keeps every product of two reduced residues below 2^62, so
-    the numpy kernels of `_linalg` cannot overflow int64.
+    It is the only coefficient field.  The lower bound leaves room for
+    generic sampling; the upper one keeps every product of two reduced
+    residues below 2^62, so the numpy kernels of `_linalg` cannot overflow
+    int64.  Anything else, the rationals included, raises `ValueError`.
     """
 
-    kind: str
     characteristic: int
 
     def __post_init__(self):
-        if self.kind == "rationals":
-            if self.characteristic != 0:
-                raise ValueError("rationals have characteristic 0")
-        elif self.kind == "prime":
-            p = self.characteristic
-            if p < 1000:
-                raise ValueError("prime field too small for generic sampling (need >= 1000)")
-            if p >= 2 ** 31:
-                raise ValueError("prime too large for the int64 kernels (need p < 2^31)")
-            if not _is_prime(p):
-                raise ValueError(f"{p} is not prime")
-        else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
-
-    @staticmethod
-    def rationals() -> "FieldSpec":
-        return FieldSpec("rationals", 0)
+        p = self.characteristic
+        if p < 1000:
+            raise ValueError("prime field too small for generic sampling (need >= 1000)")
+        if p >= 2 ** 31:
+            raise ValueError("prime too large for the int64 kernels (need p < 2^31)")
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
 
     @staticmethod
     def prime(p: int = DEFAULT_PRIME) -> "FieldSpec":
-        return FieldSpec("prime", p)
+        return FieldSpec(p)
 
     @staticmethod
     def parse(text: str) -> "FieldSpec":
         text = text.strip().lower()
-        if text in ("rationals", "q", "qq"):
-            return FieldSpec.rationals()
         if text.startswith("prime"):
             if ":" in text:
                 return FieldSpec.prime(int(text.split(":", 1)[1]))
             return FieldSpec.prime()
-        raise ValueError(f"cannot parse field spec {text!r}")
+        raise ValueError(f"cannot parse field spec {text!r}: expected prime:P, 1000 <= P < 2^31")
 
     # scalar helpers -----------------------------------------------------
     def normalize(self, c: Scalar) -> Scalar:
-        if self.kind == "prime":
-            return int(c) % self.characteristic
-        if isinstance(c, Fraction):
-            return c
-        return Fraction(c)
+        return int(c) % self.characteristic
 
     def invert(self, c: Scalar) -> Scalar:
-        if self.kind == "prime":
-            return pow(int(c), self.characteristic - 2, self.characteristic)
-        return Fraction(1) / c
+        return pow(int(c), self.characteristic - 2, self.characteristic)
 
     def neg(self, c: Scalar) -> Scalar:
-        if self.kind == "prime":
-            return (-int(c)) % self.characteristic
-        return -c
+        return (-int(c)) % self.characteristic
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "characteristic": self.characteristic}
+        return {"kind": "prime", "characteristic": self.characteristic}
 
     @staticmethod
     def from_json(obj: dict) -> "FieldSpec":
-        return FieldSpec(obj["kind"], int(obj["characteristic"]))
+        if obj.get("kind") != "prime":
+            raise ValueError(f"unsupported field kind {obj.get('kind')!r}: only prime fields are supported")
+        return FieldSpec(int(obj["characteristic"]))
 
 
 def monomial_key(e: Expo) -> tuple:
@@ -230,19 +212,10 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_field(other)
-        if self.field.kind == "prime":
-            p = self.field.characteristic
-            out = dict(self.terms)
-            for e, c in other.terms.items():
-                v = (out.get(e, 0) + c) % p
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-            return self._new(out)
+        p = self.field.characteristic
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, Fraction(0)) + c
+            v = (out.get(e, 0) + c) % p
             if v:
                 out[e] = v
             elif e in out:
@@ -260,23 +233,16 @@ class MultiPoly:
         c = self.field.normalize(c)
         if c == 0:
             return MultiPoly.zero(self.field)
-        if self.field.kind == "prime":
-            p = self.field.characteristic
-            return self._new({e: (v * c) % p for e, v in self.terms.items()})
-        return self._new({e: v * c for e, v in self.terms.items()})
+        p = self.field.characteristic
+        return self._new({e: (v * c) % p for e, v in self.terms.items()})
 
     def mul_monomial(self, expo: Expo, c: Scalar) -> "MultiPoly":
         c = self.field.normalize(c)
         if c == 0 or not self.terms:
             return MultiPoly.zero(self.field)
-        if self.field.kind == "prime":
-            p = self.field.characteristic
-            return self._new({
-                (e[0] + expo[0], e[1] + expo[1], e[2] + expo[2], e[3] + expo[3], e[4] + expo[4]): (v * c) % p
-                for e, v in self.terms.items()
-            })
+        p = self.field.characteristic
         return self._new({
-            (e[0] + expo[0], e[1] + expo[1], e[2] + expo[2], e[3] + expo[3], e[4] + expo[4]): v * c
+            (e[0] + expo[0], e[1] + expo[1], e[2] + expo[2], e[3] + expo[3], e[4] + expo[4]): (v * c) % p
             for e, v in self.terms.items()
         })
 
@@ -290,20 +256,14 @@ class MultiPoly:
         if len(other.terms) == 1:
             (e, c), = other.terms.items()
             return self.mul_monomial(e, c)
-        if self.field.kind == "prime" and len(self.terms) * len(other.terms) >= 20000:
+        if len(self.terms) * len(other.terms) >= 20000:
             return _mul_dense_prime(self, other)
         out: Dict[Expo, Scalar] = {}
-        if self.field.kind == "prime":
-            p = self.field.characteristic
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3], e1[4] + e2[4])
-                    out[e] = (out.get(e, 0) + c1 * c2) % p
-        else:
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3], e1[4] + e2[4])
-                    out[e] = (out.get(e, Fraction(0))) + c1 * c2
+        p = self.field.characteristic
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3], e1[4] + e2[4])
+                out[e] = (out.get(e, 0) + c1 * c2) % p
         return self._new({e: c for e, c in out.items() if c != 0})
 
     def __pow__(self, n: int) -> "MultiPoly":
@@ -373,7 +333,6 @@ class MultiPoly:
         heapq.heapify(heap)
         quo: Dict[Expo, Scalar] = {}
         out: Dict[Expo, Scalar] = {}
-        prime = field.kind == "prime"
         p = field.characteristic
         while heap:
             e = heapq.heappop(heap)[-1]
@@ -384,16 +343,16 @@ class MultiPoly:
                 out[e] = c
                 continue
             qe = (e[0] - d0, e[1] - d1, e[2] - d2, e[3] - d3, e[4] - d4)
-            qc = (c * inv_lc) % p if prime else c * inv_lc
+            qc = (c * inv_lc) % p
             quo[qe] = qc
             for e2, c2 in tail:
                 t = (qe[0] + e2[0], qe[1] + e2[1], qe[2] + e2[2], qe[3] + e2[3], qe[4] + e2[4])
                 old = rem.get(t)
                 if old is None:
-                    rem[t] = (-qc * c2) % p if prime else -qc * c2
+                    rem[t] = (-qc * c2) % p
                     heapq.heappush(heap, _heap_key(t))
                     continue
-                v = (old - qc * c2) % p if prime else old - qc * c2
+                v = (old - qc * c2) % p
                 if v:
                     rem[t] = v
                 else:
@@ -405,16 +364,15 @@ class MultiPoly:
         """Substitute a := value; realizes the closed fiber at value 0."""
         value = self.field.normalize(value)
         out: Dict[Expo, Scalar] = {}
-        prime = self.field.kind == "prime"
         p = self.field.characteristic
         for e, c in self.terms.items():
             k = e[PARAM_INDEX]
             if k:
-                c = (c * pow(value, k, p)) % p if prime else c * value ** k
+                c = (c * pow(value, k, p)) % p
                 if c == 0:
                     continue
             e = (e[0], e[1], e[2], e[3], 0)
-            v = (out.get(e, 0) + c) % p if prime else out.get(e, Fraction(0)) + c
+            v = (out.get(e, 0) + c) % p
             if v:
                 out[e] = v
             elif e in out:
@@ -447,27 +405,24 @@ class MultiPoly:
         return result
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
-        field = self.field
-        prime = field.kind == "prime"
-        p = field.characteristic
-        total = 0 if prime else Fraction(0)
+        p = self.field.characteristic
+        total = 0
         for e, c in self.terms.items():
             v = c
             for i in range(NVARS):
                 if e[i]:
-                    v = (v * pow(point[i], e[i], p)) % p if prime else v * point[i] ** e[i]
-            total = (total + v) % p if prime else total + v
+                    v = (v * pow(point[i], e[i], p)) % p
+            total = (total + v) % p
         return total
 
     def derivative(self, var: int) -> "MultiPoly":
         out: Dict[Expo, Scalar] = {}
-        prime = self.field.kind == "prime"
         p = self.field.characteristic
         for e, c in self.terms.items():
             k = e[var]
             if not k:
                 continue
-            c2 = (c * k) % p if prime else c * k
+            c2 = (c * k) % p
             if c2 == 0:
                 continue
             e2 = list(e)
@@ -481,17 +436,14 @@ class MultiPoly:
             return "0"
         items = sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]), reverse=True)
         parts: List[str] = []
-        balanced = self.field.kind == "prime"
-        half = self.field.characteristic // 2
+        p = self.field.characteristic
         for e, c in items:
             mono = "*".join(
                 f"{VAR_NAMES[i]}^{e[i]}" if e[i] > 1 else VAR_NAMES[i]
                 for i in range(NVARS) if e[i]
             )
-            if balanced and c > half:
-                c = c - self.field.characteristic
-            if isinstance(c, Fraction) and c.denominator == 1:
-                c = c.numerator
+            if c > p // 2:
+                c -= p  # balanced residue
             if mono:
                 if c == 1:
                     text = mono

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field as dc_field
 from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from biliaison import modgb
+from biliaison import _linalg, modgb
 from biliaison.grmatrix import (
     CharFunction,
     GradedMatrix,
@@ -214,7 +214,7 @@ def _pivot_sets(
     """
     field = m.field
     rng = random.Random(seed)
-    span = field.characteristic or 1000  # any point is valid; F_p has p >= 1000
+    p = field.characteristic
     seen = set()
     for t in range(count):
         rp = list(range(m.nrows))
@@ -223,7 +223,7 @@ def _pivot_sets(
             rng.shuffle(rp)
             rng.shuffle(cp)
         cp.sort(key=lambda j: m.col_degrees[j])
-        x, z, w = (rng.randrange(1, span) for _ in range(3))
+        x, z, w = (rng.randrange(1, p) for _ in range(3))
         point = tuple(field.normalize(v) for v in (x, 1, z, w, 0))
         values = [[m.entries[i][j].evaluate(point) for j in cp] for i in rp]
         pivots = _scalar_elimination(values, field, k)
@@ -291,7 +291,7 @@ def _interpolated_minor(
     field = m.field
     norm = field.normalize
     degree = sum(m.col_degrees[j] for j in cols) - sum(m.row_degrees[i] for i in rows)
-    if field.characteristic and degree + 1 > field.characteristic:
+    if degree + 1 > field.characteristic:
         raise InterpolationRangeError(
             f"a witness minor of degree {degree} needs {degree + 1} points, more than F_{field.characteristic} has"
         )
@@ -652,6 +652,7 @@ def q_oracle(
 
     if s.nrows * s.ncols > 96:
         raise BudgetExceededError("oracle reserved for small instances")
+    p = s.field.characteristic
     s_t = s.specialize_closed_point()
     r = rank_fraction_field(s_t)
     w_n = s_t.truncate_columns(n)
@@ -668,13 +669,10 @@ def q_oracle(
             rng = random.Random(subseed(seed, "oracle", n, mass, attempt))
             v = families.random_lift(s, shape.degrees(), rng)
             w = (s @ v).specialize_closed_point()
-            if s.field.kind == "prime":
-                # cheap numeric pre-filter; discards only, never accepts
-                point = tuple(rng.randrange(1, s.field.characteristic) for _ in range(5))
-                from biliaison import _linalg
-
-                if _linalg.rank_mod_p(w.evaluate(point), s.field.characteristic) < mass:
-                    continue
+            # cheap numeric pre-filter; discards only, never accepts
+            point = tuple(rng.randrange(1, p) for _ in range(5))
+            if _linalg.rank_mod_p(w.evaluate(point), p) < mass:
+                continue
             if rank_fraction_field(w) != mass:
                 continue
             if mass < r:

@@ -69,6 +69,25 @@ def test_parse_error_exit_code(tmp_path):
     assert code == 2
     code, out, _ = run(["qprofile"])
     assert code == 2
+    # F_p is the only coefficient field: the rationals are a parse error
+    for field in ("rationals", "q"):
+        for command in ("qprofile", "minimal-family", "examples"):
+            argv = [command, "--field", field]
+            if command != "examples":
+                argv += ["--fixture", "3.2"]
+            code, out, _ = run(argv)
+            assert code == 2, (command, field)
+            assert "bad --field" in out
+    over_q = tmp_path / "over_q.json"
+    over_q.write_text(json.dumps({
+        "field": {"kind": "rationals", "characteristic": 0},
+        "row_degrees": [0],
+        "col_degrees": [1],
+        "entries": [["X"]],
+    }))
+    code, out, _ = run(["qprofile", "--input", str(over_q)])
+    assert code == 2
+    assert "rationals" in out
 
 
 def test_prime_beyond_int64_kernels_is_parse_error():

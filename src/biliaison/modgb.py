@@ -21,15 +21,26 @@ first:
 with R = 2**_BITS - 1 = 1023.  Integer order is then exactly the module
 order, and multiplying a term by x^m adds the constant
 key(x^m * t) - key(t), so a reducer's terms are shifted by one integer
-addition each.  Normal forms pop the largest live key from a heap (Monagan
-and Pearce, "Polynomial Division Using Dynamic Arrays, Heaps, and Packed
-Exponent Vectors", CASC 2007).  The supported range is at most R + 1 = 1024
-components and monomial degree at most R in every component: a vector of
-degree d over ambient degrees a_c only holds terms of monomial degree
-d - a_c, so d - min(a) <= R keeps every field of every term, and of every
-multiple formed while reducing it, inside [0, R].  Inputs and S-pairs
-outside that range raise `TermRangeError`; nothing wraps silently.  Keys are
-converted to and from tuples only at the module boundary.
+addition each.  The supported range is at most R + 1 = 1024 components and
+monomial degree at most R in every component: a vector of degree d over
+ambient degrees a_c only holds terms of monomial degree d - a_c, so
+d - min(a) <= R keeps every field of every term, and of every multiple
+formed while reducing it, inside [0, R].  Inputs and S-pairs outside that
+range raise `TermRangeError`; nothing wraps silently.  Keys are converted
+to and from tuples only at the module boundary.
+
+Dense normal forms.  Every vector Buchberger reduces is homogeneous, so it
+lives in the degree-d piece of the ambient module, spanned by the
+sum_c binom3(d - a_c) terms of monomial degree d - a_c in component c.  A
+normal form runs on an int64 coefficient array over the sorted keys of that
+piece (keys are below 2**50): subtracting c * x^m * g is one vectorised
+update at the positions `searchsorted` finds for g's shifted keys, and
+c * g_i < p**2 < 2**62 cannot overflow.  A reduction only creates terms
+smaller than the one it removes, so the scan for the next reducible term
+moves down the array and never revisits a final term (vector arithmetic over
+the monomial basis of one degree, as in Faugere's F4, J. Pure Appl. Algebra
+139, 1999).  The work array costs memory in proportion to the piece, so a
+piece of more than _MAX_PIECE terms raises `TermRangeError`.
 """
 
 from __future__ import annotations
@@ -63,6 +74,7 @@ class TermRangeError(BudgetExhaustedError):
 
 _BITS = 10
 _R = (1 << _BITS) - 1
+_MAX_PIECE = 1 << 20  # terms of one degree piece: 8 MB per int64 array
 
 
 def _pack(t: Term) -> int:
@@ -122,13 +134,24 @@ class _Vec:
     ``terms`` maps packed term keys to nonzero scalars.
     """
 
-    __slots__ = ("terms", "degree", "_lead_key", "_lead")
+    __slots__ = ("terms", "degree", "_lead_key", "_lead", "_arrays")
 
     def __init__(self, terms: Dict[int, Scalar], degree: int):
         self.terms = terms
         self.degree = degree
         self._lead_key: Optional[int] = None
         self._lead: Optional[Term] = None
+        self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(keys, coefficients) of the terms as int64 arrays."""
+        if self._arrays is None:
+            n = len(self.terms)
+            self._arrays = (
+                np.fromiter(self.terms.keys(), np.int64, n),
+                np.fromiter(self.terms.values(), np.int64, n),
+            )
+        return self._arrays
 
     def lead_key(self) -> int:
         if self._lead_key is None:
@@ -142,6 +165,41 @@ class _Vec:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+
+class _DegreePieces:
+    """Sorted packed keys of the degree pieces of one ambient module, built on
+    first use (one instance per Buchberger run or presentation)."""
+
+    __slots__ = ("ambient_degrees", "_keys", "_monomial_keys")
+
+    def __init__(self, ambient_degrees: Sequence[int]):
+        self.ambient_degrees = ambient_degrees
+        self._keys: Dict[int, np.ndarray] = {}
+        self._monomial_keys: Dict[int, np.ndarray] = {}
+
+    def _monomials(self, m: int) -> np.ndarray:
+        """Keys of the degree-m monomials in component 0."""
+        keys = self._monomial_keys.get(m)
+        if keys is None:
+            keys = np.array([_pack((0,) + e) for e in monomials_of_degree(m)], dtype=np.int64)
+            self._monomial_keys[m] = keys
+        return keys
+
+    def __call__(self, d: int) -> np.ndarray:
+        keys = self._keys.get(d)
+        if keys is None:
+            _check_range(d, self.ambient_degrees)
+            size = sum(binom3(d - a) for a in self.ambient_degrees)
+            if size > _MAX_PIECE:
+                raise TermRangeError(
+                    f"the degree-{d} piece has {size} terms, more than {_MAX_PIECE}"
+                )
+            # the component is the lowest field, stored as R - comp
+            parts = [self._monomials(d - a) - comp for comp, a in enumerate(self.ambient_degrees)]
+            keys = np.sort(np.concatenate(parts)) if parts else np.empty(0, np.int64)
+            self._keys[d] = keys
+        return keys
 
 
 class SubmodulePresentation:
@@ -164,6 +222,7 @@ class SubmodulePresentation:
         for v in gb:
             self._by_component.setdefault(v.lead()[0], []).append(v)
         self._numerators: Dict[int, List[int]] = {}
+        self._pieces = _DegreePieces(ambient_degrees)
 
     # --- leading term data -------------------------------------------------
     def ambient(self) -> CharFunction:
@@ -188,7 +247,8 @@ class SubmodulePresentation:
 
     # --- membership ----------------------------------------------------------
     def normal_form(self, vec: _Vec) -> _Vec:
-        return _normal_form(vec, self._by_component, self.field)
+        keys = self._pieces(vec.degree)
+        return _normal_form(_dense(vec, keys), keys, vec.degree, self._by_component, self.field)
 
     def contains_column(self, column: Sequence[MultiPoly], degree: int) -> bool:
         v = _column_to_vec(column, degree, self.ambient_degrees, self.field)
@@ -359,59 +419,66 @@ def _vec_to_column(
 # reduction and Buchberger
 
 
-def _sub_scaled(
-    target: Dict[int, Scalar],
-    source: Dict[int, Scalar],
-    shift: int,
-    coeff: Scalar,
-    field: FieldSpec,
-    heap: Optional[List[int]] = None,
-) -> None:
-    """target -= coeff * x^m * source in place, where shift = key(x^m t) - key(t).
+def _dense(vec: _Vec, keys: np.ndarray) -> np.ndarray:
+    """Coefficient array of vec over the degree piece with sorted ``keys``.
 
-    Keys new to ``target`` are pushed, negated, onto ``heap`` when given.
+    A key outside the piece raises `TermRangeError`; it never lands in the
+    neighbouring slot that `searchsorted` would name.
     """
-    p = field.characteristic
-    get = target.get
-    for k, v in source.items():
-        k += shift
-        old = get(k)
-        if old is None:
-            target[k] = (-coeff * v) % p
-            if heap is not None:
-                heapq.heappush(heap, -k)
-        else:
-            nv = (old - coeff * v) % p
-            if nv:
-                target[k] = nv
-            else:
-                del target[k]
+    vk, vc = vec.arrays()
+    pos = keys.searchsorted(vk)
+    if not (pos < len(keys)).all() or (keys[pos] != vk).any():
+        raise TermRangeError(f"a term of the vector is not in the degree-{vec.degree} piece")
+    work = np.zeros(len(keys), dtype=np.int64)
+    work[pos] = vc
+    return work
+
+
+def _sub_scaled(work: np.ndarray, keys: np.ndarray, g: _Vec, shift: int, coeff: int, p: int) -> None:
+    """work -= coeff * x^m * g in place, where shift = key(x^m t) - key(t).
+
+    Every shifted key lies in the piece ``keys``: g and the work vector are
+    homogeneous, and `_check_range` holds for the piece's degree.
+    """
+    gk, gc = g.arrays()
+    pos = keys.searchsorted(gk + shift)
+    work[pos] = (work[pos] - coeff * gc) % p
+
+
+def _reducer(by_component: Dict[int, List[_Vec]], t: Term) -> Optional[_Vec]:
+    """The first basis element of t's component whose lead divides t."""
+    for g in by_component.get(t[0], ()):
+        if _mono_divides(g.lead(), t):
+            return g
+    return None
 
 
 def _normal_form(
-    vec: _Vec, by_component: Dict[int, List[_Vec]], field: FieldSpec
+    work: np.ndarray, keys: np.ndarray, degree: int,
+    by_component: Dict[int, List[_Vec]], field: FieldSpec,
 ) -> _Vec:
-    """Fully reduce vec; the largest live term is popped from a max-heap of keys."""
-    work = dict(vec.terms)
-    heap = [-k for k in work]
-    heapq.heapify(heap)
-    remainder: Dict[int, Scalar] = {}
-    while heap:
-        k = -heapq.heappop(heap)
-        c = work.get(k)
-        if c is None:
-            continue  # cancelled since it was pushed
-        t = _unpack(k)
-        reducer = None
-        for g in by_component.get(t[0], ()):  # basis elements are monic
-            if _mono_divides(g.lead(), t):
-                reducer = g
+    """Fully reduce the dense vector ``work`` over the piece ``keys``, in place.
+
+    The largest live term goes first, reduced by the first basis element of
+    its component whose lead divides it (basis elements are monic).  A
+    reduction at position i only changes positions below i, so the nonzero
+    positions are listed once per reduction, below the last reduced one.
+    """
+    p = field.characteristic
+    top = len(work)
+    while True:
+        for pos in work[:top].nonzero()[0][::-1].tolist():
+            k = int(keys[pos])
+            t = _unpack(k)
+            g = _reducer(by_component, t)
+            if g is not None:
                 break
-        if reducer is None:
-            remainder[k] = work.pop(k)
-            continue
-        _sub_scaled(work, reducer.terms, k - reducer.lead_key(), c, field, heap)
-    return _Vec(remainder, vec.degree)
+        else:
+            break  # every live term is final
+        _sub_scaled(work, keys, g, k - g.lead_key(), int(work[pos]), p)
+        top = pos
+    nz = work.nonzero()[0]
+    return _Vec(dict(zip(keys[nz].tolist(), work[nz].tolist())), degree)
 
 
 def _make_monic(vec: _Vec, field: FieldSpec) -> _Vec:
@@ -430,6 +497,8 @@ def _buchberger(
 ) -> Tuple[List[_Vec], Optional[int]]:
     basis: List[_Vec] = []
     by_component: Dict[int, List[_Vec]] = {}
+    pieces = _DegreePieces(ambient_degrees)
+    p = field.characteristic
 
     def add_element(v: _Vec) -> int:
         basis.append(v)
@@ -487,15 +556,14 @@ def _buchberger(
         processed.add((i, j))
         if skip:
             continue
-        _check_range(deg, ambient_degrees)
+        keys = pieces(deg)
         key_l = _pack(L)
-        s: Dict[int, Scalar] = {}
-        _sub_scaled(s, fi.terms, key_l - fi.lead_key(), field.normalize(-1), field)
-        _sub_scaled(s, fj.terms, key_l - fj.lead_key(), field.normalize(1), field)
-        svec = _Vec(s, deg)
-        if svec.is_zero():
+        work = np.zeros(len(keys), dtype=np.int64)  # S = x^mi fi - x^mj fj
+        _sub_scaled(work, keys, fi, key_l - fi.lead_key(), p - 1, p)
+        _sub_scaled(work, keys, fj, key_l - fj.lead_key(), 1, p)
+        if not work.any():
             continue
-        nf = _normal_form(svec, by_component, field)
+        nf = _normal_form(work, keys, deg, by_component, field)
         if nf.is_zero():
             continue
         idx = add_element(_make_monic(nf, field))
@@ -524,7 +592,8 @@ def _buchberger(
         others = {
             c: [g for g in lst if g is not v] for c, lst in comp_index.items()
         }
-        red = _normal_form(v, others, field)
+        keys = pieces(v.degree)
+        red = _normal_form(_dense(v, keys), keys, v.degree, others, field)
         final.append(_make_monic(red, field))
     return final, truncated_at
 

@@ -257,7 +257,9 @@ class MultiPoly:
             (e, c), = other.terms.items()
             return self.mul_monomial(e, c)
         if len(self.terms) * len(other.terms) >= 20000:
-            return _mul_dense_prime(self, other)
+            dense = _mul_dense_prime(self, other)
+            if dense is not None:
+                return dense
         out: Dict[Expo, Scalar] = {}
         p = self.field.characteristic
         for e1, c1 in self.terms.items():
@@ -526,8 +528,12 @@ class MultiPoly:
         return result
 
 
-def _mul_dense_prime(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Dense product over F_p via packed exponent keys and bincount."""
+def _mul_dense_prime(a: MultiPoly, b: MultiPoly) -> Optional[MultiPoly]:
+    """Dense product over F_p via packed exponent keys and bincount.
+
+    Exponents are packed in base 2 * maxexp + 1, so a sum of two keys is
+    below base**5; None when that does not fit int64.
+    """
     import numpy as np
 
     p = a.field.characteristic
@@ -536,6 +542,8 @@ def _mul_dense_prime(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         for e in poly.terms:
             maxexp = max(maxexp, max(e))
     base = 2 * maxexp + 1
+    if base ** 5 >= 2 ** 63:
+        return None
 
     def pack(poly: MultiPoly):
         keys = np.empty(len(poly.terms), dtype=np.int64)

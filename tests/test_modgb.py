@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,27 @@ def P(text: str) -> MultiPoly:
 
 def M(row_degs, col_degs, rows) -> GradedMatrix:
     return GradedMatrix(F, row_degs, col_degs, [[P(s) for s in r] for r in rows])
+
+
+def _random_matrix(rng, row_degs, col_degs, density) -> GradedMatrix:
+    """Random homogeneous entries: entry (i, j) has degree col_degs[j] - row_degs[i]
+    (zero when negative), each monomial kept with probability ``density``."""
+    grid = [[
+        MultiPoly(F, {
+            mono + (0,): rng.randrange(1, 32003)
+            for mono in modgb.monomials_of_degree(cd - rd) if rng.random() < density
+        })
+        for cd in col_degs] for rd in row_degs]
+    return GradedMatrix(F, row_degs, col_degs, grid, validate=False)
+
+
+def _mixed_degree_matrices(rng, count):
+    """Matrices whose row degrees are drawn from {0, 1, 2}, so one degree piece
+    holds terms of different monomial degrees in different components."""
+    for _ in range(count):
+        row_degs = [rng.choice([0, 1, 2]) for _ in range(rng.randrange(2, 4))]
+        col_degs = sorted(rng.choice([1, 2, 3]) for _ in range(rng.randrange(2, 5)))
+        yield _random_matrix(rng, row_degs, col_degs, 0.5)
 
 
 def _member_by_linear_algebra(gens: GradedMatrix, column, degree: int) -> bool:
@@ -77,6 +99,7 @@ def test_gb_inhomogeneous_rejected():
 
 def test_gb_two_way_membership_random():
     rng = random.Random(23)
+    cases = []
     for _ in range(6):
         nrows = rng.randrange(1, 3)
         ncols = rng.randrange(1, 4)
@@ -86,17 +109,56 @@ def test_gb_two_way_membership_random():
                 for v in range(4) if rng.random() < 0.7
             })
             for _ in range(ncols)] for _ in range(nrows)]
-        gens = GradedMatrix(F, [0] * nrows, [1] * ncols, grid, validate=False)
+        cases.append(GradedMatrix(F, [0] * nrows, [1] * ncols, grid, validate=False))
+    cases.extend(_mixed_degree_matrices(random.Random(24), 4))
+    for gens in cases:
         pres = modgb.groebner_basis(gens)
         # every generator reduces to zero against the basis
-        for j in range(ncols):
-            assert pres.contains_column(gens.column(j), 1)
+        for j in range(gens.ncols):
+            assert pres.contains_column(gens.column(j), gens.col_degrees[j])
         # every basis element lies in the module spanned by the generators
-        from biliaison.modgb import _vec_to_column
-
         for vec in pres.gb:
-            col = _vec_to_column(vec, gens.row_degrees, F)
+            col = modgb._vec_to_column(vec, gens.row_degrees, F)
             assert _member_by_linear_algebra(gens, col, vec.degree)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ideal_gb_matches_sympy(seed):
+    # random homogeneous ideals: 2-4 generators of degree 2-3 in one row
+    rng = random.Random(seed)
+    p = F.characteristic
+    degrees = [rng.choice([2, 3]) for _ in range(rng.randrange(2, 5))]
+    gens = _random_matrix(rng, [0], degrees, 0.4)
+    polys = [q for q in gens.entries[0] if not q.is_zero()]
+    if not polys:
+        return
+    pres = modgb.groebner_basis(gens, degree_cap=None)
+    ours = sorted(sorted(modgb._vec_to_column(v, (0,), F)[0].terms.items()) for v in pres.gb)
+
+    xs = sympy.symbols("X Y Z T")
+    exprs = [sympy.Poly({e[:4]: c for e, c in q.terms.items()}, *xs) for q in polys]
+    theirs = []
+    for g in sympy.groebner(exprs, *xs, order="grevlex", modulus=p).polys:
+        inv = pow(int(g.LC(order="grevlex")) % p, -1, p)  # the default LC() is lex
+        theirs.append(sorted((tuple(e) + (0,), int(c) * inv % p) for e, c in g.terms()))
+    assert ours == sorted(theirs)
+
+
+def test_dense_normal_form_range_errors():
+    pres = modgb.groebner_basis(M([0], [1, 1, 1, 1], [["X", "Y", "Z", "T"]]))
+    # a key of the wrong degree is not in the degree-2 piece: it must raise,
+    # not be written into a neighbouring slot
+    stray = modgb._Vec({modgb._pack((0, 2, 0, 0, 0)): 1, modgb._pack((0, 0, 1, 0, 0)): 1}, 2)
+    with pytest.raises(modgb.TermRangeError):
+        pres.normal_form(stray)
+    beyond = modgb._Vec({modgb._pack((1, 2, 0, 0, 0)): 1}, 2)  # a component the module lacks
+    with pytest.raises(modgb.TermRangeError):
+        pres.normal_form(beyond)
+    assert pres.normal_form(modgb._Vec({modgb._pack((0, 1, 1, 0, 0)): 5}, 2)).is_zero()
+    # the degree-200 piece (1373701 terms) is refused before it is built
+    with pytest.raises(modgb.TermRangeError):
+        modgb.groebner_basis(M([0], [200], [["X^200"]]))
 
 
 # ---------------------------------------------------------------------------
@@ -130,21 +192,14 @@ def test_hilbert_vs_dense_oracle_on_example():
 
 def test_hilbert_vs_dense_oracle_random():
     rng = random.Random(31)
+    cases = []
     for _ in range(5):
         nrows = rng.randrange(1, 3)
         ncols = rng.randrange(1, 4)
         col_degs = sorted(rng.choice([1, 2]) for _ in range(ncols))
-        grid = []
-        for _ in range(nrows):
-            row = []
-            for cd in col_degs:
-                terms = {}
-                for mono in modgb.monomials_of_degree(cd):
-                    if rng.random() < 0.5:
-                        terms[mono + (0,)] = rng.randrange(1, 32003)
-                row.append(MultiPoly(F, terms))
-            grid.append(row)
-        gens = GradedMatrix(F, [0] * nrows, col_degs, grid, validate=False)
+        cases.append(_random_matrix(rng, [0] * nrows, col_degs, 0.5))
+    cases.extend(_mixed_degree_matrices(random.Random(32), 4))
+    for gens in cases:
         pres = modgb.groebner_basis(gens)
         for n in range(7):
             assert pres.hilbert_function(n) == modgb.module_dimension_oracle(gens, n)

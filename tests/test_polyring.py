@@ -3,9 +3,11 @@ from __future__ import annotations
 import random
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from biliaison.modgb import monomials_of_degree
 from biliaison.polyring import (
     FieldSpec,
     FieldMismatchError,
@@ -56,6 +58,19 @@ def test_commutativity_example():
 
 def test_difference_of_squares():
     assert (P("X") + P("Y")) * (P("X") - P("Y")) == P("X^2 - Y^2")
+
+
+def test_dense_product_with_keys_beyond_int64():
+    # 150 x 150 terms takes the packed-key product; exponents up to 3299 pack
+    # in base 6599, and a sum of two keys passes 2**63
+    a = MultiPoly(F, {(3150 + i, i % 3, 0, 0, 0): i + 1 for i in range(150)})
+    b = MultiPoly(F, {(3150 + i, 0, i % 2, 0, 0): 2 * i + 1 for i in range(150)})
+    schoolbook = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            schoolbook[e] = (schoolbook.get(e, 0) + ca * cb) % F.characteristic
+    assert a * b == MultiPoly(F, {e: c for e, c in schoolbook.items() if c})
 
 
 def test_exact_divide_example():
@@ -109,6 +124,68 @@ def test_gcd_divides_and_idempotent():
         if not h.is_zero():
             assert h.monic().divides(d)
         assert gcd_many([a, b, d]) == gcd_many([a, b])
+
+
+_XS = sympy.symbols("X Y Z T")
+
+
+def _random_form(rng, degree: int) -> MultiPoly:
+    while True:
+        terms = {m + (0,): rng.randrange(1, F.characteristic)
+                 for m in monomials_of_degree(degree) if rng.random() < 0.4}
+        if terms:
+            return MultiPoly(F, terms)
+
+
+def _to_sympy(f: MultiPoly, gens=_XS) -> sympy.Poly:
+    return sympy.Poly({e[:len(gens)]: c for e, c in f.terms.items()}, *gens,
+                      modulus=F.characteristic)
+
+
+def _from_sympy(g: sympy.Poly) -> MultiPoly:
+    pad = (0,) * (5 - len(g.gens))
+    return MultiPoly(F, {tuple(e) + pad: int(c) % F.characteristic for e, c in g.terms()})
+
+
+# every degree stays <= 4: multivariate gcd stalls on larger products
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_gcd_matches_sympy(seed):
+    rng = random.Random(seed)
+    common = _random_form(rng, rng.choice([1, 2]))
+    a = _random_form(rng, rng.choice([1, 2])) * common
+    b = _random_form(rng, rng.choice([1, 2])) * common
+    assert gcd(a, b) == _from_sympy(sympy.gcd(_to_sympy(a), _to_sympy(b))).monic()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_squarefree_factors_match_sympy(seed):
+    rng = random.Random(seed)
+    # forms: the factors multiply to the radical f / gcd(f, df/dX, ..., df/dT)
+    f = _random_form(rng, 1) ** 2 * _random_form(rng, rng.choice([1, 2]))
+    fs = _to_sympy(f)
+    repeated = fs
+    for x in _XS:
+        repeated = sympy.gcd(repeated, fs.diff(x))
+    radical = MultiPoly.one(F)
+    for q in squarefree_factors(f):
+        radical = radical * q
+    assert radical.monic() == _from_sympy(sympy.div(fs, repeated)[0]).monic()
+    # one variable: factors grouped by multiplicity are sqf_list's layers
+    # (sympy 1.14 has no multivariate sqf_list over F_p)
+    root = MultiPoly(F, {(1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0): rng.randrange(F.characteristic)})
+    u = root ** 2 * MultiPoly(F, {(k, 0, 0, 0, 0): rng.randrange(1, F.characteristic)
+                                  for k in range(rng.choice([2, 3]))})
+    layers = {}
+    for q in squarefree_factors(u):
+        m, rest = 0, u
+        while q.divides(rest):
+            rest, m = rest.exact_divide(q), m + 1
+        layers[m] = layers.get(m, MultiPoly.one(F)) * q
+    _, expected = sympy.sqf_list(_to_sympy(u, _XS[:1]))
+    assert {m: q.monic() for m, q in layers.items()} == \
+        {m: _from_sympy(g).monic() for g, m in expected}
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,42 @@ def rank_mod_p(a: np.ndarray, p: int) -> int:
     return r
 
 
+def det_mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """Determinants mod p of a stack of square matrices, shape (B, n, n).
+
+    Fraction-free elimination of all B matrices at once, each with its own
+    pivot rows: at step c every row below the pivot row becomes
+    pivot * row - row[c] * pivot_row, which scales the determinant by pivot
+    once per row.  The signed product of the pivots is then the determinant
+    times prod_c pivot_c^(n-1-c), which one inverse per matrix divides out.
+    """
+    m = np.array(a, dtype=np.int64) % p
+    batch, n = m.shape[0], m.shape[1]
+    at = np.arange(batch)
+    num = np.ones(batch, dtype=np.int64)  # signed product of the pivots
+    den = np.ones(batch, dtype=np.int64)  # prod_c pivot_c^(n-1-c) ...
+    running = np.ones(batch, dtype=np.int64)  # ... as a product of prefix products
+    for c in range(n):
+        r = c + (m[:, c:, c] != 0).argmax(axis=1)  # first nonzero, else c
+        swap = r != c
+        if swap.any():
+            rows = m[at, c].copy()
+            m[at, c] = m[at, r]
+            m[at, r] = rows
+            num[swap] = (p - num[swap]) % p
+        piv = m[:, c, c]
+        num = num * piv % p
+        if c + 1 == n:
+            break
+        running = running * piv % p
+        den = den * running % p
+        m[:, c + 1:, c:] = (
+            piv[:, None, None] * m[:, c + 1:, c:] - m[:, c + 1:, c, None] * m[:, c, None, c:]
+        ) % p
+    inv = np.array([pow(int(d), -1, p) if d else 0 for d in den], dtype=np.int64)
+    return num * inv % p
+
+
 def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right kernel as rows of the returned matrix (RREF-canonical)."""
     if a.size == 0:

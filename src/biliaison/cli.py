@@ -176,6 +176,8 @@ def _profile_for(matrix: GradedMatrix, args) -> qprofile.QProfile:
         )
     except qprofile.ProfileConsistencyError as exc:
         raise CliError(EXIT_HYPOTHESIS, str(exc)) from exc
+    except modgb.BudgetExhaustedError as exc:
+        raise CliError(EXIT_BUDGET, str(exc)) from exc
 
 
 def cmd_qprofile(args, out, err) -> int:

@@ -7,10 +7,12 @@ degree 0).  On top of it: column truncations, closed-point specialization,
 exact rank over the fraction field, minor enumeration/sampling, and rank over
 the local ring at a codimension-1 point (a hypersurface).
 
-Rank strategy: random-point evaluation certifies full-rank blocks instantly;
-small blocks finish with fraction-free Bareiss elimination, large ones with a
-Groebner leading-component count.  Everything is exact; sampling only ever
-produces certificates, never answers.
+Rank strategy: random-point evaluation certifies full-rank blocks instantly,
+and gives the exact rank of a block whose entries involve one variable only;
+other small blocks finish with fraction-free Bareiss elimination, large ones
+with a Groebner leading-component count.  Rank modulo a linear form
+substitutes for one variable and takes the rank of the result.  Everything
+is exact; sampling only ever produces certificates, never answers.
 """
 
 from __future__ import annotations
@@ -448,8 +450,9 @@ def _block_rank(sub: GradedMatrix) -> int:
         return 0
     p = sub.field.characteristic
     for point in _eval_points(sub, 2):
-        if _linalg.rank_mod_p(sub.evaluate(point), p) == cap:
-            return cap
+        rank = _linalg.rank_mod_p(sub.evaluate(point), p)
+        if rank == cap or _in_one_variable(sub):
+            return rank
     if cap <= 6 or nrows * ncols <= 60:
         rank, _, _ = _bareiss(sub.entries, sub.field)
         return rank
@@ -459,6 +462,21 @@ def _block_rank(sub: GradedMatrix) -> int:
         return modgb.leading_component_rank(sub)
     rank, _, _ = _bareiss(sub.entries, sub.field)
     return rank
+
+
+def _in_one_variable(sub: GradedMatrix) -> bool:
+    """Do the entries involve at most one of X, Y, Z, T, and not a?
+
+    Then entry (i, j) is c_ij v^(d_j - e_i) for one variable v, so the block
+    is diag(v^-e) C diag(v^d) for a scalar matrix C, and its rank is rank C
+    at every point with v != 0: evaluation at any point of `_eval_points`
+    (coordinates in 1..p-1) is exact.
+    """
+    used = set()
+    for row in sub.entries:
+        for e in row:
+            used.update(e.variables())
+    return len(used) <= 1 and PARAM_INDEX not in used
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +602,9 @@ def _rank_modulo_linear(sub: GradedMatrix, f: MultiPoly) -> int:
     image = (-rest).scale(inv)
     images = {var: image}
     grid = [[p.substitute(images) for p in row] for row in sub.entries]
-    rank, _, _ = _bareiss(grid, field)
-    return rank
+    return rank_fraction_field(
+        GradedMatrix(field, sub.row_degrees, sub.col_degrees, grid, validate=False)
+    )
 
 
 def _eliminate_mod(rows: List[List[MultiPoly]], f: MultiPoly, field: FieldSpec) -> int:

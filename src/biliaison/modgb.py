@@ -36,11 +36,21 @@ normal form runs on an int64 coefficient array over the sorted keys of that
 piece (keys are below 2**50): subtracting c * x^m * g is one vectorised
 update at the positions `searchsorted` finds for g's shifted keys, and
 c * g_i < p**2 < 2**62 cannot overflow.  A reduction only creates terms
-smaller than the one it removes, so the scan for the next reducible term
+smaller than the one it removes, so the search for the next reducible term
 moves down the array and never revisits a final term (vector arithmetic over
 the monomial basis of one degree, as in Faugere's F4, J. Pure Appl. Algebra
 139, 1999).  The work array costs memory in proportion to the piece, so a
 piece of more than _MAX_PIECE terms raises `TermRangeError`.
+
+Reducer tables.  Which basis element reduces a term is decided once per
+degree piece, not once per step (F4's symbolic preprocessing): an int32
+table over the piece holds, for each term, the index of the first basis
+element in insertion order whose lead divides it, or -1.  Adding an element
+marks its multiples in every table already built; the multiples are its
+lead key plus the shifts of the monomials of the missing degree, found by
+`searchsorted`.  A normal form step is then one vectorised mask: the largest
+nonzero position whose table entry is not -1, reduced by the element the
+table names, which is the reducer a scan of the basis would pick.
 """
 
 from __future__ import annotations
@@ -186,6 +196,10 @@ class _DegreePieces:
             self._monomial_keys[m] = keys
         return keys
 
+    def shifts(self, m: int) -> np.ndarray:
+        """key(x^u t) - key(t) for every monomial x^u of degree m."""
+        return self._monomials(m) - self._monomials(0)[0]
+
     def __call__(self, d: int) -> np.ndarray:
         keys = self._keys.get(d)
         if keys is None:
@@ -200,6 +214,53 @@ class _DegreePieces:
             keys = np.sort(np.concatenate(parts)) if parts else np.empty(0, np.int64)
             self._keys[d] = keys
         return keys
+
+
+class _Reducers:
+    """Monic basis elements with a reducer table per degree piece.
+
+    For each degree piece d in use, ``table(d)[i]`` is the index (in insertion
+    order) of the first element whose lead divides the term ``pieces(d)[i]``,
+    or -1 if none does.  Adding an element marks its multiples of degree d
+    that no earlier element claimed, so the table always names the reducer
+    the first-divisor rule picks.
+    """
+
+    __slots__ = ("pieces", "basis", "p", "_tables")
+
+    def __init__(self, pieces: _DegreePieces, p: int, basis: Iterable[_Vec] = ()):
+        self.pieces = pieces
+        self.p = p
+        self.basis: List[_Vec] = []
+        self._tables: Dict[int, np.ndarray] = {}
+        for v in basis:
+            self.add(v)
+
+    def add(self, v: _Vec) -> int:
+        """Append v; returns its index."""
+        self.basis.append(v)
+        i = len(self.basis) - 1
+        for d, table in self._tables.items():
+            self._mark(table, d, i)
+        return i
+
+    def table(self, d: int) -> np.ndarray:
+        table = self._tables.get(d)
+        if table is None:
+            table = np.full(len(self.pieces(d)), -1, dtype=np.int32)
+            for i in range(len(self.basis)):
+                self._mark(table, d, i)
+            self._tables[d] = table
+        return table
+
+    def _mark(self, table: np.ndarray, d: int, i: int) -> None:
+        g = self.basis[i]
+        lead = g.lead()
+        m = d - self.pieces.ambient_degrees[lead[0]] - sum(lead[1:])
+        if m < 0:
+            return
+        pos = self.pieces(d).searchsorted(g.lead_key() + self.pieces.shifts(m))
+        table[pos[table[pos] < 0]] = i
 
 
 class SubmodulePresentation:
@@ -222,7 +283,7 @@ class SubmodulePresentation:
         for v in gb:
             self._by_component.setdefault(v.lead()[0], []).append(v)
         self._numerators: Dict[int, List[int]] = {}
-        self._pieces = _DegreePieces(ambient_degrees)
+        self._reducers = _Reducers(_DegreePieces(ambient_degrees), field.characteristic, gb)
 
     # --- leading term data -------------------------------------------------
     def ambient(self) -> CharFunction:
@@ -247,8 +308,8 @@ class SubmodulePresentation:
 
     # --- membership ----------------------------------------------------------
     def normal_form(self, vec: _Vec) -> _Vec:
-        keys = self._pieces(vec.degree)
-        return _normal_form(_dense(vec, keys), keys, vec.degree, self._by_component, self.field)
+        work = _dense(vec, self._reducers.pieces(vec.degree))
+        return _normal_form(work, self._reducers, vec.degree)
 
     def contains_column(self, column: Sequence[MultiPoly], degree: int) -> bool:
         v = _column_to_vec(column, degree, self.ambient_degrees, self.field)
@@ -445,38 +506,27 @@ def _sub_scaled(work: np.ndarray, keys: np.ndarray, g: _Vec, shift: int, coeff: 
     work[pos] = (work[pos] - coeff * gc) % p
 
 
-def _reducer(by_component: Dict[int, List[_Vec]], t: Term) -> Optional[_Vec]:
-    """The first basis element of t's component whose lead divides t."""
-    for g in by_component.get(t[0], ()):
-        if _mono_divides(g.lead(), t):
-            return g
-    return None
-
-
 def _normal_form(
-    work: np.ndarray, keys: np.ndarray, degree: int,
-    by_component: Dict[int, List[_Vec]], field: FieldSpec,
+    work: np.ndarray, reducers: _Reducers, degree: int, top: Optional[int] = None
 ) -> _Vec:
-    """Fully reduce the dense vector ``work`` over the piece ``keys``, in place.
+    """Fully reduce the dense vector ``work`` over the degree piece, in place.
 
-    The largest live term goes first, reduced by the first basis element of
-    its component whose lead divides it (basis elements are monic).  A
-    reduction at position i only changes positions below i, so the nonzero
-    positions are listed once per reduction, below the last reduced one.
+    The largest live term below ``top`` (default: all of the piece) that
+    some basis element reduces goes first; its reducer is the one the piece's
+    table names.  A reduction at position i only changes positions below i,
+    so every step searches below the last reduced position.
     """
-    p = field.characteristic
-    top = len(work)
+    keys = reducers.pieces(degree)
+    table = reducers.table(degree)
+    reducible = table >= 0
+    top = len(work) if top is None else top
     while True:
-        for pos in work[:top].nonzero()[0][::-1].tolist():
-            k = int(keys[pos])
-            t = _unpack(k)
-            g = _reducer(by_component, t)
-            if g is not None:
-                break
-        else:
+        live = ((work[:top] != 0) & reducible[:top]).nonzero()[0]
+        if not live.size:
             break  # every live term is final
-        _sub_scaled(work, keys, g, k - g.lead_key(), int(work[pos]), p)
-        top = pos
+        top = int(live[-1])
+        g = reducers.basis[table[top]]
+        _sub_scaled(work, keys, g, int(keys[top]) - g.lead_key(), int(work[top]), reducers.p)
     nz = work.nonzero()[0]
     return _Vec(dict(zip(keys[nz].tolist(), work[nz].tolist())), degree)
 
@@ -495,15 +545,10 @@ def _buchberger(
     gens: List[_Vec], field: FieldSpec, ambient_degrees: Tuple[int, ...],
     degree_cap: Optional[int],
 ) -> Tuple[List[_Vec], Optional[int]]:
-    basis: List[_Vec] = []
-    by_component: Dict[int, List[_Vec]] = {}
     pieces = _DegreePieces(ambient_degrees)
     p = field.characteristic
-
-    def add_element(v: _Vec) -> int:
-        basis.append(v)
-        by_component.setdefault(v.lead()[0], []).append(v)
-        return len(basis) - 1
+    reducers = _Reducers(pieces, p)
+    basis = reducers.basis
 
     pairs: List[Tuple[int, int, int, int]] = []  # (degree, counter, i, j)
     counter = 0
@@ -528,7 +573,7 @@ def _buchberger(
     for g in gens:
         if not g.is_zero():
             v = _make_monic(g, field)
-            idx = add_element(v)
+            idx = reducers.add(v)
             push_pairs(idx)
 
     truncated_at: Optional[int] = None
@@ -563,10 +608,10 @@ def _buchberger(
         _sub_scaled(work, keys, fj, key_l - fj.lead_key(), 1, p)
         if not work.any():
             continue
-        nf = _normal_form(work, keys, deg, by_component, field)
+        nf = _normal_form(work, reducers, deg)
         if nf.is_zero():
             continue
-        idx = add_element(_make_monic(nf, field))
+        idx = reducers.add(_make_monic(nf, field))
         push_pairs(idx)
 
     # minimalize: drop elements whose lead is divisible by another lead
@@ -583,17 +628,15 @@ def _buchberger(
                 break
         if not redundant:
             keep.append(v)
-    # tail-reduce for a reduced basis
+    # tail-reduce for a reduced basis: no lead of ``keep`` divides another,
+    # and v's own lead divides no other term of its degree piece, so below
+    # v's lead the first divisor in ``keep`` is the first one other than v
     final: List[_Vec] = []
-    comp_index: Dict[int, List[_Vec]] = {}
+    tails = _Reducers(pieces, p, keep)
     for v in keep:
-        comp_index.setdefault(v.lead()[0], []).append(v)
-    for v in keep:
-        others = {
-            c: [g for g in lst if g is not v] for c, lst in comp_index.items()
-        }
         keys = pieces(v.degree)
-        red = _normal_form(_dense(v, keys), keys, v.degree, others, field)
+        lead = int(keys.searchsorted(v.lead_key()))
+        red = _normal_form(_dense(v, keys), tails, v.degree, top=lead)
         final.append(_make_monic(red, field))
     return final, truncated_at
 

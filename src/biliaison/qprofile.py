@@ -27,18 +27,23 @@ where k is the rank of the block.  No minor is enumerated:
    columns; their minor is nonzero at that point, hence a nonzero binary
    form.  It is homogeneous of the known degree D = (sum of column degrees)
    - (sum of row degrees), so its values at D + 1 distinct points of Y = 1
-   determine it exactly, and interpolation recovers it with scalar
-   arithmetic only.  Keep a running GCD g of these restricted witness minors
-   and stop as soon as it is constant: any set of nonzero restricted
-   k-minors with GCD 1 certifies that the k-minors are coprime.
+   determine it exactly.  The submatrix is evaluated at all of them in one
+   array, one batched elimination mod p takes their determinants, and
+   Newton interpolation recovers the form.  Keep a running GCD g of these
+   restricted witness minors and stop as soon as it is constant: any set of
+   nonzero restricted k-minors with GCD 1 certifies that the k-minors are
+   coprime.
 2. Restricted rank.  If g stays nonconstant, measure the rank of the
-   restricted block modulo each squarefree factor f of g.  Rank k for every f
-   also certifies coprimality.  Proof: let F be a nonconstant common factor
-   of all k-minors.  The plane carries a nonzero witness, so F restricted to
-   the plane is a nonzero binary form of positive degree dividing every
-   restricted k-minor, hence dividing g.  One of its irreducible components
-   divides some f, and modulo that component every restricted k-minor
-   vanishes, so the restricted rank modulo f drops below k.
+   restricted block modulo each squarefree factor f of g.  Modulo a linear
+   factor, substituting for one variable leaves entries in the other one
+   alone, and the rank of such a block is taken exactly by evaluation at one
+   point.  Rank k for every f also certifies coprimality.  Proof: let F be
+   a nonconstant common factor of all k-minors.  The plane carries a
+   nonzero witness, so F restricted to the plane is a nonzero binary form
+   of positive degree dividing every restricted k-minor, hence dividing g.
+   One of its irreducible components divides some f, and modulo that
+   component every restricted k-minor vanishes, so the restricted rank
+   modulo f drops below k.
 3. Honest fallback.  Only when some f lowers the restricted rank is the GCD
    of a few true witness minors taken.  Any hypersurface dropping the rank
    below k divides every k-minor, so the squarefree factors of that GCD are a
@@ -56,6 +61,8 @@ import random
 from dataclasses import dataclass, field as dc_field
 from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from biliaison import _linalg, modgb
 from biliaison.grmatrix import (
@@ -263,21 +270,6 @@ def _scalar_elimination(
     return pivots
 
 
-def _scalar_det(values: List[List[Scalar]], field: FieldSpec) -> Scalar:
-    """Determinant of a square scalar matrix: the product of the pivots of
-    `_scalar_elimination`, signed by the order of their columns."""
-    n = len(values)
-    pivots = _scalar_elimination(values, field, n)
-    if len(pivots) < n:
-        return field.normalize(0)
-    det = field.normalize(1)
-    for _, _, value in pivots:
-        det = field.normalize(det * value)
-    order = [j for _, j, _ in pivots]
-    inversions = sum(a > b for x, a in enumerate(order) for b in order[x + 1:])
-    return field.neg(det) if inversions % 2 else det
-
-
 def _interpolated_minor(
     m: GradedMatrix, rows: Sequence[int], cols: Sequence[int], point: Sequence[Scalar]
 ) -> MultiPoly:
@@ -286,30 +278,34 @@ def _interpolated_minor(
 
     It is a binary form of degree D = (sum of column degrees) - (sum of row
     degrees), so its values at D + 1 distinct points of the line Y = 1
-    determine it exactly.
+    determine it exactly.  The submatrix is evaluated at those points and at
+    `point` by Horner's rule in one (D + 2, k, k) array, and
+    `_linalg.det_mod_p` takes the D + 2 determinants at once.
     """
     field = m.field
-    norm = field.normalize
+    p = field.characteristic
     degree = sum(m.col_degrees[j] for j in cols) - sum(m.row_degrees[i] for i in rows)
-    if degree + 1 > field.characteristic:
+    if degree + 1 > p:
         raise InterpolationRangeError(
-            f"a witness minor of degree {degree} needs {degree + 1} points, more than F_{field.characteristic} has"
+            f"a witness minor of degree {degree} needs {degree + 1} points, more than F_{p} has"
         )
-    # each entry as univariate terms in X on Y = 1
-    uni = [[[(e[0], c) for e, c in m.entries[i][j].terms.items()] for j in cols] for i in rows]
-    top = max((e for line in uni for entry in line for e, _ in entry), default=0)
-
-    def det_at(x: Scalar) -> Scalar:
-        powers = [norm(1)]
-        for _ in range(top):
-            powers.append(norm(powers[-1] * x))
-        grid = [[norm(sum(c * powers[e] for e, c in entry)) for entry in line] for line in uni]
-        return _scalar_det(grid, field)
-
-    xs = [norm(x) for x in range(degree + 1)]
-    coeffs = _interpolate(xs, [det_at(x) for x in xs], field)
-    minor = MultiPoly(field, {(i, degree - i, 0, 0, 0): c for i, c in enumerate(coeffs) if c})
-    if minor.evaluate(point) != det_at(point[0]):
+    # the entries' coefficients of X^e on Y = 1, highest power first
+    top = max((e[0] for i in rows for j in cols for e in m.entries[i][j].terms), default=0)
+    coeffs = np.zeros((top + 1, len(rows), len(cols)), dtype=np.int64)
+    for a, i in enumerate(rows):
+        for b, j in enumerate(cols):
+            for e, c in m.entries[i][j].terms.items():
+                coeffs[top - e[0], a, b] += c
+    coeffs %= p
+    xs = [field.normalize(x) for x in range(degree + 1)]
+    at = np.array(xs + [point[0]], dtype=np.int64)[:, None, None]
+    values = np.broadcast_to(coeffs[0], (len(xs) + 1,) + coeffs.shape[1:])
+    for c in coeffs[1:]:
+        values = (values * at + c) % p
+    dets = _linalg.det_mod_p(values, p).tolist()
+    minor_coeffs = _interpolate(xs, dets[:-1], field)
+    minor = MultiPoly(field, {(i, degree - i, 0, 0, 0): c for i, c in enumerate(minor_coeffs) if c})
+    if minor.evaluate(point) != dets[-1]:
         raise HomogeneityError("a witness minor is not a binary form of the expected degree")
     return minor
 
@@ -340,9 +336,10 @@ def _iter_witnesses(
 
     Every entry of m is a binary form in X, Y.  Pivots come from scalar
     elimination at a seeded point of the line Y = 1 (`_pivot_sets`), so
-    each minor is nonzero there, hence nonzero; its value is then
-    interpolated exactly from D + 1 points (`_interpolated_minor`).
-    Witnesses are yielded as found, so a caller can stop early.
+    each minor is nonzero there, hence nonzero.  Its values at D + 1 points
+    and at the pivot point come from one batched determinant, and
+    interpolation recovers it exactly (`_interpolated_minor`).  Witnesses
+    are yielded as found, so a caller can stop early.
     """
     for rows, cols, point in _pivot_sets(m, k, seed, count):
         yield rows, cols, _interpolated_minor(m, rows, cols, point)

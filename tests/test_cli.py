@@ -128,6 +128,23 @@ def test_window_exhaustion_exit_code():
     assert code == 4
 
 
+def test_profile_budget_error_exit_code(tmp_path):
+    # the 2-minor X*T^1010 - Y*Z^1010 has degree 1011: interpolating it on a
+    # plane needs 1012 points, more than F_1009 has
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "prime", "characteristic": 1009},
+        "row_degrees": [0, 0],
+        "col_degrees": [1, 1010],
+        "entries": [["X", "Z^1010"], ["Y", "T^1010"]],
+    }))
+    common = ["--input", str(path), "--assume-locally-free"]
+    for argv in (["qprofile"], ["minimal-family"], ["check-p", "--p", '{"1": 1}']):
+        code, out, _ = run(argv + common)
+        assert code == 4, argv
+        assert "more than F_1009 has" in out, argv
+
+
 # ---------------------------------------------------------------------------
 # minimal-family
 

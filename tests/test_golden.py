@@ -1,0 +1,32 @@
+"""Golden reports: the default-seed JSON and stderr of `qprofile` and
+`minimal-family` on every fixture must stay byte-identical.
+
+The files under ``tests/golden/`` were written by the CLI itself, e.g.
+
+    biliaison minimal-family --fixture 3.4 --format json \
+        > tests/golden/minimal-family-3.4.json 2> tests/golden/minimal-family-3.4.stderr
+
+A speed-up that changes a report changes an answer or a certificate; mend the
+code, do not regenerate the files.
+"""
+
+from __future__ import annotations
+
+import io
+from pathlib import Path
+
+import pytest
+
+from biliaison.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("fixture", ["3.2", "3.3", "3.4"])
+@pytest.mark.parametrize("command", ["qprofile", "minimal-family"])
+def test_default_seed_report_is_golden(command, fixture):
+    out, err = io.StringIO(), io.StringIO()
+    assert main([command, "--fixture", fixture, "--format", "json"], out=out, err=err) == 0
+    stem = f"{command}-{fixture}"
+    assert out.getvalue() == (GOLDEN / f"{stem}.json").read_text()
+    assert err.getvalue() == (GOLDEN / f"{stem}.stderr").read_text()

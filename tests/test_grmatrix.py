@@ -6,17 +6,23 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
-from biliaison import _linalg, fixtures
+from biliaison import _linalg, fixtures, modgb
 from biliaison.grmatrix import (
     CharFunction,
     GradedMatrix,
     HomogeneityError,
+    _bareiss,
     block_decomposition,
     determinant,
     minors,
     rank_fraction_field,
     rank_modulo_hypersurface,
+    restrict_to_plane,
 )
 from biliaison.polyring import FieldSpec, MultiPoly
 
@@ -238,6 +244,113 @@ def test_rank_modulo_bounded_by_rank():
         m = GradedMatrix(F, [0] * 3, [1] * 4, grid, validate=False)
         for f in (P("X"), P("X + Y"), P("X*Y - Z*T")):
             assert rank_modulo_hypersurface(m, f) <= rank_fraction_field(m)
+
+
+def _linear_form(nvars: int, rng: random.Random) -> MultiPoly:
+    """A random nonzero linear form in the first ``nvars`` of X, Y, Z, T."""
+    while True:
+        form = MultiPoly(F, {
+            tuple(1 if k == v else 0 for k in range(4)) + (0,): rng.randrange(32003)
+            for v in range(nvars) if rng.random() < 0.7
+        })
+        if not form.is_zero():
+            return form
+
+
+def _bareiss_rank_modulo_linear(m: GradedMatrix, f: MultiPoly) -> int:
+    """Oracle: solve the linear form f for one of its variables, substitute,
+    and take the symbolic `_bareiss` rank of the grid."""
+    var = next(v for v in range(4) if any(e[v] for e in f.terms))
+    unit = tuple(1 if k == var else 0 for k in range(4)) + (0,)
+    rest = MultiPoly(F, {e: c for e, c in f.terms.items() if e != unit})
+    image = (-rest).scale(F.invert(f.terms[unit]))
+    grid = [[q.substitute({var: image}) for q in row] for row in m.entries]
+    rank, _, _ = _bareiss(grid, F)
+    return rank
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    nrows=st.integers(1, 3),
+    ncols=st.integers(1, 4),
+    factors=st.integers(1, 3),
+    on_plane=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_modulo_product_of_linear_forms(nrows, ncols, factors, on_plane, seed):
+    # f is a product of distinct linear forms; on a plane-restricted block
+    # they are forms in X, Y, which the restricted minor GCDs produce
+    rng = random.Random(seed)
+    row_degs = [rng.randrange(2) for _ in range(nrows)]
+    col_degs = [rng.randrange(1, 3) for _ in range(ncols)]
+    grid = [[
+        MultiPoly(F, {
+            mono + (0,): rng.randrange(1, 32003)
+            for mono in modgb.monomials_of_degree(c - r) if rng.random() < 0.4
+        })
+        for c in col_degs] for r in row_degs]
+    m = GradedMatrix(F, row_degs, col_degs, grid, validate=False)
+    if on_plane:
+        m = restrict_to_plane(m, seed)
+    nvars = 2 if on_plane else 4
+    components = []
+    while len(components) < factors:
+        form = _linear_form(nvars, rng).monic()
+        if form not in components:
+            components.append(form)
+    f = components[0]
+    for form in components[1:]:
+        f = f * form
+    oracle = min(_bareiss_rank_modulo_linear(m, form) for form in components)
+    assert rank_modulo_hypersurface(m, f) == oracle
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    nrows=st.integers(1, 6),
+    ncols=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_modulo_linear_factor_planted(nrows, ncols, seed):
+    # entry (i, j) is c_ij Y^(d_j - e_i) + X * (a form of degree d_j - e_i - 1)
+    # with C = (c_ij) of planted rank r: modulo X the block is C in Y alone,
+    # whose rank is read off one evaluation
+    rng = random.Random(seed)
+    r = rng.randrange(min(nrows, ncols) + 1)
+    left = [[rng.randrange(32003) for _ in range(r)] for _ in range(nrows)]
+    right = [[rng.randrange(32003) for _ in range(ncols)] for _ in range(r)]
+    c = [[sum(left[i][t] * right[t][j] for t in range(r)) % 32003 for j in range(ncols)]
+         for i in range(nrows)]
+    planted = DomainMatrix([[GF(32003)(x) for x in row] for row in c], (nrows, ncols), GF(32003)).rank()
+    row_degs = [rng.randrange(2) for _ in range(nrows)]
+    col_degs = [rng.randrange(1, 4) for _ in range(ncols)]
+    grid = []
+    for i, e in enumerate(row_degs):
+        line = []
+        for j, d in enumerate(col_degs):
+            terms = {(0, d - e, 0, 0, 0): c[i][j]} if c[i][j] else {}
+            for mono in modgb.monomials_of_degree(d - e - 1):
+                if rng.random() < 0.5:
+                    terms[(mono[0] + 1,) + tuple(mono[1:]) + (0,)] = rng.randrange(1, 32003)
+            line.append(MultiPoly(F, terms))
+        grid.append(line)
+    m = GradedMatrix(F, row_degs, col_degs, grid)
+    assert rank_modulo_hypersurface(m, P("X")) == planted
+    assert _bareiss_rank_modulo_linear(m, P("X")) == planted
+    on_line = GradedMatrix(F, row_degs, col_degs, [
+        [MultiPoly(F, {(0, d - e, 0, 0, 0): c[i][j]} if c[i][j] else {})
+         for j, d in enumerate(col_degs)] for i, e in enumerate(row_degs)])
+    assert rank_fraction_field(on_line) == planted
+
+
+def test_one_variable_rule_scope():
+    # evaluation is exact only when no entry involves a second variable or a
+    from biliaison.grmatrix import _in_one_variable
+
+    assert _in_one_variable(M([0, 1], [1, 2], [["Y", "0"], ["3", "Y"]]))
+    assert _in_one_variable(M([0], [0], [["5"]]))
+    assert not _in_one_variable(M([0, 1], [1, 2], [["Y", "0"], ["3", "X"]]))
+    assert not _in_one_variable(M([0], [0, 1], [["a", "0"]]))
 
 
 # ---------------------------------------------------------------------------

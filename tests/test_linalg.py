@@ -30,3 +30,32 @@ def test_rank_mod_p_matches_sympy_at_largest_prime(nrows, ncols, inner, seed):
     K = GF(P31)
     oracle = DomainMatrix([[K(x) for x in row] for row in a], (nrows, ncols), K).rank()
     assert _linalg.rank_mod_p(np.array(a, dtype=np.int64), P31) == oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 16),
+    batch=st.integers(1, 4),
+    p=st.sampled_from([32003, P31]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_det_mod_p_matches_sympy(n, batch, p, seed):
+    # sparse entries move the pivots off the diagonal, so the sign matters;
+    # a planted combination of rows makes some matrices singular
+    rng = random.Random(seed)
+    K = GF(p)
+    stack = []
+    for _ in range(batch):
+        density = rng.choice([0.15, 0.5, 1.0])
+        a = [[rng.randrange(p) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            i, j = rng.sample(range(n), 2)
+            c = rng.randrange(p)
+            a[i] = [c * x % p for x in a[j]]
+        stack.append(a)
+    got = _linalg.det_mod_p(np.array(stack, dtype=np.int64), p)
+    assert got.shape == (batch,)
+    for a, det in zip(stack, got.tolist()):
+        oracle = DomainMatrix([[K(x) for x in row] for row in a], (n, n), K).det()
+        assert det == int(oracle) % p

@@ -97,7 +97,8 @@ def test_gb_inhomogeneous_rejected():
         modgb.groebner_basis(gens)
 
 
-def test_gb_two_way_membership_random():
+def _membership_cases():
+    """Random modules: linear columns, then columns over mixed row degrees."""
     rng = random.Random(23)
     cases = []
     for _ in range(6):
@@ -111,7 +112,11 @@ def test_gb_two_way_membership_random():
             for _ in range(ncols)] for _ in range(nrows)]
         cases.append(GradedMatrix(F, [0] * nrows, [1] * ncols, grid, validate=False))
     cases.extend(_mixed_degree_matrices(random.Random(24), 4))
-    for gens in cases:
+    return cases
+
+
+def test_gb_two_way_membership_random():
+    for gens in _membership_cases():
         pres = modgb.groebner_basis(gens)
         # every generator reduces to zero against the basis
         for j in range(gens.ncols):
@@ -120,6 +125,66 @@ def test_gb_two_way_membership_random():
         for vec in pres.gb:
             col = modgb._vec_to_column(vec, gens.row_degrees, F)
             assert _member_by_linear_algebra(gens, col, vec.degree)
+
+
+def _scan_normal_form(gb, vec, p):
+    """Reference reducer: rescan the terms, largest first, for the first basis
+    element whose lead divides one; returns (terms, reduction steps)."""
+    terms = dict(vec.terms)
+    steps = 0
+    while True:
+        for key in sorted(terms, reverse=True):
+            t = modgb._unpack(key)
+            g = next((g for g in gb if g.lead()[0] == t[0]
+                      and all(a <= b for a, b in zip(g.lead()[1:], t[1:]))), None)
+            if g is not None:
+                break
+        else:
+            return terms, steps
+        c, shift = terms[key], key - g.lead_key()
+        for gk, gc in g.terms.items():
+            value = (terms.get(gk + shift, 0) - c * gc) % p
+            if value:
+                terms[gk + shift] = value
+            else:
+                terms.pop(gk + shift, None)
+        steps += 1
+
+
+def test_table_normal_form_matches_scan_reducer(monkeypatch):
+    # the reducer table must pick the same reducer at every step as a scan
+    # over the basis: same normal form, same number of `_sub_scaled` steps
+    steps = []
+    sub_scaled = modgb._sub_scaled
+
+    def counted(*args):
+        steps.append(args)
+        return sub_scaled(*args)
+
+    rng = random.Random(25)
+    checked = 0
+    for gens in _membership_cases():
+        pres = modgb.groebner_basis(gens)
+        monkeypatch.setattr(modgb, "_sub_scaled", counted)
+        lo = min(gens.col_degrees)
+        for degree in range(lo, lo + 3):
+            for _ in range(4):
+                terms = {}
+                for comp, a in enumerate(gens.row_degrees):
+                    for mono in modgb.monomials_of_degree(degree - a):
+                        if rng.random() < 0.5:
+                            terms[modgb._pack((comp,) + mono)] = rng.randrange(1, 32003)
+                if not terms:
+                    continue
+                vec = modgb._Vec(terms, degree)
+                steps.clear()
+                nf = pres.normal_form(vec)
+                want, want_steps = _scan_normal_form(pres.gb, vec, F.characteristic)
+                assert nf.terms == want
+                assert len(steps) == want_steps
+                checked += want_steps
+        monkeypatch.undo()
+    assert checked > 100
 
 
 @settings(max_examples=8, deadline=None)

@@ -163,21 +163,6 @@ def test_interpolated_witnesses_are_nonzero_minors(nrows, ncols, second_prime, s
         assert minor in (det, -det)
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
-def test_scalar_det_matches_sympy(n, seed):
-    # sparse entries move the pivots off the diagonal, so the sign matters
-    from sympy import GF
-    from sympy.polys.matrices import DomainMatrix
-
-    rng = random.Random(seed)
-    values = [[rng.randrange(32003) if rng.random() < 0.5 else 0 for _ in range(n)]
-              for _ in range(n)]
-    K = GF(32003)
-    oracle = DomainMatrix([[K(x) for x in row] for row in values], (n, n), K).det()
-    assert qprofile._scalar_det(values, F) == int(oracle) % 32003
-
-
 def test_interpolation_raises_typed_errors():
     # a degree-1009 minor needs 1010 points, more than F_1009 has
     small = FieldSpec.prime(1009)

@@ -13,8 +13,13 @@ any other --field, and a matrix JSON over any other field, is a parse error.
 Exit codes: 0 success / admissible; 1 rejection or example mismatch;
 2 parse error; 3 hypothesis certification failure without a trust flag;
 4 degree budget exhaustion; 5 dissociated sheaf (minimal-family).
-The minor budget bounds only the exhaustive minor ideal that certifies local
-freeness; past it the check exits with code 3.
+
+Local freeness of the cokernel at the closed point is certified by
+`modgb.has_constant_rank`.  It enumerates the rank-level minors of each
+block, at most `modgb.MINOR_LIMIT` (20000) per block; a larger block exits
+with code 3 before any minor is computed, and --assume-locally-free skips
+the check.  A --window must start at or below inf L2 - 1 and must not end
+below its start (exit 2).
 """
 
 from __future__ import annotations
@@ -22,11 +27,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import comb
 from typing import List, Optional, Tuple
 
 from biliaison import families, fixtures, modgb, qprofile
-from biliaison.grmatrix import CharFunction, GradedMatrix, minors
+from biliaison.grmatrix import CharFunction, GradedMatrix
 from biliaison.polyring import FieldSpec
 
 EXIT_OK = 0
@@ -59,13 +63,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=qprofile.DEFAULT_SEED,
                        help="seed for all randomized certificates (default 0x%X)" % qprofile.DEFAULT_SEED)
         p.add_argument("--window", default=None, metavar="MIN:MAX",
-                       help="degree window override, e.g. 0:8")
-        p.add_argument("--minor-budget", type=int, default=qprofile.DEFAULT_MINOR_BUDGET,
-                       help="largest number of rank-level minors enumerated to certify "
-                            "local freeness (default 20000)")
+                       help="degree window override, e.g. 0:8; MIN must be at most "
+                            "inf L2 - 1")
         p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--assume-locally-free", action="store_true",
-                       help="trust that the cokernel of the presentation is locally free")
+                       help="trust that the cokernel of the presentation is locally free; "
+                            "without it, a block with more than %d rank-level minors "
+                            "exits 3" % modgb.MINOR_LIMIT)
         p.add_argument("--assume-surjective", action="store_true",
                        help="trust that the presentation generates all sections")
         p.add_argument("--export-matrix", metavar="PATH", default=None,
@@ -135,30 +139,20 @@ def _certify_hypotheses(matrix: GradedMatrix, args, err) -> None:
         else:
             print("warning: local freeness of the cokernel assumed, not certified", file=err)
     else:
-        s_t = matrix.specialize_closed_point()
-        from biliaison.grmatrix import block_decomposition, rank_fraction_field
-
         try:
-            for rows, cols in block_decomposition(s_t):
-                sub = s_t.submatrix(rows, cols)
-                r = rank_fraction_field(sub)
-                if r == 0:
-                    continue
-                if comb(sub.nrows, r) * comb(sub.ncols, r) > args.minor_budget:
-                    raise CliError(
-                        EXIT_HYPOTHESIS,
-                        "cannot certify local freeness within the minor budget; "
-                        "rerun with --assume-locally-free to proceed",
-                    )
-                mins = [m for m in minors(sub, r, "all") if not m.is_zero()]
-                if not modgb.is_empty_projective_locus(mins):
-                    raise CliError(
-                        EXIT_HYPOTHESIS,
-                        "the rank-level minors vanish somewhere: the cokernel is "
-                        "not locally free and the invariants are not defined",
-                    )
+            certified = modgb.has_constant_rank(matrix.specialize_closed_point())
         except modgb.BudgetExhaustedError as exc:
-            raise CliError(EXIT_HYPOTHESIS, f"certification budget exhausted: {exc}") from exc
+            raise CliError(
+                EXIT_HYPOTHESIS,
+                f"cannot certify local freeness: {exc}; "
+                "rerun with --assume-locally-free to proceed",
+            ) from exc
+        if not certified:
+            raise CliError(
+                EXIT_HYPOTHESIS,
+                "the rank-level minors vanish somewhere: the cokernel is "
+                "not locally free and the invariants are not defined",
+            )
     if not args.assume_surjective:
         print(
             "note: surjectivity onto the section module is assumed "
@@ -174,6 +168,8 @@ def _profile_for(matrix: GradedMatrix, args) -> qprofile.QProfile:
             window=_parse_window(args.window),
             seed=args.seed,
         )
+    except qprofile.WindowError as exc:
+        raise CliError(EXIT_PARSE, f"bad --window: {exc}") from exc
     except qprofile.ProfileConsistencyError as exc:
         raise CliError(EXIT_HYPOTHESIS, str(exc)) from exc
     except modgb.BudgetExhaustedError as exc:
@@ -184,7 +180,7 @@ def cmd_qprofile(args, out, err) -> int:
     matrix = _load_matrix(args)
     _certify_hypotheses(matrix, args, err)
     profile = _profile_for(matrix, args)
-    if not profile.stabilized and profile.records:
+    if not profile.stabilized:
         for w in profile.warnings:
             print(f"warning: {w}", file=out)
         print("error: profile did not stabilize; enlarge --window", file=out)

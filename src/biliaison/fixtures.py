@@ -160,8 +160,8 @@ def example(name: str, field: FieldSpec = FieldSpec.prime()) -> ExampleDescripto
             name, s, expected,
             notes=[
                 "local freeness of the cokernel at the closed point is asserted by "
-                "construction; certifying it would need the rank-level minor ideal "
-                "of a 17x34 block, far beyond the minor budget",
+                "construction; certifying it would need the 15-minors of a 17x34 "
+                "block, far more than the 20000 rank-level minors enumerated per block",
             ],
             hypothesis_certifiable=False,
         )

@@ -4,7 +4,7 @@ A `GradedMatrix` is a degree-zero map between graded free modules, stored as
 row degrees, column degrees and a grid of homogeneous `MultiPoly` entries
 (entry (i, j) has degree col_deg[j] - row_deg[i]; the parameter `a` counts
 degree 0).  On top of it: column truncations, closed-point specialization,
-exact rank over the fraction field, minor enumeration/sampling, and rank over
+exact rank over the fraction field, minor enumeration, and rank over
 the local ring at a codimension-1 point (a hypersurface).
 
 Rank strategy: random-point evaluation certifies full-rank blocks instantly,
@@ -483,65 +483,17 @@ def _in_one_variable(sub: GradedMatrix) -> bool:
 # minors
 
 
-def _unrank_combination(index: int, n: int, k: int) -> Tuple[int, ...]:
-    """index-th k-subset of range(n) in lexicographic order."""
-    from math import comb
-
-    out = []
-    x = 0
-    for slot in range(k, 0, -1):
-        while True:
-            c = comb(n - x - 1, slot - 1)
-            if index < c:
-                out.append(x)
-                x += 1
-                break
-            index -= c
-            x += 1
-    return tuple(out)
-
-
-def minors(
-    m: GradedMatrix,
-    k: int,
-    selection: str = "all",
-    sample_size: int = 0,
-    seed: int = 0,
-) -> List[MultiPoly]:
-    """k x k minors, exhaustively or as a deterministic seeded sample.
-
-    Output order follows the lexicographic order of (row set, column set).
-    """
+def minors(m: GradedMatrix, k: int) -> List[MultiPoly]:
+    """All k x k minors, in the lexicographic order of (row set, column set)."""
     from itertools import combinations
-    from math import comb
 
     if k < 0 or k > min(m.nrows, m.ncols):
         raise ValueError(f"minor size {k} out of range for {m.nrows}x{m.ncols}")
-    if k == 0:
-        return [MultiPoly.one(m.field)]
-    if selection == "all":
-        picks = [
-            (rows, cols)
-            for rows in combinations(range(m.nrows), k)
-            for cols in combinations(range(m.ncols), k)
-        ]
-    elif selection == "random":
-        total_r = comb(m.nrows, k)
-        total_c = comb(m.ncols, k)
-        total = total_r * total_c
-        size = min(sample_size, total)
-        rng = random.Random(seed)
-        chosen = set()
-        while len(chosen) < size:
-            chosen.add(rng.randrange(total))
-        picks = sorted(
-            (_unrank_combination(i // total_c, m.nrows, k),
-             _unrank_combination(i % total_c, m.ncols, k))
-            for i in chosen
-        )
-    else:
-        raise ValueError(f"unknown selection {selection!r}")
-    return [determinant(m.submatrix(rows, cols)) for rows, cols in picks]
+    return [
+        determinant(m.submatrix(rows, cols))
+        for rows in combinations(range(m.nrows), k)
+        for cols in combinations(range(m.ncols), k)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -658,14 +610,6 @@ def _eliminate_mod(rows: List[List[MultiPoly]], f: MultiPoly, field: FieldSpec) 
 
 # ---------------------------------------------------------------------------
 # assembly helpers
-
-
-def zero_matrix(field: FieldSpec, row_degrees: Sequence[int], col_degrees: Sequence[int]) -> GradedMatrix:
-    z = MultiPoly.zero(field)
-    return GradedMatrix(
-        field, row_degrees, col_degrees,
-        [[z] * len(col_degrees) for _ in row_degrees], validate=False,
-    )
 
 
 def identity_matrix(field: FieldSpec, degrees: Sequence[int], scale: Optional[MultiPoly] = None) -> GradedMatrix:

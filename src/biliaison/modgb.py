@@ -4,7 +4,9 @@ The engine powers five consumers: membership tests, Hilbert functions (by
 counting monomials in the leading-term module through Hilbert-series
 numerators), windowed cubic Hilbert polynomials, degreewise syzygies and
 minimal generator counts (plain exact linear algebra, independent of the
-Groebner machinery), and the emptiness certificate for projective loci.
+Groebner machinery), and the local-freeness check: `has_constant_rank` asks
+`is_empty_projective_locus` whether the distinct rank-level minors of each
+block cut out the empty set, and that test is one uncapped basis.
 
 Module order: term-over-position extension of graded reverse lex, ties
 broken toward the smaller component index.  Buchberger runs degree by degree
@@ -58,12 +60,15 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from biliaison import _linalg
-from biliaison.grmatrix import CharFunction, GradedMatrix
+from biliaison.grmatrix import (
+    CharFunction, GradedMatrix, block_decomposition, minors, rank_fraction_field,
+)
 from biliaison.polyring import FieldSpec, MultiPoly, Scalar
 
 Expo4 = Tuple[int, int, int, int]
@@ -914,22 +919,44 @@ def syzygies(gens: GradedMatrix, up_to_degree: int) -> GradedMatrix:
 
 
 # ---------------------------------------------------------------------------
-# emptiness of a projective zero locus
+# local freeness: constant rank and empty projective loci
+
+MINOR_LIMIT = 20000  # most rank-level minors of one block that are enumerated
 
 
-def is_empty_projective_locus(
-    minor_ideal_gens: Iterable[MultiPoly], degree_cap: Optional[int] = "default"
-) -> bool:
-    """Certify that homogeneous generators cut out the empty set in P^3.
+def has_constant_rank(m: GradedMatrix) -> bool:
+    """Does m (free of the parameter) have its generic rank at every point of P^3?
 
-    True iff the leading-term ideal of a Groebner basis contains a pure power
-    of each variable.  A capped run can certify emptiness (pure powers only
-    ever accumulate) but raises if it cannot decide within the budget.
+    Exactly then the cokernel sheaf is locally free (Fitting ideals; Eisenbud,
+    Commutative Algebra, GTM 150, ch. 20).  Per block of rank r the r-minors
+    must cut out the empty set; a block with more than `MINOR_LIMIT`
+    rank-level minors raises `BudgetExhaustedError` before any is enumerated.
     """
-    gens = [g for g in minor_ideal_gens if not g.is_zero()]
+    for rows, cols in block_decomposition(m):
+        sub = m.submatrix(rows, cols)
+        r = rank_fraction_field(sub)
+        count = comb(sub.nrows, r) * comb(sub.ncols, r)
+        if count > MINOR_LIMIT:
+            raise BudgetExhaustedError(
+                f"a {sub.nrows}x{sub.ncols} block of rank {r} has {count} rank-level "
+                f"minors, more than the {MINOR_LIMIT} that are enumerated"
+            )
+        distinct = dict.fromkeys(d.monic() for d in minors(sub, r) if not d.is_zero())
+        if not is_empty_projective_locus(distinct):
+            return False
+    return True
+
+
+def is_empty_projective_locus(gens: Iterable[MultiPoly]) -> bool:
+    """Do homogeneous generators, free of the parameter, cut out the empty set in P^3?
+
+    A nonzero constant settles it at once.  Otherwise one uncapped Groebner
+    basis decides: the locus is empty iff its leading-term ideal contains a
+    pure power of each variable.
+    """
+    gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return False
-    field = gens[0].field
     for g in gens:
         if g.has_parameter():
             raise ValueError("locus generators must not involve the parameter a")
@@ -937,27 +964,6 @@ def is_empty_projective_locus(
             raise InhomogeneousError("locus generators must be homogeneous")
         if g.is_constant():
             return True
-    degrees = [int(g.degree) for g in gens]
-    matrix = GradedMatrix(field, [0], degrees, [list(gens)], validate=False)
-    if degree_cap == "default":
-        degree_cap = max(degrees) + 8
-    pres = groebner_basis(matrix, degree_cap=degree_cap)
-    found = _has_pure_powers(pres)
-    if found:
-        return True
-    if pres.truncated_at is not None:
-        # retry without a cap before giving up
-        pres = groebner_basis(matrix, degree_cap=max(degrees) + 40)
-        if _has_pure_powers(pres):
-            return True
-        if pres.truncated_at is not None:
-            raise BudgetExhaustedError("emptiness certification exceeded degree budget")
-    return False
-
-
-def _has_pure_powers(pres: SubmodulePresentation) -> bool:
-    lts = pres.lt_generators(0) if 0 in pres._by_component else []
-    for var in range(4):
-        if not any(e[var] and sum(e) == e[var] for e in lts):
-            return False
-    return True
+    matrix = GradedMatrix(gens[0].field, [0], [int(g.degree) for g in gens], [gens], validate=False)
+    lts = groebner_basis(matrix, degree_cap=None).lt_generators(0)
+    return all(any(e[var] == sum(e) for e in lts) for var in range(4))

@@ -165,11 +165,6 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(e == _ZERO_EXPO for e in self.terms)
 
-    def constant_value(self) -> Scalar:
-        if not self.terms:
-            return self.field.normalize(0)
-        return self.terms[_ZERO_EXPO]
-
     @property
     def degree(self) -> float:
         """Total degree in X, Y, Z, T (the parameter counts 0); -inf for 0."""

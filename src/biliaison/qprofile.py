@@ -59,7 +59,6 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
-from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,7 +70,6 @@ from biliaison.grmatrix import (
     HomogeneityError,
     block_decomposition,
     determinant,
-    minors,
     rank_fraction_field,
     rank_modulo_hypersurface,
     restrict_to_plane,
@@ -79,7 +77,6 @@ from biliaison.grmatrix import (
 from biliaison.polyring import FieldSpec, MultiPoly, Scalar, gcd, gcd_many, squarefree_factors
 
 DEFAULT_SEED = 0xB111A150
-DEFAULT_MINOR_BUDGET = 20000
 
 
 class DissociatedSheafError(RuntimeError):
@@ -88,6 +85,10 @@ class DissociatedSheafError(RuntimeError):
 
 class WindowExhaustedError(RuntimeError):
     """The degree window ended before the profile stabilized."""
+
+
+class WindowError(ValueError):
+    """A degree window starts above inf L2 - 1 or ends below its start."""
 
 
 class MassMismatchError(ValueError):
@@ -484,7 +485,9 @@ def compute_q_profile(
     """Full per-degree profile (alpha, beta, q#) with b0 and the stable rank.
 
     The window defaults to [inf L2 - 1, sup L2 + 8] and the scan stops as
-    soon as the profile provably stabilizes.
+    soon as the profile provably stabilizes.  A window must start at or
+    below inf L2 - 1, where q# is 0, and must not end below its start;
+    otherwise `WindowError` is raised.
     """
     key = (s.fingerprint(), window, seed)
     cached = _PROFILE_CACHE.get(key)
@@ -510,6 +513,11 @@ def compute_q_profile(
             n_min = window[0]
         if window[1] is not None:
             n_cap = window[1]
+    if n_min > inf_l2 - 1 or n_cap < n_min:
+        raise WindowError(
+            f"window [{n_min}, {n_cap}] must start at or below inf L2 - 1 = {inf_l2 - 1} "
+            "and must not end below its start"
+        )
     records: List[DegreeRecord] = []
     warnings: List[str] = []
     b0: Optional[int] = None
@@ -635,7 +643,6 @@ def q_oracle(
     n: int,
     trials: int = 50,
     seed: int = DEFAULT_SEED,
-    minor_budget: int = DEFAULT_MINOR_BUDGET,
 ) -> int:
     """Certified lower bound for q#(n) by sampling dissociated submodules.
 
@@ -680,12 +687,13 @@ def q_oracle(
                     return mass
             else:
                 # full-rank subsheaf: the quotient is torsion-free only if it
-                # vanishes, certified by an empty degeneracy locus
-                mins = minors(w, mass, "all") if comb(w.nrows, mass) * comb(w.ncols, mass) <= minor_budget else None
-                if mins is not None and modgb.is_empty_projective_locus(
-                    [m for m in mins if not m.is_zero()]
-                ):
-                    return mass
+                # vanishes, certified by constant rank of w; a block with too
+                # many minors to enumerate leaves the lift uncertified
+                try:
+                    if modgb.has_constant_rank(w):
+                        return mass
+                except modgb.BudgetExhaustedError:
+                    pass
     return 0
 
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from biliaison import families, fixtures, modgb
 from biliaison.cli import main
 from biliaison.grmatrix import GradedMatrix
 from biliaison.polyring import FieldSpec, MultiPoly
@@ -128,6 +129,35 @@ def test_window_exhaustion_exit_code():
     assert code == 4
 
 
+def test_window_outside_range_is_parse_error():
+    # 5:5 starts above inf L2 - 1 = 0, where q# is no longer known to be 0;
+    # 8:2 ends below its start
+    for command in ("qprofile", "minimal-family"):
+        for window in ("5:5", "8:2"):
+            code, out, _ = run([command, "--fixture", "3.2", "--window", window])
+            assert code == 2, (command, window)
+            assert "bad --window" in out
+
+
+def test_minor_limit_exit_code(tmp_path, monkeypatch):
+    # fixture 3.4 read as plain input: its 17x34 block of rank 15 has far
+    # more rank-level minors than are enumerated
+    path = tmp_path / "ex34.json"
+    fixtures.example("3.4").matrix.save(str(path))
+    sizes = []
+    enumerate_minors = modgb.minors
+
+    def spy(m, k):
+        sizes.append((m.nrows, m.ncols, k))
+        return enumerate_minors(m, k)
+
+    monkeypatch.setattr(modgb, "minors", spy)
+    code, out, _ = run(["qprofile", "--input", str(path)])
+    assert code == 3
+    assert "rank-level minors" in out and "--assume-locally-free" in out
+    assert sizes == [(2, 17, 2)]  # the small block only; the large one is refused first
+
+
 def test_profile_budget_error_exit_code(tmp_path):
     # the 2-minor X*T^1010 - Y*Z^1010 has degree 1011: interpolating it on a
     # plane needs 1012 points, more than F_1009 has
@@ -170,6 +200,16 @@ def test_minimal_family_json_roundtrip():
     assert obj["d0"] == 6 and obj["g0"] == 3 and obj["h0"] == 1
     assert obj["q"] == {"2": 2, "3": 3}
     assert len(obj["hilbert_polynomial"]) == 4
+
+
+def test_retry_exhaustion_exit_code(monkeypatch):
+    def torsion(*args, **kwargs):
+        raise families.TorsionError("forced degeneracy")
+
+    monkeypatch.setattr(families, "verify_general_morphism", torsion)
+    code, out, _ = run(["minimal-family", "--fixture", "3.2"])
+    assert code == 4
+    assert "no general morphism found in 10 attempts" in out
 
 
 def test_minimal_family_dissociated_exit_code(tmp_path):

@@ -130,7 +130,7 @@ def test_rank_equals_max_nonzero_minor_exhaustively():
         computed = rank_fraction_field(m)
         largest = 0
         for k in range(1, min(nrows, ncols) + 1):
-            if any(not d.is_zero() for d in minors(m, k, "all")):
+            if any(not d.is_zero() for d in minors(m, k)):
                 largest = k
         assert computed == largest, f"trial {trial}"
 
@@ -161,7 +161,7 @@ def test_gb_rank_agrees_with_bareiss():
 
 def test_minor_counts_and_values():
     _, V, _ = fixtures.koszul_matrices()
-    all2 = minors(V, 2, "all")
+    all2 = minors(V, 2)
     assert len(all2) == 6 * 15  # C(4,2) * C(6,2)
     # brute-force 2x2 determinant oracle
     idx = 0
@@ -177,23 +177,13 @@ def test_minor_counts_and_values():
 
 def test_one_minors_are_entries():
     col = M([0, 0, 1, 1, 1], [1], [["X"], ["-Y"], ["0"], ["0"], ["0"]])
-    vals = minors(col, 1, "all")
+    vals = minors(col, 1)
     assert [str(v) for v in vals] == ["X", "-Y", "0", "0", "0"]
-
-
-def test_minor_sampling_is_deterministic():
-    _, V, _ = fixtures.koszul_matrices()
-    a = minors(V, 2, "random", sample_size=5, seed=99)
-    b = minors(V, 2, "random", sample_size=5, seed=99)
-    c = minors(V, 2, "random", sample_size=5, seed=100)
-    assert a == b
-    assert len(a) == 5
-    assert a != c or True  # different seeds may coincide, but usually differ
 
 
 def test_minor_size_out_of_range():
     with pytest.raises(ValueError):
-        minors(M([0], [1], [["X"]]), 2, "all")
+        minors(M([0], [1], [["X"]]), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -362,24 +362,71 @@ def test_empty_locus_examples():
     assert modgb.is_empty_projective_locus([P("X"), P("Y"), P("Z"), P("T")])
     assert not modgb.is_empty_projective_locus([P("X"), P("Y")])
     assert modgb.is_empty_projective_locus([P("X^2"), P("Y^3"), P("Z"), P("T^2")])
+    assert modgb.is_empty_projective_locus([P("X*Y"), P("3")])
+    assert not modgb.is_empty_projective_locus([])
 
 
 def test_empty_locus_of_rank_level_minors():
-    from biliaison.grmatrix import minors, rank_fraction_field
+    from biliaison.grmatrix import block_decomposition, minors, rank_fraction_field
 
     s_t = fixtures.example("3.2").matrix.specialize_closed_point()
-    from biliaison.grmatrix import block_decomposition
-
     for rows, cols in block_decomposition(s_t):
         sub = s_t.submatrix(rows, cols)
-        r = rank_fraction_field(sub)
-        mins = [m for m in minors(sub, r, "all") if not m.is_zero()]
-        assert modgb.is_empty_projective_locus(mins)
+        assert modgb.is_empty_projective_locus(minors(sub, rank_fraction_field(sub)))
+    assert modgb.has_constant_rank(s_t)
 
 
 def test_empty_locus_rejects_parameter():
     with pytest.raises(ValueError):
         modgb.is_empty_projective_locus([P("a*X")])
+
+
+@st.composite
+def _forms(draw):
+    """1-5 sparse forms of degree 1-3, pure powers drawn as often as the rest;
+    a planted case has no pure power of T, so every form vanishes at (0:0:0:1)."""
+    planted = draw(st.booleans())
+    forms = []
+    for _ in range(draw(st.integers(1, 5))):
+        d = draw(st.integers(1, 3))
+        monos = [e for e in modgb.monomials_of_degree(d) if not (planted and e[3] == d)]
+        pure = [e for e in monos if max(e) == d]
+        term = st.sampled_from(pure) | st.sampled_from(monos)
+        picked = draw(st.lists(term, min_size=1, max_size=3, unique=True))
+        forms.append(MultiPoly(F, {e + (0,): draw(st.integers(1, 32002)) for e in picked}))
+    return planted, forms
+
+
+@settings(max_examples=40, deadline=None)
+@given(_forms())
+def test_empty_locus_matches_macaulay_oracle(case):
+    """Differential test against the dense Macaulay rank at D = 4*delta - 3.
+
+    The oracle is exact.  An ideal I generated in degrees <= delta that is
+    primary to m = (X, Y, Z, T) is still m-primary when generated by its
+    degree-delta piece, so over the algebraic closure I contains four general
+    forms of degree delta.  They form a regular sequence, whose quotient
+    vanishes beyond degree 4 * (delta - 1); hence I contains m^(4*delta - 3)
+    and dim I_D = binom3(D).  If I is not m-primary, I_D is a proper subspace
+    of S_D in every degree.  Field extension does not change the rank of the degree-D
+    span, so the dense rank over F_p decides emptiness over the closure.
+    """
+    planted, forms = case
+    delta = max(int(f.degree) for f in forms)
+    D = 4 * delta - 3
+    gens = GradedMatrix(F, [0], [int(f.degree) for f in forms], [forms], validate=False)
+    oracle = modgb.module_dimension_oracle(gens, D) == modgb.binom3(D)
+    assert modgb.is_empty_projective_locus(forms) == oracle
+    if planted:
+        assert not oracle
+
+
+def test_constant_rank_of_blocks():
+    # the rank-level minors X, Y of a 1x2 block vanish on a line
+    assert not modgb.has_constant_rank(M([0], [1, 1], [["X", "Y"]]))
+    # two blocks: a constant 1-minor settles the first, X..T the second
+    assert modgb.has_constant_rank(
+        M([0, 1], [0, 2, 2, 2, 2], [["1", "0", "0", "0", "0"], ["0", "X", "Y", "Z", "T"]]))
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def test_minor_analysis_requires_rank_level():
 
 def _exhaustive_min_rank(w: GradedMatrix, k: int) -> int:
     """Oracle: measure every squarefree factor of the GCD of all k-minors."""
-    g = gcd_many([m for m in minors(w, k, "all") if not m.is_zero()])
+    g = gcd_many([m for m in minors(w, k) if not m.is_zero()])
     if g.is_constant():
         return k
     return min(rank_modulo_hypersurface(w, f) for f in squarefree_factors(g))
@@ -287,6 +287,14 @@ def test_window_override_caps_scan():
     profile = qprofile.compute_q_profile(desc.matrix, window=(0, 1))
     assert not profile.stabilized
     assert profile.warnings
+
+
+def test_window_must_start_where_q_sharp_vanishes():
+    s = fixtures.example("3.2").matrix  # inf L2 - 1 = 0
+    for window in ((5, 5), (1, None), (8, 2), (None, -1)):
+        with pytest.raises(qprofile.WindowError):
+            qprofile.compute_q_profile(s, window=window)
+    assert qprofile.compute_q_profile(s, window=(-2, None)).q_function().to_json() == {"2": 3}
 
 
 # ---------------------------------------------------------------------------

@@ -205,10 +205,18 @@ def verify_general_morphism(
     if profile is None:
         profile = compute_q_profile(s)
     r = profile.stable_rank
-    mass = v.ncols
-    if mass != r - 1:
-        raise ValueError(f"lift has {mass} columns, expected rank - 1 = {r - 1}")
-    w = (s @ v).specialize_closed_point()
+    if v.ncols != r - 1:
+        raise ValueError(f"lift has {v.ncols} columns, expected rank - 1 = {r - 1}")
+    return _verify_composite(_composite(s, v), r, seed)
+
+
+def _composite(s: GradedMatrix, v: GradedMatrix) -> GradedMatrix:
+    """W = (s*v)|_{a=0}."""
+    return (s @ v).specialize_closed_point()
+
+
+def _verify_composite(w: GradedMatrix, r: int, seed: int) -> Certificate:
+    """`verify_general_morphism` for the composite w of a lift with r - 1 columns."""
     rank = rank_fraction_field(w)
     if rank != r - 1:
         raise RankDeficiencyError(
@@ -231,8 +239,13 @@ def quotient_hilbert_data(
     s: GradedMatrix, v: GradedMatrix
 ) -> Tuple[HilbertPolynomial, HilbertPolynomial]:
     """(P_N, P_Q) for Q = column module of s_t modulo columns of (s*v)_t."""
-    s_t = s.specialize_closed_point()
-    w = (s @ v).specialize_closed_point()
+    return _quotient_hilbert(s.specialize_closed_point(), _composite(s, v))
+
+
+def _quotient_hilbert(
+    s_t: GradedMatrix, w: GradedMatrix
+) -> Tuple[HilbertPolynomial, HilbertPolynomial]:
+    """`quotient_hilbert_data` for s_t = s|_{a=0} and the composite w."""
     pres_n = modgb.groebner_basis(s_t)
     pres_u = modgb.groebner_basis(w)
     p_n = pres_n.hilbert_polynomial()
@@ -313,13 +326,15 @@ def minimal_family(
     q = profile.q_function()
     deg_n = sheaf_degree(s, profile)
     h0 = minimal_shift(profile, deg_n)
+    s_t = s.specialize_closed_point()
     last_error: Optional[Exception] = None
     for attempt in range(retry_cap):
         attempt_seed = subseed(seed, "minimal-family", attempt)
         v = sample_general_morphism(s, q, seed=attempt_seed, profile=profile)
+        w = _composite(s, v)
         try:
-            cert = verify_general_morphism(s, v, profile=profile, seed=attempt_seed)
-            p_n, p_q = quotient_hilbert_data(s, v)
+            cert = _verify_composite(w, profile.stable_rank, attempt_seed)
+            p_n, p_q = _quotient_hilbert(s_t, w)
             d, g = _degree_genus(h0, p_q)
         except (RankDeficiencyError, TorsionError, ShapeMismatchError) as exc:
             last_error = exc

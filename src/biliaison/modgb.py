@@ -10,9 +10,18 @@ block cut out the empty set, and that test is one uncapped basis.
 
 Module order: term-over-position extension of graded reverse lex, ties
 broken toward the smaller component index.  Buchberger runs degree by degree
-(inputs are homogeneous), with the chain criterion for pair pruning and an
-optional S-pair degree cap; a capped run certifies every leading term up to
-the cap and is exactly what the Hilbert-function consumers need.
+(inputs are homogeneous) with F4's normal strategy (Faugere, J. Pure Appl.
+Algebra 139, 1999): the S-pairs of the lowest pending degree d that survive
+the chain criterion are reduced together, as the rows of one block over the
+degree-d piece, and the reduced row echelon form of what is left, with the
+columns in descending order so that pivots are leads, gives the new
+elements, monic and interreduced.  This is sound for homogeneous input: a
+new element of degree d has a lead that no earlier lead divides, so all of
+its pairs have degree > d.  An optional S-pair degree cap stops the run; a
+capped run certifies every leading term up to the cap and is exactly what
+the Hilbert-function consumers need.  The order of the reductions changes
+no result: a reduced Groebner basis, capped or not, is unique for a fixed
+order, and every consumer reads only the module and that basis.
 
 Packed term keys.  Inside the engine a term (comp, e0, e1, e2, e3) is one
 int holding five fixed-width fields of _BITS = 10 bits, most significant
@@ -34,15 +43,18 @@ to and from tuples only at the module boundary.
 Dense normal forms.  Every vector Buchberger reduces is homogeneous, so it
 lives in the degree-d piece of the ambient module, spanned by the
 sum_c binom3(d - a_c) terms of monomial degree d - a_c in component c.  A
-normal form runs on an int64 coefficient array over the sorted keys of that
-piece (keys are below 2**50): subtracting c * x^m * g is one vectorised
-update at the positions `searchsorted` finds for g's shifted keys, and
-c * g_i < p**2 < 2**62 cannot overflow.  A reduction only creates terms
-smaller than the one it removes, so the search for the next reducible term
-moves down the array and never revisits a final term (vector arithmetic over
-the monomial basis of one degree, as in Faugere's F4, J. Pure Appl. Algebra
-139, 1999).  The work array costs memory in proportion to the piece, so a
-piece of more than _MAX_PIECE terms raises `TermRangeError`.
+block of such vectors is an int64 array, one row per vector over the sorted
+keys of that piece (keys are below 2**50).  `_normal_form` goes down the
+columns: at a column that some basis element reduces, one vectorised
+update subtracts that element's multiple, scaled per row, from every row
+that is nonzero there, and c * g_i < p**2 < 2**62 cannot overflow.  A
+reduction only creates terms smaller than the one it removes, so each
+column is visited once, and each row takes exactly the steps it would take
+alone.  A membership test and the final tail reduction pass a one-row
+block.  The work arrays cost memory in proportion to the piece, so a piece
+of more than _MAX_PIECE terms raises `TermRangeError`, and a degree's
+S-vectors are reduced in chunks of at most _MAX_PIECE cells; a chunk
+reduces by the elements the chunks before it found.
 
 Reducer tables.  Which basis element reduces a term is decided once per
 degree piece, not once per step (F4's symbolic preprocessing): an int32
@@ -50,9 +62,8 @@ table over the piece holds, for each term, the index of the first basis
 element in insertion order whose lead divides it, or -1.  Adding an element
 marks its multiples in every table already built; the multiples are its
 lead key plus the shifts of the monomials of the missing degree, found by
-`searchsorted`.  A normal form step is then one vectorised mask: the largest
-nonzero position whose table entry is not -1, reduced by the element the
-table names, which is the reducer a scan of the basis would pick.
+`searchsorted`.  The table names the reducer a scan of the basis would
+pick.
 """
 
 from __future__ import annotations
@@ -89,7 +100,7 @@ class TermRangeError(BudgetExhaustedError):
 
 _BITS = 10
 _R = (1 << _BITS) - 1
-_MAX_PIECE = 1 << 20  # terms of one degree piece: 8 MB per int64 array
+_MAX_PIECE = 1 << 20  # terms of one degree piece, cells of one block: 8 MB in int64
 
 
 def _pack(t: Term) -> int:
@@ -260,8 +271,7 @@ class _Reducers:
 
     def _mark(self, table: np.ndarray, d: int, i: int) -> None:
         g = self.basis[i]
-        lead = g.lead()
-        m = d - self.pieces.ambient_degrees[lead[0]] - sum(lead[1:])
+        m = d - g.degree  # the lead has monomial degree g.degree - a_comp
         if m < 0:
             return
         pos = self.pieces(d).searchsorted(g.lead_key() + self.pieces.shifts(m))
@@ -313,8 +323,9 @@ class SubmodulePresentation:
 
     # --- membership ----------------------------------------------------------
     def normal_form(self, vec: _Vec) -> _Vec:
-        work = _dense(vec, self._reducers.pieces(vec.degree))
-        return _normal_form(work, self._reducers, vec.degree)
+        keys = self._reducers.pieces(vec.degree)
+        work = _normal_form(_dense(vec, keys)[None], self._reducers, vec.degree)
+        return _row_vec(work[0], keys, vec.degree)
 
     def contains_column(self, column: Sequence[MultiPoly], degree: int) -> bool:
         v = _column_to_vec(column, degree, self.ambient_degrees, self.field)
@@ -500,40 +511,83 @@ def _dense(vec: _Vec, keys: np.ndarray) -> np.ndarray:
     return work
 
 
-def _sub_scaled(work: np.ndarray, keys: np.ndarray, g: _Vec, shift: int, coeff: int, p: int) -> None:
-    """work -= coeff * x^m * g in place, where shift = key(x^m t) - key(t).
+def _row_vec(row: np.ndarray, keys: np.ndarray, degree: int) -> _Vec:
+    """The vector with the coefficients ``row`` at the term keys ``keys``."""
+    nz = row.nonzero()[0]
+    vec = _Vec(dict(zip(keys[nz].tolist(), row[nz].tolist())), degree)
+    vec._arrays = (keys[nz], row[nz])
+    return vec
 
-    Every shifted key lies in the piece ``keys``: g and the work vector are
-    homogeneous, and `_check_range` holds for the piece's degree.
-    """
-    gk, gc = g.arrays()
-    pos = keys.searchsorted(gk + shift)
-    work[pos] = (work[pos] - coeff * gc) % p
+
+def _sub_scaled(
+    work: np.ndarray, rows: np.ndarray, pos: np.ndarray, gc: np.ndarray,
+    coeffs: np.ndarray, p: int,
+) -> None:
+    """One reduction step: work[rows[k]] -= coeffs[k] * x^m * g for every k,
+    in place, where x^m * g has the coefficients ``gc`` at the positions
+    ``pos`` of the piece."""
+    at = (rows[:, None], pos)
+    work[at] = (work[at] - coeffs[:, None] * gc) % p
 
 
 def _normal_form(
     work: np.ndarray, reducers: _Reducers, degree: int, top: Optional[int] = None
-) -> _Vec:
-    """Fully reduce the dense vector ``work`` over the degree piece, in place.
+) -> np.ndarray:
+    """Fully reduce every row of the block ``work`` over the degree piece, in
+    place, at positions below ``top`` (default: all of the piece); returns it.
 
-    The largest live term below ``top`` (default: all of the piece) that
-    some basis element reduces goes first; its reducer is the one the piece's
-    table names.  A reduction at position i only changes positions below i,
-    so every step searches below the last reduced position.
+    Columns are visited from the largest down.  At a column the piece's table
+    names a reducer for, one `_sub_scaled` step removes that column from
+    every row that is nonzero there.  A reduction at a column only changes
+    columns below it, so each row takes exactly the steps it would take
+    alone.  Only columns that are nonzero in the input or in a multiple used
+    since can be nonzero: those are the candidates.
     """
     keys = reducers.pieces(degree)
     table = reducers.table(degree)
     reducible = table >= 0
-    top = len(work) if top is None else top
+    top = work.shape[1] if top is None else top
+    candidates = work[:, :top].any(axis=0) & reducible[:top]
     while True:
-        live = ((work[:top] != 0) & reducible[:top]).nonzero()[0]
+        live = candidates[:top].nonzero()[0]
         if not live.size:
-            break  # every live term is final
+            return work
         top = int(live[-1])
-        g = reducers.basis[table[top]]
-        _sub_scaled(work, keys, g, int(keys[top]) - g.lead_key(), int(work[top]), reducers.p)
-    nz = work.nonzero()[0]
-    return _Vec(dict(zip(keys[nz].tolist(), work[nz].tolist())), degree)
+        rows = work[:, top].nonzero()[0]
+        if rows.size:
+            g = reducers.basis[table[top]]
+            gk, gc = g.arrays()
+            pos = keys.searchsorted(gk + (int(keys[top]) - g.lead_key()))
+            _sub_scaled(work, rows, pos, gc, work[rows, top], reducers.p)
+            candidates[pos[reducible[pos]]] = True
+
+
+def _s_vectors(
+    pairs: Sequence[Tuple[int, int, int]], basis: List[_Vec], keys: np.ndarray, p: int
+) -> np.ndarray:
+    """Block of the S-vectors x^mi g_i - x^mj g_j over the piece ``keys``, one
+    row per pair (i, j, key of the lcm of the leads) of monic elements."""
+    n = len(keys)
+    work = np.zeros((len(pairs), n), dtype=np.int64)
+    flat = work.reshape(-1)
+    offsets = np.arange(len(pairs)) * n
+    for side, sign in ((0, 1), (1, -1)):
+        gs = [basis[pair[side]] for pair in pairs]
+        shifted = [g.arrays()[0] + (pair[2] - g.lead_key()) for g, pair in zip(gs, pairs)]
+        at = keys.searchsorted(np.concatenate(shifted)) + np.repeat(offsets, [len(k) for k in shifted])
+        flat[at] = (flat[at] + sign * np.concatenate([g.arrays()[1] for g in gs])) % p
+    return work
+
+
+def _echelon_basis(work: np.ndarray, keys: np.ndarray, degree: int, p: int) -> List[_Vec]:
+    """Monic elements spanning the rows of a reduced block, interreduced: the
+    reduced row echelon form over the live columns, largest key first, so
+    each pivot is its row's lead."""
+    work = work[work.any(axis=1)]
+    cols = work.any(axis=0).nonzero()[0][::-1]
+    rref, pivots = _linalg.rref_mod_p(work[:, cols], p)
+    keys = keys[cols]
+    return [_row_vec(row, keys, degree) for row in rref[:len(pivots)]]
 
 
 def _make_monic(vec: _Vec, field: FieldSpec) -> _Vec:
@@ -554,95 +608,84 @@ def _buchberger(
     p = field.characteristic
     reducers = _Reducers(pieces, p)
     basis = reducers.basis
+    leads: List[Term] = []
+    by_comp: Dict[int, List[int]] = {}  # component -> indices of the elements leading there
 
-    pairs: List[Tuple[int, int, int, int]] = []  # (degree, counter, i, j)
+    pairs: List[Tuple[int, int, int, int]] = []  # heap of (degree, counter, i, j)
     counter = 0
     processed = set()
 
     def lcm_term(a: Term, b: Term) -> Term:
         return (a[0], max(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3]), max(a[4], b[4]))
 
-    def push_pairs(j: int) -> None:
+    def add(v: _Vec) -> None:
         nonlocal counter
-        vj = basis[j]
-        cj = vj.lead()[0]
-        for i in range(j):
-            vi = basis[i]
-            if vi.lead()[0] != cj:
-                continue
-            L = lcm_term(vi.lead(), vj.lead())
-            deg = L[1] + L[2] + L[3] + L[4] + ambient_degrees[cj]
+        j = reducers.add(v)
+        lj = v.lead()
+        leads.append(lj)
+        same = by_comp.setdefault(lj[0], [])
+        for i in same:
+            L = lcm_term(leads[i], lj)
+            deg = L[1] + L[2] + L[3] + L[4] + ambient_degrees[lj[0]]
             heapq.heappush(pairs, (deg, counter, i, j))
             counter += 1
+        same.append(j)
 
     for g in gens:
         if not g.is_zero():
-            v = _make_monic(g, field)
-            idx = reducers.add(v)
-            push_pairs(idx)
+            add(_make_monic(g, field))
 
     truncated_at: Optional[int] = None
     while pairs:
-        deg, _, i, j = heapq.heappop(pairs)
+        deg = pairs[0][0]
         if degree_cap is not None and deg > degree_cap:
             truncated_at = degree_cap
             break
-        fi, fj = basis[i], basis[j]
-        li, lj = fi.lead(), fj.lead()
-        L = lcm_term(li, lj)
-        # chain criterion: an element k with LT_k | lcm and both (i,k), (j,k)
-        # already handled makes this pair redundant
-        skip = False
-        for k, vk in enumerate(basis):
-            if k == i or k == j:
-                continue
-            lk = vk.lead()
-            if lk[0] == L[0] and _mono_divides(lk, L):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in processed and b in processed:
-                    skip = True
-                    break
-        processed.add((i, j))
-        if skip:
+        # every pair of the lowest degree at once: an element found here has a
+        # lead no earlier lead divides, so all of its pairs have higher degree
+        batch: List[Tuple[int, int, int]] = []
+        while pairs and pairs[0][0] == deg:
+            _, _, i, j = heapq.heappop(pairs)
+            L = lcm_term(leads[i], leads[j])
+            # chain criterion: an element k with LT_k | lcm and both (i,k), (j,k)
+            # already handled makes this pair redundant
+            if not any(
+                k != i and k != j and _mono_divides(leads[k], L)
+                and (min(i, k), max(i, k)) in processed and (min(j, k), max(j, k)) in processed
+                for k in by_comp[L[0]]
+            ):
+                batch.append((i, j, _pack(L)))
+            processed.add((i, j))
+        if not batch:
             continue
+        # chunks of at most _MAX_PIECE cells; a chunk reduces by the elements
+        # the chunks before it added
         keys = pieces(deg)
-        key_l = _pack(L)
-        work = np.zeros(len(keys), dtype=np.int64)  # S = x^mi fi - x^mj fj
-        _sub_scaled(work, keys, fi, key_l - fi.lead_key(), p - 1, p)
-        _sub_scaled(work, keys, fj, key_l - fj.lead_key(), 1, p)
-        if not work.any():
-            continue
-        nf = _normal_form(work, reducers, deg)
-        if nf.is_zero():
-            continue
-        idx = reducers.add(_make_monic(nf, field))
-        push_pairs(idx)
+        step = max(1, _MAX_PIECE // len(keys))
+        for start in range(0, len(batch), step):
+            work = _normal_form(_s_vectors(batch[start:start + step], basis, keys, p), reducers, deg)
+            for v in _echelon_basis(work, keys, deg, p):
+                add(v)
 
     # minimalize: drop elements whose lead is divisible by another lead
-    keep: List[_Vec] = []
-    leads = [v.lead() for v in basis]
-    for i, v in enumerate(basis):
-        li = leads[i]
-        redundant = False
-        for k, lk in enumerate(leads):
-            if k == i or lk[0] != li[0]:
-                continue
-            if _mono_divides(lk, li) and (lk != li or k < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(v)
+    keep = [
+        v for i, v in enumerate(basis)
+        if not any(
+            k != i and _mono_divides(leads[k], leads[i]) and (leads[k] != leads[i] or k < i)
+            for k in by_comp[leads[i][0]]
+        )
+    ]
     # tail-reduce for a reduced basis: no lead of ``keep`` divides another,
     # and v's own lead divides no other term of its degree piece, so below
-    # v's lead the first divisor in ``keep`` is the first one other than v
+    # v's lead the first divisor in ``keep`` is the first one other than v;
+    # every element is monic, and so is what is left of it
     final: List[_Vec] = []
     tails = _Reducers(pieces, p, keep)
     for v in keep:
         keys = pieces(v.degree)
         lead = int(keys.searchsorted(v.lead_key()))
-        red = _normal_form(_dense(v, keys), tails, v.degree, top=lead)
-        final.append(_make_monic(red, field))
+        red = _normal_form(_dense(v, keys)[None], tails, v.degree, top=lead)
+        final.append(_row_vec(red[0], keys, v.degree))
     return final, truncated_at
 
 

@@ -206,7 +206,7 @@ def test_retry_exhaustion_exit_code(monkeypatch):
     def torsion(*args, **kwargs):
         raise families.TorsionError("forced degeneracy")
 
-    monkeypatch.setattr(families, "verify_general_morphism", torsion)
+    monkeypatch.setattr(families, "_verify_composite", torsion)
     code, out, _ = run(["minimal-family", "--fixture", "3.2"])
     assert code == 4
     assert "no general morphism found in 10 attempts" in out

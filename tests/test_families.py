@@ -233,29 +233,45 @@ def test_minimal_family_computes_quotient_data_once(monkeypatch):
     desc = fixtures.example("3.2")
     profile = qprofile.compute_q_profile(desc.matrix)
     calls = []
-    real = families.quotient_hilbert_data
+    real = families._quotient_hilbert
 
-    def counted(s, v):
-        calls.append(v)
-        return real(s, v)
+    def counted(s_t, w):
+        calls.append(w)
+        return real(s_t, w)
 
-    monkeypatch.setattr(families, "quotient_hilbert_data", counted)
+    monkeypatch.setattr(families, "_quotient_hilbert", counted)
     report = families.minimal_family(desc.matrix, profile=profile)
     assert len(calls) == 1
     p_n, p_p, p_q = report.conservation
     assert p_q + p_p == p_n
 
 
+def test_minimal_family_forms_the_composite_once_per_attempt(monkeypatch):
+    # verification and the quotient Hilbert fit share one composite s*v
+    desc = fixtures.example("3.2")
+    profile = qprofile.compute_q_profile(desc.matrix)
+    products = []
+    real = GradedMatrix.__matmul__
+
+    def counted(a, b):
+        products.append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(GradedMatrix, "__matmul__", counted)
+    report = families.minimal_family(desc.matrix, profile=profile)
+    assert len(products) == report.certificate.retries + 1 == 1
+
+
 def test_minimal_family_raises_on_conservation_mismatch(monkeypatch):
     desc = fixtures.example("3.2")
     profile = qprofile.compute_q_profile(desc.matrix)
-    real = families.quotient_hilbert_data
+    real = families._quotient_hilbert
 
-    def skewed(s, v):
-        p_n, p_q = real(s, v)
+    def skewed(s_t, w):
+        p_n, p_q = real(s_t, w)
         return p_n + HilbertPolynomial.from_coeffs([1]), p_q
 
-    monkeypatch.setattr(families, "quotient_hilbert_data", skewed)
+    monkeypatch.setattr(families, "_quotient_hilbert", skewed)
     with pytest.raises(families.ConservationError):
         families.minimal_family(desc.matrix, profile=profile)
 

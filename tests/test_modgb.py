@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biliaison import fixtures, modgb
+from biliaison import families, fixtures, modgb, qprofile
 from biliaison.grmatrix import CharFunction, GradedMatrix
 from biliaison.modgb import HilbertPolynomial
 from biliaison.polyring import FieldSpec, MultiPoly
@@ -187,6 +188,79 @@ def test_table_normal_form_matches_scan_reducer(monkeypatch):
     assert checked > 100
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nrows=st.integers(1, 6))
+def test_block_reduces_like_its_rows(seed, nrows):
+    # reducing a block of same-degree vectors gives, row by row, the normal
+    # form of each row reduced alone
+    rng = random.Random(seed)
+    pres = modgb.groebner_basis(rng.choice(_membership_cases()))
+    degree = min(pres.generators.col_degrees) + rng.randrange(3)
+    keys = pres._reducers.pieces(degree)
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15 and rows:
+            rows.append(rows[rng.randrange(len(rows))] * rng.randrange(32003) % 32003)
+        elif kind < 0.25:
+            rows.append(np.zeros(len(keys), dtype=np.int64))
+        else:
+            density = rng.choice([0.1, 0.5, 1.0])
+            rows.append(np.array([rng.randrange(1, 32003) if rng.random() < density else 0
+                                  for _ in keys], dtype=np.int64))
+    block = modgb._normal_form(np.stack(rows), pres._reducers, degree)
+    for row, reduced in zip(rows, block):
+        alone = pres.normal_form(modgb._row_vec(row, keys, degree))
+        assert modgb._row_vec(reduced, keys, degree).terms == alone.terms
+
+
+def _reduced_basis(gens, monkeypatch, chunk_cells=None):
+    """Reduced basis of the columns of ``gens`` as a set, its truncation
+    degree, and the (rows, piece size) of each S-vector block; ``chunk_cells``
+    patches the cell bound of a block."""
+    blocks = []
+    s_vectors = modgb._s_vectors
+
+    def recorded(pairs, basis, keys, p):
+        blocks.append((len(pairs), len(keys)))
+        return s_vectors(pairs, basis, keys, p)
+
+    monkeypatch.setattr(modgb, "_s_vectors", recorded)
+    if chunk_cells is not None:
+        monkeypatch.setattr(modgb, "_MAX_PIECE", chunk_cells)
+    vectors = [modgb._column_to_vec(gens.column(j), gens.col_degrees[j], gens.row_degrees, F)
+               for j in range(gens.ncols)]
+    gb, truncated_at = modgb._buchberger(
+        vectors, F, gens.row_degrees, modgb.default_degree_cap(gens))
+    monkeypatch.undo()
+    return {tuple(sorted(v.terms.items())) for v in gb}, truncated_at, blocks
+
+
+def test_chunked_blocks_give_the_same_basis(monkeypatch):
+    # a cell bound as small as the largest piece in use splits the S-vectors
+    # of a degree into several blocks; the reduced basis must not change
+    # (the random cases have one S-vector per degree; 3.4's s_t and w have
+    # up to 61)
+    desc = fixtures.example("3.4")
+    profile = qprofile.compute_q_profile(desc.matrix)
+    v = families.sample_general_morphism(
+        desc.matrix, profile.q_function(), profile=profile,
+        seed=qprofile.subseed(qprofile.DEFAULT_SEED, "minimal-family", 0))
+    split = 0
+    for gens in _hilbert_oracle_cases() + [
+            desc.matrix.specialize_closed_point(), families._composite(desc.matrix, v)]:
+        whole = _reduced_basis(gens, monkeypatch)
+        bound = max([n for _, n in whole[2]] + [
+            sum(modgb.binom3(d - a) for a in gens.row_degrees) for d in gens.col_degrees])
+        chunked = _reduced_basis(gens, monkeypatch, bound)
+        assert chunked[:2] == whole[:2]
+        assert all(rows * n <= bound for rows, n in chunked[2])
+        if any(rows * n > bound for rows, n in whole[2]):
+            assert len(chunked[2]) > len(whole[2])
+            split += 1
+    assert split == 2
+
+
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_ideal_gb_matches_sympy(seed):
@@ -255,7 +329,7 @@ def test_hilbert_vs_dense_oracle_on_example():
         assert pres.hilbert_function(n) == modgb.module_dimension_oracle(s_t, n)
 
 
-def test_hilbert_vs_dense_oracle_random():
+def _hilbert_oracle_cases():
     rng = random.Random(31)
     cases = []
     for _ in range(5):
@@ -264,7 +338,11 @@ def test_hilbert_vs_dense_oracle_random():
         col_degs = sorted(rng.choice([1, 2]) for _ in range(ncols))
         cases.append(_random_matrix(rng, [0] * nrows, col_degs, 0.5))
     cases.extend(_mixed_degree_matrices(random.Random(32), 4))
-    for gens in cases:
+    return cases
+
+
+def test_hilbert_vs_dense_oracle_random():
+    for gens in _hilbert_oracle_cases():
         pres = modgb.groebner_basis(gens)
         for n in range(7):
             assert pres.hilbert_function(n) == modgb.module_dimension_oracle(gens, n)

@@ -211,8 +211,10 @@ def verify_general_morphism(
 
 
 def _composite(s: GradedMatrix, v: GradedMatrix) -> GradedMatrix:
-    """W = (s*v)|_{a=0}."""
-    return (s @ v).specialize_closed_point()
+    """W = (s*v)|_{a=0} = s_t * v for a lift v free of the parameter, so the
+    a*I block of s is never multiplied.  (A lift with the parameter leaves
+    it in W, and the rank and the Groebner basis of W refuse it.)"""
+    return s.specialize_closed_point() @ v
 
 
 def _verify_composite(w: GradedMatrix, r: int, seed: int) -> Certificate:

@@ -7,12 +7,15 @@ degree 0).  On top of it: column truncations, closed-point specialization,
 exact rank over the fraction field, minor enumeration, and rank over
 the local ring at a codimension-1 point (a hypersurface).
 
-Rank strategy: random-point evaluation certifies full-rank blocks instantly,
-and gives the exact rank of a block whose entries involve one variable only;
-other small blocks finish with fraction-free Bareiss elimination, large ones
-with a Groebner leading-component count.  Rank modulo a linear form
-substitutes for one variable and takes the rank of the result.  Everything
-is exact; sampling only ever produces certificates, never answers.
+One kernel, evaluation plus exact linear algebra mod p, serves every
+determinant and rank; there is no symbolic elimination.  A determinant
+beyond 3 x 3 (closed forms) is evaluated on a grid, its values are taken
+mod p in one batch, and interpolation recovers it.  Evaluation at seeded
+points certifies a full-rank block, and gives the exact rank of a block
+whose entries involve one variable only; any other block takes a Groebner
+leading-component count.  Rank modulo a linear form substitutes for one
+variable.  Neither accepts the parameter a.  Everything is exact; sampling
+only ever produces certificates, never answers.
 """
 
 from __future__ import annotations
@@ -29,12 +32,21 @@ from biliaison.polyring import (
     FieldSpec,
     MultiPoly,
     PARAM_INDEX,
+    Scalar,
     gcd,
 )
 
 
 class HomogeneityError(ValueError):
     """An entry fails the degree constraint col_deg - row_deg."""
+
+
+class BudgetExhaustedError(RuntimeError):
+    """A degree budget was too small for the requested computation."""
+
+
+class InterpolationRangeError(BudgetExhaustedError):
+    """A determinant needs more interpolation points than the field has."""
 
 
 class CharFunction:
@@ -206,7 +218,7 @@ class GradedMatrix:
         )
 
     def has_parameter(self) -> bool:
-        return any(p.has_parameter() for row in self.entries for p in row)
+        return any(e[PARAM_INDEX] for row in self.entries for p in row for e in p.terms)
 
     def is_zero_matrix(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
@@ -320,83 +332,172 @@ def block_decomposition(m: GradedMatrix) -> List[Tuple[List[int], List[int]]]:
 
 
 # ---------------------------------------------------------------------------
-# determinants and Bareiss elimination
+# determinants by evaluation and interpolation
 
 
-def determinant(m: GradedMatrix) -> MultiPoly:
-    """Exact determinant of a square graded matrix."""
+_MAX_GRID = 1 << 20  # cells of one coefficient or value array of a determinant: 8 MB
+
+
+def determinant(m: GradedMatrix, check: Optional[Sequence[Scalar]] = None) -> MultiPoly:
+    """Exact determinant of a square graded matrix free of the parameter.
+
+    It is homogeneous of degree D = (sum of column degrees) - (sum of row
+    degrees).  Up to 3 x 3 the closed forms are cheapest; larger matrices
+    are evaluated and interpolated (`_interpolated_determinant`).  Every
+    route accepts the same range, D < p, which interpolation needs; a larger
+    D raises `InterpolationRangeError`.  Given a point `check`, the result
+    is verified: a closed form must be homogeneous of degree D, and an
+    interpolant must agree with the matrix at that point; otherwise some
+    entry is not homogeneous of its degree and `HomogeneityError` is raised.
+    """
     n = m.nrows
     if n != m.ncols:
         raise ValueError("determinant of a non-square matrix")
     field = m.field
+    degree = sum(m.col_degrees) - sum(m.row_degrees)
+    if degree >= field.characteristic:
+        raise InterpolationRangeError(
+            f"a minor of degree {degree} needs {degree + 1} interpolation points, "
+            f"more than F_{field.characteristic} has"
+        )
+    if n > 3:
+        return _interpolated_determinant(m, degree, check)
+    if m.has_parameter():
+        raise ValueError("specialize the parameter first")
+    e = m.entries
     if n == 0:
-        return MultiPoly.one(field)
-    if n == 1:
-        return m.entries[0][0]
-    if n == 2:
-        e = m.entries
-        return e[0][0] * e[1][1] - e[0][1] * e[1][0]
-    if n == 3:
-        e = m.entries
-        return (
+        det = MultiPoly.one(field)
+    elif n == 1:
+        det = e[0][0]
+    elif n == 2:
+        det = e[0][0] * e[1][1] - e[0][1] * e[1][0]
+    else:
+        det = (
             e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
             - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
             + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
         )
-    rank, det, sign = _bareiss(m.entries, field)
-    if rank < n:
-        return MultiPoly.zero(field)
-    return det if sign > 0 else -det
+    if check is not None and not det.is_homogeneous(degree):
+        raise HomogeneityError(f"a {n} x {n} minor is not homogeneous of degree {degree}")
+    return det
 
 
-def _bareiss(
-    entries: Sequence[Sequence[MultiPoly]], field: FieldSpec
-) -> Tuple[int, MultiPoly, int]:
-    """Fraction-free elimination with the globally smallest pivots.
+def _interpolated_determinant(
+    m: GradedMatrix, degree: int, check: Optional[Sequence[Scalar]]
+) -> MultiPoly:
+    """Dense evaluation and interpolation (Brown, JACM 18, 1971).
 
-    Returns (rank, last_pivot, swap_sign).  The last pivot equals (up to the
-    recorded sign) the determinant of the submatrix on the pivot rows and
-    columns; for a nonsingular square matrix, of the matrix itself.
+    Let v_1..v_f, u be the variables the entries use.  The determinant is a
+    form of degree D, so it is fixed by its value at u = 1, a polynomial of
+    degree <= D in each v_i, and so by its values on the grid {0..D}^f.
+    Horner's rule evaluates the entries on the grid axis by axis
+    (`_grid_determinants`), `_linalg.det_mod_p` takes all the determinants in
+    one batch, and Newton interpolation along each axis turns them back into
+    coefficients.  The check point (u != 0 there), scaled to u = 1, is
+    appended to every axis, so the same batch holds its value.
     """
-    grid = [list(row) for row in entries]
-    nrows = len(grid)
-    ncols = len(grid[0]) if nrows else 0
-    prev = MultiPoly.one(field)
-    sign = 1
-    k = 0
-    limit = min(nrows, ncols)
-    while k < limit:
-        pivot = None
-        best = None
-        for i in range(k, nrows):
-            for j in range(k, ncols):
-                p = grid[i][j]
-                if p.is_zero():
-                    continue
-                score = (len(p.terms), p.degree)
-                if best is None or score < best:
-                    best = score
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != k:
-            grid[k], grid[pi] = grid[pi], grid[k]
-            sign = -sign
-        if pj != k:
-            for row in grid:
-                row[k], row[pj] = row[pj], row[k]
-            sign = -sign
-        pk = grid[k][k]
-        for i in range(k + 1, nrows):
-            gik = grid[i][k]
-            for j in range(k + 1, ncols):
-                num = pk * grid[i][j] - gik * grid[k][j]
-                grid[i][j] = num.exact_divide(prev) if not num.is_zero() else num
-            grid[i][k] = MultiPoly.zero(field)
-        prev = pk
-        k += 1
-    return k, prev, sign
+    field, n = m.field, m.nrows
+    p = field.characteristic
+    terms = [(i * n + j, c, e) for i, row in enumerate(m.entries)
+             for j, poly in enumerate(row) for e, c in poly.terms.items()]
+    if not terms or degree < 0:
+        return MultiPoly.zero(field)
+    cells, coefs, expos = zip(*terms)
+    exps = np.array(expos, dtype=np.int64)
+    used = np.flatnonzero(exps.any(axis=0)).tolist()
+    if PARAM_INDEX in used:
+        raise ValueError("specialize the parameter first")
+    free, last = used[:-1], (used[-1] if used else None)
+    f = len(free)
+    axes = [np.arange(degree + 1, dtype=np.int64)] * f
+    check = check if f else None
+    if check is not None:
+        scale = pow(int(check[last]), -1, p)
+        axes = [np.append(nodes, int(check[v]) * scale % p) for nodes, v in zip(axes, free)]
+    dets = _grid_determinants(exps[:, free], cells, coefs, axes, n, p)
+    if check is not None:
+        expected, dets = dets[(-1,) * f], dets[(slice(-1),) * f]
+    for axis in range(f):
+        dets = _newton_coefficients(dets, axis, p)
+    index = np.nonzero(dets)
+    out = np.zeros((len(index[0]), 5), dtype=np.int64)
+    for k, v in enumerate(free):
+        out[:, v] = index[k]
+    rest = degree - out.sum(axis=1)
+    wrong = f"a {n} x {n} minor is not homogeneous of degree {degree}"
+    if (rest < 0).any() or (last is None and rest.any()):
+        raise HomogeneityError(wrong)
+    if last is not None:
+        out[:, last] = rest
+    det = MultiPoly(field, dict(zip(map(tuple, out.tolist()), dets[index].tolist())))
+    # a form of degree D scales by check[u]^D from the point scaled to u = 1
+    if check is not None and det.evaluate(check) != expected * pow(int(check[last]), degree, p) % p:
+        raise HomogeneityError(wrong)
+    return det
+
+
+def _grid_determinants(
+    exps: np.ndarray, cells: Sequence[int], coefs: Sequence[int],
+    axes: Sequence[np.ndarray], n: int, p: int,
+) -> np.ndarray:
+    """Determinants of the n x n matrices on the grid axes[0] x ... x axes[f-1].
+
+    Cell cells[t] (of n * n) has the term coefs[t] * v^exps[t].  The
+    coefficients go into one array with an axis per variable, highest power
+    first, and a last axis of cells, which Horner's rule evaluates in slabs
+    along the first axis.  Neither that array nor a slab at any stage holds
+    more than _MAX_GRID cells; a grid too wide for that raises
+    `InterpolationRangeError` before anything is allocated.
+    """
+    tops = exps.max(axis=0)
+    sizes = [e + 1 for e in tops.tolist()]
+    width = n * n  # cells of one slice along the first axis
+    for size, at in zip(sizes[1:], axes[1:]):
+        width *= max(size, len(at))
+    if width * (sizes[0] if sizes else 1) > _MAX_GRID:
+        raise InterpolationRangeError(
+            f"a determinant's interpolation needs {width} cells per slice, too many for {_MAX_GRID}"
+        )
+    coeffs = np.zeros(sizes + [n * n], dtype=np.int64)
+    np.add.at(coeffs, tuple(tops[:, None] - exps.T) + (np.array(cells),), coefs)
+    coeffs %= p
+    if not axes:  # one value, in an array of shape (1,)
+        return _linalg.det_mod_p(coeffs.reshape(1, n, n), p)
+    step = _MAX_GRID // width
+    slabs = []
+    for start in range(0, len(axes[0]), step):
+        values = coeffs
+        for axis, at in enumerate([axes[0][start:start + step]] + list(axes[1:])):
+            values = _horner(values, axis, at, p)
+        slabs.append(_linalg.det_mod_p(values.reshape(-1, n, n), p))
+    return np.concatenate(slabs).reshape([len(at) for at in axes])
+
+
+def _horner(values: np.ndarray, axis: int, at: np.ndarray, p: int) -> np.ndarray:
+    """Evaluate along ``axis`` (coefficients, highest power first) at the
+    points ``at``; that axis then indexes the points."""
+    v = np.moveaxis(values, axis, 0)
+    x = at.reshape((-1,) + (1,) * (v.ndim - 1))
+    acc = np.broadcast_to(v[0], (len(at),) + v.shape[1:])
+    for c in v[1:]:
+        acc = (acc * x + c) % p
+    return np.moveaxis(acc, 0, axis)
+
+
+def _newton_coefficients(values: np.ndarray, axis: int, p: int) -> np.ndarray:
+    """Values at the nodes 0..D along ``axis`` -> coefficients of x^0..x^D,
+    by Newton's divided differences (with these nodes, those of step s
+    divide by s)."""
+    dd = np.moveaxis(values, axis, 0).copy()
+    size = dd.shape[0]
+    for s in range(1, size):
+        dd[s:] = (dd[s:] - dd[s - 1:-1]) * pow(s, -1, p) % p
+    coeffs = np.zeros_like(dd)
+    coeffs[0] = dd[-1]
+    for i in range(size - 2, -1, -1):  # coeffs := coeffs * (x - i) + dd[i]
+        coeffs[1:] = (coeffs[:-1] - i * coeffs[1:]) % p
+        coeffs[0] = (dd[i] - i * coeffs[0]) % p
+    return np.moveaxis(coeffs, 0, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +534,8 @@ def restrict_to_plane(m: GradedMatrix, seed: int) -> GradedMatrix:
 
 def rank_fraction_field(m: GradedMatrix) -> int:
     """Exact rank over Frac(k[X,Y,Z,T]); equals the largest nonzero minor size."""
+    if m.has_parameter():
+        raise ValueError("specialize the parameter first")
     key = m.fingerprint()
     if key in _RANK_CACHE:
         return _RANK_CACHE[key]
@@ -444,24 +547,16 @@ def rank_fraction_field(m: GradedMatrix) -> int:
 
 
 def _block_rank(sub: GradedMatrix) -> int:
-    nrows, ncols = sub.nrows, sub.ncols
-    cap = min(nrows, ncols)
-    if cap == 0:
-        return 0
+    """Rank at two seeded points if full or exact, else the Groebner count."""
+    cap = min(sub.nrows, sub.ncols)  # >= 1: a block has a nonzero entry
     p = sub.field.characteristic
     for point in _eval_points(sub, 2):
         rank = _linalg.rank_mod_p(sub.evaluate(point), p)
         if rank == cap or _in_one_variable(sub):
             return rank
-    if cap <= 6 or nrows * ncols <= 60:
-        rank, _, _ = _bareiss(sub.entries, sub.field)
-        return rank
-    if not sub.has_parameter():
-        from biliaison import modgb
+    from biliaison import modgb
 
-        return modgb.leading_component_rank(sub)
-    rank, _, _ = _bareiss(sub.entries, sub.field)
-    return rank
+    return modgb.leading_component_rank(sub)
 
 
 def _in_one_variable(sub: GradedMatrix) -> bool:

@@ -78,16 +78,13 @@ import numpy as np
 
 from biliaison import _linalg
 from biliaison.grmatrix import (
-    CharFunction, GradedMatrix, block_decomposition, minors, rank_fraction_field,
+    BudgetExhaustedError, CharFunction, GradedMatrix, block_decomposition, minors,
+    rank_fraction_field,
 )
 from biliaison.polyring import FieldSpec, MultiPoly, Scalar
 
 Expo4 = Tuple[int, int, int, int]
 Term = Tuple[int, int, int, int, int]  # (component, e0, e1, e2, e3)
-
-
-class BudgetExhaustedError(RuntimeError):
-    """A degree budget was too small for the requested computation."""
 
 
 class InhomogeneousError(ValueError):
@@ -755,17 +752,6 @@ def _minimalize_monomials(gens: List[Expo4]) -> List[Expo4]:
             out.append(e)
     return out
 
-
-def _poly_sub(a: List[int], b: List[int]) -> List[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 def _poly_shift_add(a: List[int], b: List[int], shift: int) -> List[int]:
     n = max(len(a), len(b) + shift)

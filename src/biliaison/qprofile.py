@@ -22,17 +22,17 @@ beta is computed by one minor analysis per block of a block-diagonal matrix,
 where k is the rank of the block.  No minor is enumerated:
 
 1. Plane certificate.  Restrict the block to a seeded random plane, so every
-   entry becomes a binary form in X, Y.  On each seeded shuffle, scalar
-   elimination at one seeded point of the line Y = 1 picks k pivot rows and
-   columns; their minor is nonzero at that point, hence a nonzero binary
-   form.  It is homogeneous of the known degree D = (sum of column degrees)
-   - (sum of row degrees), so its values at D + 1 distinct points of Y = 1
-   determine it exactly.  The submatrix is evaluated at all of them in one
-   array, one batched elimination mod p takes their determinants, and
-   Newton interpolation recovers the form.  Keep a running GCD g of these
-   restricted witness minors and stop as soon as it is constant: any set of
-   nonzero restricted k-minors with GCD 1 certifies that the k-minors are
-   coprime.
+   entry becomes a binary form in X, Y.  On each seeded shuffle, the
+   reduced echelon forms of the block's values at one seeded point of the
+   line Y = 1 pick k pivot rows and columns; their minor is nonzero at that
+   point, hence a nonzero binary form.  `grmatrix.determinant` computes it
+   exactly: it is homogeneous of the known degree D = (sum of column
+   degrees) - (sum of row degrees), so its values at D + 1 distinct points
+   of Y = 1 determine it, and one batched elimination mod p takes them all,
+   together with the value at the pivot point, which checks the result.
+   Keep a running GCD g of these restricted witness minors and stop as soon
+   as it is constant: any set of nonzero restricted k-minors with GCD 1
+   certifies that the k-minors are coprime.
 2. Restricted rank.  If g stays nonconstant, measure the rank of the
    restricted block modulo each squarefree factor f of g.  Modulo a linear
    factor, substituting for one variable leaves entries in the other one
@@ -61,20 +61,18 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from biliaison import _linalg, modgb
 from biliaison.grmatrix import (
     CharFunction,
     GradedMatrix,
-    HomogeneityError,
+    InterpolationRangeError,  # noqa: F401 - raised by the witness determinants
     block_decomposition,
     determinant,
     rank_fraction_field,
     rank_modulo_hypersurface,
     restrict_to_plane,
 )
-from biliaison.polyring import FieldSpec, MultiPoly, Scalar, gcd, gcd_many, squarefree_factors
+from biliaison.polyring import MultiPoly, Scalar, gcd, gcd_many, squarefree_factors
 
 DEFAULT_SEED = 0xB111A150
 
@@ -101,10 +99,6 @@ class ProfileConsistencyError(RuntimeError):
 
 class BudgetExceededError(RuntimeError):
     """An instance is too large for the requested (oracle) computation."""
-
-
-class InterpolationRangeError(modgb.BudgetExhaustedError):
-    """A witness minor's degree needs more interpolation points than the field has."""
 
 
 def subseed(seed: int, *labels) -> int:
@@ -213,12 +207,13 @@ def _pivot_sets(
     """(rows, cols, point) of k x k minors of m that are nonzero at the point.
 
     Each of `count` seeded runs shuffles the rows and columns (the first run
-    keeps their order), evaluates m at one seeded point with Y = 1 and picks
-    pivots by scalar elimination following the shuffled row order; each row
-    pivots on its nonzero column of least degree, which keeps the minors'
+    keeps their order), sorts the columns stably by degree and evaluates m
+    at one seeded point with Y = 1.  The rows are the first k that raise the
+    rank of the rows before them (pivots of the transposed values' echelon
+    form), the columns likewise among those rows, which keeps the minors'
     degrees low.  A minor that is nonzero at a point is a nonzero
-    polynomial, so every yielded index set is a certified witness.  Repeated
-    index sets are skipped.
+    polynomial, so every yielded index set is a certified witness.
+    Repeated index sets are skipped.
     """
     field = m.field
     rng = random.Random(seed)
@@ -233,101 +228,17 @@ def _pivot_sets(
         cp.sort(key=lambda j: m.col_degrees[j])
         x, z, w = (rng.randrange(1, p) for _ in range(3))
         point = tuple(field.normalize(v) for v in (x, 1, z, w, 0))
-        values = [[m.entries[i][j].evaluate(point) for j in cp] for i in rp]
-        pivots = _scalar_elimination(values, field, k)
-        if len(pivots) < k:
+        values = m.submatrix(rp, cp).evaluate(point)
+        _, pivot_rows = _linalg.rref_mod_p(values.T, p)
+        if len(pivot_rows) < k:
             continue
-        rows = tuple(sorted(rp[i] for i, _, _ in pivots))
-        cols = tuple(sorted(cp[j] for _, j, _ in pivots))
+        _, pivot_cols = _linalg.rref_mod_p(values[pivot_rows[:k]], p)
+        rows = tuple(sorted(rp[i] for i in pivot_rows[:k]))
+        cols = tuple(sorted(cp[j] for j in pivot_cols))
         if (rows, cols) in seen:
             continue
         seen.add((rows, cols))
         yield rows, cols, point
-
-
-def _scalar_elimination(
-    values: List[List[Scalar]], field: FieldSpec, k: int
-) -> List[Tuple[int, int, Scalar]]:
-    """Row-major elimination of a scalar matrix, stopping at k pivots.
-
-    Each row, in order, is reduced by the earlier pivot rows and pivots on
-    its first nonzero column.  Returns the pivots as (row, column, value).
-    """
-    norm = field.normalize
-    reduced: List[Tuple[int, Scalar, List[Scalar]]] = []  # (column, inverse pivot, row)
-    pivots: List[Tuple[int, int, Scalar]] = []
-    for i, row in enumerate(values):
-        for j, inv, prow in reduced:
-            if row[j]:
-                f = norm(row[j] * inv)
-                row = [norm(a - f * b) for a, b in zip(row, prow)]
-        j = next((j for j, c in enumerate(row) if c), None)
-        if j is None:
-            continue
-        reduced.append((j, field.invert(row[j]), row))
-        pivots.append((i, j, row[j]))
-        if len(pivots) == k:
-            break
-    return pivots
-
-
-def _interpolated_minor(
-    m: GradedMatrix, rows: Sequence[int], cols: Sequence[int], point: Sequence[Scalar]
-) -> MultiPoly:
-    """The minor of a matrix of binary forms in X, Y on the given rows and
-    columns, nonzero at `point`, by evaluation and interpolation.
-
-    It is a binary form of degree D = (sum of column degrees) - (sum of row
-    degrees), so its values at D + 1 distinct points of the line Y = 1
-    determine it exactly.  The submatrix is evaluated at those points and at
-    `point` by Horner's rule in one (D + 2, k, k) array, and
-    `_linalg.det_mod_p` takes the D + 2 determinants at once.
-    """
-    field = m.field
-    p = field.characteristic
-    degree = sum(m.col_degrees[j] for j in cols) - sum(m.row_degrees[i] for i in rows)
-    if degree + 1 > p:
-        raise InterpolationRangeError(
-            f"a witness minor of degree {degree} needs {degree + 1} points, more than F_{p} has"
-        )
-    # the entries' coefficients of X^e on Y = 1, highest power first
-    top = max((e[0] for i in rows for j in cols for e in m.entries[i][j].terms), default=0)
-    coeffs = np.zeros((top + 1, len(rows), len(cols)), dtype=np.int64)
-    for a, i in enumerate(rows):
-        for b, j in enumerate(cols):
-            for e, c in m.entries[i][j].terms.items():
-                coeffs[top - e[0], a, b] += c
-    coeffs %= p
-    xs = [field.normalize(x) for x in range(degree + 1)]
-    at = np.array(xs + [point[0]], dtype=np.int64)[:, None, None]
-    values = np.broadcast_to(coeffs[0], (len(xs) + 1,) + coeffs.shape[1:])
-    for c in coeffs[1:]:
-        values = (values * at + c) % p
-    dets = _linalg.det_mod_p(values, p).tolist()
-    minor_coeffs = _interpolate(xs, dets[:-1], field)
-    minor = MultiPoly(field, {(i, degree - i, 0, 0, 0): c for i, c in enumerate(minor_coeffs) if c})
-    if minor.evaluate(point) != dets[-1]:
-        raise HomogeneityError("a witness minor is not a binary form of the expected degree")
-    return minor
-
-
-def _interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar], field: FieldSpec) -> List[Scalar]:
-    """Coefficients c_0..c_D of the polynomial of degree <= D through the D + 1
-    points (xs, ys), by Newton divided differences."""
-    norm = field.normalize
-    n = len(xs)
-    dd = list(ys)
-    for step in range(1, n):
-        for i in range(n - 1, step - 1, -1):
-            dd[i] = norm((dd[i] - dd[i - 1]) * field.invert(norm(xs[i] - xs[i - step])))
-    coeffs = [dd[n - 1]]
-    for i in range(n - 2, -1, -1):  # coeffs := coeffs * (x - xs[i]) + dd[i]
-        shifted = [norm(0)] + coeffs
-        for e, c in enumerate(coeffs):
-            shifted[e] = norm(shifted[e] - xs[i] * c)
-        shifted[0] = norm(shifted[0] + dd[i])
-        coeffs = shifted
-    return coeffs
 
 
 def _iter_witnesses(
@@ -335,15 +246,14 @@ def _iter_witnesses(
 ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], MultiPoly]]:
     """Nonzero k x k minors of a plane-restricted matrix, as found.
 
-    Every entry of m is a binary form in X, Y.  Pivots come from scalar
+    Every entry of m is a binary form in X, Y.  Pivots come from
     elimination at a seeded point of the line Y = 1 (`_pivot_sets`), so
-    each minor is nonzero there, hence nonzero.  Its values at D + 1 points
-    and at the pivot point come from one batched determinant, and
-    interpolation recovers it exactly (`_interpolated_minor`).  Witnesses
-    are yielded as found, so a caller can stop early.
+    each minor is nonzero there, hence nonzero.  `determinant` computes it
+    exactly and checks it at the pivot point.  Witnesses are yielded as
+    found, so a caller can stop early.
     """
     for rows, cols, point in _pivot_sets(m, k, seed, count):
-        yield rows, cols, _interpolated_minor(m, rows, cols, point)
+        yield rows, cols, determinant(m.submatrix(rows, cols), check=point)
 
 
 def _restricted_minor_gcd(
@@ -524,7 +434,6 @@ def compute_q_profile(
     in_free_regime = True
     dissociated = False
     stabilized = False
-    q_prev = 0
     for n in range(n_min, n_cap + 1):
         w = s_t.truncate_columns(n)
         alpha_n = rank_fraction_field(w)
@@ -539,13 +448,7 @@ def compute_q_profile(
             else:
                 in_free_regime = False
         q_sharp = alpha_n if in_free_regime else min(alpha_n - 1, beta_n)
-        if q_sharp < q_prev:
-            raise ProfileConsistencyError(
-                f"q#({n}) = {q_sharp} drops below q#({n - 1}) = {q_prev}; the "
-                "presentation violates the standing hypotheses"
-            )
         records.append(DegreeRecord(n, alpha_n, beta_n, q_sharp))
-        q_prev = q_sharp
         if in_free_regime and alpha_n == r:
             dissociated = True
             stabilized = True
@@ -567,6 +470,11 @@ def compute_q_profile(
         inf_l2=inf_l2,
         warnings=warnings,
     )
+    violations = profile_invariant_violations(profile)
+    if violations:
+        raise ProfileConsistencyError(
+            "; ".join(violations) + "; the presentation violates the standing hypotheses"
+        )
     _PROFILE_CACHE[key] = profile
     return profile
 
@@ -672,7 +580,7 @@ def q_oracle(
             shape = shapes[attempt % len(shapes)]
             rng = random.Random(subseed(seed, "oracle", n, mass, attempt))
             v = families.random_lift(s, shape.degrees(), rng)
-            w = (s @ v).specialize_closed_point()
+            w = families._composite(s, v)
             # cheap numeric pre-filter; discards only, never accepts
             point = tuple(rng.randrange(1, p) for _ in range(5))
             if _linalg.rank_mod_p(w.evaluate(point), p) < mass:
@@ -698,11 +606,11 @@ def q_oracle(
 
 
 # ---------------------------------------------------------------------------
-# structural laws (used by tests and the acceptance suite)
+# structural laws (checked by compute_q_profile on every profile it builds)
 
 
 def profile_invariant_violations(profile: QProfile) -> List[str]:
-    """Check the structural laws of a stabilized profile; return violations."""
+    """Check the structural laws of a profile; return violations."""
     out = []
     prev = 0
     for rec in profile.records:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from biliaison import families, fixtures, modgb
+from biliaison import families, fixtures, modgb, qprofile
 from biliaison.cli import main
 from biliaison.grmatrix import GradedMatrix
 from biliaison.polyring import FieldSpec, MultiPoly
@@ -122,6 +122,19 @@ def test_hypothesis_failure_without_trust_flag(tmp_path):
     assert code == 3
     code, out, _ = run(["qprofile", "--input", str(path), "--assume-locally-free"])
     assert code == 0
+
+
+def test_profile_law_violation_exit_code(monkeypatch):
+    # a minor analysis claiming beta > alpha breaks 0 <= q# <= beta <= alpha;
+    # compute_q_profile checks the laws on every profile it builds
+    def inflated(w, k, seed=qprofile.DEFAULT_SEED):
+        return qprofile.MinorAnalysis(k, k + 1, None, {}, [])
+
+    monkeypatch.setattr(qprofile, "coprime_minor_analysis", inflated)
+    monkeypatch.setattr(qprofile, "_PROFILE_CACHE", {})
+    code, out, _ = run(["qprofile", "--fixture", "3.2"])
+    assert code == 3
+    assert "expected 0 <= q# <= beta <= alpha" in out
 
 
 def test_window_exhaustion_exit_code():

@@ -8,15 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF
+from sympy import GF, symbols
 from sympy.polys.matrices import DomainMatrix
 
-from biliaison import _linalg, fixtures, modgb
+from biliaison import _linalg, families, fixtures, modgb, qprofile
 from biliaison.grmatrix import (
     CharFunction,
     GradedMatrix,
     HomogeneityError,
-    _bareiss,
     block_decomposition,
     determinant,
     minors,
@@ -35,6 +34,25 @@ def P(text: str) -> MultiPoly:
 
 def M(row_degs, col_degs, rows) -> GradedMatrix:
     return GradedMatrix(F, row_degs, col_degs, [[P(s) for s in r] for r in rows])
+
+
+_RING = GF(32003)[symbols("X Y Z T")]
+
+
+def _sympy_matrix(grid) -> DomainMatrix:
+    """A grid of parameter-free polynomials as a sympy matrix over GF(p)[X,Y,Z,T]."""
+    return DomainMatrix(
+        [[_RING.ring.from_dict({e[:4]: c for e, c in q.terms.items()}) for q in row]
+         for row in grid],
+        (len(grid), len(grid[0]) if grid else 0), _RING)
+
+
+def _sympy_rank(grid) -> int:
+    """Rank over GF(p)(X,Y,Z,T) by sympy, an oracle independent of this package:
+    the pivots of its fraction-free echelon form over GF(p)[X,Y,Z,T] are
+    those over the fraction field (and sympy's rank over the fraction field
+    itself takes seconds where this takes milliseconds)."""
+    return len(_sympy_matrix(grid).rref_den()[2])
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +154,8 @@ def test_rank_equals_max_nonzero_minor_exhaustively():
 
 
 def test_gb_rank_agrees_with_bareiss():
-    # force both paths on the same matrices and compare
-    from biliaison import modgb
-    from biliaison.grmatrix import _bareiss
-
+    # the Groebner leading-component rank against sympy's fraction-field rank
+    # (the oracle was this package's own Bareiss elimination, now deleted)
     rng = random.Random(3)
     for _ in range(8):
         nrows = rng.randrange(2, 5)
@@ -151,8 +167,17 @@ def test_gb_rank_agrees_with_bareiss():
             })
             for _ in range(ncols)] for _ in range(nrows)]
         m = GradedMatrix(F, [0] * nrows, [1] * ncols, grid, validate=False)
-        bare, _, _ = _bareiss(m.entries, F)
-        assert modgb.leading_component_rank(m) == bare
+        assert modgb.leading_component_rank(m) == _sympy_rank(m.entries)
+
+
+def test_rank_refuses_the_parameter():
+    with pytest.raises(ValueError, match="specialize the parameter first"):
+        rank_fraction_field(M([0], [1, 1], [["X", "a*Y"]]))
+    with pytest.raises(ValueError, match="specialize the parameter first"):
+        determinant(M([0, 0], [1, 1], [["X", "a*Y"], ["Z", "T"]]))
+    with pytest.raises(ValueError, match="specialize the parameter first"):
+        determinant(M([0] * 4, [1] * 4, [
+            ["X", "Y", "0", "0"], ["0", "a*Y", "0", "0"], ["0", "0", "Z", "0"], ["0", "0", "0", "T"]]))
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +272,14 @@ def _linear_form(nvars: int, rng: random.Random) -> MultiPoly:
             return form
 
 
-def _bareiss_rank_modulo_linear(m: GradedMatrix, f: MultiPoly) -> int:
+def _sympy_rank_modulo_linear(m: GradedMatrix, f: MultiPoly) -> int:
     """Oracle: solve the linear form f for one of its variables, substitute,
-    and take the symbolic `_bareiss` rank of the grid."""
+    and take sympy's rank of the grid."""
     var = next(v for v in range(4) if any(e[v] for e in f.terms))
     unit = tuple(1 if k == var else 0 for k in range(4)) + (0,)
     rest = MultiPoly(F, {e: c for e, c in f.terms.items() if e != unit})
     image = (-rest).scale(F.invert(f.terms[unit]))
-    grid = [[q.substitute({var: image}) for q in row] for row in m.entries]
-    rank, _, _ = _bareiss(grid, F)
-    return rank
+    return _sympy_rank([[q.substitute({var: image}) for q in row] for row in m.entries])
 
 
 @settings(max_examples=25, deadline=None)
@@ -291,7 +314,7 @@ def test_rank_modulo_product_of_linear_forms(nrows, ncols, factors, on_plane, se
     f = components[0]
     for form in components[1:]:
         f = f * form
-    oracle = min(_bareiss_rank_modulo_linear(m, form) for form in components)
+    oracle = min(_sympy_rank_modulo_linear(m, form) for form in components)
     assert rank_modulo_hypersurface(m, f) == oracle
 
 
@@ -326,7 +349,7 @@ def test_rank_modulo_linear_factor_planted(nrows, ncols, seed):
         grid.append(line)
     m = GradedMatrix(F, row_degs, col_degs, grid)
     assert rank_modulo_hypersurface(m, P("X")) == planted
-    assert _bareiss_rank_modulo_linear(m, P("X")) == planted
+    assert _sympy_rank_modulo_linear(m, P("X")) == planted
     on_line = GradedMatrix(F, row_degs, col_degs, [
         [MultiPoly(F, {(0, d - e, 0, 0, 0): c[i][j]} if c[i][j] else {})
          for j, d in enumerate(col_degs)] for i, e in enumerate(row_degs)])
@@ -380,3 +403,54 @@ def test_determinant_signs():
         ["0", "0", "T", "0"],
     ])
     assert determinant(m4) == P("-X*Y*Z*T")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    kind=st.sampled_from(["mixed", "plane", "one-variable", "constant"]),
+    density=st.sampled_from([0.3, 0.7, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_determinant_matches_sympy(n, kind, density, seed):
+    # mixed row and column degrees, entries zero with probability 1 - density;
+    # entries stay quadric from 4 x 4 on, where sympy's det takes seconds on cubics
+    rng = random.Random(seed)
+    if kind == "constant":
+        row_degs = col_degs = [rng.randrange(3)] * n
+    else:
+        row_degs = [rng.randrange(2) for _ in range(n)]
+        col_degs = [rng.randrange(1, 4 if n < 4 else 3) for _ in range(n)]
+    grid = []
+    for r in row_degs:
+        line = []
+        for c in col_degs:
+            monos = [(0, c - r, 0, 0)] if kind == "one-variable" else modgb.monomials_of_degree(c - r)
+            line.append(MultiPoly(F, {
+                tuple(mono) + (0,): rng.randrange(1, 32003)
+                for mono in monos if rng.random() < density
+            }))
+        grid.append(line)
+    m = GradedMatrix(F, row_degs, col_degs, grid)
+    if kind == "plane":
+        m = restrict_to_plane(m, seed)
+    oracle = _sympy_matrix(m.entries).det()
+    expected = MultiPoly(F, {e + (0,): int(c) % 32003 for e, c in oracle.items() if int(c) % 32003})
+    assert determinant(m) == expected
+
+
+def test_determinant_of_a_16_minor_of_the_34_composite(example_runs):
+    desc, profile, _ = example_runs.get("3.4")
+    v = families.sample_general_morphism(
+        desc.matrix, profile.q_function(), profile=profile,
+        seed=qprofile.subseed(qprofile.DEFAULT_SEED, "minimal-family", 0))
+    w = families._composite(desc.matrix, v)
+    sub = w.submatrix([i for i in range(w.nrows) if i not in (3, 7, 11)], range(w.ncols))
+    degree = sum(sub.col_degrees) - sum(sub.row_degrees)
+    det = determinant(sub)
+    assert degree == 19 and det.is_homogeneous(degree) and len(det.terms) == 935
+    # points with T = 1 and other coordinates above the degree lie off the grid
+    rng = random.Random(34)
+    for _ in range(3):
+        point = tuple(rng.randrange(degree + 1, 32003) for _ in range(3)) + (1, 0)
+        assert det.evaluate(point) == _linalg.det_mod_p(sub.evaluate(point)[None], 32003)[0]

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biliaison import families, fixtures, modgb, qprofile
+from biliaison import _linalg, families, fixtures, modgb, qprofile
 from biliaison.grmatrix import (
     CharFunction,
     GradedMatrix,
@@ -163,6 +164,56 @@ def test_interpolated_witnesses_are_nonzero_minors(nrows, ncols, second_prime, s
         assert minor in (det, -det)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    nrows=st.integers(1, 6),
+    ncols=st.integers(1, 6),
+    base=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pivot_sets_pick_rank_raising_rows_and_columns(nrows, ncols, base, seed):
+    # rows beyond the first `base` are combinations of them and some columns
+    # repeat earlier ones, so there are rows and columns to skip
+    rng = random.Random(seed)
+    col_degs = [rng.randrange(1, 3) for _ in range(ncols)]
+    source = [rng.randrange(j + 1) if rng.random() < 0.3 else j for j in range(ncols)]
+    forms = [[MultiPoly(F, {tuple(mono) + (0,): rng.randrange(1, 32003)
+                            for mono in modgb.monomials_of_degree(col_degs[j])
+                            if rng.random() < 0.6}) for j in range(ncols)]
+             for _ in range(min(base, nrows))]
+    grid = [list(row) for row in forms]
+    while len(grid) < nrows:
+        row = [MultiPoly.zero(F)] * ncols
+        for base_row in forms:
+            c = MultiPoly.const(F, rng.randrange(3))
+            row = [a + c * b for a, b in zip(row, base_row)]
+        grid.append(row)
+    grid = [[row[source[j]] for j in range(ncols)] for row in grid]
+    col_degs = [col_degs[source[j]] for j in range(ncols)]
+    m = GradedMatrix(F, [0] * nrows, col_degs, grid)
+    k = rank_fraction_field(m)
+    if k == 0:
+        return
+    found = list(qprofile._pivot_sets(m, k, seed, 1))
+    if not found:
+        return  # the point lowered the rank; no witness is claimed
+    [(rows, cols, point)] = found
+    values = m.evaluate(point)
+
+    def rank(a):
+        return _linalg.rank_mod_p(a, 32003) if a.size else 0
+
+    # the first run keeps the row order and sorts the columns stably by degree
+    for i in range(nrows):
+        assert (i in rows) == (rank(values[:i + 1]) > rank(values[:i]))
+    order = sorted(range(ncols), key=lambda j: col_degs[j])
+    chosen = values[list(rows)][:, order]
+    for t, j in enumerate(order):
+        assert (j in cols) == (rank(chosen[:, :t + 1]) > rank(chosen[:, :t]))
+    minor = values[np.ix_(rows, cols)]
+    assert _linalg.det_mod_p(minor[None], 32003)[0] != 0
+
+
 def test_interpolation_raises_typed_errors():
     # a degree-1009 minor needs 1010 points, more than F_1009 has
     small = FieldSpec.prime(1009)
@@ -173,6 +224,19 @@ def test_interpolation_raises_typed_errors():
     wrong = GradedMatrix(F, [0], [2], [[P("X^3 + Y^3")]], validate=False)
     with pytest.raises(HomogeneityError):
         list(qprofile._iter_witnesses(wrong, 1, 0, 1))
+    # the same on the interpolation route, from 4 x 4 on
+    wrong4 = GradedMatrix(F, [0] * 4, [1, 1, 1, 2], [
+        [P(x) for x in row] for row in (("X", "0", "0", "0"), ("0", "X", "0", "0"),
+                                        ("0", "0", "X", "0"), ("0", "0", "0", "X^3 + Y^3"))
+    ], validate=False)
+    with pytest.raises(HomogeneityError):
+        list(qprofile._iter_witnesses(wrong4, 4, 0, 1))
+    # 4 x 4, degree 256 in four variables: one slice of the 257^3 grid
+    # holds 16 * 257^2 cells, more than the grid bound
+    wide = GradedMatrix(F, [0] * 4, [64] * 4, [
+        [P(v + "^64") if i == j else P("0") for j in range(4)] for i, v in enumerate("XYZT")])
+    with pytest.raises(qprofile.InterpolationRangeError):
+        determinant(wide)
 
 
 def test_restricted_rank_settles_plane_without_fallback(monkeypatch):

@@ -19,7 +19,8 @@ Local freeness of the cokernel at the closed point is certified by
 block, at most `modgb.MINOR_LIMIT` (20000) per block; a larger block exits
 with code 3 before any minor is computed, and --assume-locally-free skips
 the check.  A --window must start at or below inf L2 - 1 and must not end
-below its start (exit 2).
+below its start (exit 2).  A matrix JSON whose entries are not lists of
+strings, and an --export-matrix path that cannot be written, exit 2.
 """
 
 from __future__ import annotations
@@ -124,7 +125,10 @@ def _load_matrix(args) -> GradedMatrix:
     else:
         raise CliError(EXIT_PARSE, "one of --fixture or --input is required")
     if args.export_matrix:
-        matrix.save(args.export_matrix)
+        try:
+            matrix.save(args.export_matrix)
+        except OSError as exc:
+            raise CliError(EXIT_PARSE, f"cannot write --export-matrix: {exc}") from exc
     return matrix
 
 

@@ -7,6 +7,14 @@ degree 0).  On top of it: column truncations, closed-point specialization,
 exact rank over the fraction field, minor enumeration, and rank over
 the local ring at a codimension-1 point (a hypersurface).
 
+Each matrix builds one term table on first use: the cell, exponent and
+coefficient of every term as int64 arrays, sorted.  It drives the batched
+evaluation at many points, the fingerprint, the one-variable test and the
+determinant grids.  `restrict_to_plane` substitutes a seeded plane
+symbolically; the plane certificate of `qprofile` evaluates on that plane
+instead, and the symbolic restriction is kept as the reference its tests
+compare against.
+
 One kernel, evaluation plus exact linear algebra mod p, serves every
 determinant and rank; there is no symbolic elimination.  A determinant
 beyond 3 x 3 (closed forms) is evaluated on a grid, its values are taken
@@ -21,6 +29,7 @@ only ever produces certificates, never answers.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -124,7 +133,7 @@ class CharFunction:
 class GradedMatrix:
     """Homogeneous matrix presenting a degree-0 map L2 -> L1."""
 
-    __slots__ = ("field", "row_degrees", "col_degrees", "entries", "_fingerprint")
+    __slots__ = ("field", "row_degrees", "col_degrees", "entries", "_fingerprint", "_terms")
 
     def __init__(
         self,
@@ -139,6 +148,7 @@ class GradedMatrix:
         self.col_degrees = tuple(int(d) for d in col_degrees)
         self.entries = tuple(tuple(row) for row in entries)
         self._fingerprint: Optional[str] = None
+        self._terms: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         if len(self.entries) != len(self.row_degrees):
             raise ValueError("row count does not match row degrees")
         for row in self.entries:
@@ -176,18 +186,36 @@ class GradedMatrix:
                     )
 
     def fingerprint(self) -> str:
+        """Hash of p, the degrees and the sorted term table."""
         if self._fingerprint is None:
             h = hashlib.sha256()
-            # the literal "prime" is part of the hashed bytes: the rank
-            # evaluation points are drawn from the fingerprint
-            h.update(repr(("prime", self.field.characteristic,
-                           self.row_degrees, self.col_degrees)).encode())
-            for row in self.entries:
-                for p in row:
-                    h.update(str(p).encode())
-                    h.update(b";")
+            h.update(repr((self.field.characteristic, self.row_degrees, self.col_degrees)).encode())
+            for a in self.term_table():
+                h.update(a.tobytes())
             self._fingerprint = h.hexdigest()
         return self._fingerprint
+
+    def term_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cells, exponents, coefficients) of every term, as int64 arrays.
+
+        Term t is coefficients[t] * x^exponents[t] in the flat cell
+        cells[t] = i * ncols + j.  The terms are sorted by cell, then by
+        exponent, so equal matrices have equal tables.  Built on first use.
+        """
+        if self._terms is None:
+            cells: List[int] = []
+            exps: List[Tuple[int, ...]] = []
+            coefs: List[int] = []
+            for cell, poly in enumerate(itertools.chain.from_iterable(self.entries)):
+                if poly.terms:
+                    keys = sorted(poly.terms)
+                    cells += [cell] * len(keys)
+                    exps += keys
+                    coefs += map(poly.terms.__getitem__, keys)
+            self._terms = (np.array(cells, dtype=np.int64),
+                           np.array(exps, dtype=np.int64).reshape(-1, 5),
+                           np.array(coefs, dtype=np.int64))
+        return self._terms
 
     # basic operations -------------------------------------------------------
     def column(self, j: int) -> List[MultiPoly]:
@@ -269,10 +297,11 @@ class GradedMatrix:
     @staticmethod
     def from_json(obj: dict) -> "GradedMatrix":
         field = FieldSpec.from_json(obj["field"])
-        entries = [
-            [MultiPoly.parse(s, field) for s in row]
-            for row in obj["entries"]
-        ]
+        rows = obj["entries"]
+        if not (isinstance(rows, list) and all(
+                isinstance(row, list) and all(isinstance(s, str) for s in row) for row in rows)):
+            raise ValueError("entries must be a list of rows, each a list of polynomial strings")
+        entries = [[MultiPoly.parse(s, field) for s in row] for row in rows]
         return GradedMatrix(field, obj["row_degrees"], obj["col_degrees"], entries)
 
     @staticmethod
@@ -288,12 +317,27 @@ class GradedMatrix:
     # evaluation ---------------------------------------------------------------
     def evaluate(self, point: Sequence) -> np.ndarray:
         """Evaluate all entries at a point of F_p^5."""
-        out = np.zeros((self.nrows, self.ncols), dtype=np.int64)
-        for i, row in enumerate(self.entries):
-            for j, p in enumerate(row):
-                if not p.is_zero():
-                    out[i, j] = p.evaluate(point)
-        return out
+        return self.evaluate_many([point])[0]
+
+    def evaluate_many(self, points: Sequence[Sequence]) -> np.ndarray:
+        """Values of all entries at each point of F_p^5, shape (points, rows, cols).
+
+        One pass over the term table: the powers of the coordinates up to
+        the largest exponent, each term's value, and their sums per cell.
+        """
+        p = self.field.characteristic
+        cells, exps, coefs = self.term_table()
+        at = np.array(points, dtype=np.int64).reshape(-1, 5).T % p
+        powers = np.ones((int(exps.max(initial=0)) + 1,) + at.shape, dtype=np.int64)
+        for e in range(1, len(powers)):
+            powers[e] = powers[e - 1] * at % p
+        values = np.repeat(coefs[:, None], at.shape[1], axis=1)
+        for v in range(5):  # in place: a large matrix at many points makes big arrays
+            values *= powers[exps[:, v], v]
+            values %= p
+        out = np.zeros((self.nrows * self.ncols, at.shape[1]), dtype=np.int64)
+        np.add.at(out, cells, values)
+        return (out % p).T.reshape(at.shape[1], self.nrows, self.ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +442,9 @@ def _interpolated_determinant(
     """
     field, n = m.field, m.nrows
     p = field.characteristic
-    terms = [(i * n + j, c, e) for i, row in enumerate(m.entries)
-             for j, poly in enumerate(row) for e, c in poly.terms.items()]
-    if not terms or degree < 0:
+    cells, exps, coefs = m.term_table()
+    if not len(cells) or degree < 0:
         return MultiPoly.zero(field)
-    cells, coefs, expos = zip(*terms)
-    exps = np.array(expos, dtype=np.int64)
     used = np.flatnonzero(exps.any(axis=0)).tolist()
     if PARAM_INDEX in used:
         raise ValueError("specialize the parameter first")
@@ -437,7 +478,7 @@ def _interpolated_determinant(
 
 
 def _grid_determinants(
-    exps: np.ndarray, cells: Sequence[int], coefs: Sequence[int],
+    exps: np.ndarray, cells: np.ndarray, coefs: np.ndarray,
     axes: Sequence[np.ndarray], n: int, p: int,
 ) -> np.ndarray:
     """Determinants of the n x n matrices on the grid axes[0] x ... x axes[f-1].
@@ -459,7 +500,7 @@ def _grid_determinants(
             f"a determinant's interpolation needs {width} cells per slice, too many for {_MAX_GRID}"
         )
     coeffs = np.zeros(sizes + [n * n], dtype=np.int64)
-    np.add.at(coeffs, tuple(tops[:, None] - exps.T) + (np.array(cells),), coefs)
+    np.add.at(coeffs, tuple(tops[:, None] - exps.T) + (cells,), coefs)
     coeffs %= p
     if not axes:  # one value, in an array of shape (1,)
         return _linalg.det_mod_p(coeffs.reshape(1, n, n), p)
@@ -513,21 +554,23 @@ def _eval_points(m: GradedMatrix, count: int) -> List[Tuple[int, ...]]:
     return [tuple(rng.randrange(1, p) for _ in range(5)) for _ in range(count)]
 
 
-def random_plane(field: FieldSpec, seed: int) -> Dict[int, MultiPoly]:
-    """Images of X,Y,Z,T,a under restriction to a random plane (in X,Y)."""
+def random_plane(p: int, seed: int) -> Tuple[List[Tuple[int, int]], int]:
+    """A seeded plane: X, Y, Z, T restrict to c X + d Y for the four listed
+    (c, d), and the parameter a to the returned constant."""
     rng = random.Random(seed)
-    x = MultiPoly.variable(field, "X")
-    y = MultiPoly.variable(field, "Y")
-    p = field.characteristic
-    images: Dict[int, MultiPoly] = {}
-    for i in range(4):
-        images[i] = x.scale(rng.randrange(p)) + y.scale(rng.randrange(p))
-    images[PARAM_INDEX] = MultiPoly.const(field, rng.randrange(p))
-    return images
+    return [(rng.randrange(p), rng.randrange(p)) for _ in range(4)], rng.randrange(p)
 
 
 def restrict_to_plane(m: GradedMatrix, seed: int) -> GradedMatrix:
-    images = random_plane(m.field, seed)
+    """Substitute the plane of `random_plane` into every entry.
+
+    The plane certificate works on values instead; this symbolic restriction
+    is the reference its tests compare against.
+    """
+    pairs, a = random_plane(m.field.characteristic, seed)
+    x, y = MultiPoly.variable(m.field, "X"), MultiPoly.variable(m.field, "Y")
+    images = {i: x.scale(c) + y.scale(d) for i, (c, d) in enumerate(pairs)}
+    images[PARAM_INDEX] = MultiPoly.const(m.field, a)
     grid = [[p.substitute(images) for p in row] for row in m.entries]
     return GradedMatrix(m.field, m.row_degrees, m.col_degrees, grid, validate=False)
 
@@ -550,8 +593,8 @@ def _block_rank(sub: GradedMatrix) -> int:
     """Rank at two seeded points if full or exact, else the Groebner count."""
     cap = min(sub.nrows, sub.ncols)  # >= 1: a block has a nonzero entry
     p = sub.field.characteristic
-    for point in _eval_points(sub, 2):
-        rank = _linalg.rank_mod_p(sub.evaluate(point), p)
+    for values in sub.evaluate_many(_eval_points(sub, 2)):
+        rank = _linalg.rank_mod_p(values, p)
         if rank == cap or _in_one_variable(sub):
             return rank
     from biliaison import modgb
@@ -567,11 +610,8 @@ def _in_one_variable(sub: GradedMatrix) -> bool:
     at every point with v != 0: evaluation at any point of `_eval_points`
     (coordinates in 1..p-1) is exact.
     """
-    used = set()
-    for row in sub.entries:
-        for e in row:
-            used.update(e.variables())
-    return len(used) <= 1 and PARAM_INDEX not in used
+    used = sub.term_table()[1].any(axis=0)
+    return used.sum() <= 1 and not used[PARAM_INDEX]
 
 
 # ---------------------------------------------------------------------------
@@ -580,14 +620,12 @@ def _in_one_variable(sub: GradedMatrix) -> bool:
 
 def minors(m: GradedMatrix, k: int) -> List[MultiPoly]:
     """All k x k minors, in the lexicographic order of (row set, column set)."""
-    from itertools import combinations
-
     if k < 0 or k > min(m.nrows, m.ncols):
         raise ValueError(f"minor size {k} out of range for {m.nrows}x{m.ncols}")
     return [
         determinant(m.submatrix(rows, cols))
-        for rows in combinations(range(m.nrows), k)
-        for cols in combinations(range(m.ncols), k)
+        for rows in itertools.combinations(range(m.nrows), k)
+        for cols in itertools.combinations(range(m.ncols), k)
     ]
 
 

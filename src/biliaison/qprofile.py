@@ -22,29 +22,42 @@ beta is computed by one minor analysis per block of a block-diagonal matrix,
 where k is the rank of the block.  No minor is enumerated:
 
 1. Plane certificate.  Restrict the block to a seeded random plane, so every
-   entry becomes a binary form in X, Y.  On each seeded shuffle, the
-   reduced echelon forms of the block's values at one seeded point of the
-   line Y = 1 pick k pivot rows and columns; their minor is nonzero at that
-   point, hence a nonzero binary form.  `grmatrix.determinant` computes it
-   exactly: it is homogeneous of the known degree D = (sum of column
-   degrees) - (sum of row degrees), so its values at D + 1 distinct points
-   of Y = 1 determine it, and one batched elimination mod p takes them all,
-   together with the value at the pivot point, which checks the result.
-   Keep a running GCD g of these restricted witness minors and stop as soon
-   as it is constant: any set of nonzero restricted k-minors with GCD 1
-   certifies that the k-minors are coprime.
+   entry becomes a binary form in X, Y; the block is only ever evaluated
+   there, once per plane, at the images of the points (t : 1) of the line
+   Y = 1 for t = 0..N-1, where N - 1 bounds the degree of every entry and
+   of every k-minor, at one seeded pivot point (x : 1) per shuffle, and at
+   (1 : 0).  On each seeded shuffle, the reduced echelon forms of the
+   values at the pivot point pick k pivot rows and columns; their minor is
+   nonzero there, hence a nonzero binary form of the known degree D =
+   (sum of column degrees) - (sum of row degrees).  Its values at
+   t = 0..D, one batched determinant mod p, determine it by Newton
+   interpolation, and its value at the pivot point checks it.  It is kept
+   densely, as Y^m times the coefficients of its value at (t : 1).  Keep a
+   running GCD g of these restricted witness minors (Euclid on the
+   coefficient lists mod p, the least power of Y) and stop as soon as it is
+   constant: any set of nonzero restricted k-minors with GCD 1 certifies
+   that the k-minors are coprime.
 2. Restricted rank.  If g stays nonconstant, measure the rank of the
-   restricted block modulo each squarefree factor f of g.  Modulo a linear
-   factor, substituting for one variable leaves entries in the other one
-   alone, and the rank of such a block is taken exactly by evaluation at one
-   point.  Rank k for every f also certifies coprimality.  Proof: let F be
-   a nonconstant common factor of all k-minors.  The plane carries a
-   nonzero witness, so F restricted to the plane is a nonzero binary form
-   of positive degree dividing every restricted k-minor, hence dividing g.
-   One of its irreducible components divides some f, and modulo that
-   component every restricted k-minor vanishes, so the restricted rank
-   modulo f drops below k.
-3. Honest fallback.  Only when some f lowers the restricted rank is the GCD
+   restricted block modulo g.  Let f = h / gcd(h, h') be the squarefree part
+   of h = g(t, 1) (D < p, so this drops exactly the repeated factors), of
+   degree e.  The block's coefficients in t come from its values at the
+   same nodes; over the ring A = F_p[t]/(f) the block is a map A^cols ->
+   A^rows, written over F_p as the (rows e) x (cols e) matrix whose e x e
+   blocks are sum_n c_n C^n, with c_n the entry's coefficient of t^n and C
+   the companion matrix of f.  A is the product of the fields
+   F_p[t]/(f_i) over the irreducible factors f_i of f, so the F_p-rank of
+   that matrix is sum_i deg f_i * rank_i, where rank_i <= k is the rank of
+   the restricted block modulo f_i; it equals e k exactly when every
+   rank_i is k.  If Y divides g, the rank modulo Y is the rank of the
+   values at (1 : 0), since each entry there keeps only its X^degree
+   term.  Full rank modulo every factor also certifies coprimality.
+   Proof: let F be a nonconstant common factor of all k-minors.  The plane
+   carries a nonzero witness, so F restricted to the plane is a nonzero
+   binary form of positive degree dividing every restricted k-minor, hence
+   dividing g.  One of its irreducible components divides f (or is Y), and
+   modulo that component every restricted k-minor vanishes, so the
+   restricted rank modulo it drops below k.
+3. Honest fallback.  Only when the restricted rank drops modulo g is the GCD
    of a few true witness minors taken.  Any hypersurface dropping the rank
    below k divides every k-minor, so the squarefree factors of that GCD are a
    complete candidate list; the rank modulo each candidate is then measured
@@ -61,18 +74,22 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from biliaison import _linalg, modgb
 from biliaison.grmatrix import (
     CharFunction,
     GradedMatrix,
-    InterpolationRangeError,  # noqa: F401 - raised by the witness determinants
+    HomogeneityError,
+    InterpolationRangeError,
+    _newton_coefficients,
     block_decomposition,
     determinant,
+    random_plane,
     rank_fraction_field,
     rank_modulo_hypersurface,
-    restrict_to_plane,
 )
-from biliaison.polyring import MultiPoly, Scalar, gcd, gcd_many, squarefree_factors
+from biliaison.polyring import MultiPoly, Scalar, gcd_many, squarefree_factors
 
 DEFAULT_SEED = 0xB111A150
 
@@ -201,24 +218,19 @@ class MinorAnalysis:
         return self.min_rank >= self.level
 
 
-def _pivot_sets(
-    m: GradedMatrix, k: int, seed: int, count: int
-) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[Scalar, ...]]]:
-    """(rows, cols, point) of k x k minors of m that are nonzero at the point.
+_Run = Tuple[List[int], List[int], Tuple[Scalar, ...]]  # row order, column order, point
 
-    Each of `count` seeded runs shuffles the rows and columns (the first run
-    keeps their order), sorts the columns stably by degree and evaluates m
-    at one seeded point with Y = 1.  The rows are the first k that raise the
-    rank of the rows before them (pivots of the transposed values' echelon
-    form), the columns likewise among those rows, which keeps the minors'
-    degrees low.  A minor that is nonzero at a point is a nonzero
-    polynomial, so every yielded index set is a certified witness.
-    Repeated index sets are skipped.
+
+def _pivot_runs(m: GradedMatrix, seed: int, count: int) -> List[_Run]:
+    """The seeded runs of the witness search: (row order, column order, point).
+
+    The first run keeps the order of the rows and columns, later runs
+    shuffle them; every run then sorts the columns stably by degree, which
+    keeps the minors' degrees low, and draws a point (x, 1, z, w, 0).
     """
-    field = m.field
     rng = random.Random(seed)
-    p = field.characteristic
-    seen = set()
+    p = m.field.characteristic
+    runs = []
     for t in range(count):
         rp = list(range(m.nrows))
         cp = list(range(m.ncols))
@@ -227,33 +239,140 @@ def _pivot_sets(
             rng.shuffle(cp)
         cp.sort(key=lambda j: m.col_degrees[j])
         x, z, w = (rng.randrange(1, p) for _ in range(3))
-        point = tuple(field.normalize(v) for v in (x, 1, z, w, 0))
-        values = m.submatrix(rp, cp).evaluate(point)
-        _, pivot_rows = _linalg.rref_mod_p(values.T, p)
+        runs.append((rp, cp, (x, 1, z, w, 0)))
+    return runs
+
+
+def _pivot_sets(
+    runs: Sequence[_Run], values: np.ndarray, k: int, p: int
+) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
+    """(rows, cols, run index) of k x k minors nonzero at the run's point.
+
+    values[t] holds the matrix's values at the point of runs[t].  The rows
+    are the first k, in the run's order, that raise the rank of the rows
+    before them (pivots of the transposed values' echelon form), the columns
+    likewise among those rows.  A minor that is nonzero at a point is a
+    nonzero polynomial, so every yielded index set is a certified witness.
+    Repeated index sets are skipped.
+    """
+    seen = set()
+    for t, (rp, cp, _) in enumerate(runs):
+        v = values[t][rp][:, cp]
+        _, pivot_rows = _linalg.rref_mod_p(v.T, p)
         if len(pivot_rows) < k:
             continue
-        _, pivot_cols = _linalg.rref_mod_p(values[pivot_rows[:k]], p)
+        _, pivot_cols = _linalg.rref_mod_p(v[pivot_rows[:k]], p)
         rows = tuple(sorted(rp[i] for i in pivot_rows[:k]))
         cols = tuple(sorted(cp[j] for j in pivot_cols))
-        if (rows, cols) in seen:
-            continue
-        seen.add((rows, cols))
-        yield rows, cols, point
+        if (rows, cols) not in seen:
+            seen.add((rows, cols))
+            yield rows, cols, t
 
 
-def _iter_witnesses(
-    m: GradedMatrix, k: int, seed: int, count: int
-) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], MultiPoly]]:
-    """Nonzero k x k minors of a plane-restricted matrix, as found.
+def _poly_divmod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
+    """Quotient and remainder mod p of dense polynomials (coefficient lists,
+    lowest power first; b has a nonzero last coefficient)."""
+    r = list(a)
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for s in range(len(q) - 1, -1, -1):
+        q[s] = c = r[s + len(b) - 1] * inv % p
+        for i, bi in enumerate(b):
+            r[s + i] = (r[s + i] - c * bi) % p
+    r = r[:len(b) - 1]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
 
-    Every entry of m is a binary form in X, Y.  Pivots come from
-    elimination at a seeded point of the line Y = 1 (`_pivot_sets`), so
-    each minor is nonzero there, hence nonzero.  `determinant` computes it
-    exactly and checks it at the pivot point.  Witnesses are yielded as
-    found, so a caller can stop early.
+
+def _poly_gcd(a: List[int], b: List[int], p: int) -> List[int]:
+    """Monic GCD of two dense polynomials mod p, a nonzero (Euclid)."""
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _regular_rank(coeffs: np.ndarray, f: List[int], p: int) -> int:
+    """F_p-rank of the matrix over F_p[t]/(f), f monic, whose entries have
+    the coefficients coeffs[n] of t^n: entry (i, j) becomes the matrix of
+    multiplication by it on 1, t, ..., t^(e-1), column b = entry * t^b mod f.
     """
-    for rows, cols, point in _pivot_sets(m, k, seed, count):
-        yield rows, cols, determinant(m.submatrix(rows, cols), check=point)
+    e = len(f) - 1
+    low = np.array(f[:-1], dtype=np.int64)
+
+    def times_t(r: np.ndarray, c=0) -> np.ndarray:  # t * r + c mod f
+        out = np.empty_like(r)
+        out[..., 1:] = r[..., :-1]
+        out[..., 0] = c
+        return (out - r[..., -1:] * low) % p
+
+    r = np.zeros(coeffs.shape[1:] + (e,), dtype=np.int64)
+    for c in coeffs[::-1]:
+        r = times_t(r, c)
+    columns = [r]
+    for _ in range(e - 1):
+        columns.append(times_t(columns[-1]))
+    nrows, ncols = coeffs.shape[1:]
+    big = np.stack(columns, axis=-1).transpose(0, 2, 1, 3).reshape(nrows * e, ncols * e)
+    return _linalg.rank_mod_p(big, p)
+
+
+def _plane_values(
+    block: GradedMatrix, k: int, seed: int, attempt: int, count: int
+) -> Tuple[List[_Run], np.ndarray, int]:
+    """(runs, values, top): the attempt's `count` witness-search runs and the
+    block's values on its seeded plane at (t : 1) for t = 0..top, at the
+    runs' pivot points (x : 1), and at (1 : 0), in this order.  top bounds
+    the degree of every entry and k-minor; top >= p raises
+    `InterpolationRangeError`.
+    """
+    p = block.field.characteristic
+    rd, cd = block.row_degrees, block.col_degrees
+    top = max(sum(sorted(cd)[-k:]) - sum(sorted(rd)[:k]), max(cd) - min(rd))
+    if top >= p:
+        raise InterpolationRangeError(
+            f"a minor of degree {top} needs {top + 1} interpolation points, "
+            f"more than F_{p} has"
+        )
+    pairs, _ = random_plane(p, subseed(seed, "plane", attempt))
+    runs = _pivot_runs(block, subseed(seed, "plane-shuffle", attempt), count)
+    line = np.array(pairs, dtype=np.int64)  # (t : 1) -> c t + d, (1 : 0) -> c
+    ts = np.array(list(range(top + 1)) + [x for _, _, (x, *_) in runs], dtype=np.int64)
+    points = np.zeros((len(ts) + 1, 5), dtype=np.int64)
+    points[:-1, :4] = (ts[:, None] * line[:, 0] + line[:, 1]) % p
+    points[-1, :4] = line[:, 0]
+    return runs, block.evaluate_many(points), top
+
+
+def _plane_witnesses(
+    block: GradedMatrix, k: int, runs: Sequence[_Run], values: np.ndarray, top: int
+) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], List[int], int]]:
+    """Nonzero restricted k-minors as found: (rows, cols, minor, power of Y).
+
+    The minor of degree D is Y^power times the form whose value at (t : 1)
+    has the coefficients `minor`, lowest power first, the last nonzero.  It
+    is interpolated from its values at t = 0..D and checked at the run's
+    pivot point (else `HomogeneityError`), all from one `det_mod_p` call.
+    """
+    p = block.field.characteristic
+    rd, cd = block.row_degrees, block.col_degrees
+    for rows, cols, t in _pivot_sets(runs, values[top + 1:-1], k, p):
+        degree = sum(cd[j] for j in cols) - sum(rd[i] for i in rows)
+        wrong = HomogeneityError(f"a {k} x {k} minor is not homogeneous of degree {degree}")
+        if degree < 0:
+            raise wrong
+        at = list(range(degree + 1)) + [top + 1 + t]
+        dets = _linalg.det_mod_p(values[at][:, rows][:, :, cols], p)
+        minor = _newton_coefficients(dets[:-1], 0, p).tolist()
+        while minor and not minor[-1]:
+            minor.pop()
+        check = 0
+        for c in reversed(minor):
+            check = (check * runs[t][2][0] + c) % p
+        if check != dets[-1]:
+            raise wrong
+        yield rows, cols, minor, degree + 1 - len(minor)
 
 
 def _restricted_minor_gcd(
@@ -263,27 +382,35 @@ def _restricted_minor_gcd(
 
     Verdict True certifies exactly that the k-minors of the block are
     coprime, either by a constant GCD of restricted witness minors or by full
-    restricted rank modulo every squarefree factor of that GCD (see the
-    module docstring).  False means some factor lowered the restricted rank,
-    or no plane kept rank k.  The witness index sets carry provably nonzero
-    minors of the original block.
+    restricted rank modulo that GCD (see the module docstring).  False means
+    the GCD lowered the restricted rank, or no plane kept rank k.  The
+    witness index sets carry provably nonzero minors of the original block.
+    Each attempt evaluates the block once (`_plane_values`).
     """
+    p = block.field.characteristic
     for attempt in range(3):
-        restricted = restrict_to_plane(block, subseed(seed, "plane", attempt))
+        runs, values, top = _plane_values(block, k, seed, attempt, sample_size)
         index_sets = []
-        g: Optional[MultiPoly] = None
-        for rows, cols, minor in _iter_witnesses(
-            restricted, k, subseed(seed, "plane-shuffle", attempt), sample_size
-        ):
+        g: Optional[List[int]] = None  # the running GCD: Y^y_power times the form
+        # whose value at (t : 1) is the monic g(t)
+        y_power = 0
+        for rows, cols, minor, y in _plane_witnesses(block, k, runs, values, top):
             index_sets.append((rows, cols))
-            g = minor.monic() if g is None else gcd(g, minor)
-            if g.is_constant():
+            y_power = y if g is None else min(y_power, y)
+            g = _poly_gcd(minor, [] if g is None else g, p)
+            if len(g) == 1 and not y_power:
                 return True, index_sets
         if g is None:
             continue  # unlucky plane: restricted rank dropped
-        coprime = all(
-            rank_modulo_hypersurface(restricted, f) == k for f in squarefree_factors(g)
-        )
+        coprime = True
+        if len(g) > 1:
+            slope = [i * c % p for i, c in enumerate(g)][1:]
+            radical = _poly_divmod(g, _poly_gcd(g, slope, p), p)[0]
+            entry_top = max(block.col_degrees) - min(block.row_degrees)
+            coeffs = _newton_coefficients(values[:entry_top + 1], 0, p)
+            coprime = _regular_rank(coeffs, radical, p) == (len(radical) - 1) * k
+        if y_power:
+            coprime = coprime and _linalg.rank_mod_p(values[-1], p) == k
         return coprime, index_sets
     return False, []
 
@@ -343,7 +470,9 @@ def _honest_sampled_gcd(
     """
     picks = list(index_sets[:sample_size])
     if len(picks) < sample_size:
-        for rows, cols, _ in _pivot_sets(sub, k, seed, sample_size - len(picks)):
+        runs = _pivot_runs(sub, seed, sample_size - len(picks))
+        values = sub.evaluate_many([point for _, _, point in runs])
+        for rows, cols, _ in _pivot_sets(runs, values, k, sub.field.characteristic):
             if (rows, cols) not in picks:
                 picks.append((rows, cols))
     if not picks:

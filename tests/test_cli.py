@@ -89,6 +89,18 @@ def test_parse_error_exit_code(tmp_path):
     code, out, _ = run(["qprofile", "--input", str(over_q)])
     assert code == 2
     assert "rationals" in out
+    # entries must be lists of strings: a number or a bare row is refused
+    for entries in ([[5]], ["X"]):
+        bad = tmp_path / "bad_entries.json"
+        bad.write_text(json.dumps({
+            "field": {"kind": "prime", "characteristic": 32003},
+            "row_degrees": [0],
+            "col_degrees": [1],
+            "entries": entries,
+        }))
+        code, out, _ = run(["qprofile", "--input", str(bad)])
+        assert code == 2, entries
+        assert "list of polynomial strings" in out
 
 
 def test_prime_beyond_int64_kernels_is_parse_error():
@@ -298,3 +310,10 @@ def test_export_matrix_flag(tmp_path):
     assert code == 0
     m = GradedMatrix.load(str(path))
     assert (m.nrows, m.ncols) == (5, 10)
+
+
+def test_export_matrix_to_unwritable_path_is_parse_error(tmp_path):
+    path = tmp_path / "nonexistent" / "x.json"
+    code, out, _ = run(["qprofile", "--fixture", "3.2", "--export-matrix", str(path)])
+    assert code == 2
+    assert "cannot write --export-matrix" in out

@@ -1,5 +1,8 @@
 """Golden reports: the default-seed JSON and stderr of `qprofile` and
-`minimal-family` on every fixture must stay byte-identical.
+`minimal-family` on every fixture must stay byte-identical, and so must a
+few 3.4 reports at seeds whose plane certificates meet a witness GCD with
+nonlinear squarefree factors (seed 902: one of degree 4; seed 100: two
+quadrics), plus `minimal-family` at seed 11.
 
 The files under ``tests/golden/`` were written by the CLI itself, e.g.
 
@@ -28,5 +31,17 @@ def test_default_seed_report_is_golden(command, fixture):
     out, err = io.StringIO(), io.StringIO()
     assert main([command, "--fixture", fixture, "--format", "json"], out=out, err=err) == 0
     stem = f"{command}-{fixture}"
+    assert out.getvalue() == (GOLDEN / f"{stem}.json").read_text()
+    assert err.getvalue() == (GOLDEN / f"{stem}.stderr").read_text()
+
+
+@pytest.mark.parametrize("command, seed", [
+    ("qprofile", 902), ("qprofile", 100), ("minimal-family", 11),
+])
+def test_seeded_34_report_is_golden(command, seed):
+    out, err = io.StringIO(), io.StringIO()
+    argv = [command, "--fixture", "3.4", "--seed", str(seed), "--format", "json"]
+    assert main(argv, out=out, err=err) == 0
+    stem = f"{command}-3.4-seed{seed}"
     assert out.getvalue() == (GOLDEN / f"{stem}.json").read_text()
     assert err.getvalue() == (GOLDEN / f"{stem}.stderr").read_text()

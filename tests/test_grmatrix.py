@@ -393,6 +393,52 @@ def test_json_roundtrip(tmp_path):
     assert set(obj) == {"field", "row_degrees", "col_degrees", "entries"}
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    nrows=st.integers(0, 4),
+    ncols=st.integers(0, 4),
+    npoints=st.integers(1, 4),
+    large_prime=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_many_matches_entry_evaluation(nrows, ncols, npoints, large_prime, seed):
+    # entries with up to three terms, exponents up to 40, some in a; the
+    # term table's batched values must equal MultiPoly.evaluate entry by entry
+    field = FieldSpec.prime(2**31 - 1 if large_prime else 32003)
+    p = field.characteristic
+    rng = random.Random(seed)
+    grid = [[MultiPoly(field, {
+        tuple(rng.randrange(41) if rng.random() < 0.5 else 0 for _ in range(4))
+        + (rng.randrange(41) if rng.random() < 0.2 else 0,): rng.randrange(1, p)
+        for _ in range(rng.randrange(4))}) for _ in range(ncols)] for _ in range(nrows)]
+    m = GradedMatrix(field, [0] * nrows, [0] * ncols, grid, validate=False)
+    points = [tuple(rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(5))
+              for _ in range(npoints)]
+    values = m.evaluate_many(points)
+    assert values.shape == (npoints, nrows, ncols)
+    for q, point in enumerate(points):
+        assert values[q].tolist() == [[e.evaluate(point) for e in row] for row in grid]
+        assert (m.evaluate(point) == values[q]).all()
+
+
+def test_fingerprint_ignores_the_order_of_terms():
+    terms = [{(1, 0, 0, 0, 0): 3, (0, 1, 0, 0, 0): 5, (0, 0, 0, 1, 0): 7},
+             {(0, 0, 1, 0, 0): 2}, {}, {(0, 0, 0, 1, 0): 1, (1, 0, 0, 0, 0): 4}]
+
+    def build(order, bump=0):
+        entries = [MultiPoly(F, dict(order(list(t.items())))) for t in terms]
+        if bump:
+            first = dict(entries[0].terms)
+            first[(1, 0, 0, 0, 0)] += bump
+            entries[0] = MultiPoly(F, first)
+        return GradedMatrix(F, [0, 0], [1, 1], [entries[:2], entries[2:]])
+
+    forward, backward = build(list), build(lambda items: items[::-1])
+    assert forward == backward
+    assert forward.fingerprint() == backward.fingerprint()
+    assert build(list, bump=1).fingerprint() != forward.fingerprint()
+
+
 def test_determinant_signs():
     m = M([0, 0], [1, 1], [["X", "Y"], ["Z", "T"]])
     assert determinant(m) == P("X*T - Y*Z")

@@ -134,7 +134,8 @@ def test_minor_analysis_matches_exhaustive_oracle(
     seed=st.integers(0, 2**32 - 1),
 )
 def test_interpolated_witnesses_are_nonzero_minors(nrows, ncols, second_prime, seed):
-    # random forms of degree 0-3, some entries zero, restricted to a plane
+    # random forms of degree 0-3, some entries zero; the witnesses found on
+    # values must be the minors of the symbolic plane restriction
     field = FieldSpec.prime(10007) if second_prime else F
     rng = random.Random(seed)
     row_degs = [rng.randrange(2) for _ in range(nrows)]
@@ -149,17 +150,20 @@ def test_interpolated_witnesses_are_nonzero_minors(nrows, ncols, second_prime, s
                     terms[tuple(mono) + (0,)] = field.normalize(rng.randrange(1, 50))
             line.append(MultiPoly(field, terms))
         grid.append(line)
-    restricted = restrict_to_plane(GradedMatrix(field, row_degs, col_degs, grid), seed)
+    block = GradedMatrix(field, row_degs, col_degs, grid)
+    restricted = restrict_to_plane(block, qprofile.subseed(seed, "plane", 0))
     k = rank_fraction_field(restricted)
     if k == 0:
         return
-    witnesses = list(qprofile._iter_witnesses(restricted, k, seed, 6))
+    runs, values, top = qprofile._plane_values(block, k, seed, 0, 6)
+    witnesses = list(qprofile._plane_witnesses(block, k, runs, values, top))
     assert witnesses
-    for rows, cols, minor in witnesses:
+    for rows, cols, coeffs, y_power in witnesses:
+        degree = sum(col_degs[j] for j in cols) - sum(row_degs[i] for i in rows)
+        minor = MultiPoly(field, {(j, degree - j, 0, 0, 0): c for j, c in enumerate(coeffs) if c})
+        assert y_power == degree + 1 - len(coeffs) and coeffs[-1]
         assert not minor.is_zero()
-        assert minor.is_homogeneous(
-            sum(col_degs[j] for j in cols) - sum(row_degs[i] for i in rows)
-        )
+        assert minor.is_homogeneous(degree)
         det = determinant(restricted.submatrix(rows, cols))
         assert minor in (det, -det)
 
@@ -194,11 +198,12 @@ def test_pivot_sets_pick_rank_raising_rows_and_columns(nrows, ncols, base, seed)
     k = rank_fraction_field(m)
     if k == 0:
         return
-    found = list(qprofile._pivot_sets(m, k, seed, 1))
+    runs = qprofile._pivot_runs(m, seed, 1)
+    found = list(qprofile._pivot_sets(runs, m.evaluate_many([runs[0][2]]), k, 32003))
     if not found:
         return  # the point lowered the rank; no witness is claimed
-    [(rows, cols, point)] = found
-    values = m.evaluate(point)
+    [(rows, cols, run)] = found
+    values = m.evaluate(runs[run][2])
 
     def rank(a):
         return _linalg.rank_mod_p(a, 32003) if a.size else 0
@@ -219,18 +224,18 @@ def test_interpolation_raises_typed_errors():
     small = FieldSpec.prime(1009)
     x_power = MultiPoly.monomial(small, (1009, 0, 0, 0, 0))
     with pytest.raises(qprofile.InterpolationRangeError):
-        list(qprofile._iter_witnesses(GradedMatrix(small, [0], [1009], [[x_power]]), 1, 0, 1))
+        qprofile._restricted_minor_gcd(GradedMatrix(small, [0], [1009], [[x_power]]), 1, 0, 1)
     # an entry above its column degree fails the check at the pivot point
     wrong = GradedMatrix(F, [0], [2], [[P("X^3 + Y^3")]], validate=False)
     with pytest.raises(HomogeneityError):
-        list(qprofile._iter_witnesses(wrong, 1, 0, 1))
-    # the same on the interpolation route, from 4 x 4 on
+        qprofile._restricted_minor_gcd(wrong, 1, 0, 1)
+    # the same for a 4 x 4 witness
     wrong4 = GradedMatrix(F, [0] * 4, [1, 1, 1, 2], [
         [P(x) for x in row] for row in (("X", "0", "0", "0"), ("0", "X", "0", "0"),
                                         ("0", "0", "X", "0"), ("0", "0", "0", "X^3 + Y^3"))
     ], validate=False)
     with pytest.raises(HomogeneityError):
-        list(qprofile._iter_witnesses(wrong4, 4, 0, 1))
+        qprofile._restricted_minor_gcd(wrong4, 4, 0, 1)
     # 4 x 4, degree 256 in four variables: one slice of the 257^3 grid
     # holds 16 * 257^2 cells, more than the grid bound
     wide = GradedMatrix(F, [0] * 4, [64] * 4, [
@@ -245,19 +250,101 @@ def test_restricted_rank_settles_plane_without_fallback(monkeypatch):
     # makes the 1-minors coprime, and only the restricted rank modulo X sees it
     row = M([0], [2, 2, 2, 3], [["X*Y", "X*Z", "X*T", "Y^3 + Z^3 + T^3"]])
     measured = []
+    regular_rank = qprofile._regular_rank
 
-    def spy(m, f):
+    def spy(coeffs, f, p):
         measured.append(f)
-        return rank_modulo_hypersurface(m, f)
+        return regular_rank(coeffs, f, p)
 
     def no_fallback(*args, **kwargs):
         raise AssertionError("honest fallback reached")
 
-    monkeypatch.setattr(qprofile, "rank_modulo_hypersurface", spy)
+    monkeypatch.setattr(qprofile, "_regular_rank", spy)
     monkeypatch.setattr(qprofile, "_honest_sampled_gcd", no_fallback)
     analysis = qprofile.coprime_minor_analysis(row, 1)
     assert analysis.coprime and analysis.notes == []
-    assert measured and all(f.degree == 1 for f in measured)
+    assert measured and all(len(f) - 1 == 1 for f in measured)
+
+
+@pytest.mark.parametrize("last, coprime", [
+    ("Y^3 + Z^3 + T^3", True), ("X*Y^2 + X*Z^2 + X*T^2", False),
+])
+def test_plane_through_the_gcd_measures_the_rank_at_infinity(monkeypatch, last, coprime):
+    # a plane on which X restricts to Y: every witness is divisible by Y, so
+    # the GCD is a power of Y alone and only the rank at (1 : 0) decides
+    row = M([0], [2, 2, 2, 3], [["X*Y", "X*Z", "X*T", last]])
+    plane = ([(0, 1), (1, 0), (1, 2), (3, 1)], 0)  # X -> Y, Y -> X, Z -> X + 2Y, T -> 3X + Y
+    monkeypatch.setattr(qprofile, "random_plane", lambda p, seed: plane)
+    monkeypatch.setattr(qprofile, "_regular_rank", None)  # the GCD has no affine part
+    verdict, index_sets = qprofile._restricted_minor_gcd(row, 1, 0)
+    assert verdict == coprime and index_sets
+
+
+def _restricted_coefficients(m: GradedMatrix) -> np.ndarray:
+    """coeffs[n, i, j]: the coefficient of X^n in entry (i, j) of a matrix
+    of binary forms in X, Y, read off its terms."""
+    top = max(m.col_degrees) - min(m.row_degrees)
+    coeffs = np.zeros((top + 1, m.nrows, m.ncols), dtype=np.int64)
+    for i, row in enumerate(m.entries):
+        for j, entry in enumerate(row):
+            for e, c in entry.terms.items():
+                coeffs[e[0], i, j] = c
+    return coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nrows=st.integers(1, 4),
+    ncols=st.integers(1, 4),
+    linear=st.integers(0, 4),
+    quadric=st.booleans(),
+    planted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_regular_rank_matches_rank_modulo_hypersurface(
+    nrows, ncols, linear, quadric, planted, seed
+):
+    # f is a product of distinct irreducible binary forms f_i: monic linear
+    # forms X + dY and, optionally, X^2 + Y^2 (irreducible mod 32003, which
+    # is 3 mod 4).  The F_p-rank of the regular representation over
+    # F_p[t]/(f(t, 1)) must be sum deg f_i * (rank modulo f_i); a planted
+    # block drops its rank modulo one linear form.
+    linear = min(linear, 4 - 2 * quadric) or (0 if quadric else 1)
+    rng = random.Random(seed)
+    col_degs = [rng.randrange(1, 3) for _ in range(ncols)]
+    grid = [[MultiPoly(F, {tuple(mono) + (0,): rng.randrange(1, 32003)
+                           for mono in modgb.monomials_of_degree(c) if rng.random() < 0.5})
+             for c in col_degs] for _ in range(nrows)]
+    form = MultiPoly(F, {(1, 0, 0, 0, 0): 1, (0, 0, 1, 0, 0): rng.randrange(1, 32003),
+                         (0, 1, 0, 0, 0): rng.randrange(32003)})
+    if planted and nrows > 1:
+        scale = MultiPoly.const(F, rng.randrange(32003))
+        grid[-1] = [scale * a + form * MultiPoly(F, {
+            tuple(mono) + (0,): rng.randrange(1, 32003)
+            for mono in modgb.monomials_of_degree(c - 1)}) for a, c in zip(grid[0], col_degs)]
+    plane = qprofile.subseed(seed, "plane")
+    restricted = restrict_to_plane(GradedMatrix(F, [0] * nrows, col_degs, grid), plane)
+    components = []
+    if planted:
+        dropped = restrict_to_plane(GradedMatrix(F, [0], [1], [[form]]), plane).entries[0][0]
+        if dropped.degree != 1 or (1, 0, 0, 0, 0) not in dropped.terms:
+            return  # the plane met the form's zero set along Y = 0
+        components.append(dropped.monic())
+    while len(components) < linear:
+        candidate = P("X") + P("Y").scale(rng.randrange(32003))
+        if candidate not in components:
+            components.append(candidate)
+    if quadric:
+        components.append(P("X^2 + Y^2"))
+    f = MultiPoly.one(F)
+    for component in components:
+        f = f * component
+    affine = [f.terms.get((j, f.degree - j, 0, 0, 0), 0) for j in range(f.degree + 1)]
+    oracle = sum(c.degree * rank_modulo_hypersurface(restricted, c) for c in components)
+    assert qprofile._regular_rank(_restricted_coefficients(restricted), affine, 32003) == oracle
+    # the point (1 : 0) measures the rank modulo Y
+    at_infinity = _linalg.rank_mod_p(restricted.evaluate((1, 0, 0, 0, 0)), 32003)
+    assert at_infinity == rank_modulo_hypersurface(restricted, P("Y"))
 
 
 def test_genuine_common_factor_reaches_fallback(monkeypatch):

@@ -29,24 +29,27 @@ def rref_mod_p(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
         if i != r:
             m[[r, i]] = m[[i, r]]
         inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
+        m[r, c:] = (m[r, c:] * inv) % p  # row r is zero left of c
         col = m[:, c].copy()
         col[r] = 0
         mask = col != 0
         if mask.any():
-            m[mask] = (m[mask] - np.outer(col[mask], m[r])) % p
+            m[mask, c:] = (m[mask, c:] - np.outer(col[mask], m[r, c:])) % p
         pivots.append(c)
         r += 1
     return m, pivots
 
 
-def rank_mod_p(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
+def pivots_mod_p(a: np.ndarray, p: int) -> List[int]:
+    """Pivot columns of the row echelon form mod p, by forward elimination:
+    the columns that raise the rank of the columns before them."""
     m = np.array(a, dtype=np.int64) % p
+    if m.size == 0:
+        return []
     rows, cols = m.shape
-    r = 0
+    pivots: List[int] = []
     for c in range(cols):
+        r = len(pivots)
         if r >= rows:
             break
         nz = np.nonzero(m[r:, c])[0]
@@ -56,13 +59,17 @@ def rank_mod_p(a: np.ndarray, p: int) -> int:
         if i != r:
             m[[r, i]] = m[[i, r]]
         inv = pow(int(m[r, c]), p - 2, p)
-        below = m[r + 1:, c]
-        mask = below != 0
+        below = m[r + 1:, c:]  # zero left of c, as is row r
+        mask = below[:, 0] != 0
         if mask.any():
-            factors = (below[mask] * inv) % p
-            m[r + 1:][mask] = (m[r + 1:][mask] - factors[:, None] * m[r][None, :]) % p
-        r += 1
-    return r
+            factors = (below[mask, 0] * inv) % p
+            below[mask] = (below[mask] - factors[:, None] * m[r, c:]) % p
+        pivots.append(c)
+    return pivots
+
+
+def rank_mod_p(a: np.ndarray, p: int) -> int:
+    return len(pivots_mod_p(a, p))
 
 
 def det_mod_p(a: np.ndarray, p: int) -> np.ndarray:

@@ -8,7 +8,8 @@ cokernel sheaf is locally free, then form the block matrix
          [a * I,  sigma2]]
 
 over the valuation ring k[a].  At the closed point (a = 0) the blocks
-decouple, which is what makes the large example tractable.
+decouple, which is what makes the large example tractable.  `rao_family`
+builds seeded instances of the same recipe, larger than the examples.
 
 Expected values attached to the descriptors mark their provenance:
 "stated" values are the published ones for these classical examples;
@@ -19,6 +20,7 @@ cross-checked by hand before being frozen here.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -169,3 +171,28 @@ def example(name: str, field: FieldSpec = FieldSpec.prime()) -> ExampleDescripto
 
 
 FIXTURE_NAMES = ("3.2", "3.3", "3.4")
+
+
+def rao_family(r: int, nlin: int, seed: int) -> GradedMatrix:
+    """A seeded instance beyond the shipped examples, of size about 12r x 30r.
+
+    sigma1 is r x (nlin + 10r) with all row degrees 0: ``nlin`` columns of
+    random linear forms drawn from ``seed``, then, for each row in turn, its
+    ten quadric monomials as single-entry columns.  Its cokernel has finite
+    length, because every quadric lies in each row's image.  sigma2 is
+    `modgb.syzygies(sigma1, 3)`, and the result is `block_dvr_matrix`.
+    """
+    field = FieldSpec.prime()
+    p = field.characteristic
+    rng = random.Random(seed)
+    variables = [MultiPoly.variable(field, x) for x in "XYZT"]
+    zero = MultiPoly.zero(field)
+    quadrics = [MultiPoly.monomial(field, e + (0,)) for e in modgb.monomials_of_degree(2)]
+    grid = [[
+        sum((x.scale(rng.randrange(p)) for x in variables), zero) for _ in range(nlin)
+    ] for _ in range(r)]
+    for i in range(r):
+        for row in range(r):
+            grid[row] += quadrics if row == i else [zero] * len(quadrics)
+    sigma1 = GradedMatrix(field, [0] * r, [1] * nlin + [2] * (len(quadrics) * r), grid)
+    return block_dvr_matrix(sigma1, modgb.syzygies(sigma1, 3))

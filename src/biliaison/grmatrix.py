@@ -10,7 +10,10 @@ the local ring at a codimension-1 point (a hypersurface).
 Each matrix builds one term table on first use: the cell, exponent and
 coefficient of every term as int64 arrays, sorted.  It drives the batched
 evaluation at many points, the fingerprint, the one-variable test and the
-determinant grids.  `restrict_to_plane` substitutes a seeded plane
+determinant grids.  It also drives the product, which joins two tables on
+the inner index and hands its own table to the result, and the
+closed-point specialization, which keeps the terms free of a and is kept
+on the matrix like the table.  `restrict_to_plane` substitutes a seeded plane
 symbolically; the plane certificate of `qprofile` evaluates on that plane
 instead, and the symbolic restriction is kept as the reference its tests
 compare against.
@@ -133,7 +136,7 @@ class CharFunction:
 class GradedMatrix:
     """Homogeneous matrix presenting a degree-0 map L2 -> L1."""
 
-    __slots__ = ("field", "row_degrees", "col_degrees", "entries", "_fingerprint", "_terms")
+    __slots__ = ("field", "row_degrees", "col_degrees", "entries", "_fingerprint", "_terms", "_closed")
 
     def __init__(
         self,
@@ -149,6 +152,7 @@ class GradedMatrix:
         self.entries = tuple(tuple(row) for row in entries)
         self._fingerprint: Optional[str] = None
         self._terms: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._closed: Optional[GradedMatrix] = None
         if len(self.entries) != len(self.row_degrees):
             raise ValueError("row count does not match row degrees")
         for row in self.entries:
@@ -236,14 +240,14 @@ class GradedMatrix:
         return self.submatrix(range(self.nrows), keep)
 
     def specialize_closed_point(self) -> "GradedMatrix":
-        """Set the parameter a := 0 in every entry."""
-        return GradedMatrix(
-            self.field,
-            self.row_degrees,
-            self.col_degrees,
-            [[p.specialize_parameter(0) for p in row] for row in self.entries],
-            validate=False,
-        )
+        """Set the parameter a := 0 in every entry: the terms free of a.
+        Built on first use and kept, like the term table."""
+        if self._closed is None:
+            cells, exps, coefs = self.term_table()
+            keep = exps[:, PARAM_INDEX] == 0
+            self._closed = self if keep.all() else self._from_table(
+                self.row_degrees, self.col_degrees, cells[keep], exps[keep], coefs[keep])
+        return self._closed
 
     def has_parameter(self) -> bool:
         return any(e[PARAM_INDEX] for row in self.entries for p in row for e in p.terms)
@@ -252,23 +256,47 @@ class GradedMatrix:
         return all(p.is_zero() for row in self.entries for p in row)
 
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
+        """Product on the term tables: every term of A[i, k] meets every term
+        of B[k, j]; exponents add, coefficients multiply mod p, and equal
+        (cell, exponent) keys are summed."""
         if self.col_degrees != other.row_degrees:
             raise ValueError("inner degree profiles do not match")
-        zero = MultiPoly.zero(self.field)
-        grid: List[List[MultiPoly]] = []
-        for i in range(self.nrows):
-            row: List[MultiPoly] = []
-            for j in range(other.ncols):
-                acc = zero
-                for k in range(self.ncols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            grid.append(row)
-        return GradedMatrix(self.field, self.row_degrees, other.col_degrees, grid, validate=False)
+        p = self.field.characteristic
+        inner, ncols = self.ncols, other.ncols
+        a_cells, a_exps, a_coefs = self.term_table()
+        b_cells, b_exps, b_coefs = other.term_table()
+        a_k = a_cells % inner  # no terms, so no division, when inner == 0
+        b_k = b_cells // ncols  # nondecreasing: the table is sorted by cell
+        met = np.bincount(b_k, minlength=inner)[a_k]  # terms of B each term of A meets
+        a_at = np.repeat(np.arange(len(a_k)), met)
+        b_at = np.repeat(b_k.searchsorted(a_k) - (met.cumsum() - met), met) + np.arange(len(a_at))
+        cells = a_cells[a_at] // inner * ncols + b_cells[b_at] % ncols
+        exps = a_exps[a_at] + b_exps[b_at]
+        order = np.lexsort(tuple(exps.T[::-1]) + (cells,))
+        cells, exps = cells[order], exps[order]
+        coefs = a_coefs[a_at][order] * b_coefs[b_at][order] % p
+        first = np.ones(len(cells), dtype=bool)
+        first[1:] = (cells[1:] != cells[:-1]) | (exps[1:] != exps[:-1]).any(axis=1)
+        starts = first.nonzero()[0]
+        coefs = np.add.reduceat(coefs, starts) % p
+        keep = starts[coefs != 0]
+        return self._from_table(
+            self.row_degrees, other.col_degrees, cells[keep], exps[keep], coefs[coefs != 0])
+
+    def _from_table(
+        self, row_degrees: Sequence[int], col_degrees: Sequence[int],
+        cells: np.ndarray, exps: np.ndarray, coefs: np.ndarray,
+    ) -> "GradedMatrix":
+        """The matrix over this one's field with the given sorted term table."""
+        ncols = len(col_degrees)
+        bounds = cells.searchsorted(np.arange(len(row_degrees) * ncols + 1)).tolist()
+        keys, values = list(map(tuple, exps.tolist())), coefs.tolist()
+        flat = [MultiPoly(self.field, dict(zip(keys[lo:hi], values[lo:hi])))
+                for lo, hi in zip(bounds, bounds[1:])]
+        grid = [flat[i * ncols:(i + 1) * ncols] for i in range(len(row_degrees))]
+        out = GradedMatrix(self.field, row_degrees, col_degrees, grid, validate=False)
+        out._terms = (cells, exps, coefs)
+        return out
 
     def __eq__(self, other) -> bool:
         return (

@@ -11,17 +11,22 @@ block cut out the empty set, and that test is one uncapped basis.
 Module order: term-over-position extension of graded reverse lex, ties
 broken toward the smaller component index.  Buchberger runs degree by degree
 (inputs are homogeneous) with F4's normal strategy (Faugere, J. Pure Appl.
-Algebra 139, 1999): the S-pairs of the lowest pending degree d that survive
-the chain criterion are reduced together, as the rows of one block over the
-degree-d piece, and the reduced row echelon form of what is left, with the
-columns in descending order so that pivots are leads, gives the new
-elements, monic and interreduced.  This is sound for homogeneous input: a
-new element of degree d has a lead that no earlier lead divides, so all of
-its pairs have degree > d.  An optional S-pair degree cap stops the run; a
-capped run certifies every leading term up to the cap and is exactly what
-the Hilbert-function consumers need.  The order of the reductions changes
-no result: a reduced Groebner basis, capped or not, is unique for a fixed
-order, and every consumer reads only the module and that basis.
+Algebra 139, 1999): at the lowest pending degree d, the input generators of
+degree d and the S-pairs of degree d that survive the chain criterion are
+reduced together, as the rows of one block over the degree-d piece, and the
+reduced row echelon form of what is left, with the columns in descending
+order so that pivots are leads, gives the new elements.  They are monic,
+reduced by every earlier element and interreduced, and no earlier element
+holds a term of degree d, so the basis is reduced at every stage: there is
+no minimalizing filter and no final tail reduction.  This is sound for
+homogeneous input: a new element of degree d has a lead that no earlier
+lead divides, so all of its pairs have degree > d.  An optional degree cap
+stops the run before the first degree above it, so a capped run holds no
+element above the cap, input generators included; it certifies every
+leading term up to the cap and is exactly what the Hilbert-function
+consumers need.  The order of the reductions changes no result: a reduced
+Groebner basis, capped or not, is unique for a fixed order, and every
+consumer reads only the module and that basis.
 
 Packed term keys.  Inside the engine a term (comp, e0, e1, e2, e3) is one
 int holding five fixed-width fields of _BITS = 10 bits, most significant
@@ -46,15 +51,21 @@ sum_c binom3(d - a_c) terms of monomial degree d - a_c in component c.  A
 block of such vectors is an int64 array, one row per vector over the sorted
 keys of that piece (keys are below 2**50).  `_normal_form` goes down the
 columns: at a column that some basis element reduces, one vectorised
-update subtracts that element's multiple, scaled per row, from every row
-that is nonzero there, and c * g_i < p**2 < 2**62 cannot overflow.  A
-reduction only creates terms smaller than the one it removes, so each
-column is visited once, and each row takes exactly the steps it would take
-alone.  A membership test and the final tail reduction pass a one-row
-block.  The work arrays cost memory in proportion to the piece, so a piece
-of more than _MAX_PIECE terms raises `TermRangeError`, and a degree's
-S-vectors are reduced in chunks of at most _MAX_PIECE cells; a chunk
-reduces by the elements the chunks before it found.
+update subtracts that element's multiple, scaled per row by the column
+read mod p, from every row that is nonzero there.  A reduction only
+creates terms smaller than the one it removes, so each column is visited
+once, and each row takes exactly the steps it would take alone.  The
+updates are not reduced mod p: entries start in [0, p) and a step lowers
+one by at most (p - 1)**2, so the block is reduced mod p after every
+K = (2**63 - 1 - p) // (p - 1)**2 steps, and once at the end.  Every
+admitted p < 2**31 gives K >= 2 (K = 2 at p = 2**31 - 1, and about 9e9 at
+the default p).  A membership test passes a one-row block.  The work
+arrays cost memory in proportion to the piece, so a piece of more than
+_MAX_PIECE terms raises `TermRangeError`, and a degree's rows are reduced
+in chunks of at most _MAX_PIECE cells.  A chunk reduces by the elements
+the chunks before it found, but those may hold the leads of its own new
+elements, so a degree that was split echelons its new elements together
+once more; their leads do not change, so they are replaced in place.
 
 Reducer tables.  Which basis element reduces a term is decided once per
 degree piece, not once per step (F4's symbolic preprocessing): an int32
@@ -305,8 +316,9 @@ class SubmodulePresentation:
         return sorted(self._by_component)
 
     def lt_generators(self, comp: int) -> List[Expo4]:
-        gens = [v.lead()[1:] for v in self._by_component.get(comp, [])]
-        return _minimalize_monomials(gens)
+        """Minimal generators of the leading-term ideal in ``comp``: the leads
+        of the reduced basis there."""
+        return [v.lead()[1:] for v in self._by_component.get(comp, [])]
 
     def certified_degree(self) -> Optional[int]:
         """Largest degree whose graded piece the (possibly capped) GB certifies."""
@@ -516,46 +528,55 @@ def _row_vec(row: np.ndarray, keys: np.ndarray, degree: int) -> _Vec:
     return vec
 
 
-def _sub_scaled(
-    work: np.ndarray, rows: np.ndarray, pos: np.ndarray, gc: np.ndarray,
-    coeffs: np.ndarray, p: int,
-) -> None:
-    """One reduction step: work[rows[k]] -= coeffs[k] * x^m * g for every k,
-    in place, where x^m * g has the coefficients ``gc`` at the positions
-    ``pos`` of the piece."""
-    at = (rows[:, None], pos)
-    work[at] = (work[at] - coeffs[:, None] * gc) % p
+def _sub_scaled(flat: np.ndarray, at: np.ndarray, gc: np.ndarray, coeffs: np.ndarray) -> None:
+    """One reduction step: flat[at[k]] -= coeffs[k] * gc for every k, in place
+    and without reducing mod p, where ``at[k]`` are the flat positions of
+    x^m * g in the k-th row and ``gc`` its coefficients."""
+    flat[at] -= coeffs[:, None] * gc
 
 
-def _normal_form(
-    work: np.ndarray, reducers: _Reducers, degree: int, top: Optional[int] = None
-) -> np.ndarray:
-    """Fully reduce every row of the block ``work`` over the degree piece, in
-    place, at positions below ``top`` (default: all of the piece); returns it.
+def _normal_form(work: np.ndarray, reducers: _Reducers, degree: int) -> np.ndarray:
+    """Fully reduce every row of the block ``work`` (entries in [0, p)) over
+    the degree piece; returns the reduced block, entries in [0, p), which is
+    ``work`` itself when it is C-contiguous.
 
     Columns are visited from the largest down.  At a column the piece's table
-    names a reducer for, one `_sub_scaled` step removes that column from
-    every row that is nonzero there.  A reduction at a column only changes
-    columns below it, so each row takes exactly the steps it would take
-    alone.  Only columns that are nonzero in the input or in a multiple used
-    since can be nonzero: those are the candidates.
+    names a reducer for, one `_sub_scaled` step removes that column, read
+    mod p, from every row that is nonzero there.  A reduction at a column
+    only changes columns below it, so each row takes exactly the steps it
+    would take alone.  Only columns that are nonzero in the input or in a
+    multiple used since can be nonzero: those are the candidates.  The
+    steps do not reduce mod p: a step lowers an entry by at most (p - 1)^2,
+    so the block is reduced mod p after every K steps (see the module
+    docstring) and once at the end.
     """
+    p = reducers.p
     keys = reducers.pieces(degree)
     table = reducers.table(degree)
     reducible = table >= 0
-    top = work.shape[1] if top is None else top
-    candidates = work[:, :top].any(axis=0) & reducible[:top]
+    work = np.ascontiguousarray(work)
+    flat, width = work.reshape(-1), work.shape[1]
+    delay = (2 ** 63 - 1 - p) // (p - 1) ** 2
+    steps = 0
+    candidates = work.any(axis=0) & reducible
+    top = width
     while True:
         live = candidates[:top].nonzero()[0]
         if not live.size:
+            work %= p
             return work
         top = int(live[-1])
-        rows = work[:, top].nonzero()[0]
+        column = work[:, top] % p
+        rows = column.nonzero()[0]
         if rows.size:
+            if steps == delay:
+                work %= p
+                steps = 0
             g = reducers.basis[table[top]]
             gk, gc = g.arrays()
             pos = keys.searchsorted(gk + (int(keys[top]) - g.lead_key()))
-            _sub_scaled(work, rows, pos, gc, work[rows, top], reducers.p)
+            _sub_scaled(flat, rows[:, None] * width + pos, gc, column[rows])
+            steps += 1
             candidates[pos[reducible[pos]]] = True
 
 
@@ -585,16 +606,6 @@ def _echelon_basis(work: np.ndarray, keys: np.ndarray, degree: int, p: int) -> L
     rref, pivots = _linalg.rref_mod_p(work[:, cols], p)
     keys = keys[cols]
     return [_row_vec(row, keys, degree) for row in rref[:len(pivots)]]
-
-
-def _make_monic(vec: _Vec, field: FieldSpec) -> _Vec:
-    lc = vec.terms[vec.lead_key()]
-    if lc == 1:
-        return vec
-    inv = field.invert(lc)
-    p = field.characteristic
-    terms = {t: (v * inv) % p for t, v in vec.terms.items()}
-    return _Vec(terms, vec.degree)
 
 
 def _buchberger(
@@ -628,13 +639,14 @@ def _buchberger(
             counter += 1
         same.append(j)
 
+    pending: Dict[int, List[_Vec]] = {}  # degree -> generators not yet fed in
     for g in gens:
         if not g.is_zero():
-            add(_make_monic(g, field))
+            pending.setdefault(g.degree, []).append(g)
 
     truncated_at: Optional[int] = None
-    while pairs:
-        deg = pairs[0][0]
+    while pairs or pending:
+        deg = min(list(pending) + ([pairs[0][0]] if pairs else []))
         if degree_cap is not None and deg > degree_cap:
             truncated_at = degree_cap
             break
@@ -653,37 +665,33 @@ def _buchberger(
             ):
                 batch.append((i, j, _pack(L)))
             processed.add((i, j))
-        if not batch:
+        rows = pending.pop(deg, [])
+        if not batch and not rows:
             continue
-        # chunks of at most _MAX_PIECE cells; a chunk reduces by the elements
-        # the chunks before it added
+        # the generators of this degree and the S-vectors, in chunks of at
+        # most _MAX_PIECE cells; a chunk reduces by the elements the chunks
+        # before it added
         keys = pieces(deg)
         step = max(1, _MAX_PIECE // len(keys))
-        for start in range(0, len(batch), step):
-            work = _normal_form(_s_vectors(batch[start:start + step], basis, keys, p), reducers, deg)
+        first = len(basis)
+        for start in range(0, len(rows) + len(batch), step):
+            stop = start + step
+            parts = [_dense(g, keys)[None] for g in rows[start:stop]]
+            chunk = batch[max(0, start - len(rows)):max(0, stop - len(rows))]
+            if chunk:
+                parts.append(_s_vectors(chunk, basis, keys, p))
+            work = _normal_form(np.concatenate(parts), reducers, deg)
             for v in _echelon_basis(work, keys, deg, p):
                 add(v)
-
-    # minimalize: drop elements whose lead is divisible by another lead
-    keep = [
-        v for i, v in enumerate(basis)
-        if not any(
-            k != i and _mono_divides(leads[k], leads[i]) and (leads[k] != leads[i] or k < i)
-            for k in by_comp[leads[i][0]]
-        )
-    ]
-    # tail-reduce for a reduced basis: no lead of ``keep`` divides another,
-    # and v's own lead divides no other term of its degree piece, so below
-    # v's lead the first divisor in ``keep`` is the first one other than v;
-    # every element is monic, and so is what is left of it
-    final: List[_Vec] = []
-    tails = _Reducers(pieces, p, keep)
-    for v in keep:
-        keys = pieces(v.degree)
-        lead = int(keys.searchsorted(v.lead_key()))
-        red = _normal_form(_dense(v, keys)[None], tails, v.degree, top=lead)
-        final.append(_row_vec(red[0], keys, v.degree))
-    return final, truncated_at
+        if len(rows) + len(batch) > step and len(basis) - first > 1:
+            # an earlier chunk's elements may hold a later chunk's leads:
+            # echelon them together; the leads, and so the tables and the
+            # pairs, stay as they are
+            index = {basis[i].lead_key(): i for i in range(first, len(basis))}
+            work = np.stack([_dense(basis[i], keys) for i in range(first, len(basis))])
+            for v in _echelon_basis(work, keys, deg, p):
+                basis[index[v.lead_key()]] = v
+    return basis, truncated_at
 
 
 _PRESENTATION_CACHE: Dict[Tuple[str, Optional[int]], SubmodulePresentation] = {}
@@ -702,8 +710,9 @@ def groebner_basis(
     """Reduced Groebner basis of the column module of ``gens``.
 
     ``ambient`` (optional) must agree with the row degrees of the matrix.
-    ``degree_cap`` bounds the S-pair degree; "default" means
-    max(column degrees) + 8, None means no cap.
+    ``degree_cap`` bounds the degree of the S-pairs and of the generators
+    the run takes in; "default" means max(column degrees) + 8, None means no
+    cap.
     """
     if ambient is not None and ambient != gens.row_char():
         raise ValueError("ambient characteristic function does not match row degrees")

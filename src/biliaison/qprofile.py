@@ -26,8 +26,8 @@ where k is the rank of the block.  No minor is enumerated:
    there, once per plane, at the images of the points (t : 1) of the line
    Y = 1 for t = 0..N-1, where N - 1 bounds the degree of every entry and
    of every k-minor, at one seeded pivot point (x : 1) per shuffle, and at
-   (1 : 0).  On each seeded shuffle, the reduced echelon forms of the
-   values at the pivot point pick k pivot rows and columns; their minor is
+   (1 : 0).  On each seeded shuffle, forward elimination on the values at
+   the pivot point picks k pivot rows and columns; their minor is
    nonzero there, hence a nonzero binary form of the known degree D =
    (sum of column degrees) - (sum of row degrees).  Its values at
    t = 0..D, one batched determinant mod p, determine it by Newton
@@ -258,10 +258,10 @@ def _pivot_sets(
     seen = set()
     for t, (rp, cp, _) in enumerate(runs):
         v = values[t][rp][:, cp]
-        _, pivot_rows = _linalg.rref_mod_p(v.T, p)
+        pivot_rows = _linalg.pivots_mod_p(v.T, p)
         if len(pivot_rows) < k:
             continue
-        _, pivot_cols = _linalg.rref_mod_p(v[pivot_rows[:k]], p)
+        pivot_cols = _linalg.pivots_mod_p(v[pivot_rows[:k]], p)
         rows = tuple(sorted(rp[i] for i in pivot_rows[:k]))
         cols = tuple(sorted(cp[j] for j in pivot_cols))
         if (rows, cols) not in seen:

@@ -383,6 +383,89 @@ def test_matrix_product_degrees():
     assert uv.is_zero_matrix()
 
 
+def _reference_product(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
+    """The product entry by entry: sum over k of A[i, k] * B[k, j]."""
+    zero = MultiPoly.zero(a.field)
+    grid = [[sum((a.entries[i][k] * b.entries[k][j] for k in range(a.ncols)), zero)
+             for j in range(b.ncols)] for i in range(a.nrows)]
+    return GradedMatrix(a.field, a.row_degrees, b.col_degrees, grid, validate=False)
+
+
+def _random_grid(field, nrows, ncols, rng):
+    """Entries of up to three terms, exponents up to 6, some in a, some zero."""
+    p = field.characteristic
+    return [[MultiPoly(field, {
+        tuple(rng.randrange(7) if rng.random() < 0.5 else 0 for _ in range(4))
+        + (rng.randrange(3) if rng.random() < 0.3 else 0,): rng.randrange(1, p)
+        for _ in range(rng.randrange(4))}) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+    large_prime=st.booleans(),
+    cancel=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_product_matches_the_entrywise_product(shape, large_prime, cancel, seed):
+    # the term-table product must equal the entrywise one: the entries, their
+    # printed form and the fingerprint.  Zero rows of A, zero columns of B,
+    # and 0 x n and n x 0 shapes come from the draws; ``cancel`` plants
+    # A[:, k2] = A[:, k1] and B[k2] = -B[k1], so those terms cancel in every cell
+    field = FieldSpec.prime(2**31 - 1 if large_prime else 32003)
+    rng = random.Random(seed)
+    nrows, inner, ncols = shape
+    left, right = _random_grid(field, nrows, inner, rng), _random_grid(field, inner, ncols, rng)
+    if rng.random() < 0.3 and nrows:
+        left[rng.randrange(nrows)] = [MultiPoly.zero(field)] * inner
+    if rng.random() < 0.3 and ncols:
+        j = rng.randrange(ncols)
+        for row in right:
+            row[j] = MultiPoly.zero(field)
+    if cancel and inner >= 2:
+        k1, k2 = rng.sample(range(inner), 2)
+        for row in left:
+            row[k2] = row[k1]
+        right[k2] = [-q for q in right[k1]]
+    a = GradedMatrix(field, [0] * nrows, [0] * inner, left, validate=False)
+    b = GradedMatrix(field, [0] * inner, [0] * ncols, right, validate=False)
+    got, want = a @ b, _reference_product(a, b)
+    assert got == want
+    assert [[str(q) for q in row] for row in got.entries] == \
+        [[str(q) for q in row] for row in want.entries]
+    assert got.fingerprint() == want.fingerprint()
+    assert (got.nrows, got.ncols) == (nrows, ncols)
+
+
+def test_product_of_the_34_composite_prints_as_before(example_runs):
+    desc, profile, _ = example_runs.get("3.4")
+    s = desc.matrix
+    v = families.sample_general_morphism(s, profile.q_function(), profile=profile)
+    for a in (s, s.specialize_closed_point()):
+        got, want = a @ v, _reference_product(a, v)
+        assert [[str(q) for q in row] for row in got.entries] == \
+            [[str(q) for q in row] for row in want.entries]
+        assert got.fingerprint() == want.fingerprint()
+
+
+@settings(max_examples=40, deadline=None)
+@given(nrows=st.integers(0, 4), ncols=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_specialization_from_the_term_table(nrows, ncols, seed):
+    # a := 0 drops the terms in a; the result, and its table, must be those
+    # of the entrywise specialization
+    rng = random.Random(seed)
+    m = GradedMatrix(F, [0] * nrows, [0] * ncols, _random_grid(F, nrows, ncols, rng),
+                     validate=False)
+    closed = m.specialize_closed_point()
+    grid = [[q.specialize_parameter(0) for q in row] for row in m.entries]
+    assert closed == GradedMatrix(F, m.row_degrees, m.col_degrees, grid, validate=False)
+    rebuilt = GradedMatrix(F, m.row_degrees, m.col_degrees, closed.entries, validate=False)
+    for got, want in zip(closed.term_table(), rebuilt.term_table()):
+        assert got.dtype == want.dtype and got.shape == want.shape and (got == want).all()
+    assert m.specialize_closed_point() is closed
+    assert not closed.has_parameter()
+
+
 def test_json_roundtrip(tmp_path):
     s = fixtures.example("3.2").matrix
     path = tmp_path / "m.json"

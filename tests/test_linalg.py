@@ -32,6 +32,29 @@ def test_rank_mod_p_matches_sympy_at_largest_prime(nrows, ncols, inner, seed):
     assert _linalg.rank_mod_p(np.array(a, dtype=np.int64), P31) == oracle
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    nrows=st.integers(0, 6),
+    ncols=st.integers(0, 7),
+    inner=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pivots_mod_p_are_the_rref_pivots(nrows, ncols, inner, seed):
+    # forward elimination finds the pivot columns of the reduced echelon form
+    rng = random.Random(seed)
+    left = [[rng.randrange(P31) for _ in range(inner)] for _ in range(nrows)]
+    right = [[rng.randrange(P31) if rng.random() < 0.7 else 0 for _ in range(ncols)]
+             for _ in range(inner)]
+    a = np.array([[sum(x * y for x, y in zip(row, col)) % P31 for col in zip(*right)]
+                  for row in left], dtype=np.int64).reshape(nrows, ncols)
+    pivots = _linalg.pivots_mod_p(a, P31)
+    assert pivots == _linalg.rref_mod_p(a, P31)[1]
+    if a.size:
+        K = GF(P31)
+        _, oracle = DomainMatrix([[K(int(x)) for x in row] for row in a], a.shape, K).rref()
+        assert pivots == list(oracle)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 16),

@@ -26,16 +26,16 @@ def M(row_degs, col_degs, rows) -> GradedMatrix:
     return GradedMatrix(F, row_degs, col_degs, [[P(s) for s in r] for r in rows])
 
 
-def _random_matrix(rng, row_degs, col_degs, density) -> GradedMatrix:
+def _random_matrix(rng, row_degs, col_degs, density, field=F) -> GradedMatrix:
     """Random homogeneous entries: entry (i, j) has degree col_degs[j] - row_degs[i]
     (zero when negative), each monomial kept with probability ``density``."""
     grid = [[
-        MultiPoly(F, {
-            mono + (0,): rng.randrange(1, 32003)
+        MultiPoly(field, {
+            mono + (0,): rng.randrange(1, field.characteristic)
             for mono in modgb.monomials_of_degree(cd - rd) if rng.random() < density
         })
         for cd in col_degs] for rd in row_degs]
-    return GradedMatrix(F, row_degs, col_degs, grid, validate=False)
+    return GradedMatrix(field, row_degs, col_degs, grid, validate=False)
 
 
 def _mixed_degree_matrices(rng, count):
@@ -261,27 +261,110 @@ def test_chunked_blocks_give_the_same_basis(monkeypatch):
     assert split == 2
 
 
-@settings(max_examples=8, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_ideal_gb_matches_sympy(seed):
-    # random homogeneous ideals: 2-4 generators of degree 2-3 in one row
+def _sympy_reduced_basis(polys, p):
+    """Reduced grevlex basis of an ideal by sympy, monic, as sorted term lists."""
+    xs = sympy.symbols("X Y Z T")
+    exprs = [sympy.Poly({e[:4]: c for e, c in q.terms.items()}, *xs) for q in polys]
+    out = []
+    for g in sympy.groebner(exprs, *xs, order="grevlex", modulus=p).polys:
+        inv = pow(int(g.LC(order="grevlex")) % p, -1, p)  # the default LC() is lex
+        out.append(sorted((tuple(e) + (0,), int(c) * inv % p) for e, c in g.terms()))
+    return sorted(out)
+
+
+def _check_ideal_gb_against_sympy(seed, field):
+    """Random homogeneous ideals: 2-4 generators of degree 2-3 in one row."""
     rng = random.Random(seed)
-    p = F.characteristic
     degrees = [rng.choice([2, 3]) for _ in range(rng.randrange(2, 5))]
-    gens = _random_matrix(rng, [0], degrees, 0.4)
+    gens = _random_matrix(rng, [0], degrees, 0.4, field)
     polys = [q for q in gens.entries[0] if not q.is_zero()]
     if not polys:
         return
     pres = modgb.groebner_basis(gens, degree_cap=None)
-    ours = sorted(sorted(modgb._vec_to_column(v, (0,), F)[0].terms.items()) for v in pres.gb)
+    ours = sorted(sorted(modgb._vec_to_column(v, (0,), field)[0].terms.items()) for v in pres.gb)
+    assert ours == _sympy_reduced_basis(polys, field.characteristic)
 
-    xs = sympy.symbols("X Y Z T")
-    exprs = [sympy.Poly({e[:4]: c for e, c in q.terms.items()}, *xs) for q in polys]
-    theirs = []
-    for g in sympy.groebner(exprs, *xs, order="grevlex", modulus=p).polys:
-        inv = pow(int(g.LC(order="grevlex")) % p, -1, p)  # the default LC() is lex
-        theirs.append(sorted((tuple(e) + (0,), int(c) * inv % p) for e, c in g.terms()))
-    assert ours == sorted(theirs)
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ideal_gb_matches_sympy(seed):
+    _check_ideal_gb_against_sympy(seed, F)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ideal_gb_matches_sympy_at_the_largest_prime(seed):
+    # at p = 2^31 - 1 a block is reduced mod p after every second step, so
+    # the delayed reduction is exercised on every longer normal form
+    _check_ideal_gb_against_sympy(seed, FieldSpec.prime(2**31 - 1))
+
+
+def _assert_reduced(gb):
+    """Monic leads, and no lead divides a term of another element."""
+    for v in gb:
+        assert v.terms[v.lead_key()] == 1
+        for w in gb:
+            if w is not v:
+                assert not any(modgb._unpack(k)[0] == w.lead()[0]
+                               and modgb._mono_divides(w.lead(), modgb._unpack(k))
+                               for k in v.terms)
+
+
+def _with_redundant_columns(gens: GradedMatrix, rng) -> GradedMatrix:
+    """gens plus zero columns, duplicates, scalar multiples and monomial
+    multiples of its columns (divisible by a lower-degree column), shuffled."""
+    cols = [(gens.col_degrees[j], gens.column(j)) for j in range(gens.ncols)]
+    extra = [(rng.randrange(4), [MultiPoly.zero(gens.field)] * gens.nrows)]
+    for d, col in rng.sample(cols, min(3, len(cols))):
+        extra.append((d, col))
+        c = rng.randrange(2, 32003)
+        extra.append((d, [q.scale(c) for q in col]))
+        mono = MultiPoly.monomial(gens.field, rng.choice(modgb.monomials_of_degree(1)) + (0,))
+        extra.append((d + 1, [q * mono for q in col]))
+    cols += extra
+    rng.shuffle(cols)
+    return GradedMatrix(gens.field, gens.row_degrees, [d for d, _ in cols],
+                        [[col[i] for _, col in cols] for i in range(gens.nrows)], validate=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_redundant_generators_give_the_same_reduced_basis(seed):
+    # generators enter as rows of their degree's block; zero, repeated,
+    # proportional and divisible ones must vanish there and leave the
+    # reduced basis, born reduced without a tail pass, as it was
+    rng = random.Random(seed)
+    gens = next(_mixed_degree_matrices(rng, 1))
+    padded = _with_redundant_columns(gens, rng)
+    whole = modgb.groebner_basis(gens, degree_cap=None)
+    pres = modgb.groebner_basis(padded, degree_cap=None)
+    assert {tuple(sorted(v.terms.items())) for v in pres.gb} == \
+        {tuple(sorted(v.terms.items())) for v in whole.gb}
+    _assert_reduced(pres.gb)
+    lo = min(padded.col_degrees)
+    for n in range(lo, lo + 4):
+        assert pres.hilbert_function(n) == modgb.module_dimension_oracle(padded, n)
+
+
+def test_redundant_ideal_generators_match_sympy():
+    gens = M([0], [2, 2, 2, 3, 3, 4, 0], [[
+        "X^2 + Y*Z", "X^2 + Y*Z", "3*X^2 + 3*Y*Z", "X^3 + X*Y*Z", "Y^2*T - Z^3", "0", "0"]])
+    pres = modgb.groebner_basis(gens, degree_cap=None)
+    ours = sorted(sorted(modgb._vec_to_column(v, (0,), F)[0].terms.items()) for v in pres.gb)
+    polys = [q for q in gens.entries[0] if not q.is_zero()]
+    assert ours == _sympy_reduced_basis(polys, F.characteristic)
+    _assert_reduced(pres.gb)
+
+
+def test_capped_basis_holds_nothing_above_the_cap():
+    # generators of degree 1 and 5 under a cap of 3: the degree-5 generator
+    # is pending when the run stops, so it is left out and the basis is
+    # marked truncated, even though no S-pair lies above the cap
+    gens = M([0, 0], [1, 5], [["X", "0"], ["0", "Y^5"]])
+    pres = modgb.groebner_basis(gens, degree_cap=3)
+    assert [v.degree for v in pres.gb] == [1]
+    assert pres.truncated_at == 3
+    assert modgb.groebner_basis(gens, degree_cap=5).truncated_at is None
 
 
 def test_dense_normal_form_range_errors():

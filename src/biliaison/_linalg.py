@@ -13,59 +13,66 @@ from typing import List, Tuple
 import numpy as np
 
 
-def rref_mod_p(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    """Reduced row echelon form mod p; returns (rref, pivot column list)."""
-    m = np.array(a, dtype=np.int64) % p
-    rows, cols = m.shape
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r, c:] = (m[r, c:] * inv) % p  # row r is zero left of c
-        col = m[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            m[mask, c:] = (m[mask, c:] - np.outer(col[mask], m[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return m, pivots
+def _eliminate(a: np.ndarray, p: int, reduced: bool) -> Tuple[np.ndarray, List[int]]:
+    """Gaussian elimination mod p; returns (echelon form, pivot columns).
 
-
-def pivots_mod_p(a: np.ndarray, p: int) -> List[int]:
-    """Pivot columns of the row echelon form mod p, by forward elimination:
-    the columns that raise the rank of the columns before them."""
+    With ``reduced`` every pivot row is made monic and cleared above its
+    pivot too (the reduced row echelon form); without it, only below.  Each
+    pivot row is reduced mod p when it is chosen and each pivot column is
+    read mod p, but the updates are not: an update lowers an entry by at most
+    (p - 1)^2, so the block is reduced after every
+    K = (2^63 - 1 - p) // (p - 1)^2 updates (K = 2 at p = 2^31 - 1) and once
+    at the end.  Only the columns from the pivot on are updated: the pivot
+    row is zero left of it.
+    """
     m = np.array(a, dtype=np.int64) % p
     if m.size == 0:
-        return []
+        return m, []
     rows, cols = m.shape
+    delay = (2 ** 63 - 1 - p) // (p - 1) ** 2
+    steps = 0
     pivots: List[int] = []
     for c in range(cols):
         r = len(pivots)
         if r >= rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
+        column = m[:, c] % p
+        nz = np.nonzero(column[r:])[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        below = m[r + 1:, c:]  # zero left of c, as is row r
-        mask = below[:, 0] != 0
-        if mask.any():
-            factors = (below[mask, 0] * inv) % p
-            below[mask] = (below[mask] - factors[:, None] * m[r, c:]) % p
+            column[[r, i]] = column[[i, r]]
+        inv = pow(int(column[r]), p - 2, p)
+        m[r, c:] %= p
+        if reduced:  # a monic pivot row; the factors are the column itself
+            m[r, c:] = m[r, c:] * inv % p
+            column[r] = 0
+        else:
+            column[:r + 1] = 0
+            column = column * inv % p
+        targets = column.nonzero()[0]
+        if targets.size:
+            if steps == delay:
+                m %= p
+                steps = 0
+            m[targets, c:] -= column[targets, None] * m[r, c:]
+            steps += 1
         pivots.append(c)
-    return pivots
+    m %= p
+    return m, pivots
+
+
+def rref_mod_p(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
+    """Reduced row echelon form mod p; returns (rref, pivot column list)."""
+    return _eliminate(a, p, reduced=True)
+
+
+def pivots_mod_p(a: np.ndarray, p: int) -> List[int]:
+    """Pivot columns of the row echelon form mod p, by forward elimination:
+    the columns that raise the rank of the columns before them."""
+    return _eliminate(a, p, reduced=False)[1]
 
 
 def rank_mod_p(a: np.ndarray, p: int) -> int:
@@ -104,8 +111,25 @@ def det_mod_p(a: np.ndarray, p: int) -> np.ndarray:
         m[:, c + 1:, c:] = (
             piv[:, None, None] * m[:, c + 1:, c:] - m[:, c + 1:, c, None] * m[:, c, None, c:]
         ) % p
-    inv = np.array([pow(int(d), -1, p) if d else 0 for d in den], dtype=np.int64)
-    return num * inv % p
+    return num * _inverses_mod_p(den, p) % p
+
+
+def _inverses_mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p - 2) mod p entrywise: the inverses, and 0 for 0.  A short array
+    takes Python's pow per entry; a long one square-and-multiply on the
+    whole array, whose 2 log2(p) array operations cost less from about 64
+    entries on."""
+    if len(x) < 64:
+        return np.array([pow(int(d), p - 2, p) for d in x], dtype=np.int64)
+    out = np.ones_like(x)
+    base = x % p
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
 
 
 def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:

@@ -15,11 +15,14 @@ Exit codes: 0 success / admissible; 1 rejection or example mismatch;
 4 degree budget exhaustion; 5 dissociated sheaf (minimal-family).
 
 Local freeness of the cokernel at the closed point is certified by
-`modgb.has_constant_rank`.  It enumerates the rank-level minors of each
-block, at most `modgb.MINOR_LIMIT` (20000) per block; a larger block exits
-with code 3 before any minor is computed, and --assume-locally-free skips
-the check.  A --window must start at or below inf L2 - 1 and must not end
-below its start (exit 2).  A matrix JSON whose entries are not lists of
+`modgb.has_constant_rank` from the rank-level minors of each block, at most
+`modgb.MINOR_LIMIT` (20000) per block.  Their values on a lattice of points
+certify a block whose minors span every form of their top degree; any other
+block takes the symbolic minors and one Groebner basis, which decide.  A
+block with more minors exits with code 3 before any minor work, as does one
+whose minors vanish somewhere, and --assume-locally-free skips the check.
+A --window must start at or below inf L2 - 1 and must not end below its
+start (exit 2).  A matrix JSON whose entries are not lists of
 strings, and an --export-matrix path that cannot be written, exit 2.
 """
 
@@ -68,9 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "inf L2 - 1")
         p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--assume-locally-free", action="store_true",
-                       help="trust that the cokernel of the presentation is locally free; "
-                            "without it, a block with more than %d rank-level minors "
-                            "exits 3" % modgb.MINOR_LIMIT)
+                       help="trust that the cokernel of the presentation is locally free "
+                            "and skip its certificate (minor values on a lattice, else "
+                            "symbolic minors); without it, a block with more than %d "
+                            "rank-level minors exits 3" % modgb.MINOR_LIMIT)
         p.add_argument("--assume-surjective", action="store_true",
                        help="trust that the presentation generates all sections")
         p.add_argument("--export-matrix", metavar="PATH", default=None,

@@ -5,8 +5,26 @@ counting monomials in the leading-term module through Hilbert-series
 numerators), windowed cubic Hilbert polynomials, degreewise syzygies and
 minimal generator counts (plain exact linear algebra, independent of the
 Groebner machinery), and the local-freeness check: `has_constant_rank` asks
-`is_empty_projective_locus` whether the distinct rank-level minors of each
-block cut out the empty set, and that test is one uncapped basis.
+whether the rank-level minors of each block cut out the empty set, first
+from their values (below), and otherwise by `is_empty_projective_locus` on
+the distinct symbolic minors, which is one uncapped basis.
+
+Local freeness by values.  Let I be the ideal of the r-minors of a block of
+rank r, and D their top degree: the r largest column degrees minus the r
+smallest row degrees.  If I_D = S_D, then I holds every monomial of degree D
+and cuts out the empty set (the converse needs a higher degree in general,
+so a block that does not fill at D takes the symbolic route, which
+decides).  I_D is spanned by the products of each minor of degree e >= 0
+with the monomials of degree D - e.  Setting X = 1 maps S_D isomorphically
+onto the polynomials of degree <= D in Y, Z, T, and for p > D these are
+determined by their values on the lattice {(a, b, c) : a + b + c <= D} of
+binom3(D) points, which is unisolvent (Chung and Yao, SIAM J. Numer. Anal.
+14, 1977): in the falling-factorial basis (Y)_i (Z)_j (T)_k the evaluation
+matrix is triangular under the componentwise order, with diagonal
+a! b! c! != 0 mod p.  So the rank of the values of those products on the
+lattice is exactly dim I_D, and rank binom3(D) certifies the block.  The
+values of the minors are batched determinants of the block's values at the
+lattice points (`_minors_fill_top_degree`).
 
 Module order: term-over-position extension of graded reverse lex, ties
 broken toward the smaller component index.  Buchberger runs degree by degree
@@ -80,6 +98,7 @@ pick.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -306,6 +325,7 @@ class SubmodulePresentation:
         for v in gb:
             self._by_component.setdefault(v.lead()[0], []).append(v)
         self._numerators: Dict[int, List[int]] = {}
+        self._polynomial: Optional[HilbertPolynomial] = None  # at the default budget
         self._reducers = _Reducers(_DegreePieces(ambient_degrees), field.characteristic, gb)
 
     # --- leading term data -------------------------------------------------
@@ -365,16 +385,19 @@ class SubmodulePresentation:
 
     def hilbert_polynomial(self, budget: Optional[int] = None) -> "HilbertPolynomial":
         """Cubic agreeing with the Hilbert function from the fitted window on
-        (see `fit_cubic_window`)."""
-        degrees = [self.ambient_degrees[c] for c in self._by_component] or [0]
-        start = min(degrees)
-        if budget is None:
-            budget = self.truncated_at
-        if budget is None:
-            budget = start + 40
+        (see `fit_cubic_window`).  The fit at the default budget is kept."""
+        if budget is None and self._polynomial is not None:
+            return self._polynomial
+        start = min([self.ambient_degrees[c] for c in self._by_component] or [0])
+        top = budget if budget is not None else self.truncated_at
+        if top is None:
+            top = start + 40
         if self.truncated_at is not None:
-            budget = min(budget, self.truncated_at)
-        return fit_cubic_window(self.hilbert_function, start, budget)
+            top = min(top, self.truncated_at)
+        poly = fit_cubic_window(self.hilbert_function, start, top)
+        if budget is None:
+            self._polynomial = poly
+        return poly
 
 
 @dataclass(frozen=True)
@@ -968,7 +991,10 @@ def has_constant_rank(m: GradedMatrix) -> bool:
     Exactly then the cokernel sheaf is locally free (Fitting ideals; Eisenbud,
     Commutative Algebra, GTM 150, ch. 20).  Per block of rank r the r-minors
     must cut out the empty set; a block with more than `MINOR_LIMIT`
-    rank-level minors raises `BudgetExhaustedError` before any is enumerated.
+    rank-level minors raises `BudgetExhaustedError` before any minor work.
+    `_minors_fill_top_degree` certifies a block from minor values; a block it
+    leaves open takes the symbolic minors and `is_empty_projective_locus`,
+    which decides.
     """
     for rows, cols in block_decomposition(m):
         sub = m.submatrix(rows, cols)
@@ -979,10 +1005,63 @@ def has_constant_rank(m: GradedMatrix) -> bool:
                 f"a {sub.nrows}x{sub.ncols} block of rank {r} has {count} rank-level "
                 f"minors, more than the {MINOR_LIMIT} that are enumerated"
             )
+        if _minors_fill_top_degree(sub, r):
+            continue
         distinct = dict.fromkeys(d.monic() for d in minors(sub, r) if not d.is_zero())
         if not is_empty_projective_locus(distinct):
             return False
     return True
+
+
+def _minors_fill_top_degree(sub: GradedMatrix, r: int) -> bool:
+    """Do the r-minors of ``sub`` span every form of their top degree D?
+
+    If so they cut out the empty set; False only means that degree D does
+    not decide (see the module docstring).  Each minor of degree e >= 0 is
+    evaluated on the lattice {(1, a, b, c, 0) : a + b + c <= D} by batched
+    determinants of the block's values, in chunks of at most _MAX_PIECE
+    cells, and its values times those of the monomials of degree D - e
+    span the values of I_D; the chunks stop as soon as their rank is
+    binom3(D).  D >= p, or a lattice too large for a _MAX_PIECE-cell span,
+    leaves the block to the symbolic route.
+    """
+    p = sub.field.characteristic
+    top = sum(sorted(sub.col_degrees)[-r:]) - sum(sorted(sub.row_degrees)[:r])
+    size = binom3(top)
+    if top >= p or size * size > _MAX_PIECE:
+        return False
+    lattice = np.array(monomials_of_degree(top), dtype=np.int64)[:, 1:]
+    points = np.zeros((size, 5), dtype=np.int64)
+    points[:, 0], points[:, 1:4] = 1, lattice
+    values = sub.evaluate_many(points)
+    powers = np.ones((top + 1, 3, size), dtype=np.int64)  # powers[k] = (a, b, c)^k
+    for k in range(1, top + 1):
+        powers[k] = powers[k - 1] * lattice.T % p
+    row_sets = np.array(list(itertools.combinations(range(sub.nrows), r)))
+    col_sets = np.array(list(itertools.combinations(range(sub.ncols), r)))
+    degrees = (np.array(sub.col_degrees)[col_sets].sum(axis=1)
+               - np.array(sub.row_degrees)[row_sets].sum(axis=1)[:, None])
+    ri, ci = (degrees >= 0).nonzero()
+    degrees = degrees[ri, ci]
+    multiples = {}  # e -> values of the monomials of degree D - e, one row each
+    for e in sorted(set(degrees.tolist())):
+        x = np.array(monomials_of_degree(top - e), dtype=np.int64)
+        multiples[e] = powers[x[:, 1], 0] * powers[x[:, 2], 1] % p * powers[x[:, 3], 2] % p
+    widest = max(r * r, max(len(v) for v in multiples.values()))
+    step = max(1, _MAX_PIECE // (size * widest))
+    span = np.zeros((0, size), dtype=np.int64)
+    for start in range(0, len(degrees), step):
+        at = slice(start, start + step)
+        stack = values[:, row_sets[ri[at], :, None], col_sets[ci[at], None, :]]
+        dets = _linalg.det_mod_p(stack.swapaxes(0, 1).reshape(-1, r, r), p).reshape(-1, size)
+        chunk = degrees[at]
+        parts = [span] + [(dets[chunk == e, None] * v).reshape(-1, size) % p
+                          for e, v in multiples.items()]
+        span, pivots = _linalg.rref_mod_p(np.concatenate(parts), p)
+        if len(pivots) == size:
+            return True
+        span = span[:len(pivots)]
+    return False
 
 
 def is_empty_projective_locus(gens: Iterable[MultiPoly]) -> bool:

@@ -169,18 +169,23 @@ def test_minor_limit_exit_code(tmp_path, monkeypatch):
     # more rank-level minors than are enumerated
     path = tmp_path / "ex34.json"
     fixtures.example("3.4").matrix.save(str(path))
-    sizes = []
-    enumerate_minors = modgb.minors
+    sizes = {"certificate": [], "minors": []}
 
-    def spy(m, k):
-        sizes.append((m.nrows, m.ncols, k))
-        return enumerate_minors(m, k)
+    def spy(name, fn):
+        def record(m, k):
+            sizes[name].append((m.nrows, m.ncols, k))
+            return fn(m, k)
+        return record
 
-    monkeypatch.setattr(modgb, "minors", spy)
+    monkeypatch.setattr(modgb, "minors", spy("minors", modgb.minors))
+    monkeypatch.setattr(modgb, "_minors_fill_top_degree",
+                        spy("certificate", modgb._minors_fill_top_degree))
     code, out, _ = run(["qprofile", "--input", str(path)])
     assert code == 3
     assert "rank-level minors" in out and "--assume-locally-free" in out
-    assert sizes == [(2, 17, 2)]  # the small block only; the large one is refused first
+    # the small block is certified from minor values; the large one is
+    # refused before any certificate or minor work
+    assert sizes == {"certificate": [(2, 17, 2)], "minors": []}
 
 
 def test_profile_budget_error_exit_code(tmp_path):

@@ -558,6 +558,17 @@ def _forms(draw):
     return planted, forms
 
 
+def _locus_is_empty_by_oracle(forms) -> bool:
+    """Do the forms cut out the empty set?  By the dense Macaulay rank at
+    D = 4 * delta - 3 (see `test_empty_locus_matches_macaulay_oracle`)."""
+    forms = [f for f in forms if not f.is_zero()]
+    if not forms:
+        return False
+    top = max(4 * max(int(f.degree) for f in forms) - 3, 0)
+    gens = GradedMatrix(F, [0], [int(f.degree) for f in forms], [forms], validate=False)
+    return modgb.module_dimension_oracle(gens, top) == modgb.binom3(top)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_forms())
 def test_empty_locus_matches_macaulay_oracle(case):
@@ -573,10 +584,7 @@ def test_empty_locus_matches_macaulay_oracle(case):
     span, so the dense rank over F_p decides emptiness over the closure.
     """
     planted, forms = case
-    delta = max(int(f.degree) for f in forms)
-    D = 4 * delta - 3
-    gens = GradedMatrix(F, [0], [int(f.degree) for f in forms], [forms], validate=False)
-    oracle = modgb.module_dimension_oracle(gens, D) == modgb.binom3(D)
+    oracle = _locus_is_empty_by_oracle(forms)
     assert modgb.is_empty_projective_locus(forms) == oracle
     if planted:
         assert not oracle
@@ -588,6 +596,121 @@ def test_constant_rank_of_blocks():
     # two blocks: a constant 1-minor settles the first, X..T the second
     assert modgb.has_constant_rank(
         M([0, 1], [0, 2, 2, 2, 2], [["1", "0", "0", "0", "0"], ["0", "X", "Y", "Z", "T"]]))
+
+
+@st.composite
+def _blocks(draw):
+    """Small matrices with row degrees in {0, 1} and column degrees in {1, 2},
+    so minors of one size can have different degrees; each entry is 0 to 3
+    terms, pure powers drawn as often as the rest.  A planted case has no
+    pure power of T, so every entry vanishes at (0:0:0:1)."""
+    planted = draw(st.booleans())
+    row_degs = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    col_degs = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    grid = []
+    for rd in row_degs:
+        row = []
+        for cd in col_degs:
+            monos = [e for e in modgb.monomials_of_degree(cd - rd)
+                     if not (planted and e[3] == cd - rd)]
+            pure = [e for e in monos if max(e) == cd - rd]
+            term = st.sampled_from(pure) | st.sampled_from(monos) if monos else st.nothing()
+            picked = draw(st.lists(term, max_size=3 if monos else 0, unique=True))
+            row.append(MultiPoly(F, {e + (0,): draw(st.integers(1, 32002)) for e in picked}))
+        grid.append(row)
+    return planted, GradedMatrix(F, row_degs, col_degs, grid, validate=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_blocks())
+def test_constant_rank_matches_symbolic_minors_and_oracle(case):
+    """The certified answer equals the symbolic route and the dense oracle,
+    block by block."""
+    from biliaison.grmatrix import block_decomposition, minors, rank_fraction_field
+
+    planted, m = case
+    symbolic, oracle = True, True
+    for rows, cols in block_decomposition(m):
+        sub = m.submatrix(rows, cols)
+        forms = minors(sub, rank_fraction_field(sub))
+        symbolic = symbolic and modgb.is_empty_projective_locus(forms)
+        oracle = oracle and _locus_is_empty_by_oracle(forms)
+    assert modgb.has_constant_rank(m) == symbolic == oracle
+    if planted and block_decomposition(m):
+        assert not oracle
+
+
+def test_constant_rank_fallback_and_certificate(monkeypatch):
+    calls = []
+    enumerate_minors = modgb.minors
+
+    def spy(m, k):
+        calls.append((m.nrows, m.ncols, k))
+        return enumerate_minors(m, k)
+
+    monkeypatch.setattr(modgb, "minors", spy)
+    # locally free, but X^2, Y^2, Z^2, T^2 span 4 of the 10 quadrics: the
+    # values leave the block open and the symbolic route decides
+    assert modgb.has_constant_rank(M([0], [2, 2, 2, 2], [["X^2", "Y^2", "Z^2", "T^2"]]))
+    assert calls == [(1, 4, 1)]
+    # minors of degrees 1 and 2: X, Y, Z times the linear forms and T^2
+    # fill the quadrics
+    calls.clear()
+    assert modgb.has_constant_rank(M([0], [1, 1, 1, 2], [["X", "Y", "Z", "T^2"]]))
+    assert calls == []
+    # not locally free: X, Y vanish on a line, and only the symbolic route says so
+    assert not modgb.has_constant_rank(M([0], [1, 1], [["X", "Y"]]))
+    assert calls == [(1, 2, 1)]
+
+
+def test_constant_rank_at_degree_p_takes_the_symbolic_route():
+    # the 1-minor Z^1010 of degree >= p has no lattice certificate; the
+    # symbolic route refuses it as the determinant does
+    f = FieldSpec.prime(1009)
+    m = GradedMatrix(f, [0], [1, 1010], [[MultiPoly.parse("X", f), MultiPoly.parse("Z^1010", f)]])
+    with pytest.raises(modgb.BudgetExhaustedError, match="more than F_1009 has"):
+        modgb.has_constant_rank(m)
+
+
+def test_minor_values_in_chunks(monkeypatch):
+    # 400 cells: a 20-point lattice and two 3 x 3 stacks per chunk; the rank
+    # is carried from chunk to chunk, and the chunks stop once it is full
+    from biliaison.grmatrix import block_decomposition
+
+    s_t = fixtures.example("3.2").matrix.specialize_closed_point()
+    rows, cols = block_decomposition(s_t)[1]
+    block = s_t.submatrix(rows, cols)  # 4 x 6 of rank 3, 80 cubic minors
+    chunks = []
+    det_mod_p = modgb._linalg.det_mod_p
+
+    def spy(stack, p):
+        chunks.append(len(stack))
+        return det_mod_p(stack, p)
+
+    monkeypatch.setattr(modgb, "_MAX_PIECE", 400)
+    monkeypatch.setattr(modgb._linalg, "det_mod_p", spy)
+    assert modgb._minors_fill_top_degree(block, 3)
+    assert set(chunks) == {2 * 20} and 10 <= len(chunks) < 40
+    # 100 cells: a 10-point lattice and ten 1 x 1 stacks per chunk; twelve
+    # minors that never fill take every chunk
+    monkeypatch.setattr(modgb, "_MAX_PIECE", 100)
+    chunks.clear()
+    squares = M([0], [2] * 12, [["X^2", "Y^2", "Z^2", "T^2"] * 3])
+    assert not modgb._minors_fill_top_degree(squares, 1)
+    assert chunks == [10 * 10, 2 * 10]
+
+
+@pytest.mark.parametrize("name", ["3.2", "3.3"])
+def test_fixture_blocks_are_certified_from_values(name, monkeypatch):
+    # every block of 3.2 and 3.3 fills at its top degree: no symbolic minor
+    # and no locus basis
+    def refuse(*args):
+        raise AssertionError("the symbolic route ran")
+
+    s_t = fixtures.example(name).matrix.specialize_closed_point()
+    monkeypatch.setattr(modgb, "minors", refuse)
+    monkeypatch.setattr(modgb, "is_empty_projective_locus", refuse)
+    assert modgb.has_constant_rank(s_t)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,11 @@ def _eliminate(a: np.ndarray, p: int, reduced: bool) -> Tuple[np.ndarray, List[i
     (p - 1)^2, so the block is reduced after every
     K = (2^63 - 1 - p) // (p - 1)^2 updates (K = 2 at p = 2^31 - 1) and once
     at the end.  Only the columns from the pivot on are updated: the pivot
-    row is zero left of it.
+    row is zero left of it.  A column with no nonzero entry at or below the
+    current row is passed over; from the second such column in a row on, one
+    scan of the rows left jumps to the next live column, or ends the
+    elimination when none is left.  (A column dead there stays dead: later
+    updates only subtract pivot rows, which are zero in it.)
     """
     m = np.array(a, dtype=np.int64) % p
     if m.size == 0:
@@ -32,14 +36,20 @@ def _eliminate(a: np.ndarray, p: int, reduced: bool) -> Tuple[np.ndarray, List[i
     delay = (2 ** 63 - 1 - p) // (p - 1) ** 2
     steps = 0
     pivots: List[int] = []
-    for c in range(cols):
+    c, idle = 0, False
+    while c < cols and len(pivots) < rows:
         r = len(pivots)
-        if r >= rows:
-            break
         column = m[:, c] % p
         nz = np.nonzero(column[r:])[0]
         if nz.size == 0:
+            if idle:  # a second dead column in a row: jump to the next live one
+                live = (m[r:, c + 1:] % p).any(axis=0).nonzero()[0]
+                if not live.size:
+                    break
+                c += int(live[0])
+            c, idle = c + 1, True
             continue
+        idle = False
         i = r + int(nz[0])
         if i != r:
             m[[r, i]] = m[[i, r]]
@@ -60,6 +70,7 @@ def _eliminate(a: np.ndarray, p: int, reduced: bool) -> Tuple[np.ndarray, List[i
             m[targets, c:] -= column[targets, None] * m[r, c:]
             steps += 1
         pivots.append(c)
+        c += 1
     m %= p
     return m, pivots
 

@@ -11,8 +11,10 @@ Coefficients live in F_p for a prime 1000 <= p < 2^31 (default 32003);
 any other --field, and a matrix JSON over any other field, is a parse error.
 
 Exit codes: 0 success / admissible; 1 rejection or example mismatch;
-2 parse error; 3 hypothesis certification failure without a trust flag;
-4 degree budget exhaustion; 5 dissociated sheaf (minimal-family).
+2 parse error; 3 hypothesis certification failure without a trust flag,
+or a broken structural law: the profile laws, and in minimal-family a
+P_N that gives no integral sheaf degree, or P_Q + P_P != P_N; 4 degree
+budget exhaustion; 5 dissociated sheaf (minimal-family).
 
 Local freeness of the cokernel at the closed point is certified by
 `modgb.has_constant_rank` from the rank-level minors of each block, at most
@@ -230,6 +232,8 @@ def cmd_minimal_family(args, out, err) -> int:
     except modgb.BudgetExhaustedError as exc:
         print(f"error: {exc}", file=out)
         return EXIT_BUDGET
+    except (families.ConservationError, families.PresentationError) as exc:
+        raise CliError(EXIT_HYPOTHESIS, str(exc)) from exc
     if args.format == "json":
         print(report.to_json_string(), file=out)
         return EXIT_OK

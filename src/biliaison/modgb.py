@@ -80,19 +80,41 @@ admitted p < 2**31 gives K >= 2 (K = 2 at p = 2**31 - 1, and about 9e9 at
 the default p).  A membership test passes a one-row block.  The work
 arrays cost memory in proportion to the piece, so a piece of more than
 _MAX_PIECE terms raises `TermRangeError`, and a degree's rows are reduced
-in chunks of at most _MAX_PIECE cells.  A chunk reduces by the elements
-the chunks before it found, but those may hold the leads of its own new
-elements, so a degree that was split echelons its new elements together
-once more; their leads do not change, so they are replaced in place.
+in chunks of at most _MAX_PIECE cells.  Each chunk is reduced by the
+elements of lower degree and echeloned together with the elements the
+chunks before it found; the row space, and so its reduced echelon form,
+is that of one block of all the rows.
+
+Hilbert-driven degrees (Traverso, J. Symbolic Comput. 22, 1996).  Let M be
+the module of the nonzero input generators g_j, and F the free module on
+them, so M_d is the image of F_d and dim M_d <= bound(d) =
+sum_j binom3(d - deg g_j).  When degree d comes up, the basis holds every
+element of degree < d, and filled(d), the number of terms of the degree-d
+piece that one of their leads divides, counts distinct leading terms of
+elements of M_d, so filled(d) <= dim in(M)_d = dim M_d <= bound(d).  Every
+new element of degree d adds a lead outside those, so there are at most
+missing = bound(d) - filled(d) of them.  When missing is 0 the degree's
+S-pairs and generators all reduce to zero and are skipped.  Otherwise the
+first missing + 2 rows are reduced, then further chunks only until missing
+elements are found: then the leads fill bound(d) >= dim M_d, the basis is a
+Groebner basis up to degree d, and every row left reduces into the span of
+the elements found, which changes nothing.  The bound is tight for a free
+module, such as the image of an injective composite s_t v, and never met
+by a module with syzygies in that degree.  `fit_cubic_window` reads the
+Hilbert function once per degree (each presentation keeps its values) and
+fits in integers: ten values lie on one cubic iff their fourth differences
+vanish, and the cubic is then the Newton forward form
+sum_{k <= 3} D^k(w) C(n - w, k) from the window's first degree w.
 
 Reducer tables.  Which basis element reduces a term is decided once per
 degree piece, not once per step (F4's symbolic preprocessing): an int32
 table over the piece holds, for each term, the index of the first basis
-element in insertion order whose lead divides it, or -1.  Adding an element
-marks its multiples in every table already built; the multiples are its
-lead key plus the shifts of the monomials of the missing degree, found by
-`searchsorted`.  The table names the reducer a scan of the basis would
-pick.
+element in insertion order whose lead divides it, or -1.  A table is built
+on first use by marking each element's multiples: its lead key plus the
+shifts of the monomials of the missing degree, found by `searchsorted`.
+Buchberger adds a degree's elements once the degree is finished, so adding
+drops the tables instead of marking finished degrees.  The table names the
+reducer a scan of the basis would pick.
 """
 
 from __future__ import annotations
@@ -232,10 +254,13 @@ class _DegreePieces:
         self._monomial_keys: Dict[int, np.ndarray] = {}
 
     def _monomials(self, m: int) -> np.ndarray:
-        """Keys of the degree-m monomials in component 0."""
+        """Keys of the degree-m monomials in component 0 (m <= _R, checked by
+        the callers' `_check_range`)."""
         keys = self._monomial_keys.get(m)
         if keys is None:
-            keys = np.array([_pack((0,) + e) for e in monomials_of_degree(m)], dtype=np.int64)
+            e = np.array(monomials_of_degree(m), dtype=np.int64).reshape(-1, 4)
+            keys = (((m << _BITS | _R - e[:, 3]) << _BITS | _R - e[:, 2]) << _BITS
+                    | _R - e[:, 1]) << _BITS | _R
             self._monomial_keys[m] = keys
         return keys
 
@@ -264,9 +289,10 @@ class _Reducers:
 
     For each degree piece d in use, ``table(d)[i]`` is the index (in insertion
     order) of the first element whose lead divides the term ``pieces(d)[i]``,
-    or -1 if none does.  Adding an element marks its multiples of degree d
-    that no earlier element claimed, so the table always names the reducer
-    the first-divisor rule picks.
+    or -1 if none does.  A table is built on first use from the elements
+    present then; adding an element drops the tables, so a table always
+    names the reducer the first-divisor rule picks, and a finished degree's
+    table, which Buchberger never reads again, is not marked.
     """
 
     __slots__ = ("pieces", "basis", "p", "_tables")
@@ -274,35 +300,27 @@ class _Reducers:
     def __init__(self, pieces: _DegreePieces, p: int, basis: Iterable[_Vec] = ()):
         self.pieces = pieces
         self.p = p
-        self.basis: List[_Vec] = []
+        self.basis: List[_Vec] = list(basis)
         self._tables: Dict[int, np.ndarray] = {}
-        for v in basis:
-            self.add(v)
 
     def add(self, v: _Vec) -> int:
         """Append v; returns its index."""
         self.basis.append(v)
-        i = len(self.basis) - 1
-        for d, table in self._tables.items():
-            self._mark(table, d, i)
-        return i
+        self._tables.clear()
+        return len(self.basis) - 1
 
     def table(self, d: int) -> np.ndarray:
         table = self._tables.get(d)
         if table is None:
-            table = np.full(len(self.pieces(d)), -1, dtype=np.int32)
-            for i in range(len(self.basis)):
-                self._mark(table, d, i)
+            keys = self.pieces(d)
+            table = np.full(len(keys), -1, dtype=np.int32)
+            for i, g in enumerate(self.basis):
+                m = d - g.degree  # the lead has monomial degree g.degree - a_comp
+                if m >= 0:
+                    pos = keys.searchsorted(g.lead_key() + self.pieces.shifts(m))
+                    table[pos[table[pos] < 0]] = i
             self._tables[d] = table
         return table
-
-    def _mark(self, table: np.ndarray, d: int, i: int) -> None:
-        g = self.basis[i]
-        m = d - g.degree  # the lead has monomial degree g.degree - a_comp
-        if m < 0:
-            return
-        pos = self.pieces(d).searchsorted(g.lead_key() + self.pieces.shifts(m))
-        table[pos[table[pos] < 0]] = i
 
 
 class SubmodulePresentation:
@@ -325,6 +343,7 @@ class SubmodulePresentation:
         for v in gb:
             self._by_component.setdefault(v.lead()[0], []).append(v)
         self._numerators: Dict[int, List[int]] = {}
+        self._hilbert: Dict[int, int] = {}  # degree -> dim of the submodule there
         self._polynomial: Optional[HilbertPolynomial] = None  # at the default budget
         self._reducers = _Reducers(_DegreePieces(ambient_degrees), field.characteristic, gb)
 
@@ -371,17 +390,18 @@ class SubmodulePresentation:
         return self._numerators[comp]
 
     def hilbert_function(self, n: int) -> int:
-        """dim_k of the degree-n piece of the submodule."""
-        self._check_degree(n)
-        total = 0
-        for comp in self._by_component:
-            d = n - self.ambient_degrees[comp]
-            if d < 0:
-                continue
-            num = self._numerator(comp)
-            dim_quotient = sum(c * binom3(d - j) for j, c in enumerate(num) if c and d - j >= -3)
-            total += binom3(d) - dim_quotient
-        return total
+        """dim_k of the degree-n piece of the submodule (kept by degree)."""
+        if n not in self._hilbert:
+            self._check_degree(n)
+            total = 0
+            for comp in self._by_component:
+                d = n - self.ambient_degrees[comp]
+                if d < 0:
+                    continue
+                num = self._numerator(comp)
+                total += binom3(d) - sum(c * binom3(d - j) for j, c in enumerate(num) if c)
+            self._hilbert[n] = total
+        return self._hilbert[n]
 
     def hilbert_polynomial(self, budget: Optional[int] = None) -> "HilbertPolynomial":
         """Cubic agreeing with the Hilbert function from the fitted window on
@@ -418,22 +438,6 @@ class HilbertPolynomial:
     @staticmethod
     def zero() -> "HilbertPolynomial":
         return HilbertPolynomial.from_coeffs([])
-
-    @staticmethod
-    def fit_cubic(ns: Sequence[int], values: Sequence[int]) -> "HilbertPolynomial":
-        """Interpolate a cubic through four points (exact rational solve)."""
-        assert len(ns) == 4 and len(values) == 4
-        rows = [[Fraction(n) ** k for k in range(4)] + [Fraction(v)] for n, v in zip(ns, values)]
-        for c in range(4):
-            piv = next(r for r in range(c, 4) if rows[r][c] != 0)
-            rows[c], rows[piv] = rows[piv], rows[c]
-            inv = 1 / rows[c][c]
-            rows[c] = [x * inv for x in rows[c]]
-            for r in range(4):
-                if r != c and rows[r][c] != 0:
-                    f = rows[r][c]
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-        return HilbertPolynomial(tuple(rows[r][4] for r in range(4)))
 
     @staticmethod
     def binomial_shift(k: int) -> "HilbertPolynomial":
@@ -477,14 +481,22 @@ class HilbertPolynomial:
 
 def fit_cubic_window(values: Callable[[int], int], start: int, budget: int) -> HilbertPolynomial:
     """Cubic through the first window of ten consecutive degrees w..w+9,
-    start <= w and w + 9 <= budget, whose values lie on one cubic: four
-    values fix the cubic and the other six confirm it."""
-    for w in range(start, budget - 8):
-        window = range(w, w + 10)
-        vals = [values(n) for n in window]
-        poly = HilbertPolynomial.fit_cubic(list(window[:4]), vals[:4])
-        if all(poly(n) == v for n, v in zip(window, vals)):
-            return poly
+    start <= w and w + 9 <= budget, whose values lie on one cubic: their
+    fourth differences vanish.  Each degree is evaluated once, and the
+    cubic is the Newton forward form sum_k D^k(w) C(n - w, k), k <= 3."""
+    window: List[int] = []
+    for n in range(start, budget + 1):
+        window = window[-9:] + [values(n)]
+        diffs = [window]  # diffs[k]: the k-th forward differences
+        for _ in range(4):
+            diffs.append([b - a for a, b in zip(diffs[-1], diffs[-1][1:])])
+        if len(window) == 10 and not any(diffs[4]):
+            w, six_p, falling = n - 9, [0] * 4, [1]
+            for k in range(4):  # falling = k! C(n - w, k), coefficients in n
+                for i, x in enumerate(falling):
+                    six_p[i] += (6, 6, 3, 1)[k] * diffs[k][0] * x
+                falling = [x * (-w - k) + y for x, y in zip(falling + [0], [0] + falling)]
+            return HilbertPolynomial(tuple(Fraction(c, 6) for c in six_p))
     raise BudgetExhaustedError(f"no stable cubic window within degree budget {budget}")
 
 
@@ -666,6 +678,7 @@ def _buchberger(
     for g in gens:
         if not g.is_zero():
             pending.setdefault(g.degree, []).append(g)
+    free = [g.degree for g in gens if not g.is_zero()]  # degrees of the free module onto M
 
     truncated_at: Optional[int] = None
     while pairs or pending:
@@ -691,29 +704,27 @@ def _buchberger(
         rows = pending.pop(deg, [])
         if not batch and not rows:
             continue
-        # the generators of this degree and the S-vectors, in chunks of at
-        # most _MAX_PIECE cells; a chunk reduces by the elements the chunks
-        # before it added
+        # filled <= dim M_deg <= bound: at most `missing` new elements here
         keys = pieces(deg)
+        missing = sum(binom3(deg - e) for e in free) - int((reducers.table(deg) >= 0).sum())
+        # the generators of this degree, then the S-vectors: the first
+        # missing + 2 rows, then chunks of at most _MAX_PIECE cells, until
+        # `missing` elements are found; each chunk is echeloned together
+        # with the elements found before it
+        new: List[_Vec] = []
         step = max(1, _MAX_PIECE // len(keys))
-        first = len(basis)
-        for start in range(0, len(rows) + len(batch), step):
-            stop = start + step
+        start, stop = 0, min(missing + 2, step)
+        while len(new) < missing and start < len(rows) + len(batch):
             parts = [_dense(g, keys)[None] for g in rows[start:stop]]
             chunk = batch[max(0, start - len(rows)):max(0, stop - len(rows))]
             if chunk:
                 parts.append(_s_vectors(chunk, basis, keys, p))
             work = _normal_form(np.concatenate(parts), reducers, deg)
-            for v in _echelon_basis(work, keys, deg, p):
-                add(v)
-        if len(rows) + len(batch) > step and len(basis) - first > 1:
-            # an earlier chunk's elements may hold a later chunk's leads:
-            # echelon them together; the leads, and so the tables and the
-            # pairs, stay as they are
-            index = {basis[i].lead_key(): i for i in range(first, len(basis))}
-            work = np.stack([_dense(basis[i], keys) for i in range(first, len(basis))])
-            for v in _echelon_basis(work, keys, deg, p):
-                basis[index[v.lead_key()]] = v
+            found = [_dense(v, keys)[None] for v in new]
+            new = _echelon_basis(np.concatenate(found + [work]), keys, deg, p)
+            start, stop = stop, stop + step
+        for v in new:
+            add(v)
     return basis, truncated_at
 
 

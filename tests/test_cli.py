@@ -8,6 +8,7 @@ import pytest
 from biliaison import families, fixtures, modgb, qprofile
 from biliaison.cli import main
 from biliaison.grmatrix import GradedMatrix
+from biliaison.modgb import HilbertPolynomial
 from biliaison.polyring import FieldSpec, MultiPoly
 
 
@@ -240,6 +241,30 @@ def test_retry_exhaustion_exit_code(monkeypatch):
     code, out, _ = run(["minimal-family", "--fixture", "3.2"])
     assert code == 4
     assert "no general morphism found in 10 attempts" in out
+
+
+def test_broken_hilbert_laws_exit_code(monkeypatch):
+    # a P_Q off by one breaks P_Q + P_P = P_N, and a non-integral sheaf
+    # degree breaks the presentation: both exit 3 with their message
+    real = families._quotient_hilbert
+
+    def skewed(s_t, w):
+        p_n, p_q = real(s_t, w)
+        return p_n, p_q + HilbertPolynomial.from_coeffs([1])
+
+    monkeypatch.setattr(families, "_quotient_hilbert", skewed)
+    code, out, _ = run(["minimal-family", "--fixture", "3.2"])
+    assert code == 3
+    assert "differs from P_N" in out
+    monkeypatch.undo()
+
+    def fractional(s, profile=None):
+        raise families.PresentationError("sheaf degree 1/2 is not an integer")
+
+    monkeypatch.setattr(families, "sheaf_degree", fractional)
+    code, out, _ = run(["minimal-family", "--fixture", "3.2"])
+    assert code == 3
+    assert "error: sheaf degree 1/2 is not an integer" in out
 
 
 def test_minimal_family_dissociated_exit_code(tmp_path):

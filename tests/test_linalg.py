@@ -41,11 +41,17 @@ def test_rank_mod_p_matches_sympy_at_largest_prime(nrows, ncols, inner, seed):
 )
 def test_pivots_mod_p_are_the_rref_pivots(nrows, ncols, inner, seed):
     # forward elimination finds the pivot columns of the reduced echelon form;
-    # at this p both reduce the block mod p after every second update
+    # at this p both reduce the block mod p after every second update.  Runs
+    # of zero columns, and a low rank, leave runs of columns dead at and below
+    # the current row, which one scan passes over
     rng = random.Random(seed)
     left = [[rng.randrange(P31) for _ in range(inner)] for _ in range(nrows)]
     right = [[rng.randrange(P31) if rng.random() < 0.7 else 0 for _ in range(ncols)]
              for _ in range(inner)]
+    for start in rng.sample(range(ncols), min(3, ncols)):
+        stop = min(ncols, start + rng.randrange(1, 6))
+        for row in right:
+            row[start:stop] = [0] * (stop - start)
     a = np.array([[sum(x * y for x, y in zip(row, col)) % P31 for col in zip(*right)]
                   for row in left], dtype=np.int64).reshape(nrows, ncols)
     pivots = _linalg.pivots_mod_p(a, P31)

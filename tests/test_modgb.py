@@ -215,17 +215,24 @@ def test_block_reduces_like_its_rows(seed, nrows):
 
 
 def _reduced_basis(gens, monkeypatch, chunk_cells=None):
-    """Reduced basis of the columns of ``gens`` as a set, its truncation
-    degree, and the (rows, piece size) of each S-vector block; ``chunk_cells``
-    patches the cell bound of a block."""
-    blocks = []
-    s_vectors = modgb._s_vectors
+    """Reduced basis of the columns of ``gens``, element by element, its
+    truncation degree, the (degree, rows, piece size) of each block that
+    `_normal_form` reduces, and the size of the largest degree piece the run
+    builds; ``chunk_cells`` patches the cell bound of a block."""
+    blocks, pieces = [], []
+    normal_form, build = modgb._normal_form, modgb._DegreePieces.__call__
 
-    def recorded(pairs, basis, keys, p):
-        blocks.append((len(pairs), len(keys)))
-        return s_vectors(pairs, basis, keys, p)
+    def reduced(work, reducers, degree):
+        blocks.append((degree,) + work.shape)
+        return normal_form(work, reducers, degree)
 
-    monkeypatch.setattr(modgb, "_s_vectors", recorded)
+    def built(self, d):
+        keys = build(self, d)
+        pieces.append(len(keys))
+        return keys
+
+    monkeypatch.setattr(modgb, "_normal_form", reduced)
+    monkeypatch.setattr(modgb._DegreePieces, "__call__", built)
     if chunk_cells is not None:
         monkeypatch.setattr(modgb, "_MAX_PIECE", chunk_cells)
     vectors = [modgb._column_to_vec(gens.column(j), gens.col_degrees[j], gens.row_degrees, F)
@@ -233,32 +240,55 @@ def _reduced_basis(gens, monkeypatch, chunk_cells=None):
     gb, truncated_at = modgb._buchberger(
         vectors, F, gens.row_degrees, modgb.default_degree_cap(gens))
     monkeypatch.undo()
-    return {tuple(sorted(v.terms.items())) for v in gb}, truncated_at, blocks
+    return [sorted(v.terms.items()) for v in gb], truncated_at, blocks, max(pieces)
 
 
-def test_chunked_blocks_give_the_same_basis(monkeypatch):
-    # a cell bound as small as the largest piece in use splits the S-vectors
-    # of a degree into several blocks; the reduced basis must not change
-    # (the random cases have one S-vector per degree; 3.4's s_t and w have
-    # up to 61)
+def _rows_reduced(blocks, degree):
+    return sum(rows for d, rows, _ in blocks if d == degree)
+
+
+def _fixture_34_bases():
+    """3.4's s_t and the composite w = s_t v of the first lift minimal_family tries."""
     desc = fixtures.example("3.4")
     profile = qprofile.compute_q_profile(desc.matrix)
     v = families.sample_general_morphism(
         desc.matrix, profile.q_function(), profile=profile,
         seed=qprofile.subseed(qprofile.DEFAULT_SEED, "minimal-family", 0))
-    split = 0
-    for gens in _hilbert_oracle_cases() + [
-            desc.matrix.specialize_closed_point(), families._composite(desc.matrix, v)]:
+    return desc.matrix.specialize_closed_point(), families._composite(desc.matrix, v)
+
+
+def test_chunked_blocks_give_the_same_basis(monkeypatch):
+    # a cell bound as small as the largest piece the run builds splits the
+    # rows of a degree into several blocks; the reduced basis must not
+    # change, element by element
+    s_t, w = _fixture_34_bases()
+    split = []
+    for gens in _hilbert_oracle_cases() + [s_t, w]:
         whole = _reduced_basis(gens, monkeypatch)
-        bound = max([n for _, n in whole[2]] + [
-            sum(modgb.binom3(d - a) for a in gens.row_degrees) for d in gens.col_degrees])
+        bound = whole[3]
         chunked = _reduced_basis(gens, monkeypatch, bound)
         assert chunked[:2] == whole[:2]
-        assert all(rows * n <= bound for rows, n in chunked[2])
-        if any(rows * n > bound for rows, n in whole[2]):
+        assert all(rows * n <= bound for _, rows, n in chunked[2])
+        if any(rows * n > bound for _, rows, n in whole[2]):
             assert len(chunked[2]) > len(whole[2])
-            split += 1
-    assert split == 2
+            split.append(gens)
+        if gens is s_t:
+            # s_t is not free, so its degree 4 never fills the Hilbert bound:
+            # all 26 rows are reduced, one 250-term row per block
+            assert _rows_reduced(whole[2], 4) == _rows_reduced(chunked[2], 4) == 26
+            assert [b for b in chunked[2] if b[0] == 4] == [(4, 1, 250)] * 26
+    assert s_t in split and w in split
+
+
+def test_free_composite_stops_at_the_hilbert_bound(monkeypatch):
+    # 3.4's composite is injective, so its column module is free on its 16
+    # columns and the bound is its Hilbert function: degree 6 reduces the
+    # first missing + 2 rows, and degree 7, where the leads fill the bound,
+    # reduces none
+    _, w = _fixture_34_bases()
+    _, _, blocks, _ = _reduced_basis(w, monkeypatch)
+    assert _rows_reduced(blocks, 7) == 0
+    assert 0 < _rows_reduced(blocks, 6) <= 8
 
 
 def _sympy_reduced_basis(polys, p):
@@ -297,6 +327,37 @@ def test_ideal_gb_matches_sympy_at_the_largest_prime(seed):
     # at p = 2^31 - 1 a block is reduced mod p after every second step, so
     # the delayed reduction is exercised on every longer normal form
     _check_ideal_gb_against_sympy(seed, FieldSpec.prime(2**31 - 1))
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(["3.2", "3.3"]))
+def test_random_composites_match_the_dense_oracle(seed, name):
+    # a composite s_t v is free on its columns when v is injective: the
+    # Hilbert bound is met from some degree on and those degrees are skipped
+    s = fixtures.example(name).matrix
+    rng = random.Random(seed)
+    v = families.random_lift(s, qprofile.compute_q_profile(s).q_function().degrees(), rng)
+    w = families._composite(s, v)
+    pres = modgb.groebner_basis(w, degree_cap=None)
+    _assert_reduced(pres.gb)
+    lo = min(w.col_degrees)
+    for n in range(lo, lo + 4):
+        assert pres.hilbert_function(n) == modgb.module_dimension_oracle(w, n)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_random_complete_intersections_match_sympy_and_the_oracle(seed):
+    # 1-4 dense forms of degrees 1-3 are a regular sequence at random: the
+    # bound is met below the first Koszul syzygy and missed above it
+    rng = random.Random(seed)
+    degrees = sorted(rng.choice([1, 2, 3]) for _ in range(rng.randrange(1, 5)))
+    gens = _random_matrix(rng, [0], degrees, 1.0)
+    pres = modgb.groebner_basis(gens, degree_cap=None)
+    ours = sorted(sorted(modgb._vec_to_column(v, (0,), F)[0].terms.items()) for v in pres.gb)
+    assert ours == _sympy_reduced_basis(gens.entries[0], F.characteristic)
+    for n in range(degrees[0], degrees[-1] + 4):
+        assert pres.hilbert_function(n) == modgb.module_dimension_oracle(gens, n)
 
 
 def _assert_reduced(gb):
@@ -429,6 +490,68 @@ def test_hilbert_vs_dense_oracle_random():
         pres = modgb.groebner_basis(gens)
         for n in range(7):
             assert pres.hilbert_function(n) == modgb.module_dimension_oracle(gens, n)
+
+
+def _fraction_cubic(ns, values) -> HilbertPolynomial:
+    """Oracle: the cubic through four points by an exact rational solve."""
+    rows = [[Fraction(n) ** k for k in range(4)] + [Fraction(v)] for n, v in zip(ns, values)]
+    for c in range(4):
+        piv = next(r for r in range(c, 4) if rows[r][c] != 0)
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(4):
+            if r != c:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return HilbertPolynomial(tuple(rows[r][4] for r in range(4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_fit_cubic_window_matches_the_fraction_oracle(seed):
+    # an integer-valued cubic, perturbed at up to three of its first twenty
+    # degrees so that the first windows are not cubic: the fit is the oracle's cubic through the
+    # first four values of the first window it accepts, and each degree is
+    # evaluated once, never past the budget
+    rng = random.Random(seed)
+    a = [rng.randrange(-20, 20) for _ in range(4)]
+    start = rng.randrange(-4, 4)
+    noise = {n: rng.choice([-2, -1, 1, 2]) for n in rng.sample(range(start, start + 20), rng.randrange(4))}
+    budget = start + rng.randrange(4, 30)
+
+    def plain(n):
+        return (a[0] + a[1] * n + a[2] * n * (n - 1) // 2 + a[3] * n * (n - 1) * (n - 2) // 6
+                + noise.get(n, 0))
+
+    want = None
+    for w in range(start, budget - 8):
+        fit = _fraction_cubic(range(w, w + 4), [plain(n) for n in range(w, w + 4)])
+        if all(fit(n) == plain(n) for n in range(w, w + 10)):
+            want = fit
+            break
+    seen = []
+
+    def values(n):
+        assert n <= budget and n not in seen
+        seen.append(n)
+        return plain(n)
+
+    if want is None:
+        with pytest.raises(modgb.BudgetExhaustedError):
+            modgb.fit_cubic_window(values, start, budget)
+        assert seen == list(range(start, budget + 1))
+    else:
+        assert modgb.fit_cubic_window(values, start, budget) == want
+
+
+def test_fit_cubic_window_slides_past_perturbed_values():
+    # values off at n = 2 and n = 12: the windows from 0 to 12 each hold one
+    # of them, as their first value (w = 2, 12) or their last (w = 3)
+    def values(n):
+        return (n + 3) * (n + 2) * (n + 1) // 6 + (5 if n in (2, 12) else 0)
+
+    assert modgb.fit_cubic_window(values, 0, 22) == HilbertPolynomial.binomial_shift(0)
+    with pytest.raises(modgb.BudgetExhaustedError):
+        modgb.fit_cubic_window(values, 0, 21)
 
 
 def test_hilbert_polynomial_matches_function_beyond_window():

@@ -149,11 +149,8 @@ def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:
         cols = a.shape[1] if a.ndim == 2 else 0
         return np.eye(cols, dtype=np.int64)
     m, pivots = rref_mod_p(a, p)
-    rows, cols = m.shape
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-int(m[r, fc])) % p
+    free = np.delete(np.arange(m.shape[1]), pivots)
+    basis = np.zeros((len(free), m.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -m[:len(pivots)][:, free].T % p
     return basis

@@ -11,10 +11,12 @@ Coefficients live in F_p for a prime 1000 <= p < 2^31 (default 32003);
 any other --field, and a matrix JSON over any other field, is a parse error.
 
 Exit codes: 0 success / admissible; 1 rejection or example mismatch;
-2 parse error; 3 hypothesis certification failure without a trust flag,
-or a broken structural law: the profile laws, and in minimal-family a
-P_N that gives no integral sheaf degree, or P_Q + P_P != P_N; 4 degree
-budget exhaustion; 5 dissociated sheaf (minimal-family).
+2 parse error, or a candidate p of the wrong mass; 3 hypothesis
+certification failure without a trust flag, or a broken structural law:
+the profile laws, a P_N that gives no integral sheaf degree, or
+P_Q + P_P != P_N; 4 degree budget, window or retry exhaustion;
+5 dissociated sheaf.  One table in `main` maps the typed errors that a
+command lets escape to their codes.
 
 Local freeness of the cokernel at the closed point is certified by
 `modgb.has_constant_rank` from the rank-level minors of each block, at most
@@ -180,10 +182,6 @@ def _profile_for(matrix: GradedMatrix, args) -> qprofile.QProfile:
         )
     except qprofile.WindowError as exc:
         raise CliError(EXIT_PARSE, f"bad --window: {exc}") from exc
-    except qprofile.ProfileConsistencyError as exc:
-        raise CliError(EXIT_HYPOTHESIS, str(exc)) from exc
-    except modgb.BudgetExhaustedError as exc:
-        raise CliError(EXIT_BUDGET, str(exc)) from exc
 
 
 def cmd_qprofile(args, out, err) -> int:
@@ -221,19 +219,7 @@ def cmd_minimal_family(args, out, err) -> int:
     matrix = _load_matrix(args)
     _certify_hypotheses(matrix, args, err)
     profile = _profile_for(matrix, args)
-    try:
-        report = families.minimal_family(matrix, seed=args.seed, profile=profile)
-    except qprofile.DissociatedSheafError as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_DISSOCIATED
-    except qprofile.WindowExhaustedError as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_BUDGET
-    except modgb.BudgetExhaustedError as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_BUDGET
-    except (families.ConservationError, families.PresentationError) as exc:
-        raise CliError(EXIT_HYPOTHESIS, str(exc)) from exc
+    report = families.minimal_family(matrix, seed=args.seed, profile=profile)
     if args.format == "json":
         print(report.to_json_string(), file=out)
         return EXIT_OK
@@ -263,17 +249,7 @@ def cmd_check_p(args, out, err) -> int:
         print(f"error: malformed p: {exc}", file=out)
         return EXIT_PARSE
     profile = _profile_for(matrix, args)
-    try:
-        ok, reason = qprofile.check_p_admissible(p, profile)
-    except qprofile.MassMismatchError as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_PARSE
-    except qprofile.DissociatedSheafError as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_DISSOCIATED
-    except qprofile.WindowExhaustedError as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_BUDGET
+    ok, reason = qprofile.check_p_admissible(p, profile)
     if ok:
         deg_n = families.sheaf_degree(matrix, profile)
         shift = deg_n + p.weighted_sum()
@@ -346,6 +322,19 @@ def cmd_examples(args, out, err) -> int:
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
+# the exit code of each typed error a command lets escape, printed as "error: ..."
+_EXIT_CODES = {
+    qprofile.DissociatedSheafError: EXIT_DISSOCIATED,
+    qprofile.WindowExhaustedError: EXIT_BUDGET,
+    modgb.BudgetExhaustedError: EXIT_BUDGET,
+    families.RetryExhaustedError: EXIT_BUDGET,
+    qprofile.MassMismatchError: EXIT_PARSE,
+    qprofile.ProfileConsistencyError: EXIT_HYPOTHESIS,
+    families.ConservationError: EXIT_HYPOTHESIS,
+    families.PresentationError: EXIT_HYPOTHESIS,
+}
+
+
 def main(argv: Optional[List[str]] = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -362,9 +351,9 @@ def main(argv: Optional[List[str]] = None, out=None, err=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=out)
         return exc.code
-    except families.RetryExhaustedError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=out)
-        return EXIT_BUDGET
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -115,6 +115,20 @@ shifts of the monomials of the missing degree, found by `searchsorted`.
 Buchberger adds a degree's elements once the degree is finished, so adding
 drops the tables instead of marking finished degrees.  The table names the
 reducer a scan of the basis would pick.
+
+Minimal syzygies, one echelon form per degree.  The syzygies of degree d
+are the kernel K_d of the span matrix whose columns are the products of the
+generators with the monomials of the complementary degree; a kernel vector
+is an int64 row over those (generator, monomial) labels.  A variable maps
+the labels of degree d - 1 into those of degree d, so the variable
+multiples of K_{d-1}, which span the degree-d syzygies that are not
+minimal, are rows over the same labels.  One forward elimination of the
+transposed stack [multiples; K_d] names its pivot rows, the rows outside
+the span of the rows above them, and those in K_d are the new minimal
+syzygies.  This is the greedy pick that re-ranks the stack once per kernel
+vector, in the same order: a kernel row passed over lies in the span of
+the multiples and the rows picked before it, so the span above each row,
+and with it each decision, is the same.
 """
 
 from __future__ import annotations
@@ -855,24 +869,17 @@ def _degree_basis(ambient_degrees: Sequence[int], n: int) -> List[Tuple[int, Exp
     return out
 
 
-def _span_matrix_mod_p(
-    gens: GradedMatrix, n: int, min_multiplier_degree: int = 0
-) -> Tuple[np.ndarray, List[Tuple[int, Expo4]]]:
+def _span_matrix_mod_p(gens: GradedMatrix, n: int) -> Tuple[np.ndarray, List[Tuple[int, Expo4]]]:
     """Matrix whose columns are monomial multiples of generator columns.
 
     Rows are indexed by the degree-n basis of the ambient module; columns by
-    (generator, monomial) with deg(monomial) >= min_multiplier_degree.
+    (generator, monomial), generator-major.
     """
     p = gens.field.characteristic
     basis = _degree_basis(gens.row_degrees, n)
     index = {be: i for i, be in enumerate(basis)}
-    columns: List[Tuple[int, Expo4]] = []
-    for j, dj in enumerate(gens.col_degrees):
-        k = n - dj
-        if k < min_multiplier_degree:
-            continue
-        for mono in monomials_of_degree(k):
-            columns.append((j, mono))
+    columns = [(j, mono) for j, dj in enumerate(gens.col_degrees)
+               for mono in monomials_of_degree(n - dj)]
     mat = np.zeros((len(basis), len(columns)), dtype=np.int64)
     for cidx, (j, mono) in enumerate(columns):
         for comp in range(gens.nrows):
@@ -888,103 +895,71 @@ def _span_matrix_mod_p(
 def module_dimension_oracle(gens: GradedMatrix, n: int) -> int:
     """dim of the degree-n piece of the column module via dense linear algebra.
 
-    Independent of the Groebner path; used as a test oracle and by the
-    degreewise minimal-generator computation.
+    Independent of the Groebner path; used as a test oracle.
     """
     mat, _ = _span_matrix_mod_p(gens, n)
     return _linalg.rank_mod_p(mat, gens.field.characteristic)
 
 
 def minimal_generator_count(gens: GradedMatrix) -> CharFunction:
-    """Minimal generators needed per degree (dim F_d modulo m*F at each d)."""
+    """Minimal generators needed per degree (dim F_d modulo m*F at each d).
+
+    The multiples in m*F are the columns of the degree-d span matrix whose
+    generator has degree < d.
+    """
     if gens.ncols == 0:
         return CharFunction()
     if gens.has_parameter():
         raise ValueError("specialize the parameter first")
-    lo = min(gens.col_degrees)
-    hi = max(gens.col_degrees)
     p = gens.field.characteristic
     out: Dict[int, int] = {}
-    for d in range(lo, hi + 1):
-        full, _ = _span_matrix_mod_p(gens, d, 0)
-        proper, _ = _span_matrix_mod_p(gens, d, 1)
-        mu = _linalg.rank_mod_p(full, p) - _linalg.rank_mod_p(proper, p)
+    for d in range(min(gens.col_degrees), max(gens.col_degrees) + 1):
+        full, columns = _span_matrix_mod_p(gens, d)
+        proper = [i for i, (j, _) in enumerate(columns) if gens.col_degrees[j] < d]
+        mu = _linalg.rank_mod_p(full, p) - _linalg.rank_mod_p(full[:, proper], p)
         if mu:
             out[d] = mu
     return CharFunction(out)
 
 
-def _degree_kernel(gens: GradedMatrix, d: int):
-    """(kernel basis vectors as dicts, column labels) of the degree-d evaluation."""
-    mat, columns = _span_matrix_mod_p(gens, d)
-    if not columns:
-        return [], columns
-    kernel = _linalg.nullspace_mod_p(mat, gens.field.characteristic)
-    vecs = [
-        {columns[i]: int(krow[i]) for i in range(len(columns)) if krow[i]}
-        for krow in kernel
-    ]
-    return vecs, columns
-
-
-def _row_rank(rows: List, field: FieldSpec) -> int:
-    if not rows:
-        return 0
-    return _linalg.rank_mod_p(np.array(rows, dtype=np.int64), field.characteristic)
-
-
 def syzygies(gens: GradedMatrix, up_to_degree: int) -> GradedMatrix:
     """Minimal syzygies among the columns, in degrees <= up_to_degree.
 
-    Degreewise: the kernel of the evaluation map, minimalized against
-    variable multiples of lower-degree syzygies.
+    Degree by degree, the pivot rows that fall in K_d of the stack
+    [variable multiples of K_{d-1}; K_d], from one forward elimination: the
+    greedy pick over the kernel basis in its order, since a kernel row
+    passed over lies in the span of the multiples and the rows picked
+    before it (see "Minimal syzygies" above).
     """
     if gens.has_parameter():
         raise ValueError("specialize the parameter first")
-    lo = min(gens.col_degrees) if gens.ncols else 0
-    syz_cols: List[Tuple[int, Dict[Tuple[int, Expo4], object]]] = []
-    prev_kernel: List[Dict[Tuple[int, Expo4], object]] = []
-    for d in range(lo, up_to_degree + 1):
-        kernel, columns = _degree_kernel(gens, d)
-        if not columns:
-            prev_kernel = []
-            continue
-        col_index = {bc: i for i, bc in enumerate(columns)}
-
-        def as_row(vec):
-            row = [0] * len(columns)
-            for bc, c in vec.items():
-                row[col_index[bc]] = c
-            return row
-
-        # span of variable multiples of the previous kernel, in d-coordinates
-        stacked = []
-        for vec in prev_kernel:
-            for var in range(4):
-                shifted = {}
-                for (j, mono), c in vec.items():
-                    m2 = list(mono)
-                    m2[var] += 1
-                    shifted[(j, tuple(m2))] = c
-                stacked.append(as_row(shifted))
-        current_rank = _row_rank(stacked, gens.field)
-        for vec in kernel:
-            trial = stacked + [as_row(vec)]
-            r = _row_rank(trial, gens.field)
-            if r > current_rank:
-                stacked = trial
-                current_rank = r
-                syz_cols.append((d, vec))
-        prev_kernel = kernel
+    p = gens.field.characteristic
+    picked: List[Tuple[int, np.ndarray, List[Tuple[int, Expo4]]]] = []  # (d, row, labels)
+    prev = np.zeros((0, 0), dtype=np.int64)  # K_{d-1}
+    prev_columns: List[Tuple[int, Expo4]] = []
+    for d in range(min(gens.col_degrees, default=0), up_to_degree + 1):
+        mat, columns = _span_matrix_mod_p(gens, d)
+        kernel = _linalg.nullspace_mod_p(mat, p)
+        index = {label: i for i, label in enumerate(columns)}
+        # shift[v, i]: the degree-d label of x_v times degree-(d-1) label i
+        shift = np.array([[index[(j, mono[:v] + (mono[v] + 1,) + mono[v + 1:])]
+                           for j, mono in prev_columns] for v in range(4)], dtype=np.int64)
+        multiples = np.zeros((len(prev), 4, len(columns)), dtype=np.int64)
+        multiples[:, np.arange(4)[:, None], shift] = prev[:, None, :]
+        stack = np.vstack([multiples.reshape(4 * len(prev), len(columns)), kernel])
+        new = [i - 4 * len(prev) for i in _linalg.pivots_mod_p(stack.T, p) if i >= 4 * len(prev)]
+        picked += [(d, kernel[i], columns) for i in new]
+        prev, prev_columns = kernel, columns
     # assemble the syzygy matrix: rows = generator columns of the input
     field = gens.field
     row_degrees = gens.col_degrees
-    col_degrees = [d for d, _ in syz_cols]
+    col_degrees = [d for d, _, _ in picked]
     grid: List[List[MultiPoly]] = [[] for _ in row_degrees]
-    for d, vec in syz_cols:
+    for _, row, columns in picked:
         per_row: List[Dict] = [dict() for _ in row_degrees]
-        for (j, mono), c in vec.items():
-            per_row[j][(mono[0], mono[1], mono[2], mono[3], 0)] = c
+        for i in np.flatnonzero(row):
+            j, mono = columns[i]
+            per_row[j][mono + (0,)] = int(row[i])
         for j in range(len(row_degrees)):
             grid[j].append(MultiPoly(field, per_row[j]))
     return GradedMatrix(field, row_degrees, col_degrees, grid)

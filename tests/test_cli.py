@@ -300,6 +300,21 @@ def test_check_p_wrong_mass():
     assert code == 2
 
 
+@pytest.mark.parametrize("error, code", [
+    (modgb.BudgetExhaustedError("degree budget spent"), 4),
+    (families.PresentationError("sheaf degree 1/2 is not an integer"), 3),
+], ids=["budget", "presentation"])
+def test_check_p_maps_sheaf_degree_errors(monkeypatch, error, code):
+    # 3.2 admits {2: 2, 3: 1}, so check-p goes on to the sheaf degree; an
+    # error raised there exits with its code and message, not a traceback
+    def failing(s, profile=None):
+        raise error
+
+    monkeypatch.setattr(families, "sheaf_degree", failing)
+    got, out, _ = run(["check-p", "--fixture", "3.2", "--p", '{"2": 2, "3": 1}'])
+    assert (got, out) == (code, f"error: {error}\n")
+
+
 def test_check_p_malformed():
     code, out, _ = run(["check-p", "--fixture", "3.2", "--p", "not json"])
     assert code == 2

@@ -96,15 +96,15 @@ def test_unknown_fixture_name():
 
 
 def test_rao_family_invariants_at_r5():
-    # r = 5 generators in degree 0, 3 linear columns: the invariants hold at
-    # every seed tried (1 and 2); seed 1 is pinned here
-    s = fixtures.rao_family(5, 3, seed=1)
-    assert (s.nrows, s.ncols) == (58, 147)
-    sigma1 = s.submatrix(range(5), range(53)).specialize_closed_point()
-    assert sigma1.col_degrees == (1,) * 3 + (2,) * 50
-    assert set(s.col_degrees[53:]) <= {2, 3}
-    assert (sigma1 @ s.submatrix(range(5, 58), range(53, 147))).is_zero_matrix()
-    profile = qprofile.compute_q_profile(s)
-    assert profile.q_function().to_json() == {"1": 3, "2": 13, "3": 36}
-    report = families.minimal_family(s, profile=profile)
-    assert (report.deg_N, report.h0, report.d0, report.g0) == (-103, 34, 666, 14875)
+    # r = 5 generators in degree 0, 3 linear columns: two seeds agree
+    for seed in (1, 2):
+        s = fixtures.rao_family(5, 3, seed=seed)
+        assert (s.nrows, s.ncols) == (58, 147)
+        sigma1 = s.submatrix(range(5), range(53)).specialize_closed_point()
+        assert sigma1.col_degrees == (1,) * 3 + (2,) * 50
+        assert set(s.col_degrees[53:]) <= {2, 3}
+        assert (sigma1 @ s.submatrix(range(5, 58), range(53, 147))).is_zero_matrix()
+        profile = qprofile.compute_q_profile(s)
+        assert profile.q_function().to_json() == {"1": 3, "2": 13, "3": 36}
+        report = families.minimal_family(s, profile=profile)
+        assert (report.deg_N, report.h0, report.d0, report.g0) == (-103, 34, 666, 14875)

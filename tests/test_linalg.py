@@ -67,6 +67,29 @@ def test_pivots_mod_p_are_the_rref_pivots(nrows, ncols, inner, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(
+    nrows=st.integers(0, 7),
+    ncols=st.integers(0, 9),
+    p=st.sampled_from([2, 3, 5, 7, 1009]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nullspace_mod_p_matches_sympy(nrows, ncols, p, seed):
+    # at these small p random matrices are often rank-deficient; the basis
+    # is sympy's, with its last entry of each row made 1
+    rng = random.Random(seed)
+    a = np.array([[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)],
+                 dtype=np.int64).reshape(nrows, ncols)
+    basis = _linalg.nullspace_mod_p(a, p)
+    assert basis.shape == (ncols - _linalg.rank_mod_p(a, p), ncols)
+    assert not (a @ basis.T % p).any()
+    if a.size:
+        K = GF(p)
+        oracle = DomainMatrix([[K(int(x)) for x in row] for row in a], a.shape, K)
+        want = oracle.nullspace(divide_last=True).to_Matrix().tolist()
+        assert basis.tolist() == [[int(x) % p for x in row] for row in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
     n=st.integers(1, 16),
     batch=st.sampled_from([1, 2, 3, 4, 70]),
     p=st.sampled_from([32003, P31]),

@@ -614,6 +614,14 @@ def test_syzygy_of_two_variables():
     assert [str(p) for p in sy.column(0)] == ["-Y", "X"]
 
 
+def test_syzygies_of_no_generators_and_of_a_zero_column():
+    empty = modgb.syzygies(GradedMatrix(F, [0], [], [[]]), 3)
+    assert (empty.nrows, empty.ncols) == (0, 0)
+    sy = modgb.syzygies(M([0], [1, 1], [["X", "0"]]), 3)
+    assert sy.col_degrees == (1,)
+    assert [str(p) for p in sy.column(0)] == ["0", "1"]
+
+
 def test_syzygies_of_koszul_row_are_the_koszul_matrix():
     U, V, _ = fixtures.koszul_matrices()
     sy = modgb.syzygies(U, 2)
@@ -636,6 +644,63 @@ def test_syzygies_of_large_example_presentation():
     assert set(sy.col_degrees) == {3}
     # and every syzygy column composes to zero with sigma1
     assert (sigma1 @ sy).is_zero_matrix()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    nrows=st.integers(1, 3),
+    col_degs=st.lists(st.integers(1, 2), min_size=2, max_size=5),
+    density=st.sampled_from([0.3, 0.7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_syzygies_generate_every_syzygy_and_are_minimal(nrows, col_degs, density, seed):
+    # the columns of sy are syzygies; in every degree up to the bound they
+    # span the whole kernel of the span matrix; and none is redundant
+    gens = _random_matrix(random.Random(seed), [0] * nrows, col_degs, density)
+    bound = 4
+    sy = modgb.syzygies(gens, bound)
+    assert (gens @ sy).is_zero_matrix()
+    assert max(sy.col_degrees, default=bound) <= bound
+    for d in range(bound + 1):
+        mat, columns = modgb._span_matrix_mod_p(gens, d)
+        assert modgb.module_dimension_oracle(sy, d) == \
+            len(columns) - modgb._linalg.rank_mod_p(mat, F.characteristic)
+    assert modgb.minimal_generator_count(sy) == CharFunction.from_degrees(sy.col_degrees)
+
+
+def _rao_sigma1(r, nlin, seed):
+    s = fixtures.rao_family(r, nlin, seed)
+    return s.submatrix(range(r), range(nlin + 10 * r)).specialize_closed_point()
+
+
+def test_syzygies_are_pinned_entry_for_entry():
+    # the fingerprint hashes the degrees and every term of every entry
+    sigma1 = fixtures.example("3.4").matrix.submatrix([0, 1], range(17)).specialize_closed_point()
+    assert modgb.syzygies(sigma1, 3).fingerprint() == \
+        "6b1f1d11efb31a97b37a11919496a7ca3e2bb105461481f1644a9a0cfd2f9941"
+    assert modgb.syzygies(_rao_sigma1(5, 3, 1), 3).fingerprint() == \
+        "5f04027f2d40e7bc4de82069f00a8e55ad1daa41e4f22e8d7d538d8b4dddc6b5"
+
+
+def test_syzygies_take_one_echelon_form_per_degree(monkeypatch):
+    # minimalization is one forward elimination per degree, not a rank per
+    # kernel vector
+    calls = []
+    pivots_mod_p = modgb._linalg.pivots_mod_p
+
+    def counted(a, p):
+        calls.append(a.shape)
+        return pivots_mod_p(a, p)
+
+    def refuse(a, p):
+        raise AssertionError("syzygies takes no rank")
+
+    sigma1 = _rao_sigma1(5, 3, 1)
+    monkeypatch.setattr(modgb._linalg, "pivots_mod_p", counted)
+    monkeypatch.setattr(modgb._linalg, "rank_mod_p", refuse)
+    sy = modgb.syzygies(sigma1, 3)
+    assert sy.ncols == 94
+    assert len(calls) <= 3 - min(sigma1.col_degrees) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -213,8 +213,9 @@ def verify_general_morphism(
 def _composite(s: GradedMatrix, v: GradedMatrix) -> GradedMatrix:
     """W = (s*v)|_{a=0} = s_t * v for a lift v free of the parameter, so the
     a*I block of s is never multiplied.  (A lift with the parameter leaves
-    it in W, and the rank and the Groebner basis of W refuse it.)"""
-    return s.specialize_closed_point() @ v
+    it in W, and the rank and the Groebner basis of W refuse it.)  W is kept
+    on v, so every step taken with one lift shares W and what W keeps."""
+    return v.kept(("composite", s), lambda: s.specialize_closed_point() @ v)
 
 
 def _verify_composite(w: GradedMatrix, r: int, seed: int) -> Certificate:
@@ -224,7 +225,7 @@ def _verify_composite(w: GradedMatrix, r: int, seed: int) -> Certificate:
         raise RankDeficiencyError(
             f"composite has rank {rank} at the closed point, needs {r - 1}"
         )
-    analysis = coprime_minor_analysis(w, r - 1, seed=subseed(seed, "verify"))
+    analysis = coprime_minor_analysis(w, seed=subseed(seed, "verify"))
     if not analysis.coprime:
         raise TorsionError(
             f"(r-1)-minors share the factor {analysis.common_factor}; "

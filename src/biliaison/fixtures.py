@@ -52,6 +52,7 @@ def koszul_matrices(field: FieldSpec = FieldSpec.prime()) -> Tuple[GradedMatrix,
     """The Koszul maps U (1x4), V (4x6), V' (6x4) of the regular sequence X,Y,Z,T.
 
     Signs are preserved character-for-character from the printed matrices.
+    Cached per field, like `example`.
     """
     U = GradedMatrix(field, [0], [1, 1, 1, 1], _parse_grid(field, [["X", "Y", "Z", "T"]]))
     V = GradedMatrix(field, [1] * 4, [2] * 6, _parse_grid(field, [
@@ -98,7 +99,11 @@ def _sigma1_ex34(field: FieldSpec) -> GradedMatrix:
 
 @lru_cache(maxsize=None)
 def example(name: str, field: FieldSpec = FieldSpec.prime()) -> ExampleDescriptor:
-    """Construct one of the shipped examples ("3.2", "3.3", "3.4")."""
+    """Construct one of the shipped examples ("3.2", "3.3", "3.4").
+
+    Cached: at most the three names times the fields in use.  Every caller
+    then holds the same matrix object, so the results kept on it are shared.
+    """
     U, V, Vp = koszul_matrices(field)
     if name == "3.2":
         s = block_dvr_matrix(U, V)

@@ -18,6 +18,17 @@ symbolically; the plane certificate of `qprofile` evaluates on that plane
 instead, and the symbolic restriction is kept as the reference its tests
 compare against.
 
+A result about a matrix is kept on that matrix (`GradedMatrix.kept`), and
+every module stores through that one method: the term table, the
+fingerprint and the closed point here, the blocks with their ranks
+(`ranked_blocks`), the Groebner presentations by degree cap
+(`modgb.groebner_basis`), the q-profiles by window and seed
+(`qprofile.compute_q_profile`), and the composite s_t * v on a lift v
+(`families`).  Each is computed once per matrix and freed with it.  There is
+no module-level cache: a matrix derived again is a new object with nothing
+kept, so code that needs a result twice passes the matrix it already has.
+`truncate_columns` returns the matrix itself when it keeps every column.
+
 One kernel, evaluation plus exact linear algebra mod p, serves every
 determinant and rank; there is no symbolic elimination.  A determinant
 beyond 3 x 3 (closed forms) is evaluated on a grid, its values are taken
@@ -35,7 +46,7 @@ import hashlib
 import itertools
 import json
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -44,9 +55,10 @@ from biliaison.polyring import (
     FieldSpec,
     MultiPoly,
     PARAM_INDEX,
-    Scalar,
     gcd,
 )
+
+T = TypeVar("T")
 
 
 class HomogeneityError(ValueError):
@@ -136,7 +148,7 @@ class CharFunction:
 class GradedMatrix:
     """Homogeneous matrix presenting a degree-0 map L2 -> L1."""
 
-    __slots__ = ("field", "row_degrees", "col_degrees", "entries", "_fingerprint", "_terms", "_closed")
+    __slots__ = ("field", "row_degrees", "col_degrees", "entries", "_kept")
 
     def __init__(
         self,
@@ -150,9 +162,7 @@ class GradedMatrix:
         self.row_degrees = tuple(int(d) for d in row_degrees)
         self.col_degrees = tuple(int(d) for d in col_degrees)
         self.entries = tuple(tuple(row) for row in entries)
-        self._fingerprint: Optional[str] = None
-        self._terms: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._closed: Optional[GradedMatrix] = None
+        self._kept: Dict[Hashable, object] = {}
         if len(self.entries) != len(self.row_degrees):
             raise ValueError("row count does not match row degrees")
         for row in self.entries:
@@ -189,15 +199,22 @@ class GradedMatrix:
                         f"entry ({i},{j}) = {p} is not homogeneous of degree {want}"
                     )
 
+    def kept(self, key: Hashable, build: Callable[[], T]) -> T:
+        """The result about this matrix kept under ``key``: ``build()`` on the
+        first call, the same object on every later one, freed with the matrix."""
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
+
     def fingerprint(self) -> str:
         """Hash of p, the degrees and the sorted term table."""
-        if self._fingerprint is None:
+        def build() -> str:
             h = hashlib.sha256()
             h.update(repr((self.field.characteristic, self.row_degrees, self.col_degrees)).encode())
             for a in self.term_table():
                 h.update(a.tobytes())
-            self._fingerprint = h.hexdigest()
-        return self._fingerprint
+            return h.hexdigest()
+        return self.kept("fingerprint", build)
 
     def term_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(cells, exponents, coefficients) of every term, as int64 arrays.
@@ -206,7 +223,7 @@ class GradedMatrix:
         cells[t] = i * ncols + j.  The terms are sorted by cell, then by
         exponent, so equal matrices have equal tables.  Built on first use.
         """
-        if self._terms is None:
+        def build() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             cells: List[int] = []
             exps: List[Tuple[int, ...]] = []
             coefs: List[int] = []
@@ -216,10 +233,10 @@ class GradedMatrix:
                     cells += [cell] * len(keys)
                     exps += keys
                     coefs += map(poly.terms.__getitem__, keys)
-            self._terms = (np.array(cells, dtype=np.int64),
-                           np.array(exps, dtype=np.int64).reshape(-1, 5),
-                           np.array(coefs, dtype=np.int64))
-        return self._terms
+            return (np.array(cells, dtype=np.int64),
+                    np.array(exps, dtype=np.int64).reshape(-1, 5),
+                    np.array(coefs, dtype=np.int64))
+        return self.kept("terms", build)
 
     # basic operations -------------------------------------------------------
     def column(self, j: int) -> List[MultiPoly]:
@@ -235,19 +252,22 @@ class GradedMatrix:
         )
 
     def truncate_columns(self, n: int) -> "GradedMatrix":
-        """Keep exactly the columns of degree <= n."""
+        """Keep exactly the columns of degree <= n; the matrix itself, with
+        what it keeps, when that is every column."""
         keep = [j for j, d in enumerate(self.col_degrees) if d <= n]
+        if len(keep) == self.ncols:
+            return self
         return self.submatrix(range(self.nrows), keep)
 
     def specialize_closed_point(self) -> "GradedMatrix":
         """Set the parameter a := 0 in every entry: the terms free of a.
         Built on first use and kept, like the term table."""
-        if self._closed is None:
+        def build() -> GradedMatrix:
             cells, exps, coefs = self.term_table()
             keep = exps[:, PARAM_INDEX] == 0
-            self._closed = self if keep.all() else self._from_table(
+            return self if keep.all() else self._from_table(
                 self.row_degrees, self.col_degrees, cells[keep], exps[keep], coefs[keep])
-        return self._closed
+        return self.kept("closed", build)
 
     def has_parameter(self) -> bool:
         return any(e[PARAM_INDEX] for row in self.entries for p in row for e in p.terms)
@@ -295,7 +315,7 @@ class GradedMatrix:
                 for lo, hi in zip(bounds, bounds[1:])]
         grid = [flat[i * ncols:(i + 1) * ncols] for i in range(len(row_degrees))]
         out = GradedMatrix(self.field, row_degrees, col_degrees, grid, validate=False)
-        out._terms = (cells, exps, coefs)
+        out._kept["terms"] = (cells, exps, coefs)
         return out
 
     def __eq__(self, other) -> bool:
@@ -410,17 +430,14 @@ def block_decomposition(m: GradedMatrix) -> List[Tuple[List[int], List[int]]]:
 _MAX_GRID = 1 << 20  # cells of one coefficient or value array of a determinant: 8 MB
 
 
-def determinant(m: GradedMatrix, check: Optional[Sequence[Scalar]] = None) -> MultiPoly:
+def determinant(m: GradedMatrix) -> MultiPoly:
     """Exact determinant of a square graded matrix free of the parameter.
 
     It is homogeneous of degree D = (sum of column degrees) - (sum of row
     degrees).  Up to 3 x 3 the closed forms are cheapest; larger matrices
     are evaluated and interpolated (`_interpolated_determinant`).  Every
     route accepts the same range, D < p, which interpolation needs; a larger
-    D raises `InterpolationRangeError`.  Given a point `check`, the result
-    is verified: a closed form must be homogeneous of degree D, and an
-    interpolant must agree with the matrix at that point; otherwise some
-    entry is not homogeneous of its degree and `HomogeneityError` is raised.
+    D raises `InterpolationRangeError`.
     """
     n = m.nrows
     if n != m.ncols:
@@ -433,30 +450,24 @@ def determinant(m: GradedMatrix, check: Optional[Sequence[Scalar]] = None) -> Mu
             f"more than F_{field.characteristic} has"
         )
     if n > 3:
-        return _interpolated_determinant(m, degree, check)
+        return _interpolated_determinant(m, degree)
     if m.has_parameter():
         raise ValueError("specialize the parameter first")
     e = m.entries
     if n == 0:
-        det = MultiPoly.one(field)
-    elif n == 1:
-        det = e[0][0]
-    elif n == 2:
-        det = e[0][0] * e[1][1] - e[0][1] * e[1][0]
-    else:
-        det = (
-            e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
-            - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
-            + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
-        )
-    if check is not None and not det.is_homogeneous(degree):
-        raise HomogeneityError(f"a {n} x {n} minor is not homogeneous of degree {degree}")
-    return det
+        return MultiPoly.one(field)
+    if n == 1:
+        return e[0][0]
+    if n == 2:
+        return e[0][0] * e[1][1] - e[0][1] * e[1][0]
+    return (
+        e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
+        - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
+        + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
+    )
 
 
-def _interpolated_determinant(
-    m: GradedMatrix, degree: int, check: Optional[Sequence[Scalar]]
-) -> MultiPoly:
+def _interpolated_determinant(m: GradedMatrix, degree: int) -> MultiPoly:
     """Dense evaluation and interpolation (Brown, JACM 18, 1971).
 
     Let v_1..v_f, u be the variables the entries use.  The determinant is a
@@ -465,8 +476,7 @@ def _interpolated_determinant(
     Horner's rule evaluates the entries on the grid axis by axis
     (`_grid_determinants`), `_linalg.det_mod_p` takes all the determinants in
     one batch, and Newton interpolation along each axis turns them back into
-    coefficients.  The check point (u != 0 there), scaled to u = 1, is
-    appended to every axis, so the same batch holds its value.
+    coefficients.
     """
     field, n = m.field, m.nrows
     p = field.characteristic
@@ -479,13 +489,7 @@ def _interpolated_determinant(
     free, last = used[:-1], (used[-1] if used else None)
     f = len(free)
     axes = [np.arange(degree + 1, dtype=np.int64)] * f
-    check = check if f else None
-    if check is not None:
-        scale = pow(int(check[last]), -1, p)
-        axes = [np.append(nodes, int(check[v]) * scale % p) for nodes, v in zip(axes, free)]
     dets = _grid_determinants(exps[:, free], cells, coefs, axes, n, p)
-    if check is not None:
-        expected, dets = dets[(-1,) * f], dets[(slice(-1),) * f]
     for axis in range(f):
         dets = _newton_coefficients(dets, axis, p)
     index = np.nonzero(dets)
@@ -493,16 +497,11 @@ def _interpolated_determinant(
     for k, v in enumerate(free):
         out[:, v] = index[k]
     rest = degree - out.sum(axis=1)
-    wrong = f"a {n} x {n} minor is not homogeneous of degree {degree}"
     if (rest < 0).any() or (last is None and rest.any()):
-        raise HomogeneityError(wrong)
+        raise HomogeneityError(f"a {n} x {n} minor is not homogeneous of degree {degree}")
     if last is not None:
         out[:, last] = rest
-    det = MultiPoly(field, dict(zip(map(tuple, out.tolist()), dets[index].tolist())))
-    # a form of degree D scales by check[u]^D from the point scaled to u = 1
-    if check is not None and det.evaluate(check) != expected * pow(int(check[last]), degree, p) % p:
-        raise HomogeneityError(wrong)
-    return det
+    return MultiPoly(field, dict(zip(map(tuple, out.tolist()), dets[index].tolist())))
 
 
 def _grid_determinants(
@@ -573,9 +572,6 @@ def _newton_coefficients(values: np.ndarray, axis: int, p: int) -> np.ndarray:
 # rank over the fraction field
 
 
-_RANK_CACHE: Dict[str, int] = {}
-
-
 def _eval_points(m: GradedMatrix, count: int) -> List[Tuple[int, ...]]:
     p = m.field.characteristic
     rng = random.Random(int(m.fingerprint()[:12], 16))
@@ -603,18 +599,22 @@ def restrict_to_plane(m: GradedMatrix, seed: int) -> GradedMatrix:
     return GradedMatrix(m.field, m.row_degrees, m.col_degrees, grid, validate=False)
 
 
+def ranked_blocks(m: GradedMatrix) -> List[Tuple[GradedMatrix, int]]:
+    """The blocks of m (`block_decomposition`) as submatrices, each with its
+    rank over the fraction field.  Kept on m: each matrix is decomposed once
+    and each block ranked once."""
+    def build() -> List[Tuple[GradedMatrix, int]]:
+        if m.has_parameter():
+            raise ValueError("specialize the parameter first")
+        subs = [m.submatrix(rows, cols) for rows, cols in block_decomposition(m)]
+        return [(sub, _block_rank(sub)) for sub in subs]
+    return m.kept("blocks", build)
+
+
 def rank_fraction_field(m: GradedMatrix) -> int:
-    """Exact rank over Frac(k[X,Y,Z,T]); equals the largest nonzero minor size."""
-    if m.has_parameter():
-        raise ValueError("specialize the parameter first")
-    key = m.fingerprint()
-    if key in _RANK_CACHE:
-        return _RANK_CACHE[key]
-    total = 0
-    for rows, cols in block_decomposition(m):
-        total += _block_rank(m.submatrix(rows, cols))
-    _RANK_CACHE[key] = total
-    return total
+    """Exact rank over Frac(k[X,Y,Z,T]), the sum of the block ranks; equals
+    the largest nonzero minor size."""
+    return sum(r for _, r in ranked_blocks(m))
 
 
 def _block_rank(sub: GradedMatrix) -> int:
@@ -671,27 +671,24 @@ class _SplitDiscovered(Exception):
 def rank_modulo_hypersurface(m: GradedMatrix, f: MultiPoly) -> int:
     """Rank of m over the fraction field of k[X,Y,Z,T]/(f).
 
-    ``f`` must be nonconstant and squarefree; for reducible f the result is
-    the minimum of the ranks over its irreducible components.  Components are
-    never listed explicitly: elimination proceeds with pivots invertible
-    modulo every component, splitting f whenever a zero divisor turns up.
+    ``f`` must be nonconstant; for reducible f the result is the minimum of
+    the ranks over its irreducible components, and a repeated factor counts
+    as its component.  Components are never listed explicitly: elimination
+    proceeds with pivots invertible modulo every component, splitting f
+    whenever a zero divisor turns up.
     """
     if f.is_constant():
         raise ValueError("hypersurface polynomial must be nonconstant")
     if f.has_parameter():
         raise ValueError("hypersurface must not involve the parameter a")
-    from biliaison.polyring import squarefree_factors
-
-    pieces = squarefree_factors(f) if f.degree > 1 else [f.monic()]
-    return min(_rank_modulo_whole(m, piece.monic()) for piece in pieces)
+    return _rank_modulo_whole(m, f.monic())
 
 
 def _rank_modulo_whole(m: GradedMatrix, f: MultiPoly) -> int:
     """min over the components of f; blockwise sums are valid per component."""
     try:
         total = 0
-        for rows, cols in block_decomposition(m):
-            sub = m.submatrix(rows, cols)
+        for sub, _ in ranked_blocks(m):
             if f.degree == 1:
                 total += _rank_modulo_linear(sub, f)
             else:

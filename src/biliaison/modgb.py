@@ -144,8 +144,7 @@ import numpy as np
 
 from biliaison import _linalg
 from biliaison.grmatrix import (
-    BudgetExhaustedError, CharFunction, GradedMatrix, block_decomposition, minors,
-    rank_fraction_field,
+    BudgetExhaustedError, CharFunction, GradedMatrix, minors, ranked_blocks,
 )
 from biliaison.polyring import FieldSpec, MultiPoly, Scalar
 
@@ -362,9 +361,6 @@ class SubmodulePresentation:
         self._reducers = _Reducers(_DegreePieces(ambient_degrees), field.characteristic, gb)
 
     # --- leading term data -------------------------------------------------
-    def ambient(self) -> CharFunction:
-        return CharFunction.from_degrees(self.ambient_degrees)
-
     def leading_components(self) -> List[int]:
         return sorted(self._by_component)
 
@@ -742,52 +738,35 @@ def _buchberger(
     return basis, truncated_at
 
 
-_PRESENTATION_CACHE: Dict[Tuple[str, Optional[int]], SubmodulePresentation] = {}
-
-
 def default_degree_cap(gens: GradedMatrix) -> int:
     top = max(gens.col_degrees) if gens.col_degrees else 0
     return top + 8
 
 
 def groebner_basis(
-    gens: GradedMatrix,
-    ambient: Optional[CharFunction] = None,
-    degree_cap: Optional[int] = "default",
+    gens: GradedMatrix, degree_cap: Optional[int] = "default"
 ) -> SubmodulePresentation:
     """Reduced Groebner basis of the column module of ``gens``.
 
-    ``ambient`` (optional) must agree with the row degrees of the matrix.
     ``degree_cap`` bounds the degree of the S-pairs and of the generators
     the run takes in; "default" means max(column degrees) + 8, None means no
-    cap.
+    cap.  The presentations are kept on ``gens`` by cap, and a run that
+    never reached its cap is a full basis, which serves every cap.
     """
-    if ambient is not None and ambient != gens.row_char():
-        raise ValueError("ambient characteristic function does not match row degrees")
     if degree_cap == "default":
         degree_cap = default_degree_cap(gens)
-    key = (gens.fingerprint(), degree_cap)
-    cached = _PRESENTATION_CACHE.get(key)
-    if cached is not None:
-        return cached
-    # an untruncated basis serves every cap
-    full = _PRESENTATION_CACHE.get((gens.fingerprint(), None))
-    if full is not None and full.truncated_at is None:
-        _PRESENTATION_CACHE[key] = full
-        return full
-    field = gens.field
-    ambient_degrees = gens.row_degrees
-    vectors = []
-    for j in range(gens.ncols):
-        vectors.append(
-            _column_to_vec(gens.column(j), gens.col_degrees[j], ambient_degrees, field)
-        )
-    gb, truncated_at = _buchberger(vectors, field, ambient_degrees, degree_cap)
-    pres = SubmodulePresentation(field, ambient_degrees, gens, gb, truncated_at)
-    _PRESENTATION_CACHE[key] = pres
-    if truncated_at is None:
-        # a run that never hit its cap is a full basis; reuse it for any cap
-        _PRESENTATION_CACHE[(gens.fingerprint(), None)] = pres
+    bases = gens.kept("groebner", dict)  # cap -> presentation; None -> a full basis
+    pres = bases.get(degree_cap, bases.get(None))
+    if pres is None:
+        field = gens.field
+        ambient_degrees = gens.row_degrees
+        vectors = [_column_to_vec(gens.column(j), gens.col_degrees[j], ambient_degrees, field)
+                   for j in range(gens.ncols)]
+        gb, truncated_at = _buchberger(vectors, field, ambient_degrees, degree_cap)
+        pres = SubmodulePresentation(field, ambient_degrees, gens, gb, truncated_at)
+        bases[degree_cap] = pres
+        if truncated_at is None:
+            bases[None] = pres
     return pres
 
 
@@ -982,9 +961,7 @@ def has_constant_rank(m: GradedMatrix) -> bool:
     leaves open takes the symbolic minors and `is_empty_projective_locus`,
     which decides.
     """
-    for rows, cols in block_decomposition(m):
-        sub = m.submatrix(rows, cols)
-        r = rank_fraction_field(sub)
+    for sub, r in ranked_blocks(m):
         count = comb(sub.nrows, r) * comb(sub.ncols, r)
         if count > MINOR_LIMIT:
             raise BudgetExhaustedError(

@@ -19,7 +19,8 @@ and assembles the cumulative q-function:
 stabilizing at (stable rank) - 1 for non-dissociated presentations.
 
 beta is computed by one minor analysis per block of a block-diagonal matrix,
-where k is the rank of the block.  No minor is enumerated:
+where k is the rank of the block; the blocks and their ranks are the ones
+kept on the matrix (`ranked_blocks`).  No minor is enumerated:
 
 1. Plane certificate.  Restrict the block to a seeded random plane, so every
    entry becomes a binary form in X, Y; the block is only ever evaluated
@@ -83,11 +84,11 @@ from biliaison.grmatrix import (
     HomogeneityError,
     InterpolationRangeError,
     _newton_coefficients,
-    block_decomposition,
     determinant,
     random_plane,
     rank_fraction_field,
     rank_modulo_hypersurface,
+    ranked_blocks,
 )
 from biliaison.polyring import MultiPoly, Scalar, gcd_many, squarefree_factors
 
@@ -415,29 +416,18 @@ def _restricted_minor_gcd(
     return False, []
 
 
-def coprime_minor_analysis(
-    w: GradedMatrix, k: int, seed: int = DEFAULT_SEED
-) -> MinorAnalysis:
-    """Exact analysis of the k-minors of w, for k = rank(w).
+def coprime_minor_analysis(w: GradedMatrix, seed: int = DEFAULT_SEED) -> MinorAnalysis:
+    """Exact analysis of the k-minors of w at its level k = rank(w), the sum
+    of the ranks of its kept blocks.
 
     Returns the minimum rank of w at codimension-1 points (= beta at this
     level) together with the discovered common factor, if any.
     """
-    field = w.field
     notes: List[str] = []
-    if k == 0:
-        return MinorAnalysis(0, 0, None, {}, notes)
-    blocks = block_decomposition(w)
-    sub_infos = []
-    for rows, cols in blocks:
-        sub = w.submatrix(rows, cols)
-        sub_infos.append((sub, rank_fraction_field(sub)))
-    if sum(r for _, r in sub_infos) != k:
-        raise ValueError("minor analysis requires k = rank of the matrix")
-    overall = MultiPoly.one(field)
-    for bi, (sub, kb) in enumerate(sub_infos):
-        if kb == 0:
-            continue
+    blocks = ranked_blocks(w)
+    k = sum(kb for _, kb in blocks)
+    overall = MultiPoly.one(w.field)
+    for bi, (sub, kb) in enumerate(blocks):
         coprime, index_sets = _restricted_minor_gcd(sub, kb, subseed(seed, "block", bi))
         if coprime:
             continue
@@ -502,10 +492,7 @@ def alpha(s: GradedMatrix, n: int) -> int:
 def beta(s: GradedMatrix, n: int, seed: int = DEFAULT_SEED) -> int:
     """Largest k such that the k-minors of s_{n,t} have no common factor."""
     w = s.truncate_columns(n).specialize_closed_point()
-    k = rank_fraction_field(w)
-    if k == 0:
-        return 0
-    return coprime_minor_analysis(w, k, seed=seed).min_rank
+    return coprime_minor_analysis(w, seed=seed).min_rank
 
 
 def _column_module_free(w: GradedMatrix, target_rank: int) -> bool:
@@ -526,22 +513,24 @@ def compute_q_profile(
     The window defaults to [inf L2 - 1, sup L2 + 8] and the scan stops as
     soon as the profile provably stabilizes.  A window must start at or
     below inf L2 - 1, where q# is 0, and must not end below its start;
-    otherwise `WindowError` is raised.
+    otherwise `WindowError` is raised.  The profile is kept on s by
+    (window, seed): a second call returns the same object.
     """
-    key = (s.fingerprint(), window, seed)
-    cached = _PROFILE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return s.kept(("profile", window, seed), lambda: _scan_profile(s, window, seed))
+
+
+def _scan_profile(
+    s: GradedMatrix, window: Optional[Tuple[Optional[int], Optional[int]]], seed: int
+) -> QProfile:
+    """`compute_q_profile` without keeping the result."""
     s_t = s.specialize_closed_point()
     if s.ncols == 0 or s_t.is_zero_matrix():
-        profile = QProfile(
+        return QProfile(
             records=[], b0=None, b0_is_lower_bound=True, stable_rank=0,
             dissociated=True, stabilized=True,
             inf_l2=min(s.col_degrees) if s.col_degrees else None,
             warnings=["zero presentation: the image sheaf is 0"],
         )
-        _PROFILE_CACHE[key] = profile
-        return profile
     r = rank_fraction_field(s_t)
     inf_l2 = min(s.col_degrees)
     sup_l2 = max(s.col_degrees)
@@ -566,10 +555,7 @@ def compute_q_profile(
     for n in range(n_min, n_cap + 1):
         w = s_t.truncate_columns(n)
         alpha_n = rank_fraction_field(w)
-        if alpha_n == 0:
-            beta_n = 0
-        else:
-            beta_n = coprime_minor_analysis(w, alpha_n, seed=subseed(seed, "beta", n)).min_rank
+        beta_n = coprime_minor_analysis(w, seed=subseed(seed, "beta", n)).min_rank
         if in_free_regime:
             conditions = alpha_n == beta_n and _column_module_free(w, alpha_n)
             if conditions:
@@ -604,11 +590,7 @@ def compute_q_profile(
         raise ProfileConsistencyError(
             "; ".join(violations) + "; the presentation violates the standing hypotheses"
         )
-    _PROFILE_CACHE[key] = profile
     return profile
-
-
-_PROFILE_CACHE: Dict[tuple, QProfile] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +700,7 @@ def q_oracle(
                 continue
             if mass < r:
                 analysis = coprime_minor_analysis(
-                    w, mass, seed=subseed(seed, "oracle-analysis", n, mass, attempt)
+                    w, seed=subseed(seed, "oracle-analysis", n, mass, attempt)
                 )
                 if analysis.coprime:
                     return mass

@@ -23,7 +23,8 @@ class ExampleRuns:
     """Lazily computed (descriptor, profile, report) per example.
 
     Shared across the whole session so the expensive example (3.4) is run
-    once; module-level caches make repeated library calls cheap anyway.
+    once; the results kept on the cached fixture matrices make repeated
+    library calls cheap anyway.
     """
 
     def __init__(self):

@@ -137,15 +137,18 @@ def test_hypothesis_failure_without_trust_flag(tmp_path):
     assert code == 0
 
 
-def test_profile_law_violation_exit_code(monkeypatch):
+def test_profile_law_violation_exit_code(tmp_path, monkeypatch):
     # a minor analysis claiming beta > alpha breaks 0 <= q# <= beta <= alpha;
-    # compute_q_profile checks the laws on every profile it builds
-    def inflated(w, k, seed=qprofile.DEFAULT_SEED):
+    # compute_q_profile checks the laws on every profile it builds, and a
+    # matrix read from a file is a new object with no profile kept on it
+    def inflated(w, seed=qprofile.DEFAULT_SEED):
+        k = qprofile.rank_fraction_field(w)
         return qprofile.MinorAnalysis(k, k + 1, None, {}, [])
 
+    path = tmp_path / "32.json"
+    fixtures.example("3.2").matrix.save(str(path))
     monkeypatch.setattr(qprofile, "coprime_minor_analysis", inflated)
-    monkeypatch.setattr(qprofile, "_PROFILE_CACHE", {})
-    code, out, _ = run(["qprofile", "--fixture", "3.2"])
+    code, out, _ = run(["qprofile", "--input", str(path)])
     assert code == 3
     assert "expected 0 <= q# <= beta <= alpha" in out
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from biliaison import families, fixtures, modgb, qprofile
+from biliaison import families, fixtures, grmatrix, modgb, qprofile
 from biliaison.grmatrix import CharFunction, GradedMatrix
 from biliaison.modgb import HilbertPolynomial
 from biliaison.polyring import FieldSpec, MultiPoly
@@ -260,6 +260,52 @@ def test_minimal_family_forms_the_composite_once_per_attempt(monkeypatch):
     monkeypatch.setattr(GradedMatrix, "__matmul__", counted)
     report = families.minimal_family(desc.matrix, profile=profile)
     assert len(products) == report.certificate.retries + 1 == 1
+
+
+def test_one_lift_forms_its_composite_and_basis_once(monkeypatch):
+    # the composite s_t * v and what it keeps are kept on the lift, so the
+    # public steps applied to one lift share them
+    s = fixtures.example("3.2").matrix
+    profile = qprofile.compute_q_profile(s)
+    p = CharFunction({2: 2, 3: 1})
+    products, bases = [], []
+    real_product, real_basis = GradedMatrix.__matmul__, modgb.SubmodulePresentation.__init__
+
+    def product(a, b):
+        products.append(b)
+        return real_product(a, b)
+
+    def basis(self, field, ambient_degrees, generators, gb, truncated_at):
+        bases.append(generators)
+        real_basis(self, field, ambient_degrees, generators, gb, truncated_at)
+
+    monkeypatch.setattr(GradedMatrix, "__matmul__", product)
+    monkeypatch.setattr(modgb.SubmodulePresentation, "__init__", basis)
+    v = families.sample_general_morphism(s, p, seed=4, profile=profile)
+    families.verify_general_morphism(s, v, profile=profile)
+    families.family_degree_genus(s, v, p, profile=profile)
+    families.hilbert_conservation(s, v, p)
+    assert products == [v]
+    w = families._composite(s, v)
+    assert sum(gens is w for gens in bases) == 1
+
+
+def test_cold_minimal_family_decomposes_each_matrix_once(monkeypatch):
+    # fixture 3.4 read from a file keeps nothing; the ranks, the minor
+    # analyses and the constant-rank checks share one decomposition per matrix
+    desc = fixtures.example("3.4")
+    s = GradedMatrix.from_json(desc.matrix.to_json())
+    seen = []
+    real = grmatrix.block_decomposition
+
+    def counted(m):
+        seen.append(m)
+        return real(m)
+
+    monkeypatch.setattr(grmatrix, "block_decomposition", counted)
+    report = families.minimal_family(s)
+    assert [report.h0, report.d0, report.g0] == [desc.expected[k] for k in ("h0", "d0", "g0")]
+    assert len({id(m) for m in seen}) == len(seen) <= 5
 
 
 def test_minimal_family_raises_on_conservation_mismatch(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sympy import GF, symbols
 from sympy.polys.matrices import DomainMatrix
 
-from biliaison import _linalg, families, fixtures, modgb, qprofile
+from biliaison import _linalg, families, fixtures, grmatrix, modgb, qprofile
 from biliaison.grmatrix import (
     CharFunction,
     GradedMatrix,
@@ -245,6 +245,12 @@ def test_rank_modulo_reducible_and_quadric():
     # modulo an irreducible quadric, a generic matrix keeps full rank
     g = M([0, 0], [1, 1], [["X", "Y"], ["Z", "T"]])
     assert rank_modulo_hypersurface(g, P("X*T - Y*Z + X^2")) == 2
+    # a repeated factor counts as its component
+    u = M([0, 0], [1, 1], [["X", "Y"], ["0", "Z"]])
+    assert rank_modulo_hypersurface(u, P("X^2")) == 1
+    assert rank_modulo_hypersurface(u, P("X^3*Y")) == 1
+    assert rank_modulo_hypersurface(g, P("X + Y") ** 2) == 2
+    assert rank_modulo_hypersurface(m, P("X^2*Y")) == 1
 
 
 def test_rank_modulo_bounded_by_rank():
@@ -374,6 +380,23 @@ def test_block_decomposition():
     s_t = fixtures.example("3.3").matrix.specialize_closed_point()
     blocks = block_decomposition(s_t)
     assert [(len(r), len(c)) for r, c in blocks] == [(4, 6), (6, 4)]
+
+
+def test_results_are_kept_on_the_matrix():
+    # a matrix read from a file has nothing kept; a second call on the same
+    # matrix returns the same object, and no module holds results by key
+    s = GradedMatrix.from_json(fixtures.example("3.2").matrix.to_json())
+    s_t = s.specialize_closed_point()
+    assert grmatrix.ranked_blocks(s_t) is grmatrix.ranked_blocks(s_t)
+    pres = modgb.groebner_basis(s_t)
+    assert modgb.groebner_basis(s_t) is pres
+    # the default cap is not reached, so the basis serves every cap
+    assert pres.truncated_at is None and modgb.groebner_basis(s_t, degree_cap=None) is pres
+    assert qprofile.compute_q_profile(s) is qprofile.compute_q_profile(s)
+    assert s_t.truncate_columns(max(s_t.col_degrees)) is s_t
+    for mod in (grmatrix, modgb, qprofile):
+        assert not [name for name, value in vars(mod).items()
+                    if isinstance(value, dict) and not name.startswith("__")], mod.__name__
 
 
 def test_matrix_product_degrees():

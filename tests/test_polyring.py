@@ -7,6 +7,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from biliaison import polyring
 from biliaison.modgb import monomials_of_degree
 from biliaison.polyring import (
     FieldSpec,
@@ -60,17 +61,32 @@ def test_difference_of_squares():
     assert (P("X") + P("Y")) * (P("X") - P("Y")) == P("X^2 - Y^2")
 
 
-def test_dense_product_with_keys_beyond_int64():
-    # 150 x 150 terms takes the packed-key product; exponents up to 3299 pack
-    # in base 6599, and a sum of two keys passes 2**63
-    a = MultiPoly(F, {(3150 + i, i % 3, 0, 0, 0): i + 1 for i in range(150)})
-    b = MultiPoly(F, {(3150 + i, 0, i % 2, 0, 0): 2 * i + 1 for i in range(150)})
-    schoolbook = {}
+def _schoolbook(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """The product as the sum of its term products, one pair at a time."""
+    out = {}
     for ea, ca in a.terms.items():
         for eb, cb in b.terms.items():
             e = tuple(x + y for x, y in zip(ea, eb))
-            schoolbook[e] = (schoolbook.get(e, 0) + ca * cb) % F.characteristic
-    assert a * b == MultiPoly(F, {e: c for e, c in schoolbook.items() if c})
+            out[e] = (out.get(e, 0) + ca * cb) % F.characteristic
+    return MultiPoly(F, {e: c for e, c in out.items() if c})
+
+
+def test_dense_product_with_keys_beyond_int64():
+    # 150 x 150 terms reach the packed-key product, which declines: exponents
+    # up to 3299 pack in base 6599, and a sum of two keys passes 2**63
+    a = MultiPoly(F, {(3150 + i, i % 3, 0, 0, 0): i + 1 for i in range(150)})
+    b = MultiPoly(F, {(3150 + i, 0, i % 2, 0, 0): 2 * i + 1 for i in range(150)})
+    assert a * b == _schoolbook(a, b)
+
+
+def test_dense_product_matches_schoolbook():
+    # about 160 x 160 terms of low degree take the packed-key product
+    rng = random.Random(5)
+    a, b = (MultiPoly(F, {tuple(rng.randrange(6) for _ in range(4)) + (0,): rng.randrange(1, 32003)
+                          for _ in range(160)}) for _ in range(2))
+    assert len(a.terms) * len(b.terms) >= 20000
+    assert polyring._mul_dense_prime(a, b) is not None
+    assert a * b == _schoolbook(a, b)
 
 
 def test_exact_divide_example():

@@ -58,12 +58,6 @@ def test_beta_common_factor_column():
     assert qprofile.beta(col, 2) == 0
 
 
-def test_minor_analysis_requires_rank_level():
-    col = M([0, 0], [2], [["X^2"], ["X*Y"]])
-    with pytest.raises(ValueError):
-        qprofile.coprime_minor_analysis(col, 2)
-
-
 def _exhaustive_min_rank(w: GradedMatrix, k: int) -> int:
     """Oracle: measure every squarefree factor of the GCD of all k-minors."""
     g = gcd_many([m for m in minors(w, k) if not m.is_zero()])
@@ -106,6 +100,23 @@ def _random_block(nrows, ncols, quadratic_col, scale, index, seed) -> GradedMatr
     return GradedMatrix(F, row_degs, col_degs, grid)
 
 
+def test_square_block_with_a_common_column_factor():
+    # a square block of positive degree: its only rank-level minor is the
+    # determinant, so the plane certificate is inconclusive and the honest
+    # fallback finds the common factor of the first column
+    rng = random.Random(3)
+    form = _random_form(1, rng).monic()
+    grid = [[_random_form(1, rng) for _ in range(3)] for _ in range(3)]
+    for row in grid:
+        row[0] = form * row[0]
+    w = GradedMatrix(F, [0, 0, 0], [2, 1, 1], grid)
+    assert rank_fraction_field(w) == 3
+    analysis = qprofile.coprime_minor_analysis(w, seed=1)
+    assert analysis.min_rank == 2 == _exhaustive_min_rank(w, 3)
+    assert form * analysis.common_factor.exact_divide(form) == analysis.common_factor
+    assert rank_modulo_hypersurface(w, form) == 2
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     nrows=st.integers(2, 4),
@@ -122,7 +133,7 @@ def test_minor_analysis_matches_exhaustive_oracle(
     k = rank_fraction_field(w)
     if k == 0:
         return
-    analysis = qprofile.coprime_minor_analysis(w, k, seed=seed)
+    analysis = qprofile.coprime_minor_analysis(w, seed=seed)
     assert analysis.min_rank == _exhaustive_min_rank(w, k)
 
 
@@ -261,7 +272,7 @@ def test_restricted_rank_settles_plane_without_fallback(monkeypatch):
 
     monkeypatch.setattr(qprofile, "_regular_rank", spy)
     monkeypatch.setattr(qprofile, "_honest_sampled_gcd", no_fallback)
-    analysis = qprofile.coprime_minor_analysis(row, 1)
+    analysis = qprofile.coprime_minor_analysis(row)
     assert analysis.coprime and analysis.notes == []
     assert measured and all(len(f) - 1 == 1 for f in measured)
 
@@ -357,7 +368,7 @@ def test_genuine_common_factor_reaches_fallback(monkeypatch):
         return honest(*args, **kwargs)
 
     monkeypatch.setattr(qprofile, "_honest_sampled_gcd", counted)
-    analysis = qprofile.coprime_minor_analysis(row, 1)
+    analysis = qprofile.coprime_minor_analysis(row)
     assert calls
     assert analysis.min_rank == 0
     assert analysis.common_factor == P("X")

@@ -330,6 +330,7 @@ _EXIT_CODES = {
     families.RetryExhaustedError: EXIT_BUDGET,
     qprofile.MassMismatchError: EXIT_PARSE,
     qprofile.ProfileConsistencyError: EXIT_HYPOTHESIS,
+    qprofile.SingularWitnessError: EXIT_HYPOTHESIS,
     families.ConservationError: EXIT_HYPOTHESIS,
     families.PresentationError: EXIT_HYPOTHESIS,
 }

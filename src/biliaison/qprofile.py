@@ -27,17 +27,16 @@ kept on the matrix (`ranked_blocks`).  No minor is enumerated:
    there, once per plane, at the images of the points (t : 1) of the line
    Y = 1 for t = 0..N-1, where N - 1 bounds the degree of every entry and
    of every k-minor, at one seeded pivot point (x : 1) per shuffle, and at
-   (1 : 0).  On each seeded shuffle, forward elimination on the values at
-   the pivot point picks k pivot rows and columns; their minor is
-   nonzero there, hence a nonzero binary form of the known degree D =
-   (sum of column degrees) - (sum of row degrees).  Its values at
-   t = 0..D, one batched determinant mod p, determine it by Newton
-   interpolation, and its value at the pivot point checks it.  It is kept
-   densely, as Y^m times the coefficients of its value at (t : 1).  Keep a
-   running GCD g of these restricted witness minors (Euclid on the
-   coefficient lists mod p, the least power of Y) and stop as soon as it is
-   constant: any set of nonzero restricted k-minors with GCD 1 certifies
-   that the k-minors are coprime.
+   (1 : 0).  One stacked pass over the values of all shuffles at their
+   pivot points picks, per shuffle, k pivot rows and columns; their minor
+   is nonzero there, hence a nonzero binary form of the known degree D =
+   (sum of column degrees) - (sum of row degrees).  Its values at t = 0..D,
+   from batched determinants mod p over all witnesses, determine it by
+   Newton interpolation, and its value at the pivot point checks it.  Kept
+   densely, as Y^m times the coefficients of its value at (t : 1), these
+   restricted witness minors feed a running GCD g (Euclid mod p, the least
+   power of Y) that stops as soon as it is constant: nonzero restricted
+   k-minors with GCD 1 certify that the k-minors are coprime.
 2. Restricted rank.  If g stays nonconstant, measure the rank of the
    restricted block modulo g.  Let f = h / gcd(h, h') be the squarefree part
    of h = g(t, 1) (D < p, so this drops exactly the repeated factors), of
@@ -113,6 +112,10 @@ class MassMismatchError(ValueError):
 
 class ProfileConsistencyError(RuntimeError):
     """Computed invariants violate a structural law; hypotheses likely fail."""
+
+
+class SingularWitnessError(RuntimeError):
+    """A plane witness minor vanishes at the pivot point that chose it."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -246,28 +249,23 @@ def _pivot_runs(m: GradedMatrix, seed: int, count: int) -> List[_Run]:
 
 def _pivot_sets(
     runs: Sequence[_Run], values: np.ndarray, k: int, p: int
-) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
+) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
     """(rows, cols, run index) of k x k minors nonzero at the run's point.
 
-    values[t] holds the matrix's values at the point of runs[t].  The rows
-    are the first k, in the run's order, that raise the rank of the rows
-    before them (pivots of the transposed values' echelon form), the columns
-    likewise among those rows.  A minor that is nonzero at a point is a
-    nonzero polynomial, so every yielded index set is a certified witness.
-    Repeated index sets are skipped.
+    values[t] holds the matrix's values at the point of runs[t].  One stacked
+    pass (`_linalg.row_pivots_mod_p`) over all runs, each in its own row and
+    column order, picks the first k rows that raise the rank of the rows
+    before them, and their pivot columns.  A minor nonzero at a point is a
+    nonzero polynomial, so every index set is a certified witness.  Runs
+    short of rank k and repeated index sets are skipped.
     """
-    seen = set()
-    for t, (rp, cp, _) in enumerate(runs):
-        v = values[t][rp][:, cp]
-        pivot_rows = _linalg.pivots_mod_p(v.T, p)
-        if len(pivot_rows) < k:
-            continue
-        pivot_cols = _linalg.pivots_mod_p(v[pivot_rows[:k]], p)
-        rows = tuple(sorted(rp[i] for i in pivot_rows[:k]))
-        cols = tuple(sorted(cp[j] for j in pivot_cols))
-        if (rows, cols) not in seen:
-            seen.add((rows, cols))
-            yield rows, cols, t
+    at = np.arange(len(runs))
+    rp, cp = (np.array([run[i] for run in runs], dtype=np.int64) for i in (0, 1))
+    found, rows, leads = _linalg.row_pivots_mod_p(
+        values[at[:, None, None], rp[:, :, None], cp[:, None, :]], k, p)
+    sets = [(tuple(sorted(rp[t, rows[t]].tolist())), tuple(sorted(cp[t, leads[t]].tolist())), t)
+            for t in found.nonzero()[0].tolist()]
+    return [s for n, s in enumerate(sets) if s[:2] not in [u[:2] for u in sets[:n]]]
 
 
 def _poly_divmod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
@@ -349,31 +347,40 @@ def _plane_values(
 def _plane_witnesses(
     block: GradedMatrix, k: int, runs: Sequence[_Run], values: np.ndarray, top: int
 ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], List[int], int]]:
-    """Nonzero restricted k-minors as found: (rows, cols, minor, power of Y).
+    """Nonzero restricted k-minors in run order: (rows, cols, minor, power of Y).
 
     The minor of degree D is Y^power times the form whose value at (t : 1)
     has the coefficients `minor`, lowest power first, the last nonzero.  It
     is interpolated from its values at t = 0..D and checked at the run's
-    pivot point (else `HomogeneityError`), all from one `det_mod_p` call.
+    pivot point (else `HomogeneityError`, or `SingularWitnessError` for a
+    value 0 there).  The (D + 2) x k x k stacks of the witnesses go to
+    `det_mod_p` in chunks of whole witnesses, at most `modgb._MAX_PIECE`
+    cells a call, each chunk only once its first witness is asked for.
     """
     p = block.field.characteristic
     rd, cd = block.row_degrees, block.col_degrees
+    cap = max(1, modgb._MAX_PIECE // (k * k))  # matrices per det_mod_p call
+    chunks: List[list] = []
     for rows, cols, t in _pivot_sets(runs, values[top + 1:-1], k, p):
         degree = sum(cd[j] for j in cols) - sum(rd[i] for i in rows)
-        wrong = HomogeneityError(f"a {k} x {k} minor is not homogeneous of degree {degree}")
         if degree < 0:
-            raise wrong
-        at = list(range(degree + 1)) + [top + 1 + t]
-        dets = _linalg.det_mod_p(values[at][:, rows][:, :, cols], p)
-        minor = _newton_coefficients(dets[:-1], 0, p).tolist()
-        while minor and not minor[-1]:
-            minor.pop()
-        check = 0
-        for c in reversed(minor):
-            check = (check * runs[t][2][0] + c) % p
-        if check != dets[-1]:
-            raise wrong
-        yield rows, cols, minor, degree + 1 - len(minor)
+            raise HomogeneityError(f"a {k} x {k} minor is not homogeneous of degree {degree}")
+        if not chunks or sum(d + 2 for *_, d in chunks[-1]) + degree + 2 > cap:
+            chunks.append([])  # a witness larger than a chunk goes alone, in slices
+        chunks[-1].append((rows, cols, t, degree))
+    for chunk in chunks:
+        stack = np.concatenate([values[np.ix_(list(range(d + 1)) + [top + 1 + t], rows, cols)]
+                                for rows, cols, t, d in chunk])
+        dets = np.concatenate([_linalg.det_mod_p(stack[i:i + cap], p)
+                               for i in range(0, len(stack), cap)])
+        for rows, cols, t, degree in chunk:
+            own, dets = dets[:degree + 2], dets[degree + 2:]
+            if not own[-1]:
+                raise SingularWitnessError(f"witness {rows} x {cols} vanishes at its pivot point")
+            minor = np.trim_zeros(_newton_coefficients(own[:-1], 0, p), "b").tolist()
+            if sum(c * pow(runs[t][2][0], n, p) for n, c in enumerate(minor)) % p != own[-1]:
+                raise HomogeneityError(f"a {k} x {k} minor is not homogeneous of degree {degree}")
+            yield rows, cols, minor, degree + 1 - len(minor)
 
 
 def _restricted_minor_gcd(
@@ -382,11 +389,12 @@ def _restricted_minor_gcd(
     """Plane certificate: (verdict, witness index sets).
 
     Verdict True certifies exactly that the k-minors of the block are
-    coprime, either by a constant GCD of restricted witness minors or by full
-    restricted rank modulo that GCD (see the module docstring).  False means
-    the GCD lowered the restricted rank, or no plane kept rank k.  The
-    witness index sets carry provably nonzero minors of the original block.
-    Each attempt evaluates the block once (`_plane_values`).
+    coprime, by a constant GCD of restricted witness minors or by full
+    restricted rank modulo that GCD (module docstring); False means the GCD
+    lowered the restricted rank, or no plane kept rank k.  The index sets
+    carry provably nonzero minors of the original block.  An attempt
+    evaluates the block once (`_plane_values`), picks all its witnesses in
+    one stacked pass, and takes determinant chunks until the GCD is constant.
     """
     p = block.field.characteristic
     for attempt in range(3):
@@ -462,9 +470,8 @@ def _honest_sampled_gcd(
     if len(picks) < sample_size:
         runs = _pivot_runs(sub, seed, sample_size - len(picks))
         values = sub.evaluate_many([point for _, _, point in runs])
-        for rows, cols, _ in _pivot_sets(runs, values, k, sub.field.characteristic):
-            if (rows, cols) not in picks:
-                picks.append((rows, cols))
+        found = _pivot_sets(runs, values, k, sub.field.characteristic)
+        picks += [(rows, cols) for rows, cols, _ in found if (rows, cols) not in picks]
     if not picks:
         raise ValueError("no nonsingular witness of the requested size")
     acc: Optional[MultiPoly] = None

@@ -153,6 +153,17 @@ def test_profile_law_violation_exit_code(tmp_path, monkeypatch):
     assert "expected 0 <= q# <= beta <= alpha" in out
 
 
+def test_singular_witness_exit_code(tmp_path, monkeypatch):
+    # a plane witness that vanishes at its own pivot point contradicts the
+    # pivot search; the typed error exits 3 instead of a bare IndexError
+    path = tmp_path / "32.json"
+    fixtures.example("3.2").matrix.save(str(path))
+    monkeypatch.setattr(qprofile._linalg, "det_mod_p", lambda stack, p: 0 * stack[:, 0, 0])
+    code, out, _ = run(["qprofile", "--input", str(path), "--assume-locally-free"])
+    assert code == 3
+    assert "vanishes at its pivot point" in out
+
+
 def test_window_exhaustion_exit_code():
     code, out, _ = run(["qprofile", "--fixture", "3.2", "--window", "0:1"])
     assert code == 4

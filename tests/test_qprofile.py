@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from biliaison.grmatrix import (
     minors,
     rank_fraction_field,
     rank_modulo_hypersurface,
+    ranked_blocks,
     restrict_to_plane,
 )
 from biliaison.polyring import FieldSpec, MultiPoly, gcd_many, squarefree_factors
@@ -289,6 +292,68 @@ def test_plane_through_the_gcd_measures_the_rank_at_infinity(monkeypatch, last, 
     monkeypatch.setattr(qprofile, "_regular_rank", None)  # the GCD has no affine part
     verdict, index_sets = qprofile._restricted_minor_gcd(row, 1, 0)
     assert verdict == coprime and index_sets
+
+
+PLANE_PINS = Path(__file__).parent / "golden" / "plane-certificates.json"
+
+
+@pytest.mark.parametrize("seed", [qprofile.DEFAULT_SEED, 11])
+@pytest.mark.parametrize("name", ["3.2", "3.3", "3.4"])
+def test_plane_certificates_are_pinned(name, seed, monkeypatch):
+    # every block that cold qprofile and minimal-family certify, in call
+    # order: (rows, cols, k, block seed, verdict, witness index sets), as the
+    # search with two eliminations per run found them
+    calls = []
+    certify = qprofile._restricted_minor_gcd
+
+    def spy(block, k, block_seed):
+        verdict, index_sets = certify(block, k, block_seed)
+        calls.append([block.nrows, block.ncols, k, block_seed, verdict,
+                      [[list(rows), list(cols)] for rows, cols in index_sets]])
+        return verdict, index_sets
+
+    monkeypatch.setattr(qprofile, "_restricted_minor_gcd", spy)
+    m = fixtures.example(name).matrix
+    cold = GradedMatrix(m.field, m.row_degrees, m.col_degrees, m.entries)
+    families.minimal_family(cold, seed=seed, profile=qprofile.compute_q_profile(cold, seed=seed))
+    assert calls == json.loads(PLANE_PINS.read_text())[f"{name} seed {seed}"]
+
+
+@pytest.mark.parametrize("cells, calls", [
+    (1 << 20, [30]),  # every witness in one call
+    (90, [10]),  # two witnesses a chunk; the second settles the GCD
+    (45, [5, 5]),  # one witness a chunk
+    (20, [2, 2, 1, 2, 2, 1]),  # a witness larger than a chunk goes in slices
+])
+def test_plane_witness_determinants_in_chunks(cells, calls, monkeypatch):
+    # 3.3's 4 x 6 block at n = 4 has six witnesses of degree 3, each a stack
+    # of 5 matrices 3 x 3 (45 cells), and a constant GCD after the second:
+    # no call exceeds the cap, and no chunk after the second witness's is
+    # computed
+    block, k = ranked_blocks(fixtures.example("3.3").matrix.specialize_closed_point()
+                             .truncate_columns(4))[0]
+    seed = qprofile.subseed(qprofile.subseed(qprofile.DEFAULT_SEED, "beta", 4), "block", 0)
+    seen = []
+    det_mod_p = _linalg.det_mod_p
+
+    def spy(stack, p):
+        seen.append(len(stack))
+        assert stack.size <= cells
+        return det_mod_p(stack, p)
+
+    monkeypatch.setattr(modgb, "_MAX_PIECE", cells)
+    monkeypatch.setattr(_linalg, "det_mod_p", spy)
+    verdict, index_sets = qprofile._restricted_minor_gcd(block, k, seed)
+    assert (k, verdict, len(index_sets)) == (3, True, 2)
+    assert seen == calls
+
+
+def test_singular_witness_raises_typed_error(monkeypatch):
+    # the pivot search picks minors nonzero at the pivot point; one that
+    # reads 0 there would pass the interpolation check as the zero minor
+    monkeypatch.setattr(_linalg, "det_mod_p", lambda stack, p: np.zeros(len(stack), np.int64))
+    with pytest.raises(qprofile.SingularWitnessError):
+        qprofile._restricted_minor_gcd(M([0], [2, 2], [["X^2", "Y^2"]]), 1, 0)
 
 
 def _restricted_coefficients(m: GradedMatrix) -> np.ndarray:

@@ -14,7 +14,7 @@ Exit codes: 0 success / admissible; 1 rejection or example mismatch;
 2 parse error, or a candidate p of the wrong mass; 3 hypothesis
 certification failure without a trust flag, or a broken structural law:
 the profile laws, a P_N that gives no integral sheaf degree, or
-P_Q + P_P != P_N; 4 degree budget, window or retry exhaustion;
+P_Q + P_P != P_N; 4 degree budget, window, retry or GCD node exhaustion;
 5 dissociated sheaf.  One table in `main` maps the typed errors that a
 command lets escape to their codes.
 
@@ -39,7 +39,7 @@ from typing import List, Optional, Tuple
 
 from biliaison import families, fixtures, modgb, qprofile
 from biliaison.grmatrix import CharFunction, GradedMatrix
-from biliaison.polyring import FieldSpec
+from biliaison.polyring import FieldSpec, GcdNodesExhaustedError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -328,6 +328,7 @@ _EXIT_CODES = {
     qprofile.WindowExhaustedError: EXIT_BUDGET,
     modgb.BudgetExhaustedError: EXIT_BUDGET,
     families.RetryExhaustedError: EXIT_BUDGET,
+    GcdNodesExhaustedError: EXIT_BUDGET,
     qprofile.MassMismatchError: EXIT_PARSE,
     qprofile.ProfileConsistencyError: EXIT_HYPOTHESIS,
     qprofile.SingularWitnessError: EXIT_HYPOTHESIS,

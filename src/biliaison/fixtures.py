@@ -178,6 +178,25 @@ def example(name: str, field: FieldSpec = FieldSpec.prime()) -> ExampleDescripto
 FIXTURE_NAMES = ("3.2", "3.3", "3.4")
 
 
+def _finite_length_sigma1(field: FieldSpec, grid, col_degrees, top: int) -> GradedMatrix:
+    """grid's rows (degree 0) followed, for each row in turn, by its monomials
+    of degree ``top`` as single-entry columns: every form of that degree lies
+    in each row's image, so the cokernel has finite length."""
+    r = len(grid)
+    monomials = [MultiPoly.monomial(field, e + (0,)) for e in modgb.monomials_of_degree(top)]
+    zero = MultiPoly.zero(field)
+    for i in range(r):
+        for row in range(r):
+            grid[row] += monomials if row == i else [zero] * len(monomials)
+    return GradedMatrix(field, [0] * r, list(col_degrees) + [top] * (len(monomials) * r), grid)
+
+
+def _random_form(field: FieldSpec, degree: int, rng: random.Random) -> MultiPoly:
+    p = field.characteristic
+    return MultiPoly(field, {e + (0,): c for e in modgb.monomials_of_degree(degree)
+                             if (c := rng.randrange(p))})
+
+
 def rao_family(r: int, nlin: int, seed: int) -> GradedMatrix:
     """A seeded instance beyond the shipped examples, of size about 12r x 30r.
 
@@ -188,16 +207,24 @@ def rao_family(r: int, nlin: int, seed: int) -> GradedMatrix:
     `modgb.syzygies(sigma1, 3)`, and the result is `block_dvr_matrix`.
     """
     field = FieldSpec.prime()
-    p = field.characteristic
     rng = random.Random(seed)
-    variables = [MultiPoly.variable(field, x) for x in "XYZT"]
-    zero = MultiPoly.zero(field)
-    quadrics = [MultiPoly.monomial(field, e + (0,)) for e in modgb.monomials_of_degree(2)]
-    grid = [[
-        sum((x.scale(rng.randrange(p)) for x in variables), zero) for _ in range(nlin)
-    ] for _ in range(r)]
-    for i in range(r):
-        for row in range(r):
-            grid[row] += quadrics if row == i else [zero] * len(quadrics)
-    sigma1 = GradedMatrix(field, [0] * r, [1] * nlin + [2] * (len(quadrics) * r), grid)
+    grid = [[_random_form(field, 1, rng) for _ in range(nlin)] for _ in range(r)]
+    sigma1 = _finite_length_sigma1(field, grid, [1] * nlin, 2)
     return block_dvr_matrix(sigma1, modgb.syzygies(sigma1, 3))
+
+
+def rank_drop_sigma1(r: int, f: int, ncommon: int, seed: int) -> GradedMatrix:
+    """A seeded r-row presentation whose beta drops below alpha - 1.
+
+    Its ``ncommon`` < r columns of degree f + 1 are F * l_j, where F is a
+    random form of degree f and each l_j a column of random linear forms,
+    all drawn from ``seed``; every monomial of degree f + 2 follows as a
+    single-entry column of each row.  At n = f + 1 the ncommon-minors share
+    F^ncommon, so beta is 0 there, and the profile is
+    [(f, 0, 0, 0), (f + 1, ncommon, 0, 0), (f + 2, r, r, r - 1)].
+    """
+    field = FieldSpec.prime()
+    rng = random.Random(seed)
+    common = _random_form(field, f, rng)
+    grid = [[common * _random_form(field, 1, rng) for _ in range(ncommon)] for _ in range(r)]
+    return _finite_length_sigma1(field, grid, [f + 1] * ncommon, f + 2)

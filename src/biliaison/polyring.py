@@ -5,15 +5,26 @@ projective coordinates X, Y, Z, T plus a degree-zero deformation parameter
 ``a`` (the uniformizer of the base valuation ring).  Coefficients are exact:
 Python ints reduced mod p.
 
-The module also provides multivariate GCDs (recursive content / primitive
-part, with a fast path for binary forms) and a coprime squarefree splitting
-used by the minor-GCD analysis.  Full irreducible factorization is out of
-scope; callers are written to be correct with any coprime squarefree split.
+`gcd` is Brown's dense modular GCD (Brown, JACM 18, 1971), with no modulus
+to choose since the field is F_p already.  For two forms, one variable v is
+set to 1 first; the GCD found is rehomogenized and multiplied by the power
+of v that divides both.  One variable at a time is evaluated at the nodes
+1, 2, 3, ..., down to Euclid mod p in the last one (`_poly_gcd`, which the
+plane certificate of `qprofile` shares).  Images are normalized by the GCD
+of the leading coefficients, unlucky ones are dropped by their leading
+monomial, and Newton interpolation joins the rest.  A result is accepted
+only if it divides both inputs exactly; if every node fails,
+`GcdNodesExhaustedError` ends the search.  `squarefree_factors` strips the
+variables dividing f and takes the layers of the rest by multiplicity from
+gcd(f, df/dX, ..., df/da), in the manner of Yun (SYMSAC 1976).  Full
+irreducible factorization is out of scope; callers are written to be
+correct with any coprime squarefree split.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -251,10 +262,6 @@ class MultiPoly:
         if len(other.terms) == 1:
             (e, c), = other.terms.items()
             return self.mul_monomial(e, c)
-        if len(self.terms) * len(other.terms) >= 20000:
-            dense = _mul_dense_prime(self, other)
-            if dense is not None:
-                return dense
         out: Dict[Expo, Scalar] = {}
         p = self.field.characteristic
         for e1, c1 in self.terms.items():
@@ -523,199 +530,168 @@ class MultiPoly:
         return result
 
 
-def _mul_dense_prime(a: MultiPoly, b: MultiPoly) -> Optional[MultiPoly]:
-    """Dense product over F_p via packed exponent keys and bincount.
+# ---------------------------------------------------------------------------
+# univariate Euclid mod p, on dense coefficient lists (lowest power first)
 
-    Exponents are packed in base 2 * maxexp + 1, so a sum of two keys is
-    below base**5; None when that does not fit int64.
-    """
-    import numpy as np
 
-    p = a.field.characteristic
-    maxexp = 0
-    for poly in (a, b):
-        for e in poly.terms:
-            maxexp = max(maxexp, max(e))
-    base = 2 * maxexp + 1
-    if base ** 5 >= 2 ** 63:
-        return None
+def _poly_divmod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
+    """Quotient and remainder mod p of dense polynomials (b has a nonzero
+    last coefficient)."""
+    r = list(a)
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for s in range(len(q) - 1, -1, -1):
+        q[s] = c = r[s + len(b) - 1] * inv % p
+        for i, bi in enumerate(b):
+            r[s + i] = (r[s + i] - c * bi) % p
+    r = r[:len(b) - 1]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
 
-    def pack(poly: MultiPoly):
-        keys = np.empty(len(poly.terms), dtype=np.int64)
-        coeffs = np.empty(len(poly.terms), dtype=np.int64)
-        for idx, (e, c) in enumerate(poly.terms.items()):
-            keys[idx] = ((((e[0] * base + e[1]) * base + e[2]) * base + e[3]) * base) + e[4]
-            coeffs[idx] = c
-        return keys, coeffs
 
-    ka, ca = pack(a)
-    kb, cb = pack(b)
-    keys = (ka[:, None] + kb[None, :]).ravel()
-    prods = ((ca[:, None] * cb[None, :]) % p).ravel()
-    uniq, inv = np.unique(keys, return_inverse=True)
-    sums = np.bincount(inv, weights=prods.astype(np.float64), minlength=len(uniq))
-    sums = np.mod(sums.astype(np.int64), p)
-    out: Dict[Expo, Scalar] = {}
-    for key, c in zip(uniq.tolist(), sums.tolist()):
-        if c == 0:
-            continue
-        e4 = key % base
-        key //= base
-        e3 = key % base
-        key //= base
-        e2 = key % base
-        key //= base
-        e1 = key % base
-        e0 = key // base
-        out[(e0, e1, e2, e3, e4)] = int(c)
-    return MultiPoly(a.field, out)
+def _poly_gcd(a: List[int], b: List[int], p: int) -> List[int]:
+    """Monic GCD of two dense polynomials mod p, a nonzero (Euclid)."""
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _horner(a: List[int], x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % p
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # GCDs
 
 
-def _content_and_pp(f: MultiPoly, var: int) -> Tuple[MultiPoly, MultiPoly]:
-    """Content (gcd of coefficients w.r.t. var) and primitive part."""
-    coeffs: Dict[int, Dict[Expo, Scalar]] = {}
-    for e, c in f.terms.items():
-        k = e[var]
-        e2 = list(e)
-        e2[var] = 0
-        coeffs.setdefault(k, {})[tuple(e2)] = c
-    polys = [MultiPoly(f.field, d) for d in coeffs.values()]
-    cont = gcd_many(polys)
-    pp = f.exact_divide(cont)
-    return cont, pp
-
-
-def _degree_in(f: MultiPoly, var: int) -> int:
-    return max((e[var] for e in f.terms), default=-1)
-
-
-def _lead_coeff_in(f: MultiPoly, var: int) -> MultiPoly:
-    d = _degree_in(f, var)
-    out: Dict[Expo, Scalar] = {}
-    for e, c in f.terms.items():
-        if e[var] == d:
-            e2 = list(e)
-            e2[var] = 0
-            out[tuple(e2)] = c
-    return MultiPoly(f.field, out)
-
-
-def _pseudo_remainder(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
-    """prem(f, g) w.r.t. var: remainder after lc(g)-scaled division."""
-    dg = _degree_in(g, var)
-    if dg <= 0:
-        raise ValueError("pseudo-division needs a divisor of positive degree")
-    lc_g = _lead_coeff_in(g, var)
-    r = f
-    while not r.is_zero():
-        dr = _degree_in(r, var)
-        if dr < dg:
-            break
-        lc_r = _lead_coeff_in(r, var)
-        shift = [0] * NVARS
-        shift[var] = dr - dg
-        r = r * lc_g - g.mul_monomial(tuple(shift), 1) * lc_r
-    return r
-
-
-def _univariate_gcd(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
-    a, b = f, g
-    while not b.is_zero():
-        _, r = a._divmod(b)
-        a, b = b, r
-    return a.monic()
-
-
-def _binary_form_gcd(f: MultiPoly, g: MultiPoly, v1: int, v2: int) -> MultiPoly:
-    """GCD of two homogeneous polynomials in exactly two variables."""
-    field = f.field
-
-    def split(h: MultiPoly) -> Tuple[int, int, MultiPoly]:
-        m1 = min(e[v1] for e in h.terms)
-        m2 = min(e[v2] for e in h.terms)
-        strip = [0] * NVARS
-        strip[v1], strip[v2] = m1, m2
-        core: Dict[Expo, Scalar] = {}
-        for e, c in h.terms.items():
-            e2 = list(e)
-            e2[v1] -= m1
-            e2[v2] -= m2
-            core[tuple(e2)] = c
-        return m1, m2, MultiPoly(field, core)
-
-    a1, a2, fa = split(f)
-    b1, b2, gb = split(g)
-    # dehomogenize: v1 := 1, leaving a univariate polynomial in v2
-    fa_u = fa.substitute({v1: MultiPoly.one(field)})
-    gb_u = gb.substitute({v1: MultiPoly.one(field)})
-    u = _univariate_gcd(fa_u, gb_u, v2)
-    # rehomogenize to the degree of the gcd
-    du = _degree_in(u, v2)
-    out: Dict[Expo, Scalar] = {}
-    for e, c in u.terms.items():
-        e2 = list(e)
-        e2[v1] = du - e[v2]
-        out[tuple(e2)] = c
-    core = MultiPoly(field, out)
-    strip = [0] * NVARS
-    strip[v1] = min(a1, b1)
-    strip[v2] = min(a2, b2)
-    return core.mul_monomial(tuple(strip), 1).monic()
+class GcdNodesExhaustedError(ArithmeticError):
+    """The modular GCD used every node of F_p without a certified result."""
 
 
 def gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Monic greatest common divisor."""
+    """Monic greatest common divisor (dense modular GCD, module docstring);
+    `GcdNodesExhaustedError` if no node of F_p gives a certified one."""
     if f.field != g.field:
         raise FieldMismatchError("gcd over different fields")
     if f.is_zero():
         return g.monic()
     if g.is_zero():
         return f.monic()
+    used = sorted(set(f.variables()) | set(g.variables()))
+    degree = {u: min(max(e[u] for e in q.terms) for q in (f, g)) for u in used}
+    forms = [u for u in used if u != PARAM_INDEX]
+    if not forms or not (f.is_homogeneous() and g.is_homogeneous()):
+        return _modular_gcd(f, g, sorted(used, key=degree.get), certify=True)
+    # q = v^m q0 with v not dividing q0: set v := 1, then rehomogenize
+    v = max(forms, key=degree.get)
+    low = min(min(e[v] for e in q.terms) for q in (f, g))
+    h = _modular_gcd(*(MultiPoly(f.field, {e[:v] + (0,) + e[v + 1:]: c for e, c in q.terms.items()})
+                       for q in (f, g)), sorted((u for u in used if u != v), key=degree.get), certify=True)
+    top = h.degree + low
+    return MultiPoly(f.field, {e[:v] + (top - e[0] - e[1] - e[2] - e[3],) + e[v + 1:]: c
+                               for e, c in h.terms.items()}).monic()
+
+
+def _modular_gcd(f: MultiPoly, g: MultiPoly, variables: Sequence[int], certify: bool = False) -> MultiPoly:
+    """Monic GCD of nonzero f and g, polynomials in the listed variables.
+
+    The first variable v is evaluated at the nodes 1, 2, ...; the rest
+    recurse, down to Euclid in the last one.  Over F_p[v], f and g split into
+    contents and primitive parts, and gamma is the GCD of the primitive
+    parts' leading coefficients; monomials in the rest compare
+    lexicographically, the last variable first, so a wrong image is never
+    smaller than a right one.  Each image at v = x is scaled by gamma(x); an
+    image whose leading monomial is not the least seen is unlucky and
+    dropped, and a constant one proves the primitive parts coprime.  Newton
+    interpolation in v joins the images.  Once they reach the degree bound in
+    v, the primitive part of the interpolant, times the GCD of the contents,
+    is the candidate.  With `certify` it is accepted only if it divides f and
+    g; otherwise the images so far were all unlucky, and fresh nodes follow.
+    """
+    field = f.field
+    p = field.characteristic
     if f.is_constant() or g.is_constant():
-        return MultiPoly.one(f.field)
-    fv, gv = f.variables(), g.variables()
-    shared = [v for v in fv if v in gv]
-    if not shared:
-        return MultiPoly.one(f.field)
-    both = sorted(set(fv) | set(gv))
-    if len(both) == 1:
-        return _univariate_gcd(f, g, both[0])
-    if len(both) == 2 and f.is_homogeneous() and g.is_homogeneous() \
-            and not f.has_parameter() and not g.has_parameter():
-        return _binary_form_gcd(f, g, both[0], both[1])
-    # eliminate variables present in only one operand through contents
-    for v in fv:
-        if v not in gv:
-            cont, _ = _content_and_pp(f, v)
-            return gcd(cont, g)
-    for v in gv:
-        if v not in fv:
-            cont, _ = _content_and_pp(g, v)
-            return gcd(f, cont)
-    var = min(shared, key=lambda v: min(_degree_in(f, v), _degree_in(g, v)))
-    cf, pf = _content_and_pp(f, var)
-    cg, pg = _content_and_pp(g, var)
-    cont = gcd(cf, cg)
-    a, b = pf, pg
-    if _degree_in(a, var) < _degree_in(b, var):
-        a, b = b, a
-    while True:
-        if b.is_zero():
-            core = a
-            break
-        if _degree_in(b, var) == 0:
-            # primitive parts are coprime in var
-            core = MultiPoly.one(f.field)
-            break
-        r = _pseudo_remainder(a, b, var)
-        if not r.is_zero():
-            _, r = _content_and_pp(r, var)
-        a, b = b, r
-    return (cont * core).monic()
+        return MultiPoly.one(field)
+    v, rest = variables[0], variables[1:]
+    if not rest:
+        dense = [[0] * (max(e[v] for e in q.terms) + 1) for q in (f, g)]
+        for row, q in zip(dense, (f, g)):
+            for e, c in q.terms.items():
+                row[e[v]] = c
+        return _in_variable(_poly_gcd(*dense, p), v, field)
+    order = operator.itemgetter(*reversed(rest))
+    parts = []
+    for q in (f, g):
+        coeffs: Dict[Expo, List[int]] = {}  # monomial in the rest -> coefficients in v
+        for e, c in q.terms.items():
+            row = coeffs.setdefault(e[:v] + (0,) + e[v + 1:], [])
+            row.extend([0] * (e[v] + 1 - len(row)))
+            row[e[v]] = c
+        parts.append(_primitive(coeffs, p))
+    (cont_f, pf), (cont_g, pg) = parts
+    cont = _in_variable(_poly_gcd(cont_f, cont_g, p), v, field)
+    gamma = _poly_gcd(pf[max(pf, key=order)], pg[max(pg, key=order)], p)
+    bound = len(gamma) - 1 + min(max(map(len, q.values())) - 1 for q in (pf, pg))
+    lead = None
+    for x in range(1, p):
+        scale = _horner(gamma, x, p)
+        if not scale:
+            continue
+        image = _modular_gcd(*(MultiPoly(field, {e: y for e, row in q.items() if (y := _horner(row, x, p))})
+                               for q in (pf, pg)), rest)
+        if image.is_constant():
+            return cont
+        top = max(image.terms, key=order)
+        key = order(top)
+        if lead is not None and key > lead:
+            continue  # unlucky node
+        scale = scale * pow(image.terms[top], -1, p) % p
+        if lead is None or key < lead:
+            lead, interp, basis = key, {}, [1]  # (re)start interpolating
+        shift = pow(_horner(basis, x, p), -1, p)
+        for e in set(interp) | set(image.terms):
+            row = interp.setdefault(e, [])
+            step = (image.terms.get(e, 0) * scale - _horner(row, x, p)) * shift % p
+            row.extend([0] * (len(basis) - len(row)))
+            for i, b in enumerate(basis):
+                row[i] = (row[i] + step * b) % p
+        basis = [0] + basis  # basis := basis * (v - x)
+        for i in range(len(basis) - 1):
+            basis[i] = (basis[i] - x * basis[i + 1]) % p
+        if len(basis) != bound + 2:
+            continue
+        candidate = cont * MultiPoly(field, {e[:v] + (i,) + e[v + 1:]: c
+                                             for e, row in _primitive(interp, p)[1].items()
+                                             for i, c in enumerate(row) if c})
+        if not certify or (candidate.divides(f) and candidate.divides(g)):
+            return candidate.monic()
+    raise GcdNodesExhaustedError(f"no certified gcd from the {p - 1} nodes of F_{p}")
+
+
+def _primitive(coeffs: Dict[Expo, List[int]], p: int) -> Tuple[List[int], Dict[Expo, List[int]]]:
+    """(content, primitive part) of a polynomial over F_p[v], given by its
+    nonzero coefficient lists in v; the content is monic."""
+    rows = {}
+    for e, row in coeffs.items():
+        rows[e] = row = list(row)
+        while not row[-1]:
+            row.pop()
+    content: List[int] = []
+    for row in rows.values():
+        content = _poly_gcd(row, content, p)
+        if len(content) == 1:
+            return content, rows
+    return content, {e: _poly_divmod(row, content, p)[0] for e, row in rows.items()}
+
+
+def _in_variable(a: List[int], v: int, field: FieldSpec) -> MultiPoly:
+    """The dense polynomial a (lowest power first) in variable v."""
+    return MultiPoly(field, {(0,) * v + (i,) + (0,) * (NVARS - 1 - v): c for i, c in enumerate(a) if c})
 
 
 def gcd_many(polys: Iterable[MultiPoly]) -> MultiPoly:
@@ -727,7 +703,8 @@ def gcd_many(polys: Iterable[MultiPoly]) -> MultiPoly:
     for q in polys[1:]:
         if acc.is_constant():
             break
-        acc = gcd(acc, q)
+        if not acc.divides(q):
+            acc = gcd(acc, q)
     return acc
 
 
@@ -735,73 +712,27 @@ def squarefree_factors(f: MultiPoly) -> List[MultiPoly]:
     """Pairwise-coprime squarefree factors whose product divides f exactly.
 
     The product of the factors, raised to suitable multiplicities, recovers f
-    up to a scalar.  Factors are monic and need not be irreducible.
+    up to a scalar.  Factors are monic and need not be irreducible: each
+    variable dividing f, then the layers of the rest by multiplicity.
     """
     if f.is_zero():
         raise ValueError("squarefree factorization of zero")
     if f.is_constant():
         raise ValueError("squarefree factorization of a constant")
-    field = f.field
-    factors: List[MultiPoly] = []
-    # strip monomial content
     mins = [min(e[i] for e in f.terms) for i in range(NVARS)]
-    for i in range(NVARS):
-        if mins[i] > 0:
-            factors.append(MultiPoly.variable(field, VAR_NAMES[i]))
-    if any(mins):
-        strip = tuple(-m for m in mins)
-        f = MultiPoly(field, {
-            tuple(e[i] + strip[i] for i in range(NVARS)): c for e, c in f.terms.items()
-        })
+    factors = [MultiPoly.variable(f.field, VAR_NAMES[i]) for i in range(NVARS) if mins[i]]
+    f = MultiPoly(f.field, {tuple(e[i] - mins[i] for i in range(NVARS)): c for e, c in f.terms.items()})
     if f.is_constant():
-        return _dedupe_monic(factors)
-    factors.extend(_squarefree_core(f))
-    return _dedupe_monic(factors)
-
-
-def _squarefree_core(f: MultiPoly) -> List[MultiPoly]:
-    if f.is_constant():
-        return []
-    var = f.variables()[0]
-    cont, pp = _content_and_pp(f, var)
-    out: List[MultiPoly] = []
-    if not cont.is_constant():
-        out.extend(_squarefree_core(cont))
-    if pp.is_constant():
-        return out
-    # multiplicity layers w.r.t. var; primitivity means every factor uses var,
-    # so gcd-with-derivative iterates drop each multiplicity by exactly one
-    chain = [pp]
-    while not chain[-1].is_constant():
-        d = chain[-1].derivative(var)
-        if d.is_zero():
-            raise ArithmeticError("vanishing derivative; degree exceeds characteristic")
-        chain.append(gcd(chain[-1], d))
-    radicals = [chain[k].exact_divide(chain[k + 1]) for k in range(len(chain) - 1)]
-    for m in range(1, len(radicals) + 1):
-        layer = radicals[m - 1]
-        if m < len(radicals):
-            layer = layer.exact_divide(radicals[m])
-        if not layer.is_constant():
-            out.extend(_split_by_contents(layer))
-    return out
-
-
-def _split_by_contents(f: MultiPoly) -> List[MultiPoly]:
-    """Opportunistic coprime splitting via contents in each variable."""
-    if f.is_constant():
-        return []
-    for var in f.variables():
-        cont, pp = _content_and_pp(f, var)
-        if not cont.is_constant() and not pp.is_constant():
-            return _split_by_contents(cont) + _split_by_contents(pp)
-    return [f.monic()]
-
-
-def _dedupe_monic(polys: List[MultiPoly]) -> List[MultiPoly]:
-    out: List[MultiPoly] = []
-    for q in polys:
-        q = q.monic()
-        if q not in out and not q.is_constant():
-            out.append(q)
-    return out
+        return factors
+    # Musser's layers: repeated = prod p^(m - 1) over the factors p^m of f,
+    # radical = prod p; layer m is the product of the factors of multiplicity m
+    partials = [d for d in (f.derivative(v) for v in f.variables()) if not d.is_zero()]
+    if not partials:
+        raise ArithmeticError("vanishing derivatives; degree exceeds characteristic")
+    repeated = gcd_many([f] + partials)
+    radical = f.exact_divide(repeated)
+    while not radical.is_constant():
+        deeper = gcd(radical, repeated)
+        factors.append(radical.exact_divide(deeper))
+        radical, repeated = deeper, repeated.exact_divide(deeper)
+    return [q.monic() for q in factors if not q.is_constant()]

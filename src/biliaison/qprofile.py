@@ -58,10 +58,11 @@ kept on the matrix (`ranked_blocks`).  No minor is enumerated:
    modulo that component every restricted k-minor vanishes, so the
    restricted rank modulo it drops below k.
 3. Honest fallback.  Only when the restricted rank drops modulo g is the GCD
-   of a few true witness minors taken.  Any hypersurface dropping the rank
-   below k divides every k-minor, so the squarefree factors of that GCD are a
-   complete candidate list; the rank modulo each candidate is then measured
-   exactly on the original matrix.
+   of a few true witness minors taken, by `polyring.gcd` (Brown's dense
+   modular GCD, certified by exact division).  Any hypersurface dropping the
+   rank below k divides every k-minor, so the squarefree factors of that GCD
+   are a complete candidate list; the rank modulo each candidate is then
+   measured exactly on the original matrix.
 
 Randomness only chooses which certificate is tried, never the answer.
 """
@@ -89,7 +90,14 @@ from biliaison.grmatrix import (
     rank_modulo_hypersurface,
     ranked_blocks,
 )
-from biliaison.polyring import MultiPoly, Scalar, gcd_many, squarefree_factors
+from biliaison.polyring import (
+    MultiPoly,
+    Scalar,
+    _poly_divmod,
+    _poly_gcd,
+    gcd_many,
+    squarefree_factors,
+)
 
 DEFAULT_SEED = 0xB111A150
 
@@ -266,30 +274,6 @@ def _pivot_sets(
     sets = [(tuple(sorted(rp[t, rows[t]].tolist())), tuple(sorted(cp[t, leads[t]].tolist())), t)
             for t in found.nonzero()[0].tolist()]
     return [s for n, s in enumerate(sets) if s[:2] not in [u[:2] for u in sets[:n]]]
-
-
-def _poly_divmod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
-    """Quotient and remainder mod p of dense polynomials (coefficient lists,
-    lowest power first; b has a nonzero last coefficient)."""
-    r = list(a)
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    for s in range(len(q) - 1, -1, -1):
-        q[s] = c = r[s + len(b) - 1] * inv % p
-        for i, bi in enumerate(b):
-            r[s + i] = (r[s + i] - c * bi) % p
-    r = r[:len(b) - 1]
-    while r and not r[-1]:
-        r.pop()
-    return q, r
-
-
-def _poly_gcd(a: List[int], b: List[int], p: int) -> List[int]:
-    """Monic GCD of two dense polynomials mod p, a nonzero (Euclid)."""
-    while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
 
 
 def _regular_rank(coeffs: np.ndarray, f: List[int], p: int) -> int:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from biliaison import families, fixtures, modgb, qprofile
+from biliaison import families, fixtures, modgb, polyring, qprofile
 from biliaison.cli import main
 from biliaison.grmatrix import GradedMatrix
 from biliaison.modgb import HilbertPolynomial
@@ -162,6 +162,19 @@ def test_singular_witness_exit_code(tmp_path, monkeypatch):
     code, out, _ = run(["qprofile", "--input", str(path), "--assume-locally-free"])
     assert code == 3
     assert "vanishes at its pivot point" in out
+
+
+def test_gcd_node_exhaustion_exit_code(tmp_path, monkeypatch):
+    path = tmp_path / "32.json"
+    fixtures.example("3.2").matrix.save(str(path))
+
+    def exhausted(*args, **kwargs):
+        raise polyring.GcdNodesExhaustedError("no certified gcd from the 32002 nodes of F_32003")
+
+    monkeypatch.setattr(qprofile, "coprime_minor_analysis", exhausted)
+    code, out, _ = run(["qprofile", "--input", str(path), "--assume-locally-free"])
+    assert code == 4
+    assert "no certified gcd" in out
 
 
 def test_window_exhaustion_exit_code():

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from biliaison import polyring
+from biliaison.grmatrix import GradedMatrix, determinant
 from biliaison.modgb import monomials_of_degree
 from biliaison.polyring import (
     FieldSpec,
@@ -72,20 +73,18 @@ def _schoolbook(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 
 def test_dense_product_with_keys_beyond_int64():
-    # 150 x 150 terms reach the packed-key product, which declines: exponents
-    # up to 3299 pack in base 6599, and a sum of two keys passes 2**63
+    # 150 x 150 terms of high degree: exponents up to 3299
     a = MultiPoly(F, {(3150 + i, i % 3, 0, 0, 0): i + 1 for i in range(150)})
     b = MultiPoly(F, {(3150 + i, 0, i % 2, 0, 0): 2 * i + 1 for i in range(150)})
     assert a * b == _schoolbook(a, b)
 
 
 def test_dense_product_matches_schoolbook():
-    # about 160 x 160 terms of low degree take the packed-key product
+    # about 160 x 160 terms of low degree, so many products share a monomial
     rng = random.Random(5)
     a, b = (MultiPoly(F, {tuple(rng.randrange(6) for _ in range(4)) + (0,): rng.randrange(1, 32003)
                           for _ in range(160)}) for _ in range(2))
     assert len(a.terms) * len(b.terms) >= 20000
-    assert polyring._mul_dense_prime(a, b) is not None
     assert a * b == _schoolbook(a, b)
 
 
@@ -163,36 +162,58 @@ def _from_sympy(g: sympy.Poly) -> MultiPoly:
     return MultiPoly(F, {tuple(e) + pad: int(c) % F.characteristic for e, c in g.terms()})
 
 
-# every degree stays <= 4: multivariate gcd stalls on larger products
+def _at_t1(f: MultiPoly) -> sympy.Poly:
+    """f at T = 1, in X, Y, Z.  A form is T^m times a form that its value at
+    T = 1 determines, and sympy's GCD mod p is far faster in three variables."""
+    return _to_sympy(f).eval(_XS[3], 1)
+
+
+def _t_power(f: MultiPoly) -> int:
+    return min(e[3] for e in f.terms)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_gcd_matches_sympy(seed):
     rng = random.Random(seed)
-    common = _random_form(rng, rng.choice([1, 2]))
-    a = _random_form(rng, rng.choice([1, 2])) * common
-    b = _random_form(rng, rng.choice([1, 2])) * common
-    assert gcd(a, b) == _from_sympy(sympy.gcd(_to_sympy(a), _to_sympy(b))).monic()
+    # degree <= 7: at 8, sympy took 4-18 s for the 30 examples
+    common = _random_form(rng, rng.randrange(1, 5))
+    a = _random_form(rng, rng.randrange(1, 4)) * common
+    b = _random_form(rng, rng.randrange(1, 4)) * common
+    g = gcd(a, b)
+    expected = sympy.gcd(_at_t1(a), _at_t1(b))
+    assert g.is_homogeneous() and g == g.monic()
+    assert g.degree == expected.total_degree() + min(_t_power(a), _t_power(b))
+    assert _at_t1(g).monic() == expected.monic()
+
+
+def _assert_radical_matches_sympy(f: MultiPoly, factors) -> None:
+    # a form: the factors multiply to its radical, which at T = 1 is
+    # f / gcd(f, df/dX, df/dY, df/dZ)
+    fs = _at_t1(f)
+    repeated = fs
+    for x in _XS[:3]:
+        repeated = sympy.gcd(repeated, fs.diff(x))
+    expected = sympy.div(fs, repeated)[0]
+    radical = MultiPoly.one(F)
+    for q in factors:
+        radical = radical * q
+    assert radical.degree == expected.total_degree() + (_t_power(f) > 0)
+    assert _at_t1(radical).monic() == expected.monic()
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_squarefree_factors_match_sympy(seed):
     rng = random.Random(seed)
-    # forms: the factors multiply to the radical f / gcd(f, df/dX, ..., df/dT)
-    f = _random_form(rng, 1) ** 2 * _random_form(rng, rng.choice([1, 2]))
-    fs = _to_sympy(f)
-    repeated = fs
-    for x in _XS:
-        repeated = sympy.gcd(repeated, fs.diff(x))
-    radical = MultiPoly.one(F)
-    for q in squarefree_factors(f):
-        radical = radical * q
-    assert radical.monic() == _from_sympy(sympy.div(fs, repeated)[0]).monic()
+    # degree <= 6: at 7, sympy took 2-15 s for the 30 examples
+    f = _random_form(rng, rng.choice([1, 2])) ** 2 * _random_form(rng, rng.choice([1, 2]))
+    _assert_radical_matches_sympy(f, squarefree_factors(f))
     # one variable: factors grouped by multiplicity are sqf_list's layers
     # (sympy 1.14 has no multivariate sqf_list over F_p)
     root = MultiPoly(F, {(1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0): rng.randrange(F.characteristic)})
     u = root ** 2 * MultiPoly(F, {(k, 0, 0, 0, 0): rng.randrange(1, F.characteristic)
-                                  for k in range(rng.choice([2, 3]))})
+                                  for k in range(rng.randrange(2, 8))})
     layers = {}
     for q in squarefree_factors(u):
         m, rest = 0, u
@@ -202,6 +223,56 @@ def test_squarefree_factors_match_sympy(seed):
     _, expected = sympy.sqf_list(_to_sympy(u, _XS[:1]))
     assert {m: q.monic() for m, q in layers.items()} == \
         {m: _from_sympy(g).monic() for g, m in expected}
+
+
+def test_gcd_drops_an_unlucky_node(monkeypatch):
+    # Z has the least degree, so it is evaluated first, at the nodes 1, 2, ...
+    # At Z = 1 both cofactors become Y, so that image is Y * h(Z = 1)
+    h = P("X^3 + Y^3 + X*Y*Z + 5")
+    f, g = P("Y + Z - 1") * h, P("Y - Z + 1") * h
+    one = {2: MultiPoly.one(F)}
+    assert gcd(f.substitute(one), g.substitute(one)) == (P("Y") * h.substitute(one)).monic()
+    calls = []
+    modular = polyring._modular_gcd
+
+    def spy(f, g, variables, certify=False):
+        result = modular(f, g, variables, certify)
+        calls.append((tuple(variables), result))
+        return result
+
+    monkeypatch.setattr(polyring, "_modular_gcd", spy)
+    assert gcd(f, g) == h.monic()
+    assert calls[-1][0][0] == 2  # the outermost call evaluates Z
+    images = [result for variables, result in calls if len(variables) == 2]
+    assert [q.degree for q in images[:2]] == [4, 3]
+
+
+def test_gcd_out_of_nodes_raises(monkeypatch):
+    # with every candidate refused, the GCD takes each node of F_1009 once
+    # and then ends with a typed error
+    H = FieldSpec.prime(1009)
+    f, g = P("X^2 + Y + 1", H) * P("X + Y", H), P("X^2 + Y + 1", H) * P("X - Y", H)
+    monkeypatch.setattr(MultiPoly, "divides", lambda self, other: False)
+    with pytest.raises(polyring.GcdNodesExhaustedError):
+        gcd(f, g)
+
+
+def test_squarefree_split_of_a_block_determinant():
+    # the determinant of a 4 x 4 block of three-term forms of degrees 1, 1,
+    # 1, 2: a square block's only rank-level minor, which the honest fallback
+    # splits
+    rng = random.Random(1)
+    degrees = [1, 1, 1, 2]
+    grid = [[MultiPoly(F, {m + (0,): rng.randrange(1, F.characteristic)
+                           for m in rng.sample(monomials_of_degree(d), 3)}) for d in degrees]
+            for _ in range(4)]
+    det = determinant(GradedMatrix(F, [0] * 4, degrees, grid))
+    assert det.degree == 5
+    _assert_radical_matches_sympy(det, squarefree_factors(det))
+    # times a square and a cube, it splits into its three layers
+    lin, quad = _random_form(rng, 1), _random_form(rng, 2)
+    assert set(squarefree_factors(det * lin ** 2 * quad ** 3)) == \
+        {det.monic(), lin.monic(), quad.monic()}
 
 
 # ---------------------------------------------------------------------------

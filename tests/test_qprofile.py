@@ -439,6 +439,23 @@ def test_genuine_common_factor_reaches_fallback(monkeypatch):
     assert analysis.common_factor == P("X")
 
 
+@pytest.mark.parametrize("shape, rows", [
+    ((4, 1, 3), [(1, 0, 0, 0), (2, 3, 0, 0), (3, 4, 4, 3)]),
+    ((5, 2, 4), [(2, 0, 0, 0), (3, 4, 0, 0), (4, 5, 5, 4)]),
+])
+def test_rank_drop_profile(shape, rows):
+    # the columns of degree f + 1 share a form of degree f: beta is 0 there,
+    # below alpha - 1, and the honest fallback's GCD finds the common factor
+    r, f, ncommon = shape
+    for seed in (1, 2):
+        s = fixtures.rank_drop_sigma1(r, f, ncommon, seed)
+        profile = qprofile.compute_q_profile(s)
+        assert [(x.n, x.alpha, x.beta, x.q_sharp) for x in profile.records] == rows
+        if shape == (4, 1, 3):  # the oracle takes all four 3-minors of the 4 x 3 block
+            w = s.truncate_columns(f + 1)
+            assert _exhaustive_min_rank(w, ncommon) == profile.record(f + 1).beta
+
+
 # ---------------------------------------------------------------------------
 # b0
 

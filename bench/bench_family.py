@@ -1,0 +1,107 @@
+"""Time the stages of a cold profile and minimal family, in process.
+
+Run from the root of a source checkout (no install step):
+
+    python3 bench/bench_family.py --runs 3
+
+Each run starts from a matrix with nothing kept on it: a fresh copy of
+fixture 3.4, and `rao_family(8, 4, 1)` built anew.  On that matrix it times
+`compute_q_profile` (profile), then, one after the other on the first lift
+`minimal_family` draws, `sample_general_morphism` (lift), the composite
+s_t * v (composite), its rank and coprime-minor certificate (verify) and
+the Hilbert polynomials of the quotient (quotient_hilbert).  Last comes
+`minimal_family` with that profile on a second fresh copy (family), which
+takes all of those steps again.  The matrices are built outside the timed
+stages.  Each figure is the median of `--runs`.
+
+The script writes `BENCH_family.json` (or `--out`) with the git sha, whether
+the tree differs from it, the versions, and per instance the medians, every
+run, and the family's (deg N, h0, d0, g0).  It is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+import numpy as np  # noqa: E402
+
+from bench_plane_certificate import git_state  # noqa: E402
+from biliaison import families, fixtures, qprofile  # noqa: E402
+from biliaison.grmatrix import GradedMatrix  # noqa: E402
+
+STAGES = ("profile", "lift", "composite", "verify", "quotient_hilbert", "family")
+
+
+def fresh_34() -> GradedMatrix:
+    m = fixtures.example("3.4").matrix
+    return GradedMatrix(m.field, m.row_degrees, m.col_degrees, m.entries)
+
+
+INSTANCES = {
+    "3.4": fresh_34,
+    "rao_family(8, 4, 1)": lambda: fixtures.rao_family(8, 4, 1),
+}
+
+
+def run_once(build) -> tuple:
+    """(seconds per stage, the family's invariants) on fresh matrices."""
+    s, again = build(), build()
+    times = {}
+
+    def timed(stage, step):
+        start = time.perf_counter()
+        result = step()
+        times[stage] = time.perf_counter() - start
+        return result
+
+    profile = timed("profile", lambda: qprofile.compute_q_profile(s))
+    seed = qprofile.subseed(qprofile.DEFAULT_SEED, "minimal-family", 0)
+    v = timed("lift", lambda: families.sample_general_morphism(
+        s, profile.q_function(), seed=seed, profile=profile))
+    w = timed("composite", lambda: families._composite(s, v))
+    timed("verify", lambda: families._verify_composite(w, profile.stable_rank, seed))
+    timed("quotient_hilbert", lambda: families._quotient_hilbert(s.specialize_closed_point(), w))
+    report = timed("family", lambda: families.minimal_family(again, profile=profile))
+    return times, [report.deg_N, report.h0, report.d0, report.g0]
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--runs", type=int, default=3, help="runs per instance (median)")
+    ap.add_argument("--out", default=str(ROOT / "BENCH_family.json"))
+    args = ap.parse_args()
+    instances = {}
+    for name, build in INSTANCES.items():
+        runs = []
+        for _ in range(args.runs):
+            times, invariants = run_once(build)
+            runs.append(times)
+        medians = {stage: statistics.median(t[stage] for t in runs) for stage in STAGES}
+        instances[name] = {"median_s": medians, "runs": runs, "invariants": invariants}
+        print(f"{name}: " + ", ".join(f"{k} {v:.4f} s" for k, v in medians.items())
+              + f"; (deg N, h0, d0, g0) = {tuple(invariants)}", file=sys.stderr)
+    sha, dirty = git_state()
+    report = {
+        "bench": "family",
+        "git_sha": sha,
+        "git_dirty": dirty,
+        "runs": args.runs,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "instances": instances,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

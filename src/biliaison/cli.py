@@ -288,11 +288,10 @@ def cmd_examples(args, out, err) -> int:
             desc = fixtures.example(name, field)
             matrix = desc.matrix
             if args.perturb and name == "3.2":
-                from biliaison.polyring import MultiPoly
-
-                grid = [list(row) for row in matrix.entries]
-                grid[0][1] = MultiPoly.zero(field)  # drop the Y of the top row
-                matrix = GradedMatrix(field, matrix.row_degrees, matrix.col_degrees, grid)
+                cells, exps, coefs = matrix.term_table()
+                keep = cells != 1  # drop the Y of the top row
+                matrix = GradedMatrix.from_terms(field, matrix.row_degrees, matrix.col_degrees,
+                                                 cells[keep], exps[keep], coefs[keep])
                 desc = fixtures.ExampleDescriptor(name, matrix, desc.expected, desc.notes,
                                                   desc.hypothesis_certifiable)
             profile = qprofile.compute_q_profile(matrix, seed=args.seed)

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from biliaison import modgb
 from biliaison.grmatrix import (
     CharFunction,
@@ -34,7 +36,7 @@ from biliaison.grmatrix import (
     stack_blocks,
 )
 from biliaison.modgb import HilbertPolynomial
-from biliaison.polyring import FieldSpec, MultiPoly
+from biliaison.polyring import FieldSpec
 from biliaison.qprofile import (
     DEFAULT_SEED,
     DissociatedSheafError,
@@ -158,25 +160,30 @@ def minimal_shift(profile: QProfile, deg_n: int) -> int:
 # sampling lifts
 
 
-def random_homogeneous(field: FieldSpec, degree: int, rng: random.Random) -> MultiPoly:
-    if degree < 0:
-        return MultiPoly.zero(field)
-    terms = {}
-    for mono in modgb.monomials_of_degree(degree):
-        c = rng.randrange(field.characteristic)
-        if c:
-            terms[(mono[0], mono[1], mono[2], mono[3], 0)] = c
-    return MultiPoly(field, terms)
+def random_matrix(
+    field: FieldSpec, row_degrees: Sequence[int], col_degrees: Sequence[int], rng: random.Random
+) -> GradedMatrix:
+    """A matrix of seeded random forms, the package's one random form: entry
+    by entry, row by row, one draw rng.randrange(p) per monomial of degree
+    col_degrees[j] - row_degrees[i], in the order of `modgb.monomials_of_degree`;
+    the nonzero draws are the entry's coefficients."""
+    degrees = [d - e for e in row_degrees for d in col_degrees]
+    monomials = {m: np.array([e + (0,) for e in modgb.monomials_of_degree(m)], dtype=np.int64).reshape(-1, 5)
+                 for m in set(degrees)}
+    count = np.array([len(monomials[m]) for m in degrees], dtype=np.int64)
+    draws = np.array([rng.randrange(field.characteristic) for _ in range(count.sum())], dtype=np.int64)
+    drawn = np.concatenate([monomials[m] for m in degrees] + [np.zeros((0, 5), dtype=np.int64)])
+    cells = np.repeat(np.arange(len(degrees)), count)
+    # a cell draws for its monomials largest first, and a table lists them
+    # smallest first: slot t of the table holds draw back[t], of the same cell
+    back = np.repeat(2 * count.cumsum() - count - 1, count) - np.arange(len(draws))
+    back = back[draws[back] != 0]
+    return GradedMatrix.from_terms(field, row_degrees, col_degrees, cells[back], drawn[back], draws[back])
 
 
 def random_lift(s: GradedMatrix, column_degrees: Sequence[int], rng: random.Random) -> GradedMatrix:
     """Random homogeneous v with rows matching L2 and the given column degrees."""
-    grid: List[List[MultiPoly]] = []
-    for row_deg in s.col_degrees:
-        grid.append([
-            random_homogeneous(s.field, d - row_deg, rng) for d in column_degrees
-        ])
-    return GradedMatrix(s.field, s.col_degrees, list(column_degrees), grid, validate=False)
+    return random_matrix(s.field, s.col_degrees, column_degrees, rng)
 
 
 def sample_general_morphism(

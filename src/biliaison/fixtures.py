@@ -26,6 +26,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from biliaison import modgb
+from biliaison.families import random_matrix
 from biliaison.grmatrix import CharFunction, GradedMatrix, identity_matrix, stack_blocks
 from biliaison.polyring import FieldSpec, MultiPoly
 
@@ -178,23 +179,14 @@ def example(name: str, field: FieldSpec = FieldSpec.prime()) -> ExampleDescripto
 FIXTURE_NAMES = ("3.2", "3.3", "3.4")
 
 
-def _finite_length_sigma1(field: FieldSpec, grid, col_degrees, top: int) -> GradedMatrix:
-    """grid's rows (degree 0) followed, for each row in turn, by its monomials
-    of degree ``top`` as single-entry columns: every form of that degree lies
-    in each row's image, so the cokernel has finite length."""
-    r = len(grid)
-    monomials = [MultiPoly.monomial(field, e + (0,)) for e in modgb.monomials_of_degree(top)]
-    zero = MultiPoly.zero(field)
-    for i in range(r):
-        for row in range(r):
-            grid[row] += monomials if row == i else [zero] * len(monomials)
-    return GradedMatrix(field, [0] * r, list(col_degrees) + [top] * (len(monomials) * r), grid)
-
-
-def _random_form(field: FieldSpec, degree: int, rng: random.Random) -> MultiPoly:
-    p = field.characteristic
-    return MultiPoly(field, {e + (0,): c for e in modgb.monomials_of_degree(degree)
-                             if (c := rng.randrange(p))})
+def _finite_length_sigma1(m: GradedMatrix, top: int) -> GradedMatrix:
+    """m (row degrees 0) followed, for each row in turn, by its monomials of
+    degree ``top`` as single-entry columns: every form of that degree lies in
+    each row's image, so the cokernel has finite length."""
+    monomials = [MultiPoly.monomial(m.field, e + (0,)) for e in modgb.monomials_of_degree(top)]
+    row = GradedMatrix(m.field, [0], [top] * len(monomials), [monomials])
+    diagonal = stack_blocks([[row if i == j else None for j in range(m.nrows)] for i in range(m.nrows)])
+    return stack_blocks([[m, diagonal]])
 
 
 def rao_family(r: int, nlin: int, seed: int) -> GradedMatrix:
@@ -206,10 +198,8 @@ def rao_family(r: int, nlin: int, seed: int) -> GradedMatrix:
     length, because every quadric lies in each row's image.  sigma2 is
     `modgb.syzygies(sigma1, 3)`, and the result is `block_dvr_matrix`.
     """
-    field = FieldSpec.prime()
-    rng = random.Random(seed)
-    grid = [[_random_form(field, 1, rng) for _ in range(nlin)] for _ in range(r)]
-    sigma1 = _finite_length_sigma1(field, grid, [1] * nlin, 2)
+    lin = random_matrix(FieldSpec.prime(), [0] * r, [1] * nlin, random.Random(seed))
+    sigma1 = _finite_length_sigma1(lin, 2)
     return block_dvr_matrix(sigma1, modgb.syzygies(sigma1, 3))
 
 
@@ -225,6 +215,7 @@ def rank_drop_sigma1(r: int, f: int, ncommon: int, seed: int) -> GradedMatrix:
     """
     field = FieldSpec.prime()
     rng = random.Random(seed)
-    common = _random_form(field, f, rng)
-    grid = [[common * _random_form(field, 1, rng) for _ in range(ncommon)] for _ in range(r)]
-    return _finite_length_sigma1(field, grid, [f + 1] * ncommon, f + 2)
+    common = random_matrix(field, [0], [f], rng).entries[0][0]
+    lin = random_matrix(field, [0] * r, [1] * ncommon, rng)
+    grid = [[common * form for form in row] for row in lin.entries]
+    return _finite_length_sigma1(GradedMatrix(field, [0] * r, [f + 1] * ncommon, grid), f + 2)

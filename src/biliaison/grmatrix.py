@@ -1,25 +1,27 @@
 """Graded free modules, characteristic functions and graded matrices.
 
 A `GradedMatrix` is a degree-zero map between graded free modules, stored as
-row degrees, column degrees and a grid of homogeneous `MultiPoly` entries
-(entry (i, j) has degree col_deg[j] - row_deg[i]; the parameter `a` counts
+row degrees, column degrees and one term table: the cell, exponent and
+coefficient of every term as int64 arrays, sorted (entry (i, j) is
+homogeneous of degree col_deg[j] - row_deg[i]; the parameter `a` counts
 degree 0).  On top of it: column truncations, closed-point specialization,
 exact rank over the fraction field, minor enumeration, and rank over
 the local ring at a codimension-1 point (a hypersurface).
 
-Each matrix builds one term table on first use: the cell, exponent and
-coefficient of every term as int64 arrays, sorted.  It drives the batched
-evaluation at many points, the fingerprint, the one-variable test and the
-determinant grids.  It also drives the product, which joins two tables on
-the inner index and hands its own table to the result, and the
-closed-point specialization, which keeps the terms free of a and is kept
-on the matrix like the table.  `restrict_to_plane` substitutes a seeded plane
-symbolically; the plane certificate of `qprofile` evaluates on that plane
-instead, and the symbolic restriction is kept as the reference its tests
-compare against.
+Submatrices, truncations, the block decomposition, stacking, identities,
+homogeneity checks, the batched evaluation at many points, the fingerprint,
+the one-variable test and the determinant grids all work on term tables,
+as do the product, which joins two tables on the inner index, and the
+closed-point specialization, kept on the matrix.  The grid of `MultiPoly`
+entries is a view for the symbolic paths only: parsing, printing and JSON,
+closed-form minors up to 3 x 3, rank modulo a hypersurface, and
+`restrict_to_plane`.  A matrix built from a grid keeps it; any other builds
+it from the table on first use.  The plane certificate of `qprofile`
+evaluates on the plane that `restrict_to_plane` substitutes symbolically,
+and the symbolic restriction is the reference its tests compare against.
 
 A result about a matrix is kept on that matrix (`GradedMatrix.kept`), and
-every module stores through that one method: the term table, the
+every module stores through that one method: the entries, the
 fingerprint and the closed point here, the blocks with their ranks
 (`ranked_blocks`), the Groebner presentations by degree cap
 (`modgb.groebner_basis`), the q-profiles by window and seed
@@ -148,7 +150,7 @@ class CharFunction:
 class GradedMatrix:
     """Homogeneous matrix presenting a degree-0 map L2 -> L1."""
 
-    __slots__ = ("field", "row_degrees", "col_degrees", "entries", "_kept")
+    __slots__ = ("field", "row_degrees", "col_degrees", "_terms", "_kept")
 
     def __init__(
         self,
@@ -158,18 +160,44 @@ class GradedMatrix:
         entries: Sequence[Sequence[MultiPoly]],
         validate: bool = True,
     ):
+        """The matrix with a grid of `MultiPoly` entries: converted to the term
+        table once, and kept as the matrix's `entries`."""
+        grid = tuple(tuple(row) for row in entries)
+        if len(grid) != len(row_degrees) or any(len(row) != len(col_degrees) for row in grid):
+            raise ValueError("the grid's shape does not match the row and column degrees")
+        cells, exps, coefs = [], [], []
+        for cell, poly in enumerate(itertools.chain.from_iterable(grid)):
+            if validate and poly.field != field:
+                raise HomogeneityError(f"entry {divmod(cell, len(col_degrees))} over wrong field")
+            keys = sorted(poly.terms)
+            cells += [cell] * len(keys)
+            exps += keys
+            coefs += map(poly.terms.__getitem__, keys)
+        self._set(field, row_degrees, col_degrees, (
+            np.array(cells, dtype=np.int64),
+            np.array(exps, dtype=np.int64).reshape(-1, 5),
+            np.array(coefs, dtype=np.int64)))
+        self._kept["entries"] = grid
+        if validate:
+            self.validate_homogeneity()
+
+    @staticmethod
+    def from_terms(
+        field: FieldSpec, row_degrees: Sequence[int], col_degrees: Sequence[int],
+        cells: np.ndarray, exps: np.ndarray, coefs: np.ndarray,
+    ) -> "GradedMatrix":
+        """The matrix with the term table (cells, exps, coefs), laid out as
+        `term_table` describes."""
+        m = object.__new__(GradedMatrix)
+        m._set(field, row_degrees, col_degrees, (cells, exps, coefs))
+        return m
+
+    def _set(self, field: FieldSpec, row_degrees: Sequence[int], col_degrees: Sequence[int], terms) -> None:
         self.field = field
         self.row_degrees = tuple(int(d) for d in row_degrees)
         self.col_degrees = tuple(int(d) for d in col_degrees)
-        self.entries = tuple(tuple(row) for row in entries)
+        self._terms = terms
         self._kept: Dict[Hashable, object] = {}
-        if len(self.entries) != len(self.row_degrees):
-            raise ValueError("row count does not match row degrees")
-        for row in self.entries:
-            if len(row) != len(self.col_degrees):
-                raise ValueError("column count does not match column degrees")
-        if validate:
-            self.validate_homogeneity()
 
     # shape ----------------------------------------------------------------
     @property
@@ -180,24 +208,20 @@ class GradedMatrix:
     def ncols(self) -> int:
         return len(self.col_degrees)
 
-    def row_char(self) -> CharFunction:
-        return CharFunction.from_degrees(self.row_degrees)
-
-    def col_char(self) -> CharFunction:
-        return CharFunction.from_degrees(self.col_degrees)
+    def term_rows_cols(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The row and the column of every term of the table."""
+        return np.divmod(self._terms[0], max(self.ncols, 1))
 
     def validate_homogeneity(self) -> None:
-        for i, row in enumerate(self.entries):
-            for j, p in enumerate(row):
-                if p.field != self.field:
-                    raise HomogeneityError(f"entry ({i},{j}) over wrong field")
-                want = self.col_degrees[j] - self.row_degrees[i]
-                if p.is_zero():
-                    continue
-                if not p.is_homogeneous(want):
-                    raise HomogeneityError(
-                        f"entry ({i},{j}) = {p} is not homogeneous of degree {want}"
-                    )
+        exps, (rows, cols) = self._terms[1], self.term_rows_cols()
+        want = (np.array(self.col_degrees, dtype=np.int64)[cols]
+                - np.array(self.row_degrees, dtype=np.int64)[rows])
+        bad = np.flatnonzero(exps[:, :PARAM_INDEX].sum(axis=1) != want)
+        if bad.size:
+            i, j = int(rows[bad[0]]), int(cols[bad[0]])
+            raise HomogeneityError(
+                f"entry ({i},{j}) = {self.entries[i][j]} is not homogeneous of degree {want[bad[0]]}"
+            )
 
     def kept(self, key: Hashable, build: Callable[[], T]) -> T:
         """The result about this matrix kept under ``key``: ``build()`` on the
@@ -211,7 +235,7 @@ class GradedMatrix:
         def build() -> str:
             h = hashlib.sha256()
             h.update(repr((self.field.characteristic, self.row_degrees, self.col_degrees)).encode())
-            for a in self.term_table():
+            for a in self._terms:
                 h.update(a.tobytes())
             return h.hexdigest()
         return self.kept("fingerprint", build)
@@ -220,36 +244,42 @@ class GradedMatrix:
         """(cells, exponents, coefficients) of every term, as int64 arrays.
 
         Term t is coefficients[t] * x^exponents[t] in the flat cell
-        cells[t] = i * ncols + j.  The terms are sorted by cell, then by
-        exponent, so equal matrices have equal tables.  Built on first use.
+        cells[t] = i * ncols + j, with coefficients[t] in [1, p).  The terms
+        are sorted by cell, then by exponent, so equal matrices have equal
+        tables.
         """
-        def build() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-            cells: List[int] = []
-            exps: List[Tuple[int, ...]] = []
-            coefs: List[int] = []
-            for cell, poly in enumerate(itertools.chain.from_iterable(self.entries)):
-                if poly.terms:
-                    keys = sorted(poly.terms)
-                    cells += [cell] * len(keys)
-                    exps += keys
-                    coefs += map(poly.terms.__getitem__, keys)
-            return (np.array(cells, dtype=np.int64),
-                    np.array(exps, dtype=np.int64).reshape(-1, 5),
-                    np.array(coefs, dtype=np.int64))
-        return self.kept("terms", build)
+        return self._terms
+
+    @property
+    def entries(self) -> Tuple[Tuple[MultiPoly, ...], ...]:
+        """The grid of `MultiPoly` entries: the grid the matrix was built from,
+        or else built from the term table on first use and kept."""
+        return self.kept("entries", self._grid)
+
+    def _grid(self) -> Tuple[Tuple[MultiPoly, ...], ...]:
+        cells, exps, coefs = self._terms
+        ncols = self.ncols
+        bounds = cells.searchsorted(np.arange(self.nrows * ncols + 1)).tolist()
+        keys, values = list(map(tuple, exps.tolist())), coefs.tolist()
+        flat = [MultiPoly(self.field, dict(zip(keys[lo:hi], values[lo:hi])))
+                for lo, hi in zip(bounds, bounds[1:])]
+        return tuple(tuple(flat[i * ncols:(i + 1) * ncols]) for i in range(self.nrows))
 
     # basic operations -------------------------------------------------------
     def column(self, j: int) -> List[MultiPoly]:
         return [row[j] for row in self.entries]
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "GradedMatrix":
-        return GradedMatrix(
-            self.field,
-            [self.row_degrees[i] for i in rows],
-            [self.col_degrees[j] for j in cols],
-            [[self.entries[i][j] for j in cols] for i in rows],
-            validate=False,
-        )
+        """The listed rows and columns, each at most once, in the listed order."""
+        rows, cols = list(rows), list(cols)
+        new_row, new_col = np.full(self.nrows, -1), np.full(self.ncols, -1)
+        new_row[rows], new_col[cols] = range(len(rows)), range(len(cols))
+        i, j = self.term_rows_cols()
+        cells = np.where((new_row[i] < 0) | (new_col[j] < 0), -1, new_row[i] * len(cols) + new_col[j])
+        kept = np.argsort(cells, kind="stable")[(cells < 0).sum():]  # a cell's terms keep their order
+        return GradedMatrix.from_terms(
+            self.field, [self.row_degrees[r] for r in rows], [self.col_degrees[c] for c in cols],
+            cells[kept], self._terms[1][kept], self._terms[2][kept])
 
     def truncate_columns(self, n: int) -> "GradedMatrix":
         """Keep exactly the columns of degree <= n; the matrix itself, with
@@ -261,19 +291,19 @@ class GradedMatrix:
 
     def specialize_closed_point(self) -> "GradedMatrix":
         """Set the parameter a := 0 in every entry: the terms free of a.
-        Built on first use and kept, like the term table."""
+        Built on first use and kept."""
         def build() -> GradedMatrix:
-            cells, exps, coefs = self.term_table()
+            cells, exps, coefs = self._terms
             keep = exps[:, PARAM_INDEX] == 0
-            return self if keep.all() else self._from_table(
-                self.row_degrees, self.col_degrees, cells[keep], exps[keep], coefs[keep])
+            return self if keep.all() else GradedMatrix.from_terms(
+                self.field, self.row_degrees, self.col_degrees, cells[keep], exps[keep], coefs[keep])
         return self.kept("closed", build)
 
     def has_parameter(self) -> bool:
-        return any(e[PARAM_INDEX] for row in self.entries for p in row for e in p.terms)
+        return bool(self._terms[1][:, PARAM_INDEX].any())
 
     def is_zero_matrix(self) -> bool:
-        return all(p.is_zero() for row in self.entries for p in row)
+        return not len(self._terms[0])
 
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
         """Product on the term tables: every term of A[i, k] meets every term
@@ -283,8 +313,8 @@ class GradedMatrix:
             raise ValueError("inner degree profiles do not match")
         p = self.field.characteristic
         inner, ncols = self.ncols, other.ncols
-        a_cells, a_exps, a_coefs = self.term_table()
-        b_cells, b_exps, b_coefs = other.term_table()
+        a_cells, a_exps, a_coefs = self._terms
+        b_cells, b_exps, b_coefs = other._terms
         a_k = a_cells % inner  # no terms, so no division, when inner == 0
         b_k = b_cells // ncols  # nondecreasing: the table is sorted by cell
         met = np.bincount(b_k, minlength=inner)[a_k]  # terms of B each term of A meets
@@ -292,7 +322,7 @@ class GradedMatrix:
         b_at = np.repeat(b_k.searchsorted(a_k) - (met.cumsum() - met), met) + np.arange(len(a_at))
         cells = a_cells[a_at] // inner * ncols + b_cells[b_at] % ncols
         exps = a_exps[a_at] + b_exps[b_at]
-        order = np.lexsort(tuple(exps.T[::-1]) + (cells,))
+        order = np.lexsort(tuple(exps.T[::-1]) + (cells,))  # by cell, then by exponent
         cells, exps = cells[order], exps[order]
         coefs = a_coefs[a_at][order] * b_coefs[b_at][order] % p
         first = np.ones(len(cells), dtype=bool)
@@ -300,23 +330,8 @@ class GradedMatrix:
         starts = first.nonzero()[0]
         coefs = np.add.reduceat(coefs, starts) % p
         keep = starts[coefs != 0]
-        return self._from_table(
-            self.row_degrees, other.col_degrees, cells[keep], exps[keep], coefs[coefs != 0])
-
-    def _from_table(
-        self, row_degrees: Sequence[int], col_degrees: Sequence[int],
-        cells: np.ndarray, exps: np.ndarray, coefs: np.ndarray,
-    ) -> "GradedMatrix":
-        """The matrix over this one's field with the given sorted term table."""
-        ncols = len(col_degrees)
-        bounds = cells.searchsorted(np.arange(len(row_degrees) * ncols + 1)).tolist()
-        keys, values = list(map(tuple, exps.tolist())), coefs.tolist()
-        flat = [MultiPoly(self.field, dict(zip(keys[lo:hi], values[lo:hi])))
-                for lo, hi in zip(bounds, bounds[1:])]
-        grid = [flat[i * ncols:(i + 1) * ncols] for i in range(len(row_degrees))]
-        out = GradedMatrix(self.field, row_degrees, col_degrees, grid, validate=False)
-        out._kept["terms"] = (cells, exps, coefs)
-        return out
+        return GradedMatrix.from_terms(
+            self.field, self.row_degrees, other.col_degrees, cells[keep], exps[keep], coefs[coefs != 0])
 
     def __eq__(self, other) -> bool:
         return (
@@ -324,7 +339,7 @@ class GradedMatrix:
             and self.field == other.field
             and self.row_degrees == other.row_degrees
             and self.col_degrees == other.col_degrees
-            and self.entries == other.entries
+            and all(np.array_equal(a, b) for a, b in zip(self._terms, other._terms))
         )
 
     def __hash__(self):
@@ -374,7 +389,7 @@ class GradedMatrix:
         the largest exponent, each term's value, and their sums per cell.
         """
         p = self.field.characteristic
-        cells, exps, coefs = self.term_table()
+        cells, exps, coefs = self._terms
         at = np.array(points, dtype=np.int64).reshape(-1, 5).T % p
         powers = np.ones((int(exps.max(initial=0)) + 1,) + at.shape, dtype=np.int64)
         for e in range(1, len(powers)):
@@ -409,12 +424,12 @@ def block_decomposition(m: GradedMatrix) -> List[Tuple[List[int], List[int]]]:
         parent[find(x)] = find(y)
 
     active_rows, active_cols = set(), set()
-    for i in range(m.nrows):
-        for j in range(m.ncols):
-            if not m.entries[i][j].is_zero():
-                union(i, m.nrows + j)
-                active_rows.add(i)
-                active_cols.add(j)
+    cells = m.term_table()[0]  # sorted, so a nonzero cell starts where the value steps
+    rows, cols = np.divmod(cells[np.diff(cells, prepend=-1) != 0], max(m.ncols, 1))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        union(i, m.nrows + j)
+        active_rows.add(i)
+        active_cols.add(j)
     groups: Dict[int, Tuple[List[int], List[int]]] = {}
     for i in sorted(active_rows):
         groups.setdefault(find(i), ([], []))[0].append(i)
@@ -434,31 +449,37 @@ def determinant(m: GradedMatrix) -> MultiPoly:
     """Exact determinant of a square graded matrix free of the parameter.
 
     It is homogeneous of degree D = (sum of column degrees) - (sum of row
-    degrees).  Up to 3 x 3 the closed forms are cheapest; larger matrices
-    are evaluated and interpolated (`_interpolated_determinant`).  Every
-    route accepts the same range, D < p, which interpolation needs; a larger
-    D raises `InterpolationRangeError`.
+    degrees).  Up to 3 x 3 the closed forms on the entries are cheapest
+    (`minors`); larger matrices are evaluated and interpolated
+    (`_interpolated_determinant`).  Every route accepts the same range,
+    D < p, which interpolation needs; a larger D raises
+    `InterpolationRangeError`.
     """
-    n = m.nrows
-    if n != m.ncols:
+    if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
-    field = m.field
-    degree = sum(m.col_degrees) - sum(m.row_degrees)
+    if m.nrows <= 3:
+        return minors(m, m.nrows)[0]
+    return _interpolated_determinant(m, _minor_degree(m.field, m.row_degrees, m.col_degrees))
+
+
+def _minor_degree(field: FieldSpec, row_degrees: Sequence[int], col_degrees: Sequence[int]) -> int:
+    """The degree D of a minor on these rows and columns; D >= p raises."""
+    degree = sum(col_degrees) - sum(row_degrees)
     if degree >= field.characteristic:
         raise InterpolationRangeError(
             f"a minor of degree {degree} needs {degree + 1} interpolation points, "
             f"more than F_{field.characteristic} has"
         )
-    if n > 3:
-        return _interpolated_determinant(m, degree)
-    if m.has_parameter():
-        raise ValueError("specialize the parameter first")
-    e = m.entries
-    if n == 0:
+    return degree
+
+
+def _closed_form(e: Sequence[Sequence[MultiPoly]], field: FieldSpec) -> MultiPoly:
+    """Determinant of an n x n grid of entries, n <= 3."""
+    if not e:
         return MultiPoly.one(field)
-    if n == 1:
+    if len(e) == 1:
         return e[0][0]
-    if n == 2:
+    if len(e) == 2:
         return e[0][0] * e[1][1] - e[0][1] * e[1][0]
     return (
         e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
@@ -647,14 +668,20 @@ def _in_one_variable(sub: GradedMatrix) -> bool:
 
 
 def minors(m: GradedMatrix, k: int) -> List[MultiPoly]:
-    """All k x k minors, in the lexicographic order of (row set, column set)."""
+    """All k x k minors, in the lexicographic order of (row set, column set).
+    Up to 3 x 3 they are the closed forms on the entries of m, after the
+    checks of `determinant`: the range, at the top degree, and the parameter."""
     if k < 0 or k > min(m.nrows, m.ncols):
         raise ValueError(f"minor size {k} out of range for {m.nrows}x{m.ncols}")
-    return [
-        determinant(m.submatrix(rows, cols))
-        for rows in itertools.combinations(range(m.nrows), k)
-        for cols in itertools.combinations(range(m.ncols), k)
-    ]
+    index_sets = itertools.product(itertools.combinations(range(m.nrows), k),
+                                   itertools.combinations(range(m.ncols), k))
+    if k > 3:
+        return [determinant(m.submatrix(rows, cols)) for rows, cols in index_sets]
+    _minor_degree(m.field, sorted(m.row_degrees)[:k], sorted(m.col_degrees)[m.ncols - k:])
+    if k and m.has_parameter():
+        raise ValueError("specialize the parameter first")
+    e = m.entries
+    return [_closed_form([[e[i][j] for j in cols] for i in rows], m.field) for rows, cols in index_sets]
 
 
 # ---------------------------------------------------------------------------
@@ -771,52 +798,37 @@ def _eliminate_mod(rows: List[List[MultiPoly]], f: MultiPoly, field: FieldSpec) 
 
 
 def identity_matrix(field: FieldSpec, degrees: Sequence[int], scale: Optional[MultiPoly] = None) -> GradedMatrix:
-    n = len(degrees)
-    z = MultiPoly.zero(field)
     s = scale if scale is not None else MultiPoly.one(field)
-    grid = [[s if i == j else z for j in range(n)] for i in range(n)]
-    return GradedMatrix(field, degrees, degrees, grid, validate=False)
+    keys, n = sorted(s.terms), len(degrees)
+    return GradedMatrix.from_terms(
+        field, degrees, degrees, np.repeat(np.arange(n, dtype=np.int64) * (n + 1), len(keys)),
+        np.tile(np.array(keys, dtype=np.int64).reshape(-1, 5), (n, 1)),
+        np.tile(np.array([s.terms[e] for e in keys], dtype=np.int64), n))
 
 
 def stack_blocks(blocks: Sequence[Sequence[Optional[GradedMatrix]]]) -> GradedMatrix:
-    """Assemble a block matrix; None blocks are zero (degrees inferred)."""
-    field = None
-    for row in blocks:
-        for b in row:
-            if b is not None:
-                field = b.field
-    if field is None:
+    """Assemble a block matrix; None blocks are zero.  A block row or column
+    takes the degrees of its last concrete block."""
+    concrete = [(bi, bj, b) for bi, row in enumerate(blocks) for bj, b in enumerate(row) if b is not None]
+    if not concrete:
         raise ValueError("all blocks are None")
-    row_degs: List[List[int]] = []
-    col_degs: List[List[int]] = []
-    for bi, row in enumerate(blocks):
-        degs = None
-        for b in row:
-            if b is not None:
-                degs = list(b.row_degrees)
-        if degs is None:
-            raise ValueError(f"block row {bi} has no concrete block")
-        row_degs.append(degs)
-    for bj in range(len(blocks[0])):
-        degs = None
-        for row in blocks:
-            b = row[bj]
-            if b is not None:
-                degs = list(b.col_degrees)
-        if degs is None:
-            raise ValueError(f"block column {bj} has no concrete block")
-        col_degs.append(degs)
-    z = MultiPoly.zero(field)
-    grid: List[List[MultiPoly]] = []
-    for bi, row in enumerate(blocks):
-        for i in range(len(row_degs[bi])):
-            line: List[MultiPoly] = []
-            for bj, b in enumerate(row):
-                if b is None:
-                    line.extend([z] * len(col_degs[bj]))
-                else:
-                    line.extend(b.entries[i])
-            grid.append(line)
-    flat_rows = [d for degs in row_degs for d in degs]
-    flat_cols = [d for degs in col_degs for d in degs]
-    return GradedMatrix(field, flat_rows, flat_cols, grid)
+    row_degs = {bi: b.row_degrees for bi, _, b in concrete}
+    col_degs = {bj: b.col_degrees for _, bj, b in concrete}
+    for kind, degs, count in (("row", row_degs, len(blocks)), ("column", col_degs, len(blocks[0]))):
+        if len(degs) < count:
+            raise ValueError(f"block {kind} {min(set(range(count)) - set(degs))} has no concrete block")
+    row_at = np.cumsum([0] + [len(row_degs[bi]) for bi in range(len(blocks))])
+    col_at = np.cumsum([0] + [len(col_degs[bj]) for bj in range(len(blocks[0]))])
+    parts = []
+    for bi, bj, b in concrete:
+        if (b.nrows, b.ncols) != (len(row_degs[bi]), len(col_degs[bj])):
+            raise ValueError(f"block ({bi},{bj}) does not fit its block row and column")
+        i, j = b.term_rows_cols()
+        parts.append(((i + row_at[bi]) * col_at[-1] + j + col_at[bj],) + b.term_table()[1:])
+    cells, exps, coefs = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(cells, kind="stable")  # a cell's terms come from one block, in order
+    out = GradedMatrix.from_terms(
+        concrete[-1][2].field, [d for bi in sorted(row_degs) for d in row_degs[bi]],
+        [d for bj in sorted(col_degs) for d in col_degs[bj]], cells[order], exps[order], coefs[order])
+    out.validate_homogeneity()
+    return out

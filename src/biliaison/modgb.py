@@ -60,8 +60,9 @@ monomial degree at most R in every component: a vector of degree d over
 ambient degrees a_c only holds terms of monomial degree d - a_c, so
 d - min(a) <= R keeps every field of every term, and of every multiple
 formed while reducing it, inside [0, R].  Inputs and S-pairs outside that
-range raise `TermRangeError`; nothing wraps silently.  Keys are converted
-to and from tuples only at the module boundary.
+range raise `TermRangeError`; nothing wraps silently.  The input columns
+are packed from the term table of their matrix in one pass
+(`_column_vecs`), and keys become tuples only in a basis's leads.
 
 Dense normal forms.  Every vector Buchberger reduces is homogeneous, so it
 lives in the degree-d piece of the ambient module, spanned by the
@@ -118,9 +119,10 @@ reducer a scan of the basis would pick.
 
 Minimal syzygies, one echelon form per degree.  The syzygies of degree d
 are the kernel K_d of the span matrix whose columns are the products of the
-generators with the monomials of the complementary degree; a kernel vector
-is an int64 row over those (generator, monomial) labels.  A variable maps
-the labels of degree d - 1 into those of degree d, so the variable
+generators with the monomials of the complementary degree, filled from the
+term table in one indexed store; a kernel vector is an int64 row over
+those (generator, monomial) labels.  A variable maps the labels of degree
+d - 1 into those of degree d (`_monomial_index`), so the variable
 multiples of K_{d-1}, which span the degree-d syzygies that are not
 minimal, are rows over the same labels.  One forward elimination of the
 transposed stack [multiples; K_d] names its pivot rows, the rows outside
@@ -144,7 +146,7 @@ import numpy as np
 
 from biliaison import _linalg
 from biliaison.grmatrix import (
-    BudgetExhaustedError, CharFunction, GradedMatrix, minors, ranked_blocks,
+    BudgetExhaustedError, CharFunction, GradedMatrix, HomogeneityError, minors, ranked_blocks,
 )
 from biliaison.polyring import FieldSpec, MultiPoly, Scalar
 
@@ -152,8 +154,7 @@ Expo4 = Tuple[int, int, int, int]
 Term = Tuple[int, int, int, int, int]  # (component, e0, e1, e2, e3)
 
 
-class InhomogeneousError(ValueError):
-    """Generators must be homogeneous."""
+InhomogeneousError = HomogeneityError  # generators must be homogeneous
 
 
 class TermRangeError(BudgetExhaustedError):
@@ -172,6 +173,14 @@ def _pack(t: Term) -> int:
     if not (0 <= comp <= _R and min(e0, e1, e2, e3) >= 0 and deg <= _R):
         raise TermRangeError(f"term {t} exceeds the packed key range (degree, component <= {_R})")
     return ((((deg << _BITS | _R - e3) << _BITS | _R - e2) << _BITS | _R - e1) << _BITS) | _R - comp
+
+
+def _pack_many(comps, e: np.ndarray) -> np.ndarray:
+    """`_pack` of the terms with components ``comps`` and exponent rows
+    ``e`` (e0, e1, e2, e3), as int64 keys; the caller checks the range."""
+    deg = e.sum(axis=1)
+    return (((deg << _BITS | _R - e[:, 3]) << _BITS | _R - e[:, 2]) << _BITS
+            | _R - e[:, 1]) << _BITS | _R - comps
 
 
 def _unpack(k: int) -> Term:
@@ -271,9 +280,7 @@ class _DegreePieces:
         the callers' `_check_range`)."""
         keys = self._monomial_keys.get(m)
         if keys is None:
-            e = np.array(monomials_of_degree(m), dtype=np.int64).reshape(-1, 4)
-            keys = (((m << _BITS | _R - e[:, 3]) << _BITS | _R - e[:, 2]) << _BITS
-                    | _R - e[:, 1]) << _BITS | _R
+            keys = _pack_many(0, np.array(monomials_of_degree(m), dtype=np.int64).reshape(-1, 4))
             self._monomial_keys[m] = keys
         return keys
 
@@ -386,7 +393,8 @@ class SubmodulePresentation:
         return _row_vec(work[0], keys, vec.degree)
 
     def contains_column(self, column: Sequence[MultiPoly], degree: int) -> bool:
-        v = _column_to_vec(column, degree, self.ambient_degrees, self.field)
+        v = _column_vecs(GradedMatrix(
+            self.field, self.ambient_degrees, [degree], [[q] for q in column], validate=False))[0]
         if v.is_zero():
             return True
         if self.truncated_at is not None and degree > self.truncated_at:
@@ -511,39 +519,24 @@ def fit_cubic_window(values: Callable[[int], int], start: int, budget: int) -> H
 
 
 # ---------------------------------------------------------------------------
-# conversion helpers
+# conversion between term tables and vectors
 
 
-def _column_to_vec(
-    column: Sequence[MultiPoly],
-    degree: int,
-    ambient_degrees: Tuple[int, ...],
-    field: FieldSpec,
-) -> _Vec:
-    _check_range(degree, ambient_degrees)
-    terms: Dict[int, Scalar] = {}
-    for comp, poly in enumerate(column):
-        if poly.is_zero():
-            continue
-        if poly.has_parameter():
-            raise ValueError("specialize the parameter before Groebner computations")
-        if not poly.is_homogeneous(degree - ambient_degrees[comp]):
-            raise InhomogeneousError(
-                f"component {comp} is not homogeneous of degree {degree - ambient_degrees[comp]}"
-            )
-        for e, c in poly.terms.items():
-            terms[_pack((comp, e[0], e[1], e[2], e[3]))] = c
-    return _Vec(terms, degree)
-
-
-def _vec_to_column(
-    vec: _Vec, ambient_degrees: Tuple[int, ...], field: FieldSpec
-) -> List[MultiPoly]:
-    polys: List[Dict] = [dict() for _ in ambient_degrees]
-    for k, c in vec.terms.items():
-        comp, e0, e1, e2, e3 = _unpack(k)
-        polys[comp][(e0, e1, e2, e3, 0)] = c
-    return [MultiPoly(field, d) for d in polys]
+def _column_vecs(gens: GradedMatrix) -> List[_Vec]:
+    """The columns of ``gens`` as vectors over its row degrees, packed from
+    its term table: the component of a term is its row."""
+    if gens.ncols:
+        _check_range(max(gens.col_degrees), gens.row_degrees)
+    if gens.has_parameter():
+        raise ValueError("specialize the parameter before Groebner computations")
+    gens.validate_homogeneity()
+    _, exps, coefs = gens.term_table()
+    comps, cols = gens.term_rows_cols()
+    order = np.argsort(cols, kind="stable")
+    keys, coefs = _pack_many(comps[order], exps[order, :4]), coefs[order]
+    bounds = cols[order].searchsorted(np.arange(gens.ncols + 1)).tolist()
+    return [_Vec(dict(zip(keys[lo:hi].tolist(), coefs[lo:hi].tolist())), degree)
+            for degree, lo, hi in zip(gens.col_degrees, bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -760,9 +753,7 @@ def groebner_basis(
     if pres is None:
         field = gens.field
         ambient_degrees = gens.row_degrees
-        vectors = [_column_to_vec(gens.column(j), gens.col_degrees[j], ambient_degrees, field)
-                   for j in range(gens.ncols)]
-        gb, truncated_at = _buchberger(vectors, field, ambient_degrees, degree_cap)
+        gb, truncated_at = _buchberger(_column_vecs(gens), field, ambient_degrees, degree_cap)
         pres = SubmodulePresentation(field, ambient_degrees, gens, gb, truncated_at)
         bases[degree_cap] = pres
         if truncated_at is None:
@@ -840,35 +831,36 @@ def _poly_mul(a: List[int], b: List[int]) -> List[int]:
 # degreewise linear algebra: dimensions, minimal generators, syzygies
 
 
-def _degree_basis(ambient_degrees: Sequence[int], n: int) -> List[Tuple[int, Expo4]]:
-    out: List[Tuple[int, Expo4]] = []
-    for comp, d in enumerate(ambient_degrees):
-        for mono in monomials_of_degree(n - d):
-            out.append((comp, mono))
-    return out
+def _monomial_index(e: np.ndarray) -> np.ndarray:
+    """Position of each exponent row (e0, e1, e2, e3) (last axis) in
+    `monomials_of_degree` of its degree: C(e1+e2+e3+2, 3) monomials come first
+    by a larger e0, C(e2+e3+1, 2) by a larger e1, and e3 by a larger e2."""
+    s1, s2 = e[..., 1:].sum(axis=-1), e[..., 2:].sum(axis=-1)
+    return (s1 + 2) * (s1 + 1) * s1 // 6 + (s2 + 1) * s2 // 2 + e[..., 3]
 
 
-def _span_matrix_mod_p(gens: GradedMatrix, n: int) -> Tuple[np.ndarray, List[Tuple[int, Expo4]]]:
+def _span_matrix_mod_p(gens: GradedMatrix, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Matrix whose columns are monomial multiples of generator columns.
 
-    Rows are indexed by the degree-n basis of the ambient module; columns by
-    (generator, monomial), generator-major.
+    Rows are indexed by the degree-n basis of the ambient module, and
+    columns by their labels (generator, e0, e1, e2, e3), generator-major,
+    each generator's monomials in the order of `monomials_of_degree`; the
+    labels are returned with the matrix.  Every term of a generator meets
+    every column of that generator, and no two terms of one column land in
+    the same row, so one indexed store fills the matrix.
     """
-    p = gens.field.characteristic
-    basis = _degree_basis(gens.row_degrees, n)
-    index = {be: i for i, be in enumerate(basis)}
-    columns = [(j, mono) for j, dj in enumerate(gens.col_degrees)
-               for mono in monomials_of_degree(n - dj)]
-    mat = np.zeros((len(basis), len(columns)), dtype=np.int64)
-    for cidx, (j, mono) in enumerate(columns):
-        for comp in range(gens.nrows):
-            poly = gens.entries[comp][j]
-            if poly.is_zero():
-                continue
-            for e, c in poly.terms.items():
-                t = (comp, (e[0] + mono[0], e[1] + mono[1], e[2] + mono[2], e[3] + mono[3]))
-                mat[index[t], cidx] = (mat[index[t], cidx] + c) % p
-    return mat, columns
+    row_at = np.cumsum([0] + [binom3(n - d) for d in gens.row_degrees])  # where each component starts
+    labels = np.array([(j,) + e for j, d in enumerate(gens.col_degrees) for e in monomials_of_degree(n - d)],
+                      dtype=np.int64).reshape(-1, 5)
+    col_at = labels[:, 0].searchsorted(np.arange(gens.ncols + 1))
+    _, exps, coefs = gens.term_table()
+    comps, gen = gens.term_rows_cols()
+    count = col_at[gen + 1] - col_at[gen]  # the columns each term meets
+    term = np.repeat(np.arange(len(coefs)), count)
+    col = np.arange(len(term)) + np.repeat(col_at[gen] - (count.cumsum() - count), count)
+    mat = np.zeros((row_at[-1], col_at[-1]), dtype=np.int64)
+    mat[row_at[comps[term]] + _monomial_index(exps[term, :4] + labels[col, 1:]), col] = coefs[term]
+    return mat, labels
 
 
 def module_dimension_oracle(gens: GradedMatrix, n: int) -> int:
@@ -893,8 +885,8 @@ def minimal_generator_count(gens: GradedMatrix) -> CharFunction:
     p = gens.field.characteristic
     out: Dict[int, int] = {}
     for d in range(min(gens.col_degrees), max(gens.col_degrees) + 1):
-        full, columns = _span_matrix_mod_p(gens, d)
-        proper = [i for i, (j, _) in enumerate(columns) if gens.col_degrees[j] < d]
+        full, labels = _span_matrix_mod_p(gens, d)
+        proper = np.flatnonzero(np.array(gens.col_degrees)[labels[:, 0]] < d)
         mu = _linalg.rank_mod_p(full, p) - _linalg.rank_mod_p(full[:, proper], p)
         if mu:
             out[d] = mu
@@ -913,35 +905,31 @@ def syzygies(gens: GradedMatrix, up_to_degree: int) -> GradedMatrix:
     if gens.has_parameter():
         raise ValueError("specialize the parameter first")
     p = gens.field.characteristic
-    picked: List[Tuple[int, np.ndarray, List[Tuple[int, Expo4]]]] = []  # (d, row, labels)
+    picked: List[Tuple[int, np.ndarray, np.ndarray]] = []  # (d, row, labels)
     prev = np.zeros((0, 0), dtype=np.int64)  # K_{d-1}
-    prev_columns: List[Tuple[int, Expo4]] = []
+    prev_labels = np.zeros((0, 5), dtype=np.int64)
     for d in range(min(gens.col_degrees, default=0), up_to_degree + 1):
-        mat, columns = _span_matrix_mod_p(gens, d)
+        mat, labels = _span_matrix_mod_p(gens, d)
         kernel = _linalg.nullspace_mod_p(mat, p)
-        index = {label: i for i, label in enumerate(columns)}
-        # shift[v, i]: the degree-d label of x_v times degree-(d-1) label i
-        shift = np.array([[index[(j, mono[:v] + (mono[v] + 1,) + mono[v + 1:])]
-                           for j, mono in prev_columns] for v in range(4)], dtype=np.int64)
-        multiples = np.zeros((len(prev), 4, len(columns)), dtype=np.int64)
+        # shift[v, i]: the degree-d column of x_v times degree-(d-1) label i
+        up = prev_labels[None, :, 1:] + np.eye(4, dtype=np.int64)[:, None, :]
+        shift = labels[:, 0].searchsorted(prev_labels[:, 0]) + _monomial_index(up)
+        multiples = np.zeros((len(prev), 4, len(labels)), dtype=np.int64)
         multiples[:, np.arange(4)[:, None], shift] = prev[:, None, :]
-        stack = np.vstack([multiples.reshape(4 * len(prev), len(columns)), kernel])
+        stack = np.vstack([multiples.reshape(4 * len(prev), len(labels)), kernel])
         new = [i - 4 * len(prev) for i in _linalg.pivots_mod_p(stack.T, p) if i >= 4 * len(prev)]
-        picked += [(d, kernel[i], columns) for i in new]
-        prev, prev_columns = kernel, columns
-    # assemble the syzygy matrix: rows = generator columns of the input
-    field = gens.field
-    row_degrees = gens.col_degrees
-    col_degrees = [d for d, _, _ in picked]
-    grid: List[List[MultiPoly]] = [[] for _ in row_degrees]
-    for _, row, columns in picked:
-        per_row: List[Dict] = [dict() for _ in row_degrees]
-        for i in np.flatnonzero(row):
-            j, mono = columns[i]
-            per_row[j][mono + (0,)] = int(row[i])
-        for j in range(len(row_degrees)):
-            grid[j].append(MultiPoly(field, per_row[j]))
-    return GradedMatrix(field, row_degrees, col_degrees, grid)
+        picked += [(d, kernel[i], labels) for i in new]
+        prev, prev_labels = kernel, labels
+    # the syzygy matrix: a row per generator column of the input, a column per syzygy
+    parts = [(np.zeros(0, dtype=np.int64), np.zeros((0, 4), dtype=np.int64), np.zeros(0, dtype=np.int64))]
+    for c, (_, row, labels) in enumerate(picked):
+        nz = np.flatnonzero(row)
+        parts.append((labels[nz, 0] * len(picked) + c, labels[nz, 1:], row[nz]))
+    cells, monos, coefs = (np.concatenate(a) for a in zip(*parts))
+    exps = np.pad(monos, ((0, 0), (0, 1)))
+    order = np.lexsort(tuple(exps.T[::-1]) + (cells,))  # the order of a term table
+    return GradedMatrix.from_terms(gens.field, gens.col_degrees, [d for d, _, _ in picked],
+                                   cells[order], exps[order], coefs[order])
 
 
 # ---------------------------------------------------------------------------

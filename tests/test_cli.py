@@ -251,6 +251,25 @@ def test_minimal_family_deterministic_output():
     assert out1 == out2
 
 
+def test_cold_runs_build_no_entries_from_a_table(monkeypatch):
+    # the term table is the stored form: a cold qprofile and minimal-family
+    # of every fixture, each on a freshly built fixture, reach no symbolic
+    # path, so no matrix builds its MultiPoly grid from its table
+    built = []
+    grid = GradedMatrix._grid
+
+    def spy(m):
+        built.append(repr(m))
+        return grid(m)
+
+    monkeypatch.setattr(GradedMatrix, "_grid", spy)
+    monkeypatch.setattr(fixtures, "example", fixtures.example.__wrapped__)
+    for name in fixtures.FIXTURE_NAMES:
+        for command in ("qprofile", "minimal-family"):
+            assert run([command, "--fixture", name, "--format", "json"])[0] == 0
+    assert built == []
+
+
 def test_minimal_family_json_roundtrip():
     code, out, _ = run(["minimal-family", "--fixture", "3.3", "--format", "json"])
     assert code == 0

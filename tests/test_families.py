@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -84,7 +85,7 @@ def test_sample_shape_matches_p(example_runs):
     desc, profile, _ = example_runs.get("3.3")
     q = profile.q_function()
     v = families.sample_general_morphism(desc.matrix, q, profile=profile)
-    assert v.col_char() == q
+    assert CharFunction.from_degrees(v.col_degrees) == q
     assert v.row_degrees == desc.matrix.col_degrees
     v.validate_homogeneity()
 
@@ -156,6 +157,25 @@ def test_family_degree_genus_values(example_runs):
     ):
         desc, profile, report = example_runs.get(name)
         assert (report.h0, report.d0, report.g0) == (h_want, d_want, g_want), name
+
+
+def test_degree_genus_refuses_what_is_not_a_twisted_curve_ideal():
+    # P_Q(n) = C(n+h+3, 3) - d(n+h) - 1 + g; the difference from the twisted
+    # binomial must be linear, with d a positive integer and g an integer
+    h = 2
+    twisted = HilbertPolynomial.binomial_shift(-h)
+
+    def p_q(c0, c1, c2=0):  # twisted - (c0 + c1 n + c2 n^2)
+        return twisted - HilbertPolynomial.from_coeffs([c0, c1, c2])
+
+    assert families._degree_genus(h, p_q(6 * h + 1 - 3, 6)) == (6, 3)
+    with pytest.raises(families.ShapeMismatchError, match="residual"):
+        families._degree_genus(h, p_q(1, 6, 1))
+    for d in (0, -2, Fraction(1, 2)):
+        with pytest.raises(families.ShapeMismatchError, match="not a positive integer"):
+            families._degree_genus(h, p_q(d * h, d))
+    with pytest.raises(families.ShapeMismatchError, match="genus 5/2 is not an integer"):
+        families._degree_genus(h, p_q(6 * h + 1 - Fraction(5, 2), 6))
 
 
 def test_reports_are_deterministic(example_runs):

@@ -489,6 +489,59 @@ def test_specialization_from_the_term_table(nrows, ncols, seed):
     assert not closed.has_parameter()
 
 
+def _assert_same_matrix(got: GradedMatrix, want: GradedMatrix) -> None:
+    """The same degrees, printed entries and fingerprint."""
+    assert (got.row_degrees, got.col_degrees) == (want.row_degrees, want.col_degrees)
+    assert [[str(q) for q in row] for row in got.entries] == \
+        [[str(q) for q in row] for row in want.entries]
+    assert got.fingerprint() == want.fingerprint()
+
+
+def _reference_forms(field, row_degs, col_degs, rng):
+    """The grid `random_lift` must draw: row by row, one draw per monomial of
+    each entry's degree, in the order of `monomials_of_degree`."""
+    p = field.characteristic
+    return [[MultiPoly(field, {e + (0,): c for e in modgb.monomials_of_degree(d - r)
+                               if (c := rng.randrange(p))}) for d in col_degs] for r in row_degs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    row_degs=st.lists(st.integers(0, 2), max_size=4),
+    col_degs=st.lists(st.integers(0, 3), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_table_operations_match_the_grid(row_degs, col_degs, seed):
+    # every operation that builds a term table gives the matrix that the
+    # equivalent MultiPoly grid gives: a lift, submatrices in any row and
+    # column order, truncations, identities, stacked blocks and syzygies
+    zero = MultiPoly.zero(F)
+    grid = _reference_forms(F, row_degs, col_degs, random.Random(seed))
+    m = families.random_lift(GradedMatrix(F, [], row_degs, []), col_degs, random.Random(seed))
+    _assert_same_matrix(m, GradedMatrix(F, row_degs, col_degs, grid))
+    rng = random.Random(seed + 1)
+    rows = rng.sample(range(len(row_degs)), rng.randrange(len(row_degs) + 1))
+    cols = rng.sample(range(len(col_degs)), rng.randrange(len(col_degs) + 1))
+    _assert_same_matrix(m.submatrix(rows, cols), GradedMatrix(
+        F, [row_degs[i] for i in rows], [col_degs[j] for j in cols],
+        [[grid[i][j] for j in cols] for i in rows]))
+    n = rng.randrange(-1, 4)
+    keep = [j for j, d in enumerate(col_degs) if d <= n]
+    _assert_same_matrix(m.truncate_columns(n), GradedMatrix(
+        F, row_degs, [col_degs[j] for j in keep], [[row[j] for j in keep] for row in grid]))
+    scale = rng.choice([None, P("5"), P("a"), P("a - 2")])
+    one = MultiPoly.one(F) if scale is None else scale
+    ident = grmatrix.identity_matrix(F, col_degs, scale)
+    diagonal = [[one if i == j else zero for j in range(len(col_degs))] for i in range(len(col_degs))]
+    _assert_same_matrix(ident, GradedMatrix(F, col_degs, col_degs, diagonal))
+    _assert_same_matrix(grmatrix.stack_blocks([[m, None], [ident, ident]]), GradedMatrix(
+        F, row_degs + col_degs, col_degs * 2,
+        [row + [zero] * len(col_degs) for row in grid] + [row * 2 for row in diagonal]))
+    sy = modgb.syzygies(m, max(col_degs, default=0) + 1)
+    _assert_same_matrix(sy, GradedMatrix(F, sy.row_degrees, sy.col_degrees, sy.entries))
+    assert (m @ sy).is_zero_matrix()
+
+
 def test_json_roundtrip(tmp_path):
     s = fixtures.example("3.2").matrix
     path = tmp_path / "m.json"

@@ -47,6 +47,15 @@ def _mixed_degree_matrices(rng, count):
         yield _random_matrix(rng, row_degs, col_degs, 0.5)
 
 
+def _vec_to_column(vec, ambient_degrees, field=F):
+    """A vector of the engine as a column of polynomials, one per component."""
+    polys = [dict() for _ in ambient_degrees]
+    for k, c in vec.terms.items():
+        comp, *e = modgb._unpack(k)
+        polys[comp][tuple(e) + (0,)] = c
+    return [MultiPoly(field, d) for d in polys]
+
+
 def _member_by_linear_algebra(gens: GradedMatrix, column, degree: int) -> bool:
     """Membership oracle: does adding the element increase the span?"""
     extended = GradedMatrix(
@@ -124,7 +133,7 @@ def test_gb_two_way_membership_random():
             assert pres.contains_column(gens.column(j), gens.col_degrees[j])
         # every basis element lies in the module spanned by the generators
         for vec in pres.gb:
-            col = modgb._vec_to_column(vec, gens.row_degrees, F)
+            col = _vec_to_column(vec, gens.row_degrees)
             assert _member_by_linear_algebra(gens, col, vec.degree)
 
 
@@ -235,10 +244,8 @@ def _reduced_basis(gens, monkeypatch, chunk_cells=None):
     monkeypatch.setattr(modgb._DegreePieces, "__call__", built)
     if chunk_cells is not None:
         monkeypatch.setattr(modgb, "_MAX_PIECE", chunk_cells)
-    vectors = [modgb._column_to_vec(gens.column(j), gens.col_degrees[j], gens.row_degrees, F)
-               for j in range(gens.ncols)]
     gb, truncated_at = modgb._buchberger(
-        vectors, F, gens.row_degrees, modgb.default_degree_cap(gens))
+        modgb._column_vecs(gens), F, gens.row_degrees, modgb.default_degree_cap(gens))
     monkeypatch.undo()
     return [sorted(v.terms.items()) for v in gb], truncated_at, blocks, max(pieces)
 
@@ -311,7 +318,7 @@ def _check_ideal_gb_against_sympy(seed, field):
     if not polys:
         return
     pres = modgb.groebner_basis(gens, degree_cap=None)
-    ours = sorted(sorted(modgb._vec_to_column(v, (0,), field)[0].terms.items()) for v in pres.gb)
+    ours = sorted(sorted(_vec_to_column(v, (0,), field)[0].terms.items()) for v in pres.gb)
     assert ours == _sympy_reduced_basis(polys, field.characteristic)
 
 
@@ -354,7 +361,7 @@ def test_random_complete_intersections_match_sympy_and_the_oracle(seed):
     degrees = sorted(rng.choice([1, 2, 3]) for _ in range(rng.randrange(1, 5)))
     gens = _random_matrix(rng, [0], degrees, 1.0)
     pres = modgb.groebner_basis(gens, degree_cap=None)
-    ours = sorted(sorted(modgb._vec_to_column(v, (0,), F)[0].terms.items()) for v in pres.gb)
+    ours = sorted(sorted(_vec_to_column(v, (0,))[0].terms.items()) for v in pres.gb)
     assert ours == _sympy_reduced_basis(gens.entries[0], F.characteristic)
     for n in range(degrees[0], degrees[-1] + 4):
         assert pres.hilbert_function(n) == modgb.module_dimension_oracle(gens, n)
@@ -411,7 +418,7 @@ def test_redundant_ideal_generators_match_sympy():
     gens = M([0], [2, 2, 2, 3, 3, 4, 0], [[
         "X^2 + Y*Z", "X^2 + Y*Z", "3*X^2 + 3*Y*Z", "X^3 + X*Y*Z", "Y^2*T - Z^3", "0", "0"]])
     pres = modgb.groebner_basis(gens, degree_cap=None)
-    ours = sorted(sorted(modgb._vec_to_column(v, (0,), F)[0].terms.items()) for v in pres.gb)
+    ours = sorted(sorted(_vec_to_column(v, (0,))[0].terms.items()) for v in pres.gb)
     polys = [q for q in gens.entries[0] if not q.is_zero()]
     assert ours == _sympy_reduced_basis(polys, F.characteristic)
     _assert_reduced(pres.gb)

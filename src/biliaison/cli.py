@@ -27,7 +27,10 @@ block with more minors exits with code 3 before any minor work, as does one
 whose minors vanish somewhere, and --assume-locally-free skips the check.
 A --window must start at or below inf L2 - 1 and must not end below its
 start (exit 2).  A matrix JSON whose entries are not lists of
-strings, and an --export-matrix path that cannot be written, exit 2.
+strings or whose degrees are not integers, a --p whose degrees or
+multiplicities are not integers, and an --export-matrix path that cannot be
+written, exit 2; JSON floats and booleans are not integers.  check-p reads
+--p before any other work.
 """
 
 from __future__ import annotations
@@ -240,14 +243,12 @@ def cmd_minimal_family(args, out, err) -> int:
 
 
 def cmd_check_p(args, out, err) -> int:
+    try:
+        p = CharFunction.from_json(json.loads(args.p))
+    except ValueError as exc:
+        raise CliError(EXIT_PARSE, f"malformed p: {exc}") from exc
     matrix = _load_matrix(args)
     _certify_hypotheses(matrix, args, err)
-    try:
-        obj = json.loads(args.p)
-        p = CharFunction({int(k): int(v) for k, v in obj.items()})
-    except (ValueError, AttributeError) as exc:
-        print(f"error: malformed p: {exc}", file=out)
-        return EXIT_PARSE
     profile = _profile_for(matrix, args)
     ok, reason = qprofile.check_p_admissible(p, profile)
     if ok:

@@ -11,6 +11,12 @@ which is saturation-invariant, so the unsaturated quotient suffices:
 
     P_Q(n) = C(n+h+3, 3) - d*(n+h) - 1 + g.
 
+Every Hilbert polynomial here is exact, read off the leading terms of a
+full Groebner basis (`modgb`, "Hilbert polynomials, exact"): P_N from that
+of the closed-point column module N, which also gives deg N, and
+P_Q = P_N - P_U from that of the column module U of W = s_t * v, which lies
+in N.
+
 Verification is the degeneracy-locus criterion: the specialized composite
 W = (s*v)|_{a=0} must have rank r-1 (injectivity at the closed point, hence
 flatness) and coprime (r-1)-minors (degeneracy locus of codimension >= 2,
@@ -135,8 +141,7 @@ def sheaf_degree(s: GradedMatrix, profile: Optional[QProfile] = None) -> int:
     """
     s_t = s.specialize_closed_point()
     r = profile.stable_rank if profile is not None else rank_fraction_field(s_t)
-    pres = modgb.groebner_basis(s_t)
-    p_n = pres.hilbert_polynomial()
+    p_n = modgb.groebner_basis(s_t).hilbert_polynomial()
     if p_n.coeffs[3] != Fraction(r, 6):
         raise PresentationError(
             f"leading Hilbert coefficient {p_n.coeffs[3]} does not match rank {r}"
@@ -255,21 +260,11 @@ def quotient_hilbert_data(
 def _quotient_hilbert(
     s_t: GradedMatrix, w: GradedMatrix
 ) -> Tuple[HilbertPolynomial, HilbertPolynomial]:
-    """`quotient_hilbert_data` for s_t = s|_{a=0} and the composite w."""
-    pres_n = modgb.groebner_basis(s_t)
-    pres_u = modgb.groebner_basis(w)
-    p_n = pres_n.hilbert_polynomial()
-    start = min(s_t.col_degrees) - 1
-    budget_candidates = [
-        b for b in (pres_n.certified_degree(), pres_u.certified_degree()) if b is not None
-    ]
-    budget = min(budget_candidates) if budget_candidates else start + 40
-
-    def q_dim(n: int) -> int:
-        return pres_n.hilbert_function(n) - pres_u.hilbert_function(n)
-
-    p_q = modgb.fit_cubic_window(q_dim, start, budget)
-    return p_n, p_q
+    """`quotient_hilbert_data` for s_t = s|_{a=0} and the composite w: the
+    columns of w lie in the column module of s_t, so P_Q = P_N - P_U with U
+    the column module of w."""
+    p_n = modgb.groebner_basis(s_t).hilbert_polynomial()
+    return p_n, p_n - modgb.groebner_basis(w).hilbert_polynomial()
 
 
 def family_degree_genus(

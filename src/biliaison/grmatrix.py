@@ -31,14 +31,15 @@ no module-level cache: a matrix derived again is a new object with nothing
 kept, so code that needs a result twice passes the matrix it already has.
 `truncate_columns` returns the matrix itself when it keeps every column.
 
-One kernel, evaluation plus exact linear algebra mod p, serves every
-determinant and rank; there is no symbolic elimination.  A determinant
-beyond 3 x 3 (closed forms) is evaluated on a grid, its values are taken
-mod p in one batch, and interpolation recovers it.  Evaluation at seeded
-points certifies a full-rank block, and gives the exact rank of a block
-whose entries involve one variable only; any other block takes a Groebner
+Determinants take evaluation plus exact linear algebra mod p: one beyond
+3 x 3 (closed forms) is evaluated on a grid, its values are taken mod p in
+one batch, and interpolation recovers it.  Evaluation at seeded points
+certifies a full-rank block, and gives the exact rank of a block whose
+entries involve one variable only; any other block takes a Groebner
 leading-component count.  Rank modulo a linear form substitutes for one
-variable.  Neither accepts the parameter a.  Everything is exact; sampling
+variable; rank modulo a hypersurface f of higher degree is the one symbolic
+elimination, pivoting on entries coprime to f over S/(f) (`_eliminate_mod`).
+Neither accepts the parameter a.  Everything is exact; sampling
 only ever produces certificates, never answers.
 """
 
@@ -113,12 +114,6 @@ class CharFunction:
         """f#(n) = sum of multiplicities in degrees <= n."""
         return sum(m for d, m in self.support.items() if d <= n)
 
-    def inf(self) -> Optional[int]:
-        return min(self.support) if self.support else None
-
-    def sup(self) -> Optional[int]:
-        return max(self.support) if self.support else None
-
     def weighted_sum(self) -> int:
         """Sum of n * f(n)."""
         return sum(d * m for d, m in self.support.items())
@@ -144,7 +139,11 @@ class CharFunction:
 
     @staticmethod
     def from_json(obj: Dict[str, int]) -> "CharFunction":
-        return CharFunction({int(d): int(m) for d, m in obj.items()})
+        """The map of a JSON object {"degree": multiplicity}: a float or a
+        bool is refused with `ValueError`, not truncated."""
+        if not isinstance(obj, dict) or not all(type(m) is int for m in obj.values()):
+            raise ValueError("expected an object of integer multiplicities")
+        return CharFunction({int(d): m for d, m in obj.items()})
 
 
 class GradedMatrix:
@@ -360,12 +359,15 @@ class GradedMatrix:
     @staticmethod
     def from_json(obj: dict) -> "GradedMatrix":
         field = FieldSpec.from_json(obj["field"])
+        degrees = (obj["row_degrees"], obj["col_degrees"])
+        if not all(isinstance(ds, list) and all(type(d) is int for d in ds) for ds in degrees):
+            raise ValueError("row_degrees and col_degrees must be lists of integers")
         rows = obj["entries"]
         if not (isinstance(rows, list) and all(
                 isinstance(row, list) and all(isinstance(s, str) for s in row) for row in rows)):
             raise ValueError("entries must be a list of rows, each a list of polynomial strings")
         entries = [[MultiPoly.parse(s, field) for s in row] for row in rows]
-        return GradedMatrix(field, obj["row_degrees"], obj["col_degrees"], entries)
+        return GradedMatrix(field, *degrees, entries)
 
     @staticmethod
     def load(path: str) -> "GradedMatrix":

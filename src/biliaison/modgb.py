@@ -1,10 +1,10 @@
 """Groebner bases for submodules of graded free modules over k[X,Y,Z,T].
 
-The engine powers five consumers: membership tests, Hilbert functions (by
-counting monomials in the leading-term module through Hilbert-series
-numerators), windowed cubic Hilbert polynomials, degreewise syzygies and
-minimal generator counts (plain exact linear algebra, independent of the
-Groebner machinery), and the local-freeness check: `has_constant_rank` asks
+The engine powers five consumers: membership tests, Hilbert functions and
+Hilbert polynomials (both read off the leading-term module through
+Hilbert-series numerators), degreewise syzygies and minimal generator
+counts (plain exact linear algebra, independent of the Groebner
+machinery), and the local-freeness check: `has_constant_rank` asks
 whether the rank-level minors of each block cut out the empty set, first
 from their values (below), and otherwise by `is_empty_projective_locus` on
 the distinct symbolic minors, which is one uncapped basis.
@@ -41,10 +41,10 @@ homogeneous input: a new element of degree d has a lead that no earlier
 lead divides, so all of its pairs have degree > d.  An optional degree cap
 stops the run before the first degree above it, so a capped run holds no
 element above the cap, input generators included; it certifies every
-leading term up to the cap and is exactly what the Hilbert-function
-consumers need.  The order of the reductions changes no result: a reduced
-Groebner basis, capped or not, is unique for a fixed order, and every
-consumer reads only the module and that basis.
+leading term up to the cap, so it gives the Hilbert function up to the cap
+and no Hilbert polynomial.  The order of the reductions changes no result:
+a reduced Groebner basis, capped or not, is unique for a fixed order, and
+every consumer reads only the module and that basis.
 
 Packed term keys.  Inside the engine a term (comp, e0, e1, e2, e3) is one
 int holding five fixed-width fields of _BITS = 10 bits, most significant
@@ -101,11 +101,20 @@ elements are found: then the leads fill bound(d) >= dim M_d, the basis is a
 Groebner basis up to degree d, and every row left reduces into the span of
 the elements found, which changes nothing.  The bound is tight for a free
 module, such as the image of an injective composite s_t v, and never met
-by a module with syzygies in that degree.  `fit_cubic_window` reads the
-Hilbert function once per degree (each presentation keeps its values) and
-fits in integers: ten values lie on one cubic iff their fourth differences
-vanish, and the cubic is then the Newton forward form
-sum_{k <= 3} D^k(w) C(n - w, k) from the window's first degree w.
+by a module with syzygies in that degree.
+
+Hilbert polynomials, exact.  A module and its leading-term module have the
+same Hilbert function (Macaulay's basis theorem; Eisenbud, Commutative
+Algebra, GTM 150, ch. 15).  In component c of degree a_c the leads generate
+a monomial ideal I_c, and S/I_c has the Hilbert series
+N_c(t) / (1 - t)^4 (`_hilbert_numerator`), so the module's Hilbert series is
+sum_s count_s t^s / (1 - t)^4, where each leading component adds +1 at
+s = a_c and -c_j at s = a_c + j for the coefficients c_j of N_c.  Its
+Hilbert function is sum_s count_s binom3(n - s), and binom3(m) agrees with
+the cubic C(m + 3, 3) for m >= -3, so from n = max s - 3 on the function
+equals sum_s count_s C(n - s + 3, 3): that sum is the Hilbert polynomial,
+with no window to guess.  A basis truncated at its cap knows no lead above
+it, so it has no polynomial.
 
 Reducer tables.  Which basis element reduces a term is decided once per
 degree piece, not once per step (F4's symbolic preprocessing): an int32
@@ -140,7 +149,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -362,9 +371,7 @@ class SubmodulePresentation:
         self._by_component: Dict[int, List[_Vec]] = {}
         for v in gb:
             self._by_component.setdefault(v.lead()[0], []).append(v)
-        self._numerators: Dict[int, List[int]] = {}
-        self._hilbert: Dict[int, int] = {}  # degree -> dim of the submodule there
-        self._polynomial: Optional[HilbertPolynomial] = None  # at the default budget
+        self._shifts: Optional[Dict[int, int]] = None  # s -> count_s of the Hilbert series
         self._reducers = _Reducers(_DegreePieces(ambient_degrees), field.characteristic, gb)
 
     # --- leading term data -------------------------------------------------
@@ -375,10 +382,6 @@ class SubmodulePresentation:
         """Minimal generators of the leading-term ideal in ``comp``: the leads
         of the reduced basis there."""
         return [v.lead()[1:] for v in self._by_component.get(comp, [])]
-
-    def certified_degree(self) -> Optional[int]:
-        """Largest degree whose graded piece the (possibly capped) GB certifies."""
-        return self.truncated_at
 
     def _check_degree(self, n: int) -> None:
         if self.truncated_at is not None and n > self.truncated_at:
@@ -402,40 +405,33 @@ class SubmodulePresentation:
         return self.normal_form(v).is_zero()
 
     # --- Hilbert data ----------------------------------------------------------
-    def _numerator(self, comp: int) -> List[int]:
-        if comp not in self._numerators:
-            self._numerators[comp] = _hilbert_numerator(self.lt_generators(comp))
-        return self._numerators[comp]
+    def _shift_counts(self) -> Dict[int, int]:
+        """count_s of the Hilbert series sum_s count_s t^s / (1 - t)^4, read off
+        the leads (see "Hilbert polynomials, exact")."""
+        if self._shifts is None:
+            counts: Dict[int, int] = {}
+            for comp in self._by_component:
+                a = self.ambient_degrees[comp]
+                counts[a] = counts.get(a, 0) + 1
+                for j, c in enumerate(_hilbert_numerator(self.lt_generators(comp))):
+                    counts[a + j] = counts.get(a + j, 0) - c
+            self._shifts = counts
+        return self._shifts
 
     def hilbert_function(self, n: int) -> int:
-        """dim_k of the degree-n piece of the submodule (kept by degree)."""
-        if n not in self._hilbert:
-            self._check_degree(n)
-            total = 0
-            for comp in self._by_component:
-                d = n - self.ambient_degrees[comp]
-                if d < 0:
-                    continue
-                num = self._numerator(comp)
-                total += binom3(d) - sum(c * binom3(d - j) for j, c in enumerate(num) if c)
-            self._hilbert[n] = total
-        return self._hilbert[n]
+        """dim_k of the degree-n piece of the submodule."""
+        self._check_degree(n)
+        return sum(c * binom3(n - s) for s, c in self._shift_counts().items())
 
-    def hilbert_polynomial(self, budget: Optional[int] = None) -> "HilbertPolynomial":
-        """Cubic agreeing with the Hilbert function from the fitted window on
-        (see `fit_cubic_window`).  The fit at the default budget is kept."""
-        if budget is None and self._polynomial is not None:
-            return self._polynomial
-        start = min([self.ambient_degrees[c] for c in self._by_component] or [0])
-        top = budget if budget is not None else self.truncated_at
-        if top is None:
-            top = start + 40
+    def hilbert_polynomial(self) -> "HilbertPolynomial":
+        """The Hilbert polynomial, exact: equal to the Hilbert function from
+        degree max s - 3 on.  A truncated basis raises `BudgetExhaustedError`."""
         if self.truncated_at is not None:
-            top = min(top, self.truncated_at)
-        poly = fit_cubic_window(self.hilbert_function, start, top)
-        if budget is None:
-            self._polynomial = poly
-        return poly
+            raise BudgetExhaustedError(
+                f"the basis is truncated at degree {self.truncated_at}; "
+                "its Hilbert polynomial needs a full basis"
+            )
+        return HilbertPolynomial.shifted(self._shift_counts())
 
 
 @dataclass(frozen=True)
@@ -454,27 +450,26 @@ class HilbertPolynomial:
         return HilbertPolynomial(tuple(cs))
 
     @staticmethod
-    def zero() -> "HilbertPolynomial":
-        return HilbertPolynomial.from_coeffs([])
-
-    @staticmethod
     def binomial_shift(k: int) -> "HilbertPolynomial":
         """C(n - k + 3, 3) as a cubic in n."""
-        # (n-k+3)(n-k+2)(n-k+1)/6
-        a, b, c = 3 - k, 2 - k, 1 - k
-        c0 = Fraction(a * b * c, 6)
-        c1 = Fraction(a * b + a * c + b * c, 6)
-        c2 = Fraction(a + b + c, 6)
-        c3 = Fraction(1, 6)
-        return HilbertPolynomial((c0, c1, c2, c3))
+        return HilbertPolynomial.shifted({k: 1})
+
+    @staticmethod
+    def shifted(counts: Dict[int, int]) -> "HilbertPolynomial":
+        """sum_s counts[s] * C(n - s + 3, 3), summed in integers as six
+        times the coefficients: C(n - s + 3, 3) = (n + a)(n + b)(n + c) / 6
+        with a, b, c = 3 - s, 2 - s, 1 - s."""
+        six = [0, 0, 0, 0]
+        for s, m in counts.items():
+            a, b, c = 3 - s, 2 - s, 1 - s
+            for i, x in enumerate((a * b * c, a * b + a * c + b * c, a + b + c, 1)):
+                six[i] += m * x
+        return HilbertPolynomial(tuple(Fraction(x, 6) for x in six))
 
     @staticmethod
     def dissociated(char_fn: CharFunction) -> "HilbertPolynomial":
         """Hilbert polynomial of a free module with the given shape."""
-        out = HilbertPolynomial.zero()
-        for d, m in sorted(char_fn.support.items()):
-            out = out + HilbertPolynomial.binomial_shift(d).scale(m)
-        return out
+        return HilbertPolynomial.shifted(char_fn.support)
 
     def __call__(self, n: int) -> Fraction:
         c0, c1, c2, c3 = self.coeffs
@@ -486,36 +481,11 @@ class HilbertPolynomial:
     def __sub__(self, other: "HilbertPolynomial") -> "HilbertPolynomial":
         return HilbertPolynomial(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def scale(self, c) -> "HilbertPolynomial":
-        c = Fraction(c)
-        return HilbertPolynomial(tuple(a * c for a in self.coeffs))
-
     def to_json(self) -> List[str]:
         return [str(c) for c in self.coeffs]
 
     def __str__(self) -> str:
         return " + ".join(f"({c})*n^{k}" for k, c in enumerate(self.coeffs) if c != 0) or "0"
-
-
-def fit_cubic_window(values: Callable[[int], int], start: int, budget: int) -> HilbertPolynomial:
-    """Cubic through the first window of ten consecutive degrees w..w+9,
-    start <= w and w + 9 <= budget, whose values lie on one cubic: their
-    fourth differences vanish.  Each degree is evaluated once, and the
-    cubic is the Newton forward form sum_k D^k(w) C(n - w, k), k <= 3."""
-    window: List[int] = []
-    for n in range(start, budget + 1):
-        window = window[-9:] + [values(n)]
-        diffs = [window]  # diffs[k]: the k-th forward differences
-        for _ in range(4):
-            diffs.append([b - a for a, b in zip(diffs[-1], diffs[-1][1:])])
-        if len(window) == 10 and not any(diffs[4]):
-            w, six_p, falling = n - 9, [0] * 4, [1]
-            for k in range(4):  # falling = k! C(n - w, k), coefficients in n
-                for i, x in enumerate(falling):
-                    six_p[i] += (6, 6, 3, 1)[k] * diffs[k][0] * x
-                falling = [x * (-w - k) + y for x, y in zip(falling + [0], [0] + falling)]
-            return HilbertPolynomial(tuple(Fraction(c, 6) for c in six_p))
-    raise BudgetExhaustedError(f"no stable cubic window within degree budget {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -731,23 +701,14 @@ def _buchberger(
     return basis, truncated_at
 
 
-def default_degree_cap(gens: GradedMatrix) -> int:
-    top = max(gens.col_degrees) if gens.col_degrees else 0
-    return top + 8
-
-
-def groebner_basis(
-    gens: GradedMatrix, degree_cap: Optional[int] = "default"
-) -> SubmodulePresentation:
+def groebner_basis(gens: GradedMatrix, degree_cap: Optional[int] = None) -> SubmodulePresentation:
     """Reduced Groebner basis of the column module of ``gens``.
 
     ``degree_cap`` bounds the degree of the S-pairs and of the generators
-    the run takes in; "default" means max(column degrees) + 8, None means no
-    cap.  The presentations are kept on ``gens`` by cap, and a run that
-    never reached its cap is a full basis, which serves every cap.
+    the run takes in; None, the default, means no cap.  The presentations
+    are kept on ``gens`` by cap, and a run that never reached its cap is a
+    full basis, which serves every cap.
     """
-    if degree_cap == "default":
-        degree_cap = default_degree_cap(gens)
     bases = gens.kept("groebner", dict)  # cap -> presentation; None -> a full basis
     pres = bases.get(degree_cap, bases.get(None))
     if pres is None:
@@ -763,8 +724,7 @@ def groebner_basis(
 
 def leading_component_rank(gens: GradedMatrix) -> int:
     """Rank of the column module = number of components hit by leading terms."""
-    pres = groebner_basis(gens, degree_cap=None)
-    return len(pres.leading_components())
+    return len(groebner_basis(gens).leading_components())
 
 
 # ---------------------------------------------------------------------------
@@ -1033,5 +993,5 @@ def is_empty_projective_locus(gens: Iterable[MultiPoly]) -> bool:
         if g.is_constant():
             return True
     matrix = GradedMatrix(gens[0].field, [0], [int(g.degree) for g in gens], [gens], validate=False)
-    lts = groebner_basis(matrix, degree_cap=None).lt_generators(0)
+    lts = groebner_basis(matrix).lt_generators(0)
     return all(any(e[var] == sum(e) for e in lts) for var in range(4))

@@ -113,7 +113,10 @@ class FieldSpec:
     def from_json(obj: dict) -> "FieldSpec":
         if obj.get("kind") != "prime":
             raise ValueError(f"unsupported field kind {obj.get('kind')!r}: only prime fields are supported")
-        return FieldSpec(int(obj["characteristic"]))
+        p = obj["characteristic"]
+        if type(p) is not int:
+            raise ValueError(f"characteristic {p!r} is not an integer")
+        return FieldSpec(p)
 
 
 def monomial_key(e: Expo) -> tuple:
@@ -364,25 +367,6 @@ class MultiPoly:
         return self._new(quo), self._new(out)
 
     # substitution / evaluation -------------------------------------------
-    def specialize_parameter(self, value: Scalar) -> "MultiPoly":
-        """Substitute a := value; realizes the closed fiber at value 0."""
-        value = self.field.normalize(value)
-        out: Dict[Expo, Scalar] = {}
-        p = self.field.characteristic
-        for e, c in self.terms.items():
-            k = e[PARAM_INDEX]
-            if k:
-                c = (c * pow(value, k, p)) % p
-                if c == 0:
-                    continue
-            e = (e[0], e[1], e[2], e[3], 0)
-            v = (out.get(e, 0) + c) % p
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return self._new(out)
-
     def substitute(self, images: Dict[int, "MultiPoly"]) -> "MultiPoly":
         """Substitute variables by polynomials (variable index -> image)."""
         result = MultiPoly.zero(self.field)

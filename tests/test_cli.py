@@ -366,6 +366,40 @@ def test_check_p_malformed():
     assert code == 2
 
 
+@pytest.mark.parametrize("p", ['{"2": 3.7}', '{"2": true, "3": 2}', '{"2.0": 3}', '[3]'],
+                         ids=["float", "bool", "float-degree", "not-an-object"])
+def test_check_p_refuses_what_is_not_an_integer(p):
+    # a float or a bool is refused, never truncated to an admissible shape
+    code, out, _ = run(["check-p", "--fixture", "3.2", "--p", p])
+    assert code == 2
+    assert out.startswith("error: malformed p")
+
+
+def test_check_p_reads_p_before_the_local_freeness_check(monkeypatch):
+    def refuse(m):
+        raise AssertionError("local freeness was checked first")
+
+    monkeypatch.setattr(modgb, "has_constant_rank", refuse)
+    code, out, _ = run(["check-p", "--fixture", "3.2", "--p", '{"2": 3.7}'])
+    assert code == 2
+    assert out.startswith("error: malformed p")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("row_degrees", [0.9]), ("row_degrees", [False]), ("col_degrees", [1, 1, 1.0, 1]),
+    ("field", {"kind": "prime", "characteristic": 32003.0}),
+], ids=["float-row", "bool-row", "float-column", "float-characteristic"])
+def test_matrix_json_numbers_must_be_integers(tmp_path, key, value):
+    obj = {"field": {"kind": "prime", "characteristic": 32003}, "row_degrees": [0],
+           "col_degrees": [1, 1, 1, 1], "entries": [["X", "Y", "Z", "T"]]}
+    obj[key] = value
+    path = tmp_path / "degrees.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(["qprofile", "--input", str(path)])
+    assert code == 2
+    assert "is not an integer" in out or "must be lists of integers" in out
+
+
 # ---------------------------------------------------------------------------
 # examples
 

@@ -145,6 +145,28 @@ def test_minimal_family_34_at_seed_11(example_runs):
     assert report.q.support == exp["q"]
 
 
+def _koszul_dvr(k: int) -> GradedMatrix:
+    """The DVR block matrix of sigma1 = (X, Y, Z, T^k) and its Koszul
+    syzygies: the V of `koszul_matrices` with T replaced by T^k."""
+    _, V, _ = fixtures.koszul_matrices(F)
+    sigma1 = M([0], [1, 1, 1, k], [["X", "Y", "Z", f"T^{k}"]])
+    grid = [[str(q).replace("T", f"T^{k}") for q in row] for row in V.entries]
+    col_degrees = [2, 2, k + 1, 2, k + 1, k + 1]  # the pairs XY, XZ, XT^k, YZ, YT^k, ZT^k
+    return fixtures.block_dvr_matrix(sigma1, M(sigma1.col_degrees, col_degrees, grid))
+
+
+def test_minimal_family_of_a_late_saturating_koszul_input():
+    # N's column module agrees with its Hilbert polynomial only from about
+    # degree k on; the polynomial read off the leads needs no window
+    s = _koszul_dvr(10)
+    report = families.minimal_family(s)
+    assert (report.deg_N, report.h0, report.d0, report.g0) == (-13, 2, 15, 57)
+    p_n = report.conservation[0]
+    s_t = s.specialize_closed_point()
+    for n in (10, 11):
+        assert p_n(n) == modgb.module_dimension_oracle(s_t, n)
+
+
 # ---------------------------------------------------------------------------
 # degree and genus
 

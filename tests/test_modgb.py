@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -245,7 +244,7 @@ def _reduced_basis(gens, monkeypatch, chunk_cells=None):
     if chunk_cells is not None:
         monkeypatch.setattr(modgb, "_MAX_PIECE", chunk_cells)
     gb, truncated_at = modgb._buchberger(
-        modgb._column_vecs(gens), F, gens.row_degrees, modgb.default_degree_cap(gens))
+        modgb._column_vecs(gens), F, gens.row_degrees, None)
     monkeypatch.undo()
     return [sorted(v.terms.items()) for v in gb], truncated_at, blocks, max(pieces)
 
@@ -499,76 +498,40 @@ def test_hilbert_vs_dense_oracle_random():
             assert pres.hilbert_function(n) == modgb.module_dimension_oracle(gens, n)
 
 
-def _fraction_cubic(ns, values) -> HilbertPolynomial:
-    """Oracle: the cubic through four points by an exact rational solve."""
-    rows = [[Fraction(n) ** k for k in range(4)] + [Fraction(v)] for n, v in zip(ns, values)]
-    for c in range(4):
-        piv = next(r for r in range(c, 4) if rows[r][c] != 0)
-        rows[c], rows[piv] = rows[piv], rows[c]
-        rows[c] = [x / rows[c][c] for x in rows[c]]
-        for r in range(4):
-            if r != c:
-                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
-    return HilbertPolynomial(tuple(rows[r][4] for r in range(4)))
+def test_late_saturating_row_has_the_exact_polynomial():
+    # (X, Y, Z, T^12) agrees with C(n + 3, 3) only from degree 12 on: the
+    # leads give the polynomial with no window to find
+    gens = M([0], [1, 1, 1, 12], [["X", "Y", "Z", "T^12"]])
+    pres = modgb.groebner_basis(gens)
+    assert pres.hilbert_polynomial() == HilbertPolynomial.binomial_shift(0)
+    assert pres.hilbert_function(11) == comb(14, 3) - 1
+    assert pres.hilbert_function(12) == comb(15, 3)
+
+
+def _random_module(seed, mixed):
+    """One of the random modules the oracle tests draw."""
+    rng = random.Random(seed)
+    if mixed:
+        return next(_mixed_degree_matrices(rng, 1))
+    col_degs = sorted(rng.choice([1, 2]) for _ in range(rng.randrange(1, 4)))
+    return _random_matrix(rng, [0] * rng.randrange(1, 3), col_degs, 0.5)
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_fit_cubic_window_matches_the_fraction_oracle(seed):
-    # an integer-valued cubic, perturbed at up to three of its first twenty
-    # degrees so that the first windows are not cubic: the fit is the oracle's cubic through the
-    # first four values of the first window it accepts, and each degree is
-    # evaluated once, never past the budget
-    rng = random.Random(seed)
-    a = [rng.randrange(-20, 20) for _ in range(4)]
-    start = rng.randrange(-4, 4)
-    noise = {n: rng.choice([-2, -1, 1, 2]) for n in rng.sample(range(start, start + 20), rng.randrange(4))}
-    budget = start + rng.randrange(4, 30)
-
-    def plain(n):
-        return (a[0] + a[1] * n + a[2] * n * (n - 1) // 2 + a[3] * n * (n - 1) * (n - 2) // 6
-                + noise.get(n, 0))
-
-    want = None
-    for w in range(start, budget - 8):
-        fit = _fraction_cubic(range(w, w + 4), [plain(n) for n in range(w, w + 4)])
-        if all(fit(n) == plain(n) for n in range(w, w + 10)):
-            want = fit
-            break
-    seen = []
-
-    def values(n):
-        assert n <= budget and n not in seen
-        seen.append(n)
-        return plain(n)
-
-    if want is None:
-        with pytest.raises(modgb.BudgetExhaustedError):
-            modgb.fit_cubic_window(values, start, budget)
-        assert seen == list(range(start, budget + 1))
-    else:
-        assert modgb.fit_cubic_window(values, start, budget) == want
-
-
-def test_fit_cubic_window_slides_past_perturbed_values():
-    # values off at n = 2 and n = 12: the windows from 0 to 12 each hold one
-    # of them, as their first value (w = 2, 12) or their last (w = 3)
-    def values(n):
-        return (n + 3) * (n + 2) * (n + 1) // 6 + (5 if n in (2, 12) else 0)
-
-    assert modgb.fit_cubic_window(values, 0, 22) == HilbertPolynomial.binomial_shift(0)
-    with pytest.raises(modgb.BudgetExhaustedError):
-        modgb.fit_cubic_window(values, 0, 21)
-
-
-def test_hilbert_polynomial_matches_function_beyond_window():
-    s_t = fixtures.example("3.3").matrix.specialize_closed_point()
-    pres = modgb.groebner_basis(s_t)
+@given(seed=st.integers(0, 2**32 - 1), mixed=st.booleans())
+def test_hilbert_polynomial_matches_function_from_the_numerator_degree(seed, mixed):
+    # binom3(n - s) is the cubic C(n - s + 3, 3) from n = s - 3 on, so from
+    # the largest shift a_c + deg N_c, less 3, the polynomial read off the
+    # leads is the Hilbert function, and the dense oracle agrees (a unit
+    # lead has N_c = 0 and the one shift a_c)
+    gens = _random_module(seed, mixed)
+    pres = modgb.groebner_basis(gens)
     hp = pres.hilbert_polynomial()
-    top = pres.certified_degree()
-    probes = (top - 2, top - 1, top) if top is not None else (10, 11, 12)
-    for n in probes:
-        assert hp(n) == pres.hilbert_function(n)
+    numerators = {c: modgb._hilbert_numerator(pres.lt_generators(c)) for c in pres.leading_components()}
+    start = max((pres.ambient_degrees[c] + max(len(num) - 1, 0) for c, num in numerators.items()),
+                default=0) - 3
+    for n in range(start, start + 3):
+        assert hp(n) == pres.hilbert_function(n) == modgb.module_dimension_oracle(gens, n)
 
 
 # ---------------------------------------------------------------------------
@@ -913,20 +876,24 @@ def test_fixture_blocks_are_certified_from_values(name, monkeypatch):
 
 
 def test_truncated_basis_raises_beyond_certified_degree():
+    # the S-pairs of (X, Y, Z, T) have degree 2, above a cap of 1
     gens = M([0], [1, 1, 1, 1], [["X", "Y", "Z", "T"]])
-    pres = modgb.groebner_basis(gens, degree_cap=2)
-    assert pres.hilbert_function(2) == comb(5, 3)
-    if pres.truncated_at is not None:
-        with pytest.raises(modgb.BudgetExhaustedError):
-            pres.hilbert_function(pres.truncated_at + 1)
+    pres = modgb.groebner_basis(gens, degree_cap=1)
+    assert pres.truncated_at == 1
+    assert pres.hilbert_function(1) == 4
+    with pytest.raises(modgb.BudgetExhaustedError):
+        pres.hilbert_function(2)
 
 
 def test_hilbert_polynomial_budget_error():
     gens = M([0], [1, 1, 1, 1], [["X", "Y", "Z", "T"]])
-    pres = modgb.groebner_basis(gens, degree_cap=4)
-    if pres.truncated_at is not None:
-        with pytest.raises(modgb.BudgetExhaustedError):
-            pres.hilbert_polynomial(budget=4)
+    pres = modgb.groebner_basis(gens, degree_cap=1)
+    assert pres.truncated_at == 1
+    with pytest.raises(modgb.BudgetExhaustedError):
+        pres.hilbert_function(2)
+    with pytest.raises(modgb.BudgetExhaustedError):
+        pres.hilbert_polynomial()
+    assert modgb.groebner_basis(gens).hilbert_polynomial() == HilbertPolynomial.binomial_shift(0)
 
 
 # ---------------------------------------------------------------------------

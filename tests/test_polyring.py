@@ -100,16 +100,6 @@ def test_field_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# specialization of the parameter
-
-
-def test_specialize_examples():
-    assert P("X + a*Y").specialize_parameter(0) == P("X")
-    assert P("a").specialize_parameter(0).is_zero()
-    assert P("X + a*Y").specialize_parameter(1) == P("X + Y")
-
-
-# ---------------------------------------------------------------------------
 # gcds
 
 
@@ -357,14 +347,6 @@ def polys(draw):
 @given(polys(), polys(), polys())
 def test_distributivity(p, q, r):
     assert (p + q) * r == p * r + q * r
-
-
-@settings(max_examples=60, deadline=None)
-@given(polys(), polys())
-def test_specialize_is_multiplicative(p, q):
-    for v in (0, 1, 5):
-        assert (p * q).specialize_parameter(v) == \
-            p.specialize_parameter(v) * q.specialize_parameter(v)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,9 @@
 """Time the plane certificate, `qprofile._restricted_minor_gcd`, in process.
 
-Run from the root of a source checkout (no install step):
+The certificate evaluates each block once on a seeded line and takes the
+determinants of two random k x k combinations V B(t) U of it, at every
+interpolation node, in one batched call; their GCD and the rank at (1 : 0)
+decide.  Run from the root of a source checkout (no install step):
 
     python3 bench/bench_plane_certificate.py --runs 5
 

@@ -96,13 +96,11 @@ def row_pivots_mod_p(a: np.ndarray, k: int, p: int) -> Tuple[np.ndarray, np.ndar
     before them; leads[b], their leads, the pivot columns of their row space.
     One pass over the rows serves the whole stack: each matrix keeps a basis
     of its rows taken so far, monic at its lead and zero at the other leads,
-    and takes a row if reducing it leaves anything.  Reductions sum at most
-    `_eliminate`'s K products before reducing mod p.
+    and takes a row if reducing it leaves anything (by `matmul_mod_p`).
     """
     m = np.array(a, dtype=np.int64) % p
     batch, nrows, ncols = m.shape
     at = np.arange(batch)
-    delay = (2 ** 63 - 1 - p) // (p - 1) ** 2
     basis, rank = np.zeros((batch, k, ncols), dtype=np.int64), np.zeros(batch, dtype=np.int64)
     leads, rows = np.zeros((2, batch, k), dtype=np.int64)
     for i in range(nrows if ncols else 0):
@@ -110,8 +108,7 @@ def row_pivots_mod_p(a: np.ndarray, k: int, p: int) -> Tuple[np.ndarray, np.ndar
             break
         x, width = m[:, i], int(rank.max())
         factors, used = x[at[:, None], leads[:, :width]], basis[:, :width]  # unused: zero rows
-        for s in range(0, width, delay):
-            x = (x - (factors[:, None, s:s + delay] @ used[:, s:s + delay])[:, 0]) % p
+        x = (x - matmul_mod_p(factors[:, None], used, p)[:, 0]) % p
         new = (rank < k) & x.any(axis=1)
         lead = (x != 0).argmax(axis=1)
         x = x * (_inverses_mod_p(x[at, lead], p) * new)[:, None] % p
@@ -120,6 +117,17 @@ def row_pivots_mod_p(a: np.ndarray, k: int, p: int) -> Tuple[np.ndarray, np.ndar
         basis[new, slot], leads[new, slot], rows[new, slot] = x[new], lead[new], i
         rank += new
     return rank == k, rows, leads
+
+
+def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for residues in int64, stacks broadcast as by `@`.  The
+    inner sums are reduced after every `_eliminate`'s K products, so no
+    partial sum leaves int64 at any p that `FieldSpec` admits."""
+    delay = (2 ** 63 - 1 - p) // (p - 1) ** 2
+    out = a[..., :delay] @ b[..., :delay, :] % p
+    for s in range(delay, a.shape[-1], delay):
+        out = (out + a[..., s:s + delay] @ b[..., s:s + delay, :]) % p
+    return out
 
 
 def det_mod_p(a: np.ndarray, p: int) -> np.ndarray:

@@ -331,7 +331,6 @@ _EXIT_CODES = {
     GcdNodesExhaustedError: EXIT_BUDGET,
     qprofile.MassMismatchError: EXIT_PARSE,
     qprofile.ProfileConsistencyError: EXIT_HYPOTHESIS,
-    qprofile.SingularWitnessError: EXIT_HYPOTHESIS,
     families.ConservationError: EXIT_HYPOTHESIS,
     families.PresentationError: EXIT_HYPOTHESIS,
 }

@@ -22,44 +22,51 @@ beta is computed by one minor analysis per block of a block-diagonal matrix,
 where k is the rank of the block; the blocks and their ranks are the ones
 kept on the matrix (`ranked_blocks`).  No minor is enumerated:
 
-1. Plane certificate.  Restrict the block to a seeded random plane, so every
-   entry becomes a binary form in X, Y; the block is only ever evaluated
-   there, once per plane, at the images of the points (t : 1) of the line
-   Y = 1 for t = 0..N-1, where N - 1 bounds the degree of every entry and
-   of every k-minor, at one seeded pivot point (x : 1) per shuffle, and at
-   (1 : 0).  One stacked pass over the values of all shuffles at their
-   pivot points picks, per shuffle, k pivot rows and columns; their minor
-   is nonzero there, hence a nonzero binary form of the known degree D =
-   (sum of column degrees) - (sum of row degrees).  Its values at t = 0..D,
-   from batched determinants mod p over all witnesses, determine it by
-   Newton interpolation, and its value at the pivot point checks it.  Kept
-   densely, as Y^m times the coefficients of its value at (t : 1), these
-   restricted witness minors feed a running GCD g (Euclid mod p, the least
-   power of Y) that stops as soon as it is constant: nonzero restricted
-   k-minors with GCD 1 certify that the k-minors are coprime.
-2. Restricted rank.  If g stays nonconstant, measure the rank of the
-   restricted block modulo g.  Let f = h / gcd(h, h') be the squarefree part
-   of h = g(t, 1) (D < p, so this drops exactly the repeated factors), of
-   degree e.  The block's coefficients in t come from its values at the
-   same nodes; over the ring A = F_p[t]/(f) the block is a map A^cols ->
-   A^rows, written over F_p as the (rows e) x (cols e) matrix whose e x e
-   blocks are sum_n c_n C^n, with c_n the entry's coefficient of t^n and C
-   the companion matrix of f.  A is the product of the fields
-   F_p[t]/(f_i) over the irreducible factors f_i of f, so the F_p-rank of
-   that matrix is sum_i deg f_i * rank_i, where rank_i <= k is the rank of
-   the restricted block modulo f_i; it equals e k exactly when every
-   rank_i is k.  If Y divides g, the rank modulo Y is the rank of the
-   values at (1 : 0), since each entry there keeps only its X^degree
-   term.  Full rank modulo every factor also certifies coprimality.
-   Proof: let F be a nonconstant common factor of all k-minors.  The plane
-   carries a nonzero witness, so F restricted to the plane is a nonzero
-   binary form of positive degree dividing every restricted k-minor, hence
-   dividing g.  One of its irreducible components divides f (or is Y), and
-   modulo that component every restricted k-minor vanishes, so the
-   restricted rank modulo it drops below k.
-3. Honest fallback.  Only when the restricted rank drops modulo g is the GCD
-   of a few true witness minors taken, by `polyring.gcd` (Brown's dense
-   modular GCD, certified by exact division).  Any hypersurface dropping the
+1. Plane certificate.  Restrict the block to a seeded random line, so every
+   entry becomes a binary form in X, Y, and evaluate it there once per
+   attempt: at (t : 1) for t = 0..e, where e bounds the degree of every
+   entry, at one seeded extra node, and at (1 : 0).  The values at t = 0..e
+   give the coefficient matrices of B(t) = sum_n C_n t^n.  For seeded V
+   (k x rows) and U (cols x k) over F_p, Cauchy-Binet gives
+   c(t) = det(V B(t) U) = sum_{I,J} det V[:, I] det B(t)[I, J] det U[J, :],
+   a combination of every restricted k-minor, of degree at most top, the
+   largest degree of a k-minor.  Two such combinations are taken at once:
+   their values at t = 0..top (from P(t) = sum_n (V C_n U) t^n by Horner's
+   rule) and at the extra node (from the values there) by one batched
+   determinant mod p, their coefficients by Newton interpolation, checked
+   at the extra node.  Let g be their GCD (Euclid mod p).  If g is constant
+   and the values at (1 : 0) have rank k, the k-minors are coprime.
+   Proof: let F be a nonconstant common factor of all k-minors.  It divides
+   every restricted k-minor, and the combinations are nonzero, so F
+   restricted to the line is a nonzero binary form whose value at (t : 1)
+   divides both combinations, hence g.  With g constant, F restricts to a
+   multiple of Y^(deg F), so every k-minor vanishes at (1 : 0) and the rank
+   there is below k.  A zero combination, or a rank below k at (1 : 0),
+   moves the certificate to the next line.  Random V and U are the
+   preconditioners of Kaltofen, Krishnamoorthy and Saunders (Linear Algebra
+   Appl. 136, 1990); they choose only the certificate.
+2. Restricted rank.  If g is nonconstant, measure the rank of the restricted
+   block modulo g.  Let f = g / gcd(g, g') be its squarefree part (top < p,
+   so this drops exactly the repeated factors), of degree d.  Over the ring
+   A = F_p[t]/(f) the block is a map A^cols -> A^rows, written over F_p as
+   the (rows d) x (cols d) matrix whose d x d blocks are sum_n c_n C^n, with
+   c_n the entry's coefficient of t^n and C the companion matrix of f.  A is
+   the product of the fields F_p[t]/(f_i) over the irreducible factors f_i
+   of f, so the F_p-rank of that matrix is sum_i deg f_i * rank_i, where
+   rank_i <= k is the rank of the restricted block modulo f_i; it equals
+   d k exactly when every rank_i is k.  Full rank modulo f and rank k at
+   (1 : 0) also certify coprimality: with F as above, either its value at
+   (t : 1) is constant and the rank at (1 : 0) drops, or an irreducible
+   factor of that value divides f, and modulo it every restricted k-minor
+   vanishes, so the restricted rank drops.  The combinations almost always
+   share only the common factors of the restricted k-minors, so the rank
+   passes modulo f only when V and U were unlucky; a drop leaves the block
+   to the honest fallback.
+3. Honest fallback.  Only when the plane certificate fails (the restricted
+   rank drops modulo g, or three lines gave no nonzero combinations with
+   rank k at (1 : 0)) is the GCD of a few true witness minors taken, picked
+   by pivoting at seeded points, by `polyring.gcd` (Brown's dense modular
+   GCD, certified by exact division).  Any hypersurface dropping the
    rank below k divides every k-minor, so the squarefree factors of that GCD
    are a complete candidate list; the rank modulo each candidate is then
    measured exactly on the original matrix.
@@ -73,7 +80,7 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,6 +100,7 @@ from biliaison.grmatrix import (
 from biliaison.polyring import (
     MultiPoly,
     Scalar,
+    _horner,
     _poly_divmod,
     _poly_gcd,
     gcd_many,
@@ -120,10 +128,6 @@ class MassMismatchError(ValueError):
 
 class ProfileConsistencyError(RuntimeError):
     """Computed invariants violate a structural law; hypotheses likely fail."""
-
-
-class SingularWitnessError(RuntimeError):
-    """A plane witness minor vanishes at the pivot point that chose it."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -301,111 +305,89 @@ def _regular_rank(coeffs: np.ndarray, f: List[int], p: int) -> int:
     return _linalg.rank_mod_p(big, p)
 
 
-def _plane_values(
-    block: GradedMatrix, k: int, seed: int, attempt: int, count: int
-) -> Tuple[List[_Run], np.ndarray, int]:
-    """(runs, values, top): the attempt's `count` witness-search runs and the
-    block's values on its seeded plane at (t : 1) for t = 0..top, at the
-    runs' pivot points (x : 1), and at (1 : 0), in this order.  top bounds
-    the degree of every entry and k-minor; top >= p raises
-    `InterpolationRangeError`.
+class PlaneCertificate(NamedTuple):
+    """How `_restricted_minor_gcd` decided a block: the verdict, the number
+    of combinations taken, deg g in the last attempt that took one (None if
+    every combination vanished), and whether the regular rank modulo g and
+    the rank at (1 : 0) were measured."""
+
+    coprime: bool
+    combinations: int
+    gcd_degree: Optional[int]
+    regular_rank: bool
+    at_infinity: bool
+
+
+def _combinations(rng: random.Random, p: int, k: int, nrows: int, ncols: int):
+    """Two seeded pairs over F_p: V of shape (2, k, nrows), U of (2, ncols, k),
+    from one draw of 32-bit words (a residue bias matters only to the odds
+    of a certificate, not to its truth)."""
+    size = 2 * k * (nrows + ncols)
+    words = rng.getrandbits(32 * size).to_bytes(4 * size, "little")
+    draws = np.frombuffer(words, dtype="<u4").astype(np.int64) % p
+    return draws[:2 * k * nrows].reshape(2, k, nrows), draws[2 * k * nrows:].reshape(2, ncols, k)
+
+
+def _restricted_minor_gcd(block: GradedMatrix, k: int, seed: int) -> PlaneCertificate:
+    """Plane certificate of the k-minors of the block (module docstring).
+
+    Verdict True certifies exactly that the k-minors are coprime.  False
+    means the regular rank dropped modulo the GCD of the combinations, or no
+    line of three gave nonzero combinations with rank k at (1 : 0).  An
+    attempt evaluates the block once and takes the two combinations'
+    determinants at t = 0..top and at the extra node in one `det_mod_p`
+    call.  A value at the extra node off the interpolated combination raises
+    `HomogeneityError`; top >= p raises `InterpolationRangeError`.
     """
     p = block.field.characteristic
     rd, cd = block.row_degrees, block.col_degrees
-    top = max(sum(sorted(cd)[-k:]) - sum(sorted(rd)[:k]), max(cd) - min(rd))
+    e = max(cd) - min(rd)
+    top = max(sum(sorted(cd)[-k:]) - sum(sorted(rd)[:k]), e)
     if top >= p:
         raise InterpolationRangeError(
             f"a minor of degree {top} needs {top + 1} interpolation points, "
             f"more than F_{p} has"
         )
-    pairs, _ = random_plane(p, subseed(seed, "plane", attempt))
-    runs = _pivot_runs(block, subseed(seed, "plane-shuffle", attempt), count)
-    line = np.array(pairs, dtype=np.int64)  # (t : 1) -> c t + d, (1 : 0) -> c
-    ts = np.array(list(range(top + 1)) + [x for _, _, (x, *_) in runs], dtype=np.int64)
-    points = np.zeros((len(ts) + 1, 5), dtype=np.int64)
-    points[:-1, :4] = (ts[:, None] * line[:, 0] + line[:, 1]) % p
-    points[-1, :4] = line[:, 0]
-    return runs, block.evaluate_many(points), top
-
-
-def _plane_witnesses(
-    block: GradedMatrix, k: int, runs: Sequence[_Run], values: np.ndarray, top: int
-) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], List[int], int]]:
-    """Nonzero restricted k-minors in run order: (rows, cols, minor, power of Y).
-
-    The minor of degree D is Y^power times the form whose value at (t : 1)
-    has the coefficients `minor`, lowest power first, the last nonzero.  It
-    is interpolated from its values at t = 0..D and checked at the run's
-    pivot point (else `HomogeneityError`, or `SingularWitnessError` for a
-    value 0 there).  The (D + 2) x k x k stacks of the witnesses go to
-    `det_mod_p` in chunks of whole witnesses, at most `modgb._MAX_PIECE`
-    cells a call, each chunk only once its first witness is asked for.
-    """
-    p = block.field.characteristic
-    rd, cd = block.row_degrees, block.col_degrees
-    cap = max(1, modgb._MAX_PIECE // (k * k))  # matrices per det_mod_p call
-    chunks: List[list] = []
-    for rows, cols, t in _pivot_sets(runs, values[top + 1:-1], k, p):
-        degree = sum(cd[j] for j in cols) - sum(rd[i] for i in rows)
-        if degree < 0:
-            raise HomogeneityError(f"a {k} x {k} minor is not homogeneous of degree {degree}")
-        if not chunks or sum(d + 2 for *_, d in chunks[-1]) + degree + 2 > cap:
-            chunks.append([])  # a witness larger than a chunk goes alone, in slices
-        chunks[-1].append((rows, cols, t, degree))
-    for chunk in chunks:
-        stack = np.concatenate([values[np.ix_(list(range(d + 1)) + [top + 1 + t], rows, cols)]
-                                for rows, cols, t, d in chunk])
-        dets = np.concatenate([_linalg.det_mod_p(stack[i:i + cap], p)
-                               for i in range(0, len(stack), cap)])
-        for rows, cols, t, degree in chunk:
-            own, dets = dets[:degree + 2], dets[degree + 2:]
-            if not own[-1]:
-                raise SingularWitnessError(f"witness {rows} x {cols} vanishes at its pivot point")
-            minor = np.trim_zeros(_newton_coefficients(own[:-1], 0, p), "b").tolist()
-            if sum(c * pow(runs[t][2][0], n, p) for n, c in enumerate(minor)) % p != own[-1]:
-                raise HomogeneityError(f"a {k} x {k} minor is not homogeneous of degree {degree}")
-            yield rows, cols, minor, degree + 1 - len(minor)
-
-
-def _restricted_minor_gcd(
-    block: GradedMatrix, k: int, seed: int, sample_size: int = 6
-) -> Tuple[bool, List[Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
-    """Plane certificate: (verdict, witness index sets).
-
-    Verdict True certifies exactly that the k-minors of the block are
-    coprime, by a constant GCD of restricted witness minors or by full
-    restricted rank modulo that GCD (module docstring); False means the GCD
-    lowered the restricted rank, or no plane kept rank k.  The index sets
-    carry provably nonzero minors of the original block.  An attempt
-    evaluates the block once (`_plane_values`), picks all its witnesses in
-    one stacked pass, and takes determinant chunks until the GCD is constant.
-    """
-    p = block.field.characteristic
+    nodes = np.arange(top + 1, dtype=np.int64)[:, None, None]
+    done = PlaneCertificate(False, 0, None, False, False)
     for attempt in range(3):
-        runs, values, top = _plane_values(block, k, seed, attempt, sample_size)
-        index_sets = []
-        g: Optional[List[int]] = None  # the running GCD: Y^y_power times the form
-        # whose value at (t : 1) is the monic g(t)
-        y_power = 0
-        for rows, cols, minor, y in _plane_witnesses(block, k, runs, values, top):
-            index_sets.append((rows, cols))
-            y_power = y if g is None else min(y_power, y)
-            g = _poly_gcd(minor, [] if g is None else g, p)
-            if len(g) == 1 and not y_power:
-                return True, index_sets
-        if g is None:
-            continue  # unlucky plane: restricted rank dropped
-        coprime = True
+        pairs, _ = random_plane(p, subseed(seed, "plane", attempt))
+        rng = random.Random(subseed(seed, "combination", attempt))
+        extra = rng.randrange(1, p)
+        v, u = _combinations(rng, p, k, block.nrows, block.ncols)
+        line = np.array(pairs, dtype=np.int64)  # (t : 1) -> c t + d, (1 : 0) -> c
+        ts = np.array(list(range(e + 1)) + [extra], dtype=np.int64)
+        points = np.zeros((e + 3, 5), dtype=np.int64)
+        points[:-1, :4] = (ts[:, None] * line[:, 0] + line[:, 1]) % p
+        points[-1, :4] = line[:, 0]
+        values = block.evaluate_many(points)
+        coeffs = _newton_coefficients(values[:e + 1], 0, p)
+        small = _linalg.matmul_mod_p(_linalg.matmul_mod_p(v[:, None], coeffs, p), u[:, None], p)
+        at = np.zeros((2, top + 1, k, k), dtype=np.int64)
+        for n in range(e, -1, -1):
+            at = (at * nodes + small[:, n, None]) % p
+        at_extra = _linalg.matmul_mod_p(_linalg.matmul_mod_p(v, values[e + 1], p), u, p)
+        stack = np.concatenate([at, at_extra[:, None]], axis=1).reshape(-1, k, k)
+        dets = _linalg.det_mod_p(stack, p).reshape(2, top + 2)
+        c1, c2 = (np.trim_zeros(c, "b").tolist()
+                  for c in _newton_coefficients(dets[:, :-1], 1, p))
+        if [_horner(c1, extra, p), _horner(c2, extra, p)] != dets[:, -1].tolist():
+            raise HomogeneityError(f"a {k} x {k} minor is not homogeneous of degree <= {top}")
+        done = done._replace(combinations=done.combinations + 2)
+        if not c1 or not c2:
+            continue  # the restricted k-minors vanish, or V and U were unlucky
+        g = _poly_gcd(c1, c2, p)
+        done = done._replace(gcd_degree=len(g) - 1)
         if len(g) > 1:
             slope = [i * c % p for i, c in enumerate(g)][1:]
             radical = _poly_divmod(g, _poly_gcd(g, slope, p), p)[0]
-            entry_top = max(block.col_degrees) - min(block.row_degrees)
-            coeffs = _newton_coefficients(values[:entry_top + 1], 0, p)
-            coprime = _regular_rank(coeffs, radical, p) == (len(radical) - 1) * k
-        if y_power:
-            coprime = coprime and _linalg.rank_mod_p(values[-1], p) == k
-        return coprime, index_sets
-    return False, []
+            done = done._replace(regular_rank=True)
+            if _regular_rank(coeffs, radical, p) != (len(radical) - 1) * k:
+                return done
+        done = done._replace(at_infinity=True)
+        if _linalg.rank_mod_p(values[-1], p) == k:
+            return done._replace(coprime=True)
+    return done
 
 
 def coprime_minor_analysis(w: GradedMatrix, seed: int = DEFAULT_SEED) -> MinorAnalysis:
@@ -420,11 +402,10 @@ def coprime_minor_analysis(w: GradedMatrix, seed: int = DEFAULT_SEED) -> MinorAn
     k = sum(kb for _, kb in blocks)
     overall = MultiPoly.one(w.field)
     for bi, (sub, kb) in enumerate(blocks):
-        coprime, index_sets = _restricted_minor_gcd(sub, kb, subseed(seed, "block", bi))
-        if coprime:
+        if _restricted_minor_gcd(sub, kb, subseed(seed, "block", bi)).coprime:
             continue
         notes.append(f"block {bi}: plane certificate inconclusive, honest fallback")
-        g = _honest_sampled_gcd(sub, kb, subseed(seed, "honest", bi), index_sets)
+        g = _honest_sampled_gcd(sub, kb, subseed(seed, "honest", bi))
         if not g.is_constant():
             overall = overall * g
     if overall.is_constant():
@@ -438,24 +419,13 @@ def coprime_minor_analysis(w: GradedMatrix, seed: int = DEFAULT_SEED) -> MinorAn
     return MinorAnalysis(k, min_rank, overall, factor_ranks, notes)
 
 
-def _honest_sampled_gcd(
-    sub: GradedMatrix,
-    k: int,
-    seed: int,
-    index_sets: Sequence[Tuple[Tuple[int, ...], Tuple[int, ...]]] = (),
-    sample_size: int = 4,
-) -> MultiPoly:
-    """GCD of a seeded sample of true k-minors, all provably nonzero.
-
-    Index sets discovered on a plane restriction stay usable here: a nonzero
-    restricted minor forces the true minor to be nonzero.
-    """
-    picks = list(index_sets[:sample_size])
-    if len(picks) < sample_size:
-        runs = _pivot_runs(sub, seed, sample_size - len(picks))
-        values = sub.evaluate_many([point for _, _, point in runs])
-        found = _pivot_sets(runs, values, k, sub.field.characteristic)
-        picks += [(rows, cols) for rows, cols, _ in found if (rows, cols) not in picks]
+def _honest_sampled_gcd(sub: GradedMatrix, k: int, seed: int, sample_size: int = 4) -> MultiPoly:
+    """GCD of a seeded sample of true k-minors, all provably nonzero: each is
+    picked by `_pivot_sets` where it is nonzero at its run's point."""
+    runs = _pivot_runs(sub, seed, sample_size)
+    values = sub.evaluate_many([point for _, _, point in runs])
+    found = _pivot_sets(runs, values, k, sub.field.characteristic)
+    picks = [(rows, cols) for rows, cols, _ in found]
     if not picks:
         raise ValueError("no nonsingular witness of the requested size")
     acc: Optional[MultiPoly] = None

@@ -133,9 +133,9 @@ def test_verify_detects_torsion_on_toy_instance():
 
 
 def test_minimal_family_34_at_seed_11(example_runs):
-    # at this seed the witness (r-1)-minors share a linear factor that does
-    # not divide all of them; the restricted rank on the plane settles it
-    # without the honest fallback and its gcd of exact 16-minors
+    # at this seed single restricted (r-1)-minors share a linear factor that
+    # does not divide all of them; two random combinations of all of them
+    # settle it without the honest fallback and its gcd of exact 16-minors
     desc, profile, _ = example_runs.get("3.4")
     report = families.minimal_family(desc.matrix, seed=11, profile=profile)
     exp = desc.expected

@@ -1,6 +1,6 @@
 """Golden reports: the default-seed JSON and stderr of `qprofile` and
 `minimal-family` on every fixture must stay byte-identical, and so must a
-few 3.4 reports at seeds whose plane certificates meet a witness GCD with
+few 3.4 reports at seeds where single restricted witness minors share
 nonlinear squarefree factors (seed 902: one of degree 4; seed 100: two
 quadrics), plus `minimal-family` at seed 11.
 

@@ -102,6 +102,30 @@ def test_row_pivots_mod_p_match_two_eliminations_per_matrix(batch, nrows, ncols,
             assert sorted(leads[b].tolist()) == _linalg.pivots_mod_p(a[b][pivot_rows[:k]], p)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=st.integers(1, 3),
+    nrows=st.integers(0, 5),
+    inner=st.integers(0, 9),
+    ncols=st.integers(0, 5),
+    p=st.sampled_from([32003, P31]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matmul_mod_p_matches_python_ints(batch, nrows, inner, ncols, p, seed):
+    # a stack times one matrix, broadcast as by `@`; half the entries are
+    # p - 1, so at P31 three products would overflow int64 in one sum
+    rng = random.Random(seed)
+
+    def draw(*shape):
+        return np.array([p - 1 if rng.random() < 0.5 else rng.randrange(p)
+                         for _ in range(int(np.prod(shape)))], dtype=np.int64).reshape(shape)
+
+    a, b = draw(batch, nrows, inner), draw(inner, ncols)
+    want = [[[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in m]
+            for m in a]
+    assert _linalg.matmul_mod_p(a, b, p).tolist() == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     nrows=st.integers(0, 7),

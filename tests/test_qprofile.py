@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from biliaison import _linalg, families, fixtures, modgb, qprofile
 from biliaison.grmatrix import (
@@ -24,6 +26,7 @@ from biliaison.grmatrix import (
 from biliaison.polyring import FieldSpec, MultiPoly, gcd_many, squarefree_factors
 
 F = FieldSpec.prime()
+P31 = 2**31 - 1  # the largest prime FieldSpec admits
 
 
 def P(text: str) -> MultiPoly:
@@ -69,15 +72,16 @@ def _exhaustive_min_rank(w: GradedMatrix, k: int) -> int:
     return min(rank_modulo_hypersurface(w, f) for f in squarefree_factors(g))
 
 
-def _random_form(degree: int, rng: random.Random) -> MultiPoly:
+def _random_form(degree: int, rng: random.Random, field: FieldSpec = F) -> MultiPoly:
     """Sparse form: at most two terms keep the exhaustive minor GCD cheap."""
-    form = MultiPoly.zero(F)
+    form = MultiPoly.zero(field)
     for mono in rng.sample(modgb.monomials_of_degree(degree), 2):
-        form = form + MultiPoly.monomial(F, tuple(mono) + (0,), rng.randrange(32003))
+        form = form + MultiPoly.monomial(field, tuple(mono) + (0,),
+                                         rng.randrange(field.characteristic))
     return form
 
 
-def _random_block(nrows, ncols, quadratic_col, scale, index, seed) -> GradedMatrix:
+def _random_block(nrows, ncols, quadratic_col, scale, index, seed, field=F) -> GradedMatrix:
     """Linear entries, quadratic in at most one column; `scale` ("row", "col"
     or None) multiplies one row or column of linear entries by a shared
     linear form.  A 4 x 4 block stays linear: every minor has degree <= 4,
@@ -89,8 +93,8 @@ def _random_block(nrows, ncols, quadratic_col, scale, index, seed) -> GradedMatr
         quadratic_col = scale = None
     if scale is None and quadratic_col is not None:
         col_degs[quadratic_col % ncols] = 2
-    grid = [[_random_form(d, rng) for d in col_degs] for _ in range(nrows)]
-    form = _random_form(1, rng)
+    grid = [[_random_form(d, rng, field) for d in col_degs] for _ in range(nrows)]
+    form = _random_form(1, rng, field)
     if scale == "row":
         i = index % nrows
         grid[i] = [form * p for p in grid[i]]
@@ -100,7 +104,7 @@ def _random_block(nrows, ncols, quadratic_col, scale, index, seed) -> GradedMatr
         for row in grid:
             row[j] = form * row[j]
         col_degs[j] = 2
-    return GradedMatrix(F, row_degs, col_degs, grid)
+    return GradedMatrix(field, row_degs, col_degs, grid)
 
 
 def test_square_block_with_a_common_column_factor():
@@ -127,12 +131,15 @@ def test_square_block_with_a_common_column_factor():
     quadratic_col=st.one_of(st.none(), st.integers(0, 3)),
     scale=st.sampled_from([None, "row", "col"]),
     index=st.integers(0, 3),
+    large_prime=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_minor_analysis_matches_exhaustive_oracle(
-    nrows, ncols, quadratic_col, scale, index, seed
+    nrows, ncols, quadratic_col, scale, index, large_prime, seed
 ):
-    w = _random_block(nrows, ncols, quadratic_col, scale, index, seed)
+    # at P31 the combinations' products reduce two terms at a time
+    w = _random_block(nrows, ncols, quadratic_col, scale, index, seed,
+                      FieldSpec.prime(P31) if large_prime else F)
     k = rank_fraction_field(w)
     if k == 0:
         return
@@ -144,13 +151,15 @@ def test_minor_analysis_matches_exhaustive_oracle(
 @given(
     nrows=st.integers(1, 4),
     ncols=st.integers(1, 4),
-    second_prime=st.booleans(),
+    p=st.sampled_from([32003, 10007, P31]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_interpolated_witnesses_are_nonzero_minors(nrows, ncols, second_prime, seed):
-    # random forms of degree 0-3, some entries zero; the witnesses found on
-    # values must be the minors of the symbolic plane restriction
-    field = FieldSpec.prime(10007) if second_prime else F
+def test_combination_determinants_match_a_python_int_reference(nrows, ncols, p, seed):
+    # random forms of degree 0-3, some entries zero.  Every matrix the first
+    # attempt hands to det_mod_p must be V B(t) U, with B(t) the symbolic
+    # plane restriction at (t : 1), for t = 0..top and then the extra node,
+    # and every determinant must be that of a Python-int reference
+    field = FieldSpec.prime(p)
     rng = random.Random(seed)
     row_degs = [rng.randrange(2) for _ in range(nrows)]
     col_degs = [rng.randrange(1, 4) for _ in range(ncols)]
@@ -161,7 +170,7 @@ def test_interpolated_witnesses_are_nonzero_minors(nrows, ncols, second_prime, s
             terms = {}
             if rng.random() < 0.8:
                 for mono in rng.sample(modgb.monomials_of_degree(c - r), 2 if c > r else 1):
-                    terms[tuple(mono) + (0,)] = field.normalize(rng.randrange(1, 50))
+                    terms[tuple(mono) + (0,)] = field.normalize(rng.randrange(1, p))
             line.append(MultiPoly(field, terms))
         grid.append(line)
     block = GradedMatrix(field, row_degs, col_degs, grid)
@@ -169,17 +178,36 @@ def test_interpolated_witnesses_are_nonzero_minors(nrows, ncols, second_prime, s
     k = rank_fraction_field(restricted)
     if k == 0:
         return
-    runs, values, top = qprofile._plane_values(block, k, seed, 0, 6)
-    witnesses = list(qprofile._plane_witnesses(block, k, runs, values, top))
-    assert witnesses
-    for rows, cols, coeffs, y_power in witnesses:
-        degree = sum(col_degs[j] for j in cols) - sum(row_degs[i] for i in rows)
-        minor = MultiPoly(field, {(j, degree - j, 0, 0, 0): c for j, c in enumerate(coeffs) if c})
-        assert y_power == degree + 1 - len(coeffs) and coeffs[-1]
-        assert not minor.is_zero()
-        assert minor.is_homogeneous(degree)
-        det = determinant(restricted.submatrix(rows, cols))
-        assert minor in (det, -det)
+    drawn, stacks = [], []
+    combinations, det_mod_p = qprofile._combinations, _linalg.det_mod_p
+
+    def spy_combinations(*args):
+        drawn.append(combinations(*args))
+        return drawn[-1]
+
+    def spy_det(stack, p):
+        stacks.append((stack, det_mod_p(stack, p)))
+        return stacks[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qprofile, "_combinations", spy_combinations)
+        mp.setattr(_linalg, "det_mod_p", spy_det)
+        qprofile._restricted_minor_gcd(block, k, seed)
+    (v, u), (stack, dets) = drawn[0], stacks[0]
+    top = len(stack) // 2 - 2
+    # the extra node is the first draw of the attempt's generator
+    extra = random.Random(qprofile.subseed(seed, "combination", 0)).randrange(1, p)
+    K = GF(p)
+    for i in range(2):
+        for n, t in enumerate(list(range(top + 1)) + [extra]):
+            b = [[e.evaluate((t, 1, 0, 0, 0)) for e in row] for row in restricted.entries]
+            vb = [[sum(int(x) * y for x, y in zip(row, col)) % p for col in zip(*b)]
+                  for row in v[i].tolist()]
+            want = [[sum(x * int(y) for x, y in zip(row, col)) % p for col in zip(*u[i].tolist())]
+                    for row in vb]
+            assert stack[i * (top + 2) + n].tolist() == want
+            det = DomainMatrix([[K(x) for x in row] for row in want], (k, k), K).det()
+            assert dets[i * (top + 2) + n] == int(det) % p
 
 
 @settings(max_examples=30, deadline=None)
@@ -238,18 +266,18 @@ def test_interpolation_raises_typed_errors():
     small = FieldSpec.prime(1009)
     x_power = MultiPoly.monomial(small, (1009, 0, 0, 0, 0))
     with pytest.raises(qprofile.InterpolationRangeError):
-        qprofile._restricted_minor_gcd(GradedMatrix(small, [0], [1009], [[x_power]]), 1, 0, 1)
-    # an entry above its column degree fails the check at the pivot point
+        qprofile._restricted_minor_gcd(GradedMatrix(small, [0], [1009], [[x_power]]), 1, 0)
+    # an entry above its column degree fails the check at the extra node
     wrong = GradedMatrix(F, [0], [2], [[P("X^3 + Y^3")]], validate=False)
     with pytest.raises(HomogeneityError):
-        qprofile._restricted_minor_gcd(wrong, 1, 0, 1)
-    # the same for a 4 x 4 witness
+        qprofile._restricted_minor_gcd(wrong, 1, 0)
+    # the same for 4 x 4 combinations
     wrong4 = GradedMatrix(F, [0] * 4, [1, 1, 1, 2], [
         [P(x) for x in row] for row in (("X", "0", "0", "0"), ("0", "X", "0", "0"),
                                         ("0", "0", "X", "0"), ("0", "0", "0", "X^3 + Y^3"))
     ], validate=False)
     with pytest.raises(HomogeneityError):
-        qprofile._restricted_minor_gcd(wrong4, 4, 0, 1)
+        qprofile._restricted_minor_gcd(wrong4, 4, 0)
     # 4 x 4, degree 256 in four variables: one slice of the 257^3 grid
     # holds 16 * 257^2 cells, more than the grid bound
     wide = GradedMatrix(F, [0] * 4, [64] * 4, [
@@ -259,101 +287,98 @@ def test_interpolation_raises_typed_errors():
 
 
 def test_restricted_rank_settles_plane_without_fallback(monkeypatch):
-    # on any plane the quadrics restrict to cheaper pivots than the cubic, so
-    # every witness is one of them and all share the factor X; the cubic
-    # makes the 1-minors coprime, and only the restricted rank modulo X sees it
+    # combinations that never weigh the cubic are both multiples of X, a
+    # factor the 1-minors do not share: the GCD is X on the line, and only
+    # the regular rank modulo it, where the cubic survives, certifies them
     row = M([0], [2, 2, 2, 3], [["X*Y", "X*Z", "X*T", "Y^3 + Z^3 + T^3"]])
     measured = []
-    regular_rank = qprofile._regular_rank
+    regular_rank, combinations = qprofile._regular_rank, qprofile._combinations
 
     def spy(coeffs, f, p):
         measured.append(f)
         return regular_rank(coeffs, f, p)
 
+    def without_the_cubic(*args):
+        v, u = combinations(*args)
+        u[:, 3] = 0
+        return v, u
+
     def no_fallback(*args, **kwargs):
         raise AssertionError("honest fallback reached")
 
     monkeypatch.setattr(qprofile, "_regular_rank", spy)
+    monkeypatch.setattr(qprofile, "_combinations", without_the_cubic)
     monkeypatch.setattr(qprofile, "_honest_sampled_gcd", no_fallback)
     analysis = qprofile.coprime_minor_analysis(row)
     assert analysis.coprime and analysis.notes == []
     assert measured and all(len(f) - 1 == 1 for f in measured)
+    assert qprofile._restricted_minor_gcd(row, 1, 0) == (True, 2, 1, True, True)
 
 
 @pytest.mark.parametrize("last, coprime", [
     ("Y^3 + Z^3 + T^3", True), ("X*Y^2 + X*Z^2 + X*T^2", False),
 ])
 def test_plane_through_the_gcd_measures_the_rank_at_infinity(monkeypatch, last, coprime):
-    # a plane on which X restricts to Y: every witness is divisible by Y, so
-    # the GCD is a power of Y alone and only the rank at (1 : 0) decides
+    # a plane on which X restricts to Y: every restricted 1-minor is divisible
+    # by Y, which is constant at (t : 1), so the combinations' GCD is constant
+    # and only the rank at (1 : 0) decides; the second row fails it on every
+    # attempt
     row = M([0], [2, 2, 2, 3], [["X*Y", "X*Z", "X*T", last]])
     plane = ([(0, 1), (1, 0), (1, 2), (3, 1)], 0)  # X -> Y, Y -> X, Z -> X + 2Y, T -> 3X + Y
     monkeypatch.setattr(qprofile, "random_plane", lambda p, seed: plane)
     monkeypatch.setattr(qprofile, "_regular_rank", None)  # the GCD has no affine part
-    verdict, index_sets = qprofile._restricted_minor_gcd(row, 1, 0)
-    assert verdict == coprime and index_sets
+    certificate = qprofile._restricted_minor_gcd(row, 1, 0)
+    assert certificate == (coprime, 2 if coprime else 6, 0, False, True)
+
+
+def test_vanishing_combinations_try_three_lines_then_fall_back(monkeypatch):
+    # zero combinations move to the next line; after three the honest
+    # fallback decides, exactly
+    row = M([0], [2, 2, 2, 3], [["X*Y", "X*Z", "X*T", "Y^3 + Z^3 + T^3"]])
+    monkeypatch.setattr(_linalg, "det_mod_p", lambda stack, p: np.zeros(len(stack), np.int64))
+    assert qprofile._restricted_minor_gcd(row, 1, 0) == (False, 6, None, False, False)
+    analysis = qprofile.coprime_minor_analysis(row)
+    assert analysis.coprime and analysis.notes == ["block 0: plane certificate inconclusive, "
+                                                   "honest fallback"]
+
+
+def test_line_through_the_rank_drop_locus_falls_back(monkeypatch):
+    # X and Y are coprime, but a line through a point of X = Y = 0 makes
+    # every restricted 1-minor vanish there: the combinations share t - 1,
+    # the regular rank modulo it is 0, and the honest fallback certifies
+    row = M([0], [1, 1], [["X", "Y"]])
+    plane = ([(1, 32002), (2, 32001), (1, 0), (0, 1)], 0)  # X -> X - Y, Y -> 2X - 2Y
+    monkeypatch.setattr(qprofile, "random_plane", lambda p, seed: plane)
+    assert qprofile._restricted_minor_gcd(row, 1, 0) == (False, 2, 1, True, False)
+    analysis = qprofile.coprime_minor_analysis(row)
+    assert analysis.coprime and len(analysis.notes) == 1
 
 
 PLANE_PINS = Path(__file__).parent / "golden" / "plane-certificates.json"
 
 
-@pytest.mark.parametrize("seed", [qprofile.DEFAULT_SEED, 11])
-@pytest.mark.parametrize("name", ["3.2", "3.3", "3.4"])
+@pytest.mark.parametrize("name, seed", [
+    (name, seed) for name in ("3.2", "3.3", "3.4") for seed in (qprofile.DEFAULT_SEED, 11)
+] + [("3.4", 902), ("3.4", 100)])
 def test_plane_certificates_are_pinned(name, seed, monkeypatch):
     # every block that cold qprofile and minimal-family certify, in call
-    # order: (rows, cols, k, block seed, verdict, witness index sets), as the
-    # search with two eliminations per run found them
+    # order: (rows, cols, k, block seed, verdict, combinations taken, deg g,
+    # whether the regular rank and the rank at (1 : 0) were measured).  At
+    # seeds 902 and 100 single restricted witness minors of 3.4 share
+    # nonlinear factors that the combinations do not
     calls = []
     certify = qprofile._restricted_minor_gcd
 
     def spy(block, k, block_seed):
-        verdict, index_sets = certify(block, k, block_seed)
-        calls.append([block.nrows, block.ncols, k, block_seed, verdict,
-                      [[list(rows), list(cols)] for rows, cols in index_sets]])
-        return verdict, index_sets
+        certificate = certify(block, k, block_seed)
+        calls.append([block.nrows, block.ncols, k, block_seed, *certificate])
+        return certificate
 
     monkeypatch.setattr(qprofile, "_restricted_minor_gcd", spy)
     m = fixtures.example(name).matrix
     cold = GradedMatrix(m.field, m.row_degrees, m.col_degrees, m.entries)
     families.minimal_family(cold, seed=seed, profile=qprofile.compute_q_profile(cold, seed=seed))
     assert calls == json.loads(PLANE_PINS.read_text())[f"{name} seed {seed}"]
-
-
-@pytest.mark.parametrize("cells, calls", [
-    (1 << 20, [30]),  # every witness in one call
-    (90, [10]),  # two witnesses a chunk; the second settles the GCD
-    (45, [5, 5]),  # one witness a chunk
-    (20, [2, 2, 1, 2, 2, 1]),  # a witness larger than a chunk goes in slices
-])
-def test_plane_witness_determinants_in_chunks(cells, calls, monkeypatch):
-    # 3.3's 4 x 6 block at n = 4 has six witnesses of degree 3, each a stack
-    # of 5 matrices 3 x 3 (45 cells), and a constant GCD after the second:
-    # no call exceeds the cap, and no chunk after the second witness's is
-    # computed
-    block, k = ranked_blocks(fixtures.example("3.3").matrix.specialize_closed_point()
-                             .truncate_columns(4))[0]
-    seed = qprofile.subseed(qprofile.subseed(qprofile.DEFAULT_SEED, "beta", 4), "block", 0)
-    seen = []
-    det_mod_p = _linalg.det_mod_p
-
-    def spy(stack, p):
-        seen.append(len(stack))
-        assert stack.size <= cells
-        return det_mod_p(stack, p)
-
-    monkeypatch.setattr(modgb, "_MAX_PIECE", cells)
-    monkeypatch.setattr(_linalg, "det_mod_p", spy)
-    verdict, index_sets = qprofile._restricted_minor_gcd(block, k, seed)
-    assert (k, verdict, len(index_sets)) == (3, True, 2)
-    assert seen == calls
-
-
-def test_singular_witness_raises_typed_error(monkeypatch):
-    # the pivot search picks minors nonzero at the pivot point; one that
-    # reads 0 there would pass the interpolation check as the zero minor
-    monkeypatch.setattr(_linalg, "det_mod_p", lambda stack, p: np.zeros(len(stack), np.int64))
-    with pytest.raises(qprofile.SingularWitnessError):
-        qprofile._restricted_minor_gcd(M([0], [2, 2], [["X^2", "Y^2"]]), 1, 0)
 
 
 def _restricted_coefficients(m: GradedMatrix) -> np.ndarray:

@@ -90,35 +90,6 @@ def rank_mod_p(a: np.ndarray, p: int) -> int:
     return len(pivots_mod_p(a, p))
 
 
-def row_pivots_mod_p(a: np.ndarray, k: int, p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each matrix b of a stack (B, rows, cols): found[b], whether its rank
-    reaches k; rows[b], its first k rows that raise the rank of the rows
-    before them; leads[b], their leads, the pivot columns of their row space.
-    One pass over the rows serves the whole stack: each matrix keeps a basis
-    of its rows taken so far, monic at its lead and zero at the other leads,
-    and takes a row if reducing it leaves anything (by `matmul_mod_p`).
-    """
-    m = np.array(a, dtype=np.int64) % p
-    batch, nrows, ncols = m.shape
-    at = np.arange(batch)
-    basis, rank = np.zeros((batch, k, ncols), dtype=np.int64), np.zeros(batch, dtype=np.int64)
-    leads, rows = np.zeros((2, batch, k), dtype=np.int64)
-    for i in range(nrows if ncols else 0):
-        if (rank == k).all():
-            break
-        x, width = m[:, i], int(rank.max())
-        factors, used = x[at[:, None], leads[:, :width]], basis[:, :width]  # unused: zero rows
-        x = (x - matmul_mod_p(factors[:, None], used, p)[:, 0]) % p
-        new = (rank < k) & x.any(axis=1)
-        lead = (x != 0).argmax(axis=1)
-        x = x * (_inverses_mod_p(x[at, lead], p) * new)[:, None] % p
-        basis = (basis - basis[at, :, lead][:, :, None] * x[:, None, :]) % p
-        slot = rank[new]
-        basis[new, slot], leads[new, slot], rows[new, slot] = x[new], lead[new], i
-        rank += new
-    return rank == k, rows, leads
-
-
 def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for residues in int64, stacks broadcast as by `@`.  The
     inner sums are reduced after every `_eliminate`'s K products, so no

@@ -32,44 +32,34 @@ kept on the matrix (`ranked_blocks`).  No minor is enumerated:
    a combination of every restricted k-minor, of degree at most top, the
    largest degree of a k-minor.  Two such combinations are taken at once:
    their values at t = 0..top (from P(t) = sum_n (V C_n U) t^n by Horner's
-   rule) and at the extra node (from the values there) by one batched
-   determinant mod p, their coefficients by Newton interpolation, checked
-   at the extra node.  Let g be their GCD (Euclid mod p).  If g is constant
-   and the values at (1 : 0) have rank k, the k-minors are coprime.
-   Proof: let F be a nonconstant common factor of all k-minors.  It divides
-   every restricted k-minor, and the combinations are nonzero, so F
-   restricted to the line is a nonzero binary form whose value at (t : 1)
-   divides both combinations, hence g.  With g constant, F restricts to a
-   multiple of Y^(deg F), so every k-minor vanishes at (1 : 0) and the rank
-   there is below k.  A zero combination, or a rank below k at (1 : 0),
-   moves the certificate to the next line.  Random V and U are the
-   preconditioners of Kaltofen, Krishnamoorthy and Saunders (Linear Algebra
-   Appl. 136, 1990); they choose only the certificate.
-2. Restricted rank.  If g is nonconstant, measure the rank of the restricted
-   block modulo g.  Let f = g / gcd(g, g') be its squarefree part (top < p,
-   so this drops exactly the repeated factors), of degree d.  Over the ring
-   A = F_p[t]/(f) the block is a map A^cols -> A^rows, written over F_p as
-   the (rows d) x (cols d) matrix whose d x d blocks are sum_n c_n C^n, with
-   c_n the entry's coefficient of t^n and C the companion matrix of f.  A is
-   the product of the fields F_p[t]/(f_i) over the irreducible factors f_i
-   of f, so the F_p-rank of that matrix is sum_i deg f_i * rank_i, where
-   rank_i <= k is the rank of the restricted block modulo f_i; it equals
-   d k exactly when every rank_i is k.  Full rank modulo f and rank k at
-   (1 : 0) also certify coprimality: with F as above, either its value at
-   (t : 1) is constant and the rank at (1 : 0) drops, or an irreducible
-   factor of that value divides f, and modulo it every restricted k-minor
-   vanishes, so the restricted rank drops.  The combinations almost always
-   share only the common factors of the restricted k-minors, so the rank
-   passes modulo f only when V and U were unlucky; a drop leaves the block
-   to the honest fallback.
-3. Honest fallback.  Only when the plane certificate fails (the restricted
-   rank drops modulo g, or three lines gave no nonzero combinations with
-   rank k at (1 : 0)) is the GCD of a few true witness minors taken, picked
-   by pivoting at seeded points, by `polyring.gcd` (Brown's dense modular
-   GCD, certified by exact division).  Any hypersurface dropping the
-   rank below k divides every k-minor, so the squarefree factors of that GCD
-   are a complete candidate list; the rank modulo each candidate is then
-   measured exactly on the original matrix.
+   rule) and at the extra node (from the values there) by batched
+   determinants mod p, in slabs of at most `_MAX_GRID` cells (one slab on
+   every fixture block), their coefficients by Newton interpolation,
+   checked at the extra node.  Let g be their GCD (Euclid mod p).  If g is
+   constant and the values at (1 : 0) have rank k, the k-minors are
+   coprime.  Proof: let F be a nonconstant common factor of all k-minors.
+   It divides every restricted k-minor, and the combinations are nonzero,
+   so F restricted to the line is a nonzero binary form whose value at
+   (t : 1) divides both combinations, hence g.  With g constant, F
+   restricts to a multiple of Y^(deg F), so every k-minor vanishes at
+   (1 : 0) and the rank there is below k.  A zero combination, or a rank
+   below k at (1 : 0), moves the certificate to the next line; a
+   nonconstant g, or three lines without a certificate, leave the block to
+   the fallback.  Random V and U are the preconditioners of Kaltofen,
+   Krishnamoorthy and Saunders (Linear Algebra Appl. 136, 1990); they
+   choose only the certificate.
+2. Honest fallback.  Only when the plane certificate fails is the GCD of
+   a few true witness minors taken, picked by pivoting at seeded points,
+   by `polyring.gcd` (Brown's dense modular GCD, certified by exact
+   division).  Any hypersurface dropping the rank below k divides every
+   k-minor, so the squarefree factors of that GCD are a complete candidate
+   list; the rank modulo each candidate is then measured exactly on the
+   original matrix.  A nonconstant g comes here without a second test: a
+   genuine common factor must be decided here anyway, and one that comes
+   only from an unlucky V, U or line is rare.  On the fixtures at five
+   seeds and on `rao_family` no block reaches the fallback; a profile of
+   `fixtures.rank_drop_sigma1` reaches it once, at its genuine common
+   factor.
 
 Randomness only chooses which certificate is tried, never the answer.
 """
@@ -90,6 +80,7 @@ from biliaison.grmatrix import (
     GradedMatrix,
     HomogeneityError,
     InterpolationRangeError,
+    _MAX_GRID,
     _newton_coefficients,
     determinant,
     random_plane,
@@ -99,9 +90,7 @@ from biliaison.grmatrix import (
 )
 from biliaison.polyring import (
     MultiPoly,
-    Scalar,
     _horner,
-    _poly_divmod,
     _poly_gcd,
     gcd_many,
     squarefree_factors,
@@ -234,87 +223,15 @@ class MinorAnalysis:
         return self.min_rank >= self.level
 
 
-_Run = Tuple[List[int], List[int], Tuple[Scalar, ...]]  # row order, column order, point
-
-
-def _pivot_runs(m: GradedMatrix, seed: int, count: int) -> List[_Run]:
-    """The seeded runs of the witness search: (row order, column order, point).
-
-    The first run keeps the order of the rows and columns, later runs
-    shuffle them; every run then sorts the columns stably by degree, which
-    keeps the minors' degrees low, and draws a point (x, 1, z, w, 0).
-    """
-    rng = random.Random(seed)
-    p = m.field.characteristic
-    runs = []
-    for t in range(count):
-        rp = list(range(m.nrows))
-        cp = list(range(m.ncols))
-        if t:
-            rng.shuffle(rp)
-            rng.shuffle(cp)
-        cp.sort(key=lambda j: m.col_degrees[j])
-        x, z, w = (rng.randrange(1, p) for _ in range(3))
-        runs.append((rp, cp, (x, 1, z, w, 0)))
-    return runs
-
-
-def _pivot_sets(
-    runs: Sequence[_Run], values: np.ndarray, k: int, p: int
-) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
-    """(rows, cols, run index) of k x k minors nonzero at the run's point.
-
-    values[t] holds the matrix's values at the point of runs[t].  One stacked
-    pass (`_linalg.row_pivots_mod_p`) over all runs, each in its own row and
-    column order, picks the first k rows that raise the rank of the rows
-    before them, and their pivot columns.  A minor nonzero at a point is a
-    nonzero polynomial, so every index set is a certified witness.  Runs
-    short of rank k and repeated index sets are skipped.
-    """
-    at = np.arange(len(runs))
-    rp, cp = (np.array([run[i] for run in runs], dtype=np.int64) for i in (0, 1))
-    found, rows, leads = _linalg.row_pivots_mod_p(
-        values[at[:, None, None], rp[:, :, None], cp[:, None, :]], k, p)
-    sets = [(tuple(sorted(rp[t, rows[t]].tolist())), tuple(sorted(cp[t, leads[t]].tolist())), t)
-            for t in found.nonzero()[0].tolist()]
-    return [s for n, s in enumerate(sets) if s[:2] not in [u[:2] for u in sets[:n]]]
-
-
-def _regular_rank(coeffs: np.ndarray, f: List[int], p: int) -> int:
-    """F_p-rank of the matrix over F_p[t]/(f), f monic, whose entries have
-    the coefficients coeffs[n] of t^n: entry (i, j) becomes the matrix of
-    multiplication by it on 1, t, ..., t^(e-1), column b = entry * t^b mod f.
-    """
-    e = len(f) - 1
-    low = np.array(f[:-1], dtype=np.int64)
-
-    def times_t(r: np.ndarray, c=0) -> np.ndarray:  # t * r + c mod f
-        out = np.empty_like(r)
-        out[..., 1:] = r[..., :-1]
-        out[..., 0] = c
-        return (out - r[..., -1:] * low) % p
-
-    r = np.zeros(coeffs.shape[1:] + (e,), dtype=np.int64)
-    for c in coeffs[::-1]:
-        r = times_t(r, c)
-    columns = [r]
-    for _ in range(e - 1):
-        columns.append(times_t(columns[-1]))
-    nrows, ncols = coeffs.shape[1:]
-    big = np.stack(columns, axis=-1).transpose(0, 2, 1, 3).reshape(nrows * e, ncols * e)
-    return _linalg.rank_mod_p(big, p)
-
-
 class PlaneCertificate(NamedTuple):
     """How `_restricted_minor_gcd` decided a block: the verdict, the number
     of combinations taken, deg g in the last attempt that took one (None if
-    every combination vanished), and whether the regular rank modulo g and
-    the rank at (1 : 0) were measured."""
+    every combination vanished), and whether the rank at (1 : 0) was
+    measured, which happens only after a constant g."""
 
     coprime: bool
     combinations: int
     gcd_degree: Optional[int]
-    regular_rank: bool
     at_infinity: bool
 
 
@@ -332,11 +249,13 @@ def _restricted_minor_gcd(block: GradedMatrix, k: int, seed: int) -> PlaneCertif
     """Plane certificate of the k-minors of the block (module docstring).
 
     Verdict True certifies exactly that the k-minors are coprime.  False
-    means the regular rank dropped modulo the GCD of the combinations, or no
-    line of three gave nonzero combinations with rank k at (1 : 0).  An
-    attempt evaluates the block once and takes the two combinations'
-    determinants at t = 0..top and at the extra node in one `det_mod_p`
-    call.  A value at the extra node off the interpolated combination raises
+    means the two combinations had a nonconstant GCD, or no line of three
+    gave nonzero combinations with rank k at (1 : 0); the honest fallback
+    then decides.  An attempt evaluates the block once and takes the two
+    combinations' determinants at t = 0..top and at the extra node in
+    slabs of at most `_MAX_GRID` cells, the extra node in the last slab, so
+    a block with 2 (top + 2) k^2 <= `_MAX_GRID` takes one `det_mod_p` call.
+    A value at the extra node off the interpolated combination raises
     `HomogeneityError`; top >= p raises `InterpolationRangeError`.
     """
     p = block.field.characteristic
@@ -348,8 +267,8 @@ def _restricted_minor_gcd(block: GradedMatrix, k: int, seed: int) -> PlaneCertif
             f"a minor of degree {top} needs {top + 1} interpolation points, "
             f"more than F_{p} has"
         )
-    nodes = np.arange(top + 1, dtype=np.int64)[:, None, None]
-    done = PlaneCertificate(False, 0, None, False, False)
+    step = max(1, _MAX_GRID // (2 * k * k))  # nodes per slab
+    done = PlaneCertificate(False, 0, None, False)
     for attempt in range(3):
         pairs, _ = random_plane(p, subseed(seed, "plane", attempt))
         rng = random.Random(subseed(seed, "combination", attempt))
@@ -363,12 +282,17 @@ def _restricted_minor_gcd(block: GradedMatrix, k: int, seed: int) -> PlaneCertif
         values = block.evaluate_many(points)
         coeffs = _newton_coefficients(values[:e + 1], 0, p)
         small = _linalg.matmul_mod_p(_linalg.matmul_mod_p(v[:, None], coeffs, p), u[:, None], p)
-        at = np.zeros((2, top + 1, k, k), dtype=np.int64)
-        for n in range(e, -1, -1):
-            at = (at * nodes + small[:, n, None]) % p
         at_extra = _linalg.matmul_mod_p(_linalg.matmul_mod_p(v, values[e + 1], p), u, p)
-        stack = np.concatenate([at, at_extra[:, None]], axis=1).reshape(-1, k, k)
-        dets = _linalg.det_mod_p(stack, p).reshape(2, top + 2)
+        slabs = []
+        for lo in range(0, top + 2, step):
+            nodes = np.arange(lo, min(lo + step, top + 1), dtype=np.int64)[:, None, None]
+            at = np.zeros((2, len(nodes), k, k), dtype=np.int64)
+            for n in range(e, -1, -1):
+                at = (at * nodes + small[:, n, None]) % p
+            if lo + step >= top + 2:
+                at = np.concatenate([at, at_extra[:, None]], axis=1)
+            slabs.append(_linalg.det_mod_p(at.reshape(-1, k, k), p).reshape(2, -1))
+        dets = np.concatenate(slabs, axis=1)
         c1, c2 = (np.trim_zeros(c, "b").tolist()
                   for c in _newton_coefficients(dets[:, :-1], 1, p))
         if [_horner(c1, extra, p), _horner(c2, extra, p)] != dets[:, -1].tolist():
@@ -376,14 +300,9 @@ def _restricted_minor_gcd(block: GradedMatrix, k: int, seed: int) -> PlaneCertif
         done = done._replace(combinations=done.combinations + 2)
         if not c1 or not c2:
             continue  # the restricted k-minors vanish, or V and U were unlucky
-        g = _poly_gcd(c1, c2, p)
-        done = done._replace(gcd_degree=len(g) - 1)
-        if len(g) > 1:
-            slope = [i * c % p for i, c in enumerate(g)][1:]
-            radical = _poly_divmod(g, _poly_gcd(g, slope, p), p)[0]
-            done = done._replace(regular_rank=True)
-            if _regular_rank(coeffs, radical, p) != (len(radical) - 1) * k:
-                return done
+        done = done._replace(gcd_degree=len(_poly_gcd(c1, c2, p)) - 1)
+        if done.gcd_degree:
+            return done
         done = done._replace(at_infinity=True)
         if _linalg.rank_mod_p(values[-1], p) == k:
             return done._replace(coprime=True)
@@ -419,25 +338,44 @@ def coprime_minor_analysis(w: GradedMatrix, seed: int = DEFAULT_SEED) -> MinorAn
     return MinorAnalysis(k, min_rank, overall, factor_ranks, notes)
 
 
-def _honest_sampled_gcd(sub: GradedMatrix, k: int, seed: int, sample_size: int = 4) -> MultiPoly:
-    """GCD of a seeded sample of true k-minors, all provably nonzero: each is
-    picked by `_pivot_sets` where it is nonzero at its run's point."""
-    runs = _pivot_runs(sub, seed, sample_size)
-    values = sub.evaluate_many([point for _, _, point in runs])
-    found = _pivot_sets(runs, values, k, sub.field.characteristic)
-    picks = [(rows, cols) for rows, cols, _ in found]
-    if not picks:
-        raise ValueError("no nonsingular witness of the requested size")
+def _honest_sampled_gcd(sub: GradedMatrix, k: int, seed: int) -> MultiPoly:
+    """GCD of up to four true k-minors, each provably nonzero.
+
+    Run by run: the first run keeps the order of the rows and columns, later
+    runs shuffle them; each then sorts the columns stably by degree, which
+    keeps the minors' degrees low, and evaluates the block at a seeded point
+    (x, 1, z, w, 0).  The first k rows that raise the rank of the rows
+    before them and the pivot columns of those rows give a minor nonzero at
+    the point, hence a nonzero polynomial.  Runs short of rank k and
+    repeated index sets are skipped; the loop stops once the GCD is
+    constant.
+    """
+    rng = random.Random(seed)
+    p = sub.field.characteristic
+    picked: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
     acc: Optional[MultiPoly] = None
-    for rp, cp in picks:
-        val = determinant(sub.submatrix(rp, cp))
-        if val.is_zero():
+    for run in range(4):
+        rp, cp = list(range(sub.nrows)), list(range(sub.ncols))
+        if run:
+            rng.shuffle(rp)
+            rng.shuffle(cp)
+        cp.sort(key=lambda j: sub.col_degrees[j])
+        x, z, w = (rng.randrange(1, p) for _ in range(3))
+        values = sub.evaluate((x, 1, z, w, 0))[np.ix_(rp, cp)]
+        rows = _linalg.pivots_mod_p(values.T, p)[:k]
+        if len(rows) < k:
+            continue  # the point lowered the rank
+        cols = _linalg.pivots_mod_p(values[rows], p)
+        pick = (tuple(sorted(rp[i] for i in rows)), tuple(sorted(cp[j] for j in cols)))
+        if pick in picked:
             continue
+        picked.append(pick)
+        val = determinant(sub.submatrix(*pick))
         acc = val.monic() if acc is None else gcd_many([acc, val])
         if acc.is_constant():
             break
     if acc is None:
-        raise ValueError("all sampled witness minors vanished unexpectedly")
+        raise ValueError("no nonsingular witness of the requested size")
     return acc
 
 

@@ -84,13 +84,10 @@ def _random_form(degree: int, rng: random.Random, field: FieldSpec = F) -> Multi
 def _random_block(nrows, ncols, quadratic_col, scale, index, seed, field=F) -> GradedMatrix:
     """Linear entries, quadratic in at most one column; `scale` ("row", "col"
     or None) multiplies one row or column of linear entries by a shared
-    linear form.  A 4 x 4 block stays linear: every minor has degree <= 4,
-    which keeps the multivariate GCDs of both sides cheap."""
+    linear form."""
     rng = random.Random(seed)
     row_degs = [0] * nrows
     col_degs = [1] * ncols
-    if min(nrows, ncols) == 4:
-        quadratic_col = scale = None
     if scale is None and quadratic_col is not None:
         col_degs[quadratic_col % ncols] = 2
     grid = [[_random_form(d, rng, field) for d in col_degs] for _ in range(nrows)]
@@ -152,13 +149,16 @@ def test_minor_analysis_matches_exhaustive_oracle(
     nrows=st.integers(1, 4),
     ncols=st.integers(1, 4),
     p=st.sampled_from([32003, 10007, P31]),
+    per_slab=st.one_of(st.none(), st.integers(1, 3)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_combination_determinants_match_a_python_int_reference(nrows, ncols, p, seed):
+def test_combination_determinants_match_a_python_int_reference(nrows, ncols, p, per_slab, seed):
     # random forms of degree 0-3, some entries zero.  Every matrix the first
     # attempt hands to det_mod_p must be V B(t) U, with B(t) the symbolic
     # plane restriction at (t : 1), for t = 0..top and then the extra node,
-    # and every determinant must be that of a Python-int reference
+    # and every determinant must be that of a Python-int reference.  With
+    # per_slab set, the grid bound holds that many nodes of both
+    # combinations, so the nodes come in several slabs; otherwise in one
     field = FieldSpec.prime(p)
     rng = random.Random(seed)
     row_degs = [rng.randrange(2) for _ in range(nrows)]
@@ -182,19 +182,27 @@ def test_combination_determinants_match_a_python_int_reference(nrows, ncols, p, 
     combinations, det_mod_p = qprofile._combinations, _linalg.det_mod_p
 
     def spy_combinations(*args):
-        drawn.append(combinations(*args))
-        return drawn[-1]
+        drawn.append((combinations(*args), len(stacks)))
+        return drawn[-1][0]
 
     def spy_det(stack, p):
         stacks.append((stack, det_mod_p(stack, p)))
         return stacks[-1][1]
 
+    grid = qprofile._MAX_GRID if per_slab is None else per_slab * 2 * k * k
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qprofile, "_combinations", spy_combinations)
         mp.setattr(_linalg, "det_mod_p", spy_det)
+        mp.setattr(qprofile, "_MAX_GRID", grid)
         qprofile._restricted_minor_gcd(block, k, seed)
-    (v, u), (stack, dets) = drawn[0], stacks[0]
+    (v, u), _ = drawn[0]
+    first = stacks[:drawn[1][1]] if len(drawn) > 1 else stacks
+    assert all(stack.size <= grid for stack, _ in first)
+    # each slab holds its nodes of the first combination, then of the second
+    stack = np.concatenate([s.reshape(2, -1, k, k) for s, _ in first], axis=1).reshape(-1, k, k)
+    dets = np.concatenate([d.reshape(2, -1) for _, d in first], axis=1).reshape(-1)
     top = len(stack) // 2 - 2
+    assert len(first) == (1 if per_slab is None else -(-(top + 2) // per_slab))
     # the extra node is the first draw of the attempt's generator
     extra = random.Random(qprofile.subseed(seed, "combination", 0)).randrange(1, p)
     K = GF(p)
@@ -217,7 +225,7 @@ def test_combination_determinants_match_a_python_int_reference(nrows, ncols, p, 
     base=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_pivot_sets_pick_rank_raising_rows_and_columns(nrows, ncols, base, seed):
+def test_fallback_picks_rank_raising_rows_and_columns(nrows, ncols, base, seed):
     # rows beyond the first `base` are combinations of them and some columns
     # repeat earlier ones, so there are rows and columns to skip
     rng = random.Random(seed)
@@ -240,16 +248,27 @@ def test_pivot_sets_pick_rank_raising_rows_and_columns(nrows, ncols, base, seed)
     k = rank_fraction_field(m)
     if k == 0:
         return
-    runs = qprofile._pivot_runs(m, seed, 1)
-    found = list(qprofile._pivot_sets(runs, m.evaluate_many([runs[0][2]]), k, 32003))
-    if not found:
-        return  # the point lowered the rank; no witness is claimed
-    [(rows, cols, run)] = found
-    values = m.evaluate(runs[run][2])
+    # the first run draws only its point (x, 1, z, w, 0)
+    rng = random.Random(seed)
+    x, z, w = (rng.randrange(1, 32003) for _ in range(3))
+    values = m.evaluate((x, 1, z, w, 0))
 
     def rank(a):
         return _linalg.rank_mod_p(a, 32003) if a.size else 0
 
+    if rank(values) < k:
+        return  # the point lowered the rank; the first run claims no witness
+
+    class Picked(Exception):
+        pass
+
+    def first_pick(self, rows, cols):
+        raise Picked(rows, cols)
+
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(Picked) as picked:
+        mp.setattr(GradedMatrix, "submatrix", first_pick)
+        qprofile._honest_sampled_gcd(m, k, seed)
+    rows, cols = picked.value.args
     # the first run keeps the row order and sorts the columns stably by degree
     for i in range(nrows):
         assert (i in rows) == (rank(values[:i + 1]) > rank(values[:i]))
@@ -286,33 +305,24 @@ def test_interpolation_raises_typed_errors():
         determinant(wide)
 
 
-def test_restricted_rank_settles_plane_without_fallback(monkeypatch):
+def test_nonconstant_combination_gcd_goes_to_the_fallback(monkeypatch):
     # combinations that never weigh the cubic are both multiples of X, a
-    # factor the 1-minors do not share: the GCD is X on the line, and only
-    # the regular rank modulo it, where the cubic survives, certifies them
+    # factor the 1-minors do not share: the GCD is X on the line, so the
+    # plane certificate gives up at once, and the honest fallback, whose
+    # witness minors include the cubic, certifies the block coprime
     row = M([0], [2, 2, 2, 3], [["X*Y", "X*Z", "X*T", "Y^3 + Z^3 + T^3"]])
-    measured = []
-    regular_rank, combinations = qprofile._regular_rank, qprofile._combinations
-
-    def spy(coeffs, f, p):
-        measured.append(f)
-        return regular_rank(coeffs, f, p)
+    combinations = qprofile._combinations
 
     def without_the_cubic(*args):
         v, u = combinations(*args)
         u[:, 3] = 0
         return v, u
 
-    def no_fallback(*args, **kwargs):
-        raise AssertionError("honest fallback reached")
-
-    monkeypatch.setattr(qprofile, "_regular_rank", spy)
     monkeypatch.setattr(qprofile, "_combinations", without_the_cubic)
-    monkeypatch.setattr(qprofile, "_honest_sampled_gcd", no_fallback)
+    assert qprofile._restricted_minor_gcd(row, 1, 0) == (False, 2, 1, False)
     analysis = qprofile.coprime_minor_analysis(row)
-    assert analysis.coprime and analysis.notes == []
-    assert measured and all(len(f) - 1 == 1 for f in measured)
-    assert qprofile._restricted_minor_gcd(row, 1, 0) == (True, 2, 1, True, True)
+    assert analysis.coprime and analysis.notes == ["block 0: plane certificate inconclusive, "
+                                                   "honest fallback"]
 
 
 @pytest.mark.parametrize("last, coprime", [
@@ -326,9 +336,8 @@ def test_plane_through_the_gcd_measures_the_rank_at_infinity(monkeypatch, last, 
     row = M([0], [2, 2, 2, 3], [["X*Y", "X*Z", "X*T", last]])
     plane = ([(0, 1), (1, 0), (1, 2), (3, 1)], 0)  # X -> Y, Y -> X, Z -> X + 2Y, T -> 3X + Y
     monkeypatch.setattr(qprofile, "random_plane", lambda p, seed: plane)
-    monkeypatch.setattr(qprofile, "_regular_rank", None)  # the GCD has no affine part
     certificate = qprofile._restricted_minor_gcd(row, 1, 0)
-    assert certificate == (coprime, 2 if coprime else 6, 0, False, True)
+    assert certificate == (coprime, 2 if coprime else 6, 0, True)
 
 
 def test_vanishing_combinations_try_three_lines_then_fall_back(monkeypatch):
@@ -336,7 +345,7 @@ def test_vanishing_combinations_try_three_lines_then_fall_back(monkeypatch):
     # fallback decides, exactly
     row = M([0], [2, 2, 2, 3], [["X*Y", "X*Z", "X*T", "Y^3 + Z^3 + T^3"]])
     monkeypatch.setattr(_linalg, "det_mod_p", lambda stack, p: np.zeros(len(stack), np.int64))
-    assert qprofile._restricted_minor_gcd(row, 1, 0) == (False, 6, None, False, False)
+    assert qprofile._restricted_minor_gcd(row, 1, 0) == (False, 6, None, False)
     analysis = qprofile.coprime_minor_analysis(row)
     assert analysis.coprime and analysis.notes == ["block 0: plane certificate inconclusive, "
                                                    "honest fallback"]
@@ -345,11 +354,11 @@ def test_vanishing_combinations_try_three_lines_then_fall_back(monkeypatch):
 def test_line_through_the_rank_drop_locus_falls_back(monkeypatch):
     # X and Y are coprime, but a line through a point of X = Y = 0 makes
     # every restricted 1-minor vanish there: the combinations share t - 1,
-    # the regular rank modulo it is 0, and the honest fallback certifies
+    # and the honest fallback certifies
     row = M([0], [1, 1], [["X", "Y"]])
     plane = ([(1, 32002), (2, 32001), (1, 0), (0, 1)], 0)  # X -> X - Y, Y -> 2X - 2Y
     monkeypatch.setattr(qprofile, "random_plane", lambda p, seed: plane)
-    assert qprofile._restricted_minor_gcd(row, 1, 0) == (False, 2, 1, True, False)
+    assert qprofile._restricted_minor_gcd(row, 1, 0) == (False, 2, 1, False)
     analysis = qprofile.coprime_minor_analysis(row)
     assert analysis.coprime and len(analysis.notes) == 1
 
@@ -363,7 +372,7 @@ PLANE_PINS = Path(__file__).parent / "golden" / "plane-certificates.json"
 def test_plane_certificates_are_pinned(name, seed, monkeypatch):
     # every block that cold qprofile and minimal-family certify, in call
     # order: (rows, cols, k, block seed, verdict, combinations taken, deg g,
-    # whether the regular rank and the rank at (1 : 0) were measured).  At
+    # whether the rank at (1 : 0) was measured).  At
     # seeds 902 and 100 single restricted witness minors of 3.4 share
     # nonlinear factors that the combinations do not
     calls = []
@@ -381,69 +390,21 @@ def test_plane_certificates_are_pinned(name, seed, monkeypatch):
     assert calls == json.loads(PLANE_PINS.read_text())[f"{name} seed {seed}"]
 
 
-def _restricted_coefficients(m: GradedMatrix) -> np.ndarray:
-    """coeffs[n, i, j]: the coefficient of X^n in entry (i, j) of a matrix
-    of binary forms in X, Y, read off its terms."""
-    top = max(m.col_degrees) - min(m.row_degrees)
-    coeffs = np.zeros((top + 1, m.nrows, m.ncols), dtype=np.int64)
-    for i, row in enumerate(m.entries):
-        for j, entry in enumerate(row):
-            for e, c in entry.terms.items():
-                coeffs[e[0], i, j] = c
-    return coeffs
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     nrows=st.integers(1, 4),
     ncols=st.integers(1, 4),
-    linear=st.integers(0, 4),
-    quadric=st.booleans(),
-    planted=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_regular_rank_matches_rank_modulo_hypersurface(
-    nrows, ncols, linear, quadric, planted, seed
-):
-    # f is a product of distinct irreducible binary forms f_i: monic linear
-    # forms X + dY and, optionally, X^2 + Y^2 (irreducible mod 32003, which
-    # is 3 mod 4).  The F_p-rank of the regular representation over
-    # F_p[t]/(f(t, 1)) must be sum deg f_i * (rank modulo f_i); a planted
-    # block drops its rank modulo one linear form.
-    linear = min(linear, 4 - 2 * quadric) or (0 if quadric else 1)
+def test_rank_at_infinity_is_the_rank_modulo_y(nrows, ncols, seed):
+    # on the line, the point (1 : 0) measures the rank modulo Y
     rng = random.Random(seed)
     col_degs = [rng.randrange(1, 3) for _ in range(ncols)]
     grid = [[MultiPoly(F, {tuple(mono) + (0,): rng.randrange(1, 32003)
                            for mono in modgb.monomials_of_degree(c) if rng.random() < 0.5})
              for c in col_degs] for _ in range(nrows)]
-    form = MultiPoly(F, {(1, 0, 0, 0, 0): 1, (0, 0, 1, 0, 0): rng.randrange(1, 32003),
-                         (0, 1, 0, 0, 0): rng.randrange(32003)})
-    if planted and nrows > 1:
-        scale = MultiPoly.const(F, rng.randrange(32003))
-        grid[-1] = [scale * a + form * MultiPoly(F, {
-            tuple(mono) + (0,): rng.randrange(1, 32003)
-            for mono in modgb.monomials_of_degree(c - 1)}) for a, c in zip(grid[0], col_degs)]
     plane = qprofile.subseed(seed, "plane")
     restricted = restrict_to_plane(GradedMatrix(F, [0] * nrows, col_degs, grid), plane)
-    components = []
-    if planted:
-        dropped = restrict_to_plane(GradedMatrix(F, [0], [1], [[form]]), plane).entries[0][0]
-        if dropped.degree != 1 or (1, 0, 0, 0, 0) not in dropped.terms:
-            return  # the plane met the form's zero set along Y = 0
-        components.append(dropped.monic())
-    while len(components) < linear:
-        candidate = P("X") + P("Y").scale(rng.randrange(32003))
-        if candidate not in components:
-            components.append(candidate)
-    if quadric:
-        components.append(P("X^2 + Y^2"))
-    f = MultiPoly.one(F)
-    for component in components:
-        f = f * component
-    affine = [f.terms.get((j, f.degree - j, 0, 0, 0), 0) for j in range(f.degree + 1)]
-    oracle = sum(c.degree * rank_modulo_hypersurface(restricted, c) for c in components)
-    assert qprofile._regular_rank(_restricted_coefficients(restricted), affine, 32003) == oracle
-    # the point (1 : 0) measures the rank modulo Y
     at_infinity = _linalg.rank_mod_p(restricted.evaluate((1, 0, 0, 0, 0)), 32003)
     assert at_infinity == rank_modulo_hypersurface(restricted, P("Y"))
 

@@ -13,6 +13,14 @@ from typing import List, Tuple
 import numpy as np
 
 
+def reduction_delay(p: int) -> int:
+    """K = (2^63 - 1 - p) // (p - 1)^2: how many products of two residues a
+    value in [0, p) can take, added or subtracted, before it must be reduced
+    mod p to stay in int64.  K = 2 at p = 2^31 - 1, the largest prime
+    `FieldSpec` admits, and more at every smaller p."""
+    return (2 ** 63 - 1 - p) // (p - 1) ** 2
+
+
 def _eliminate(a: np.ndarray, p: int, reduced: bool) -> Tuple[np.ndarray, List[int]]:
     """Gaussian elimination mod p; returns (echelon form, pivot columns).
 
@@ -20,20 +28,20 @@ def _eliminate(a: np.ndarray, p: int, reduced: bool) -> Tuple[np.ndarray, List[i
     pivot too (the reduced row echelon form); without it, only below.  Each
     pivot row is reduced mod p when it is chosen and each pivot column is
     read mod p, but the updates are not: an update lowers an entry by at most
-    (p - 1)^2, so the block is reduced after every
-    K = (2^63 - 1 - p) // (p - 1)^2 updates (K = 2 at p = 2^31 - 1) and once
-    at the end.  Only the columns from the pivot on are updated: the pivot
-    row is zero left of it.  A column with no nonzero entry at or below the
-    current row is passed over; from the second such column in a row on, one
-    scan of the rows left jumps to the next live column, or ends the
-    elimination when none is left.  (A column dead there stays dead: later
-    updates only subtract pivot rows, which are zero in it.)
+    (p - 1)^2, so the block is reduced after every K = `reduction_delay(p)`
+    updates and once at the end.  Only the columns from the pivot on are
+    updated: the pivot row is zero left of it.  A column with no nonzero
+    entry at or below the current row is passed over; from the second such
+    column in a row on, one scan of the rows left jumps to the next live
+    column, or ends the elimination when none is left.  (A column dead there
+    stays dead: later updates only subtract pivot rows, which are zero in
+    it.)
     """
     m = np.array(a, dtype=np.int64) % p
     if m.size == 0:
         return m, []
     rows, cols = m.shape
-    delay = (2 ** 63 - 1 - p) // (p - 1) ** 2
+    delay = reduction_delay(p)
     steps = 0
     pivots: List[int] = []
     c, idle = 0, False
@@ -92,9 +100,9 @@ def rank_mod_p(a: np.ndarray, p: int) -> int:
 
 def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for residues in int64, stacks broadcast as by `@`.  The
-    inner sums are reduced after every `_eliminate`'s K products, so no
-    partial sum leaves int64 at any p that `FieldSpec` admits."""
-    delay = (2 ** 63 - 1 - p) // (p - 1) ** 2
+    inner sums are reduced after every K = `reduction_delay(p)` products, so
+    no partial sum leaves int64 at any p that `FieldSpec` admits."""
+    delay = reduction_delay(p)
     out = a[..., :delay] @ b[..., :delay, :] % p
     for s in range(delay, a.shape[-1], delay):
         out = (out + a[..., s:s + delay] @ b[..., s:s + delay, :]) % p

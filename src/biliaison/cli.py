@@ -65,18 +65,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        src = p.add_mutually_exclusive_group(required=False)
-        src.add_argument("--fixture", choices=fixtures.FIXTURE_NAMES, help="built-in example")
-        src.add_argument("--input", help="path to a matrix JSON file")
+    def basic(p: argparse.ArgumentParser) -> None:
         p.add_argument("--field", default="prime:32003",
                        help="coefficient field: prime:P, 1000 <= P < 2^31 (default prime:32003)")
         p.add_argument("--seed", type=int, default=qprofile.DEFAULT_SEED,
                        help="seed for all randomized certificates (default 0x%X)" % qprofile.DEFAULT_SEED)
+        p.add_argument("--format", choices=("table", "json"), default="table")
+
+    def common(p: argparse.ArgumentParser) -> None:
+        basic(p)
+        src = p.add_mutually_exclusive_group(required=False)
+        src.add_argument("--fixture", choices=fixtures.FIXTURE_NAMES, help="built-in example")
+        src.add_argument("--input", help="path to a matrix JSON file")
         p.add_argument("--window", default=None, metavar="MIN:MAX",
                        help="degree window override, e.g. 0:8; MIN must be at most "
                             "inf L2 - 1")
-        p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--assume-locally-free", action="store_true",
                        help="trust that the cokernel of the presentation is locally free "
                             "and skip its certificate (minor values on a lattice, else "
@@ -99,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help='candidate characteristic function as JSON, e.g. {"2": 3}')
 
     p_ex = sub.add_parser("examples", help="run all built-in examples against expected values")
-    common(p_ex)
+    basic(p_ex)
     p_ex.add_argument("--perturb", action="store_true",
                       help="test hook: zero one presentation entry (negative control)")
     return parser

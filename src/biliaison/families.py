@@ -213,25 +213,14 @@ def verify_general_morphism(
     profile: Optional[QProfile] = None,
     seed: int = DEFAULT_SEED,
 ) -> Certificate:
-    """Certify injectivity at the closed point and a torsion-free cokernel."""
+    """Certify injectivity at the closed point and a torsion-free cokernel,
+    from the composite s_t * v."""
     if profile is None:
         profile = compute_q_profile(s)
     r = profile.stable_rank
     if v.ncols != r - 1:
         raise ValueError(f"lift has {v.ncols} columns, expected rank - 1 = {r - 1}")
-    return _verify_composite(_composite(s, v), r, seed)
-
-
-def _composite(s: GradedMatrix, v: GradedMatrix) -> GradedMatrix:
-    """W = (s*v)|_{a=0} = s_t * v for a lift v free of the parameter, so the
-    a*I block of s is never multiplied.  (A lift with the parameter leaves
-    it in W, and the rank and the Groebner basis of W refuse it.)  W is kept
-    on v, so every step taken with one lift shares W and what W keeps."""
-    return v.kept(("composite", s), lambda: s.specialize_closed_point() @ v)
-
-
-def _verify_composite(w: GradedMatrix, r: int, seed: int) -> Certificate:
-    """`verify_general_morphism` for the composite w of a lift with r - 1 columns."""
+    w = _composite(s, v)
     rank = rank_fraction_field(w)
     if rank != r - 1:
         raise RankDeficiencyError(
@@ -246,6 +235,14 @@ def _verify_composite(w: GradedMatrix, r: int, seed: int) -> Certificate:
     return Certificate(rank=rank, coprime=True, seed=seed, notes=analysis.notes)
 
 
+def _composite(s: GradedMatrix, v: GradedMatrix) -> GradedMatrix:
+    """W = (s*v)|_{a=0} = s_t * v for a lift v free of the parameter, so the
+    a*I block of s is never multiplied.  (A lift with the parameter leaves
+    it in W, and the rank and the Groebner basis of W refuse it.)  W is kept
+    on v, so every step taken with one lift shares W and what W keeps."""
+    return v.kept(("composite", s), lambda: s.specialize_closed_point() @ v)
+
+
 # ---------------------------------------------------------------------------
 # Hilbert polynomial of the quotient and (d, g)
 
@@ -253,18 +250,11 @@ def _verify_composite(w: GradedMatrix, r: int, seed: int) -> Certificate:
 def quotient_hilbert_data(
     s: GradedMatrix, v: GradedMatrix
 ) -> Tuple[HilbertPolynomial, HilbertPolynomial]:
-    """(P_N, P_Q) for Q = column module of s_t modulo columns of (s*v)_t."""
-    return _quotient_hilbert(s.specialize_closed_point(), _composite(s, v))
-
-
-def _quotient_hilbert(
-    s_t: GradedMatrix, w: GradedMatrix
-) -> Tuple[HilbertPolynomial, HilbertPolynomial]:
-    """`quotient_hilbert_data` for s_t = s|_{a=0} and the composite w: the
-    columns of w lie in the column module of s_t, so P_Q = P_N - P_U with U
-    the column module of w."""
-    p_n = modgb.groebner_basis(s_t).hilbert_polynomial()
-    return p_n, p_n - modgb.groebner_basis(w).hilbert_polynomial()
+    """(P_N, P_Q) for Q = column module of s_t modulo columns of (s*v)_t:
+    the columns of the composite w = s_t * v lie in the column module of
+    s_t, so P_Q = P_N - P_U with U the column module of w."""
+    p_n = modgb.groebner_basis(s.specialize_closed_point()).hilbert_polynomial()
+    return p_n, p_n - modgb.groebner_basis(_composite(s, v)).hilbert_polynomial()
 
 
 def family_degree_genus(
@@ -331,15 +321,13 @@ def minimal_family(
     q = profile.q_function()
     deg_n = sheaf_degree(s, profile)
     h0 = minimal_shift(profile, deg_n)
-    s_t = s.specialize_closed_point()
     last_error: Optional[Exception] = None
     for attempt in range(retry_cap):
         attempt_seed = subseed(seed, "minimal-family", attempt)
         v = sample_general_morphism(s, q, seed=attempt_seed, profile=profile)
-        w = _composite(s, v)
         try:
-            cert = _verify_composite(w, profile.stable_rank, attempt_seed)
-            p_n, p_q = _quotient_hilbert(s_t, w)
+            cert = verify_general_morphism(s, v, profile, seed=attempt_seed)
+            p_n, p_q = quotient_hilbert_data(s, v)
             d, g = _degree_genus(h0, p_q)
         except (RankDeficiencyError, TorsionError, ShapeMismatchError) as exc:
             last_error = exc

@@ -60,9 +60,11 @@ monomial degree at most R in every component: a vector of degree d over
 ambient degrees a_c only holds terms of monomial degree d - a_c, so
 d - min(a) <= R keeps every field of every term, and of every multiple
 formed while reducing it, inside [0, R].  Inputs and S-pairs outside that
-range raise `TermRangeError`; nothing wraps silently.  The input columns
-are packed from the term table of their matrix in one pass
-(`_column_vecs`), and keys become tuples only in a basis's leads.
+range raise `TermRangeError`; nothing wraps silently.  A vector is stored
+once, as two int64 arrays: its keys, strictly ascending, so the lead is the
+last, and their nonzero coefficients.  The input columns are packed from
+the term table of their matrix in one pass and one sort (`_column_vecs`),
+and keys become tuples only in a basis's leads.
 
 Dense normal forms.  Every vector Buchberger reduces is homogeneous, so it
 lives in the degree-d piece of the ambient module, spanned by the
@@ -76,10 +78,10 @@ creates terms smaller than the one it removes, so each column is visited
 once, and each row takes exactly the steps it would take alone.  The
 updates are not reduced mod p: entries start in [0, p) and a step lowers
 one by at most (p - 1)**2, so the block is reduced mod p after every
-K = (2**63 - 1 - p) // (p - 1)**2 steps, and once at the end.  Every
-admitted p < 2**31 gives K >= 2 (K = 2 at p = 2**31 - 1, and about 9e9 at
-the default p).  A membership test passes a one-row block.  The work
-arrays cost memory in proportion to the piece, so a piece of more than
+K = `_linalg.reduction_delay(p)` steps, and once at the end: K >= 2 for
+every admitted p (K = 2 at p = 2**31 - 1, and about 9e9 at the default p).
+A membership test passes a one-row block.  The work arrays cost memory in
+proportion to the piece, so a piece of more than
 _MAX_PIECE terms raises `TermRangeError`, and a degree's rows are reduced
 in chunks of at most _MAX_PIECE cells.  Each chunk is reduced by the
 elements of lower degree and echeloned together with the elements the
@@ -157,7 +159,7 @@ from biliaison import _linalg
 from biliaison.grmatrix import (
     BudgetExhaustedError, CharFunction, GradedMatrix, HomogeneityError, minors, ranked_blocks,
 )
-from biliaison.polyring import FieldSpec, MultiPoly, Scalar
+from biliaison.polyring import FieldSpec, MultiPoly
 
 Expo4 = Tuple[int, int, int, int]
 Term = Tuple[int, int, int, int, int]  # (component, e0, e1, e2, e3)
@@ -235,42 +237,25 @@ def monomials_of_degree(d: int) -> List[Expo4]:
 
 
 class _Vec:
-    """Homogeneous element of the ambient free module (internal).
+    """Homogeneous element of the ambient free module (internal): its packed
+    term keys, int64 and strictly ascending, and their nonzero coefficients,
+    int64 in [1, p); the lead is the last key."""
 
-    ``terms`` maps packed term keys to nonzero scalars.
-    """
+    __slots__ = ("keys", "coefs", "degree")
 
-    __slots__ = ("terms", "degree", "_lead_key", "_lead", "_arrays")
-
-    def __init__(self, terms: Dict[int, Scalar], degree: int):
-        self.terms = terms
+    def __init__(self, keys: np.ndarray, coefs: np.ndarray, degree: int):
+        self.keys = keys
+        self.coefs = coefs
         self.degree = degree
-        self._lead_key: Optional[int] = None
-        self._lead: Optional[Term] = None
-        self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(keys, coefficients) of the terms as int64 arrays."""
-        if self._arrays is None:
-            n = len(self.terms)
-            self._arrays = (
-                np.fromiter(self.terms.keys(), np.int64, n),
-                np.fromiter(self.terms.values(), np.int64, n),
-            )
-        return self._arrays
 
     def lead_key(self) -> int:
-        if self._lead_key is None:
-            self._lead_key = max(self.terms)
-        return self._lead_key
+        return int(self.keys[-1])
 
     def lead(self) -> Term:
-        if self._lead is None:
-            self._lead = _unpack(self.lead_key())
-        return self._lead
+        return _unpack(self.lead_key())
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self.keys)
 
 
 class _DegreePieces:
@@ -502,10 +487,11 @@ def _column_vecs(gens: GradedMatrix) -> List[_Vec]:
     gens.validate_homogeneity()
     _, exps, coefs = gens.term_table()
     comps, cols = gens.term_rows_cols()
-    order = np.argsort(cols, kind="stable")
-    keys, coefs = _pack_many(comps[order], exps[order, :4]), coefs[order]
+    keys = _pack_many(comps, exps[:, :4])
+    order = np.lexsort((keys, cols))  # by column, then ascending key
+    keys, coefs = keys[order], coefs[order]
     bounds = cols[order].searchsorted(np.arange(gens.ncols + 1)).tolist()
-    return [_Vec(dict(zip(keys[lo:hi].tolist(), coefs[lo:hi].tolist())), degree)
+    return [_Vec(keys[lo:hi], coefs[lo:hi], degree)
             for degree, lo, hi in zip(gens.col_degrees, bounds, bounds[1:])]
 
 
@@ -519,21 +505,19 @@ def _dense(vec: _Vec, keys: np.ndarray) -> np.ndarray:
     A key outside the piece raises `TermRangeError`; it never lands in the
     neighbouring slot that `searchsorted` would name.
     """
-    vk, vc = vec.arrays()
-    pos = keys.searchsorted(vk)
-    if not (pos < len(keys)).all() or (keys[pos] != vk).any():
+    pos = keys.searchsorted(vec.keys)
+    if not (pos < len(keys)).all() or (keys[pos] != vec.keys).any():
         raise TermRangeError(f"a term of the vector is not in the degree-{vec.degree} piece")
     work = np.zeros(len(keys), dtype=np.int64)
-    work[pos] = vc
+    work[pos] = vec.coefs
     return work
 
 
 def _row_vec(row: np.ndarray, keys: np.ndarray, degree: int) -> _Vec:
-    """The vector with the coefficients ``row`` at the term keys ``keys``."""
+    """The vector with the coefficients ``row`` at the ascending term keys
+    ``keys``, zero coefficients dropped."""
     nz = row.nonzero()[0]
-    vec = _Vec(dict(zip(keys[nz].tolist(), row[nz].tolist())), degree)
-    vec._arrays = (keys[nz], row[nz])
-    return vec
+    return _Vec(keys[nz], row[nz], degree)
 
 
 def _sub_scaled(flat: np.ndarray, at: np.ndarray, gc: np.ndarray, coeffs: np.ndarray) -> None:
@@ -564,7 +548,7 @@ def _normal_form(work: np.ndarray, reducers: _Reducers, degree: int) -> np.ndarr
     reducible = table >= 0
     work = np.ascontiguousarray(work)
     flat, width = work.reshape(-1), work.shape[1]
-    delay = (2 ** 63 - 1 - p) // (p - 1) ** 2
+    delay = _linalg.reduction_delay(p)
     steps = 0
     candidates = work.any(axis=0) & reducible
     top = width
@@ -581,9 +565,8 @@ def _normal_form(work: np.ndarray, reducers: _Reducers, degree: int) -> np.ndarr
                 work %= p
                 steps = 0
             g = reducers.basis[table[top]]
-            gk, gc = g.arrays()
-            pos = keys.searchsorted(gk + (int(keys[top]) - g.lead_key()))
-            _sub_scaled(flat, rows[:, None] * width + pos, gc, column[rows])
+            pos = keys.searchsorted(g.keys + (int(keys[top]) - g.lead_key()))
+            _sub_scaled(flat, rows[:, None] * width + pos, g.coefs, column[rows])
             steps += 1
             candidates[pos[reducible[pos]]] = True
 
@@ -599,21 +582,22 @@ def _s_vectors(
     offsets = np.arange(len(pairs)) * n
     for side, sign in ((0, 1), (1, -1)):
         gs = [basis[pair[side]] for pair in pairs]
-        shifted = [g.arrays()[0] + (pair[2] - g.lead_key()) for g, pair in zip(gs, pairs)]
+        shifted = [g.keys + (pair[2] - g.lead_key()) for g, pair in zip(gs, pairs)]
         at = keys.searchsorted(np.concatenate(shifted)) + np.repeat(offsets, [len(k) for k in shifted])
-        flat[at] = (flat[at] + sign * np.concatenate([g.arrays()[1] for g in gs])) % p
+        flat[at] = (flat[at] + sign * np.concatenate([g.coefs for g in gs])) % p
     return work
 
 
 def _echelon_basis(work: np.ndarray, keys: np.ndarray, degree: int, p: int) -> List[_Vec]:
     """Monic elements spanning the rows of a reduced block, interreduced: the
     reduced row echelon form over the live columns, largest key first, so
-    each pivot is its row's lead."""
+    each pivot is its row's lead.  Each row is handed over reversed, so its
+    keys ascend."""
     work = work[work.any(axis=1)]
     cols = work.any(axis=0).nonzero()[0][::-1]
     rref, pivots = _linalg.rref_mod_p(work[:, cols], p)
-    keys = keys[cols]
-    return [_row_vec(row, keys, degree) for row in rref[:len(pivots)]]
+    keys = keys[cols[::-1]]
+    return [_row_vec(row[::-1], keys, degree) for row in rref[:len(pivots)]]
 
 
 def _buchberger(

@@ -421,7 +421,9 @@ def compute_q_profile(
 def _scan_profile(
     s: GradedMatrix, window: Optional[Tuple[Optional[int], Optional[int]]], seed: int
 ) -> QProfile:
-    """`compute_q_profile` without keeping the result."""
+    """`compute_q_profile` without keeping the result.  Each distinct
+    truncation is analysed once: at a degree no column has, alpha, beta and
+    freeness are those of the degree before."""
     s_t = s.specialize_closed_point()
     if s.ncols == 0 or s_t.is_zero_matrix():
         return QProfile(
@@ -451,16 +453,17 @@ def _scan_profile(
     in_free_regime = True
     dissociated = False
     stabilized = False
+    analysed = -1  # the column count of the truncation alpha_n and beta_n belong to
     for n in range(n_min, n_cap + 1):
         w = s_t.truncate_columns(n)
-        alpha_n = rank_fraction_field(w)
-        beta_n = coprime_minor_analysis(w, seed=subseed(seed, "beta", n)).min_rank
+        if w.ncols != analysed:  # else no column has degree n, and s_n = s_{n-1}
+            analysed = w.ncols
+            alpha_n = rank_fraction_field(w)
+            beta_n = coprime_minor_analysis(w, seed=subseed(seed, "beta", n)).min_rank
+            if in_free_regime:
+                in_free_regime = alpha_n == beta_n and _column_module_free(w, alpha_n)
         if in_free_regime:
-            conditions = alpha_n == beta_n and _column_module_free(w, alpha_n)
-            if conditions:
-                b0 = n
-            else:
-                in_free_regime = False
+            b0 = n
         q_sharp = alpha_n if in_free_regime else min(alpha_n - 1, beta_n)
         records.append(DegreeRecord(n, alpha_n, beta_n, q_sharp))
         if in_free_regime and alpha_n == r:

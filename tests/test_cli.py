@@ -283,7 +283,7 @@ def test_retry_exhaustion_exit_code(monkeypatch):
     def torsion(*args, **kwargs):
         raise families.TorsionError("forced degeneracy")
 
-    monkeypatch.setattr(families, "_verify_composite", torsion)
+    monkeypatch.setattr(families, "verify_general_morphism", torsion)
     code, out, _ = run(["minimal-family", "--fixture", "3.2"])
     assert code == 4
     assert "no general morphism found in 10 attempts" in out
@@ -292,13 +292,13 @@ def test_retry_exhaustion_exit_code(monkeypatch):
 def test_broken_hilbert_laws_exit_code(monkeypatch):
     # a P_Q off by one breaks P_Q + P_P = P_N, and a non-integral sheaf
     # degree breaks the presentation: both exit 3 with their message
-    real = families._quotient_hilbert
+    real = families.quotient_hilbert_data
 
-    def skewed(s_t, w):
-        p_n, p_q = real(s_t, w)
+    def skewed(s, v):
+        p_n, p_q = real(s, v)
         return p_n, p_q + HilbertPolynomial.from_coeffs([1])
 
-    monkeypatch.setattr(families, "_quotient_hilbert", skewed)
+    monkeypatch.setattr(families, "quotient_hilbert_data", skewed)
     code, out, _ = run(["minimal-family", "--fixture", "3.2"])
     assert code == 3
     assert "differs from P_N" in out
@@ -415,6 +415,16 @@ def test_examples_negative_control():
     code, out, _ = run(["examples", "--perturb"])
     assert code == 1
     assert "[FAIL] 3.2" in out
+
+
+def test_examples_refuses_the_matrix_options():
+    # examples runs the built-in fixtures only: a matrix, window or trust
+    # option would be ignored, so argparse refuses it
+    for extra in (["--input", "x.json"], ["--fixture", "3.2"], ["--window", "5:1"],
+                  ["--assume-locally-free"], ["--export-matrix", "x.json"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["examples"] + extra)
+        assert exc.value.code == 2, extra
 
 
 def test_examples_json_export():

@@ -275,13 +275,13 @@ def test_minimal_family_computes_quotient_data_once(monkeypatch):
     desc = fixtures.example("3.2")
     profile = qprofile.compute_q_profile(desc.matrix)
     calls = []
-    real = families._quotient_hilbert
+    real = families.quotient_hilbert_data
 
-    def counted(s_t, w):
-        calls.append(w)
-        return real(s_t, w)
+    def counted(s, v):
+        calls.append(v)
+        return real(s, v)
 
-    monkeypatch.setattr(families, "_quotient_hilbert", counted)
+    monkeypatch.setattr(families, "quotient_hilbert_data", counted)
     report = families.minimal_family(desc.matrix, profile=profile)
     assert len(calls) == 1
     p_n, p_p, p_q = report.conservation
@@ -353,13 +353,13 @@ def test_cold_minimal_family_decomposes_each_matrix_once(monkeypatch):
 def test_minimal_family_raises_on_conservation_mismatch(monkeypatch):
     desc = fixtures.example("3.2")
     profile = qprofile.compute_q_profile(desc.matrix)
-    real = families._quotient_hilbert
+    real = families.quotient_hilbert_data
 
-    def skewed(s_t, w):
-        p_n, p_q = real(s_t, w)
+    def skewed(s, v):
+        p_n, p_q = real(s, v)
         return p_n + HilbertPolynomial.from_coeffs([1]), p_q
 
-    monkeypatch.setattr(families, "_quotient_hilbert", skewed)
+    monkeypatch.setattr(families, "quotient_hilbert_data", skewed)
     with pytest.raises(families.ConservationError):
         families.minimal_family(desc.matrix, profile=profile)
 

@@ -3,12 +3,14 @@ from __future__ import annotations
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from biliaison import _linalg
+from biliaison.polyring import FieldSpec
 
 P31 = 2**31 - 1  # the largest prime FieldSpec admits
 
@@ -63,6 +65,20 @@ def test_pivots_mod_p_are_the_rref_pivots(nrows, ncols, inner, seed):
             [[K(int(x)) for x in row] for row in a], a.shape, K).rref()
         assert pivots == list(oracle_pivots)
         assert rref.tolist() == [[int(x) % P31 for x in row] for row in oracle.to_list()]
+
+
+def test_reduction_delay_at_both_ends_of_the_admitted_primes():
+    # K falls as p grows, so K at the smallest and the largest prime that
+    # FieldSpec admits bounds it at every admitted p; a residue plus K
+    # products of two residues stays in int64
+    for q in range(1000, 1009):
+        with pytest.raises(ValueError):
+            FieldSpec(q)
+    for p in (1009, P31):
+        FieldSpec(p)
+        k = _linalg.reduction_delay(p)
+        assert k >= 2 and p - 1 + k * (p - 1) ** 2 < 2**63
+    assert _linalg.reduction_delay(P31) == 2
 
 
 @settings(max_examples=40, deadline=None)

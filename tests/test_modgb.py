@@ -46,10 +46,22 @@ def _mixed_degree_matrices(rng, count):
         yield _random_matrix(rng, row_degs, col_degs, 0.5)
 
 
+def _vec(terms, degree):
+    """The engine's vector with the terms {packed key: coefficient}."""
+    keys = sorted(terms)
+    return modgb._Vec(np.array(keys, dtype=np.int64),
+                      np.array([terms[k] for k in keys], dtype=np.int64), degree)
+
+
+def _vec_terms(vec):
+    """The terms {packed key: coefficient} of an engine vector."""
+    return dict(zip(vec.keys.tolist(), vec.coefs.tolist()))
+
+
 def _vec_to_column(vec, ambient_degrees, field=F):
     """A vector of the engine as a column of polynomials, one per component."""
     polys = [dict() for _ in ambient_degrees]
-    for k, c in vec.terms.items():
+    for k, c in _vec_terms(vec).items():
         comp, *e = modgb._unpack(k)
         polys[comp][tuple(e) + (0,)] = c
     return [MultiPoly(field, d) for d in polys]
@@ -136,10 +148,27 @@ def test_gb_two_way_membership_random():
             assert _member_by_linear_algebra(gens, col, vec.degree)
 
 
+def test_vectors_are_sorted_keys_and_nonzero_coefficients():
+    # a vector is stored once: strictly ascending keys, the lead the last of
+    # them, and coefficients in [1, p), for the input columns and the basis
+    p = F.characteristic
+    for gens in _membership_cases() + _hilbert_oracle_cases():
+        pres = modgb.groebner_basis(gens)
+        vecs = modgb._column_vecs(gens) + pres.gb
+        assert pres.gb
+        for v in vecs:
+            assert v.keys.dtype == v.coefs.dtype == np.int64
+            assert len(v.keys) == len(v.coefs)
+            assert (np.diff(v.keys) > 0).all()
+            assert ((1 <= v.coefs) & (v.coefs < p)).all()
+            if not v.is_zero():
+                assert v.lead_key() == v.keys[-1]
+
+
 def _scan_normal_form(gb, vec, p):
     """Reference reducer: rescan the terms, largest first, for the first basis
     element whose lead divides one; returns (terms, reduction steps)."""
-    terms = dict(vec.terms)
+    terms = _vec_terms(vec)
     steps = 0
     while True:
         for key in sorted(terms, reverse=True):
@@ -151,7 +180,7 @@ def _scan_normal_form(gb, vec, p):
         else:
             return terms, steps
         c, shift = terms[key], key - g.lead_key()
-        for gk, gc in g.terms.items():
+        for gk, gc in _vec_terms(g).items():
             value = (terms.get(gk + shift, 0) - c * gc) % p
             if value:
                 terms[gk + shift] = value
@@ -185,11 +214,11 @@ def test_table_normal_form_matches_scan_reducer(monkeypatch):
                             terms[modgb._pack((comp,) + mono)] = rng.randrange(1, 32003)
                 if not terms:
                     continue
-                vec = modgb._Vec(terms, degree)
+                vec = _vec(terms, degree)
                 steps.clear()
                 nf = pres.normal_form(vec)
                 want, want_steps = _scan_normal_form(pres.gb, vec, F.characteristic)
-                assert nf.terms == want
+                assert _vec_terms(nf) == want
                 assert len(steps) == want_steps
                 checked += want_steps
         monkeypatch.undo()
@@ -219,7 +248,7 @@ def test_block_reduces_like_its_rows(seed, nrows):
     block = modgb._normal_form(np.stack(rows), pres._reducers, degree)
     for row, reduced in zip(rows, block):
         alone = pres.normal_form(modgb._row_vec(row, keys, degree))
-        assert modgb._row_vec(reduced, keys, degree).terms == alone.terms
+        assert _vec_terms(modgb._row_vec(reduced, keys, degree)) == _vec_terms(alone)
 
 
 def _reduced_basis(gens, monkeypatch, chunk_cells=None):
@@ -246,7 +275,7 @@ def _reduced_basis(gens, monkeypatch, chunk_cells=None):
     gb, truncated_at = modgb._buchberger(
         modgb._column_vecs(gens), F, gens.row_degrees, None)
     monkeypatch.undo()
-    return [sorted(v.terms.items()) for v in gb], truncated_at, blocks, max(pieces)
+    return [sorted(_vec_terms(v).items()) for v in gb], truncated_at, blocks, max(pieces)
 
 
 def _rows_reduced(blocks, degree):
@@ -369,12 +398,12 @@ def test_random_complete_intersections_match_sympy_and_the_oracle(seed):
 def _assert_reduced(gb):
     """Monic leads, and no lead divides a term of another element."""
     for v in gb:
-        assert v.terms[v.lead_key()] == 1
+        assert _vec_terms(v)[v.lead_key()] == 1
         for w in gb:
             if w is not v:
                 assert not any(modgb._unpack(k)[0] == w.lead()[0]
                                and modgb._mono_divides(w.lead(), modgb._unpack(k))
-                               for k in v.terms)
+                               for k in _vec_terms(v))
 
 
 def _with_redundant_columns(gens: GradedMatrix, rng) -> GradedMatrix:
@@ -405,8 +434,8 @@ def test_redundant_generators_give_the_same_reduced_basis(seed):
     padded = _with_redundant_columns(gens, rng)
     whole = modgb.groebner_basis(gens, degree_cap=None)
     pres = modgb.groebner_basis(padded, degree_cap=None)
-    assert {tuple(sorted(v.terms.items())) for v in pres.gb} == \
-        {tuple(sorted(v.terms.items())) for v in whole.gb}
+    assert {tuple(sorted(_vec_terms(v).items())) for v in pres.gb} == \
+        {tuple(sorted(_vec_terms(v).items())) for v in whole.gb}
     _assert_reduced(pres.gb)
     lo = min(padded.col_degrees)
     for n in range(lo, lo + 4):
@@ -438,13 +467,13 @@ def test_dense_normal_form_range_errors():
     pres = modgb.groebner_basis(M([0], [1, 1, 1, 1], [["X", "Y", "Z", "T"]]))
     # a key of the wrong degree is not in the degree-2 piece: it must raise,
     # not be written into a neighbouring slot
-    stray = modgb._Vec({modgb._pack((0, 2, 0, 0, 0)): 1, modgb._pack((0, 0, 1, 0, 0)): 1}, 2)
+    stray = _vec({modgb._pack((0, 2, 0, 0, 0)): 1, modgb._pack((0, 0, 1, 0, 0)): 1}, 2)
     with pytest.raises(modgb.TermRangeError):
         pres.normal_form(stray)
-    beyond = modgb._Vec({modgb._pack((1, 2, 0, 0, 0)): 1}, 2)  # a component the module lacks
+    beyond = _vec({modgb._pack((1, 2, 0, 0, 0)): 1}, 2)  # a component the module lacks
     with pytest.raises(modgb.TermRangeError):
         pres.normal_form(beyond)
-    assert pres.normal_form(modgb._Vec({modgb._pack((0, 1, 1, 0, 0)): 5}, 2)).is_zero()
+    assert pres.normal_form(_vec({modgb._pack((0, 1, 1, 0, 0)): 5}, 2)).is_zero()
     # the degree-200 piece (1373701 terms) is refused before it is built
     with pytest.raises(modgb.TermRangeError):
         modgb.groebner_basis(M([0], [200], [["X^200"]]))

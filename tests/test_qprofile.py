@@ -512,6 +512,29 @@ def test_profile_json_roundtrip(example_runs):
     assert [r["q_sharp"] for r in obj["rows"]] == [0, 0, 3]
 
 
+def test_gapped_degrees_are_analysed_once_per_truncation(monkeypatch):
+    # no column has degree 2 or 3, so s_2 = s_3 = s_1: the scan analyses
+    # the truncations with 0, 1 and 2 columns once each, and every row
+    # still equals alpha and beta computed at its own degree
+    s = M([0, 0], [1, 4], [["X", "Z^4"], ["Y", "T^4"]])
+    calls = []
+    analyse = qprofile.coprime_minor_analysis
+
+    def counted(w, seed=qprofile.DEFAULT_SEED):
+        calls.append(w.ncols)
+        return analyse(w, seed=seed)
+
+    monkeypatch.setattr(qprofile, "coprime_minor_analysis", counted)
+    profile = qprofile.compute_q_profile(s)
+    assert calls == [0, 1, 2]
+    monkeypatch.undo()
+    assert [rec.n for rec in profile.records] == [0, 1, 2, 3, 4]
+    for rec in profile.records:
+        assert (rec.alpha, rec.beta) == (qprofile.alpha(s, rec.n), qprofile.beta(s, rec.n))
+    assert [rec.q_sharp for rec in profile.records] == [0, 1, 1, 1, 1]
+    assert profile.b0 == 3 and profile.stabilized
+
+
 def test_window_override_caps_scan():
     desc = fixtures.example("3.2")
     profile = qprofile.compute_q_profile(desc.matrix, window=(0, 1))

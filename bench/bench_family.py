@@ -8,15 +8,19 @@ Each run starts from a matrix with nothing kept on it: a fresh copy of
 fixture 3.4, and `rao_family(8, 4, 1)` built anew.  On that matrix it times
 `compute_q_profile` (profile), then, one after the other on the first lift
 `minimal_family` draws, `sample_general_morphism` (lift), the composite
-s_t * v (composite), its rank and coprime-minor certificate (verify) and
-the Hilbert polynomials of the quotient (quotient_hilbert).  Last comes
+s_t * v (composite), `verify_general_morphism`, which ranks it and
+certifies its coprime minors (verify), and `quotient_hilbert_data`, the
+Hilbert polynomials of the quotient (quotient_hilbert).  Last comes
 `minimal_family` with that profile on a second fresh copy (family), which
 takes all of those steps again.  The matrices are built outside the timed
-stages.  Each figure is the median of `--runs`.
+stages.  Each figure is the median of `--runs`.  Beside the times, each
+stage counts its Buchberger runs (`modgb._buchberger`), which do not vary
+from run to run.
 
 The script writes `BENCH_family.json` (or `--out`) with the git sha, whether
-the tree differs from it, the versions, and per instance the medians, every
-run, and the family's (deg N, h0, d0, g0).  It is not part of the test suite.
+the tree differs from it, the versions, and per instance the medians, the
+Buchberger runs per stage, every run, and the family's (deg N, h0, d0, g0).
+It is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 import numpy as np  # noqa: E402
 
 from bench_plane_certificate import git_state  # noqa: E402
-from biliaison import families, fixtures, qprofile  # noqa: E402
+from biliaison import families, fixtures, modgb, qprofile  # noqa: E402
 from biliaison.grmatrix import GradedMatrix  # noqa: E402
 
 STAGES = ("profile", "lift", "composite", "verify", "quotient_hilbert", "family")
@@ -54,25 +58,37 @@ INSTANCES = {
 
 
 def run_once(build) -> tuple:
-    """(seconds per stage, the family's invariants) on fresh matrices."""
+    """(seconds per stage, Buchberger runs per stage, the family's
+    invariants) on fresh matrices."""
     s, again = build(), build()
-    times = {}
+    times, gb_runs = {}, {}
+    real, started = modgb._buchberger, []
+
+    def counted(*args):
+        started.append(None)
+        return real(*args)
 
     def timed(stage, step):
+        before = len(started)
         start = time.perf_counter()
         result = step()
         times[stage] = time.perf_counter() - start
+        gb_runs[stage] = len(started) - before
         return result
 
-    profile = timed("profile", lambda: qprofile.compute_q_profile(s))
-    seed = qprofile.subseed(qprofile.DEFAULT_SEED, "minimal-family", 0)
-    v = timed("lift", lambda: families.sample_general_morphism(
-        s, profile.q_function(), seed=seed, profile=profile))
-    w = timed("composite", lambda: families._composite(s, v))
-    timed("verify", lambda: families._verify_composite(w, profile.stable_rank, seed))
-    timed("quotient_hilbert", lambda: families._quotient_hilbert(s.specialize_closed_point(), w))
-    report = timed("family", lambda: families.minimal_family(again, profile=profile))
-    return times, [report.deg_N, report.h0, report.d0, report.g0]
+    modgb._buchberger = counted
+    try:
+        profile = timed("profile", lambda: qprofile.compute_q_profile(s))
+        seed = qprofile.subseed(qprofile.DEFAULT_SEED, "minimal-family", 0)
+        v = timed("lift", lambda: families.sample_general_morphism(
+            s, profile.q_function(), seed=seed, profile=profile))
+        timed("composite", lambda: families._composite(s, v))
+        timed("verify", lambda: families.verify_general_morphism(s, v, profile, seed=seed))
+        timed("quotient_hilbert", lambda: families.quotient_hilbert_data(s, v))
+        report = timed("family", lambda: families.minimal_family(again, profile=profile))
+    finally:
+        modgb._buchberger = real
+    return times, gb_runs, [report.deg_N, report.h0, report.d0, report.g0]
 
 
 def main() -> None:
@@ -84,11 +100,12 @@ def main() -> None:
     for name, build in INSTANCES.items():
         runs = []
         for _ in range(args.runs):
-            times, invariants = run_once(build)
+            times, gb_runs, invariants = run_once(build)
             runs.append(times)
         medians = {stage: statistics.median(t[stage] for t in runs) for stage in STAGES}
-        instances[name] = {"median_s": medians, "runs": runs, "invariants": invariants}
-        print(f"{name}: " + ", ".join(f"{k} {v:.4f} s" for k, v in medians.items())
+        instances[name] = {"median_s": medians, "buchberger_runs": gb_runs, "runs": runs,
+                           "invariants": invariants}
+        print(f"{name}: " + ", ".join(f"{k} {medians[k]:.4f} s ({gb_runs[k]} GB)" for k in STAGES)
               + f"; (deg N, h0, d0, g0) = {tuple(invariants)}", file=sys.stderr)
     sha, dirty = git_state()
     report = {

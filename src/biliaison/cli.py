@@ -13,8 +13,8 @@ any other --field, and a matrix JSON over any other field, is a parse error.
 Exit codes: 0 success / admissible; 1 rejection or example mismatch;
 2 parse error, or a candidate p of the wrong mass; 3 hypothesis
 certification failure without a trust flag, or a broken structural law:
-the profile laws, a P_N that gives no integral sheaf degree, or
-P_Q + P_P != P_N; 4 degree budget, window, retry or GCD node exhaustion;
+the profile laws, a P_N that gives no integral sheaf degree,
+P_Q + P_P != P_N, or a block rank above its exact bound; 4 degree budget, window, retry or GCD node exhaustion;
 5 dissociated sheaf.  One table in `main` maps the typed errors that a
 command lets escape to their codes.
 
@@ -41,7 +41,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from biliaison import families, fixtures, modgb, qprofile
-from biliaison.grmatrix import CharFunction, GradedMatrix
+from biliaison.grmatrix import CharFunction, GradedMatrix, RankBoundError
 from biliaison.polyring import FieldSpec, GcdNodesExhaustedError
 
 EXIT_OK = 0
@@ -334,6 +334,7 @@ _EXIT_CODES = {
     GcdNodesExhaustedError: EXIT_BUDGET,
     qprofile.MassMismatchError: EXIT_PARSE,
     qprofile.ProfileConsistencyError: EXIT_HYPOTHESIS,
+    RankBoundError: EXIT_HYPOTHESIS,
     families.ConservationError: EXIT_HYPOTHESIS,
     families.PresentationError: EXIT_HYPOTHESIS,
 }

@@ -22,21 +22,25 @@ and the symbolic restriction is the reference its tests compare against.
 
 A result about a matrix is kept on that matrix (`GradedMatrix.kept`), and
 every module stores through that one method: the entries, the
-fingerprint and the closed point here, the blocks with their ranks
-(`ranked_blocks`), the Groebner presentations by degree cap
+fingerprint and the closed point here, the block decomposition, the
+blocks with their ranks (`ranked_blocks`) and each block's first point
+rank, the Groebner presentations by degree cap
 (`modgb.groebner_basis`), the q-profiles by window and seed
 (`qprofile.compute_q_profile`), and the composite s_t * v on a lift v
 (`families`).  Each is computed once per matrix and freed with it.  There is
 no module-level cache: a matrix derived again is a new object with nothing
 kept, so code that needs a result twice passes the matrix it already has.
-`truncate_columns` returns the matrix itself when it keeps every column.
+`truncate_columns` returns the matrix itself when it keeps every column,
+and else keeps on the truncation a parent free of the parameter.
 
 Determinants take evaluation plus exact linear algebra mod p: one beyond
 3 x 3 (closed forms) is evaluated on a grid, its values are taken mod p in
 one batch, and interpolation recovers it.  Evaluation at seeded points
-certifies a full-rank block, and gives the exact rank of a block whose
-entries involve one variable only; any other block takes a Groebner
-leading-component count.  Rank modulo a linear form substitutes for one
+certifies a block whose rank there meets an exact upper bound (its size, a
+block that kills it, or the block of the matrix it was truncated from; see
+`ranked_blocks`), and gives the exact rank of a block whose entries involve
+one variable only; any other block takes a Groebner leading-component
+count.  Rank modulo a linear form substitutes for one
 variable; rank modulo a hypersurface f of higher degree is the one symbolic
 elimination, pivoting on entries coprime to f over S/(f) (`_eliminate_mod`).
 Neither accepts the parameter a.  Everything is exact; sampling
@@ -74,6 +78,11 @@ class BudgetExhaustedError(RuntimeError):
 
 class InterpolationRangeError(BudgetExhaustedError):
     """A determinant needs more interpolation points than the field has."""
+
+
+class RankBoundError(RuntimeError):
+    """A block's rank at a point exceeds the exact upper bound on its rank:
+    a product or an evaluation is broken."""
 
 
 class CharFunction:
@@ -282,11 +291,20 @@ class GradedMatrix:
 
     def truncate_columns(self, n: int) -> "GradedMatrix":
         """Keep exactly the columns of degree <= n; the matrix itself, with
-        what it keeps, when that is every column."""
+        what it keeps, when that is every column.
+
+        A truncation of a matrix free of the parameter keeps that matrix as
+        its parent: each block of the truncation is a submatrix of the parent
+        block with the same rows, whose rank bounds its own (`ranked_blocks`).
+        A parent with the parameter, which cannot be ranked, is not kept.
+        """
         keep = [j for j, d in enumerate(self.col_degrees) if d <= n]
         if len(keep) == self.ncols:
             return self
-        return self.submatrix(range(self.nrows), keep)
+        out = self.submatrix(range(self.nrows), keep)
+        if not self.has_parameter():
+            out._kept["truncated_from"] = self
+        return out
 
     def specialize_closed_point(self) -> "GradedMatrix":
         """Set the parameter a := 0 in every entry: the terms free of a.
@@ -625,13 +643,70 @@ def restrict_to_plane(m: GradedMatrix, seed: int) -> GradedMatrix:
 def ranked_blocks(m: GradedMatrix) -> List[Tuple[GradedMatrix, int]]:
     """The blocks of m (`block_decomposition`) as submatrices, each with its
     rank over the fraction field.  Kept on m: each matrix is decomposed once
-    and each block ranked once."""
+    and each block ranked once.
+
+    Each block phi gets an exact upper bound on its rank (`_block_rank`):
+    min(rows, cols), lowered, while phi's first point rank falls short of
+    it, first to the rank of the parent block holding phi on a truncation
+    (`truncate_columns`), then to rows(phi) - pointrank(psi) for each other
+    block psi with psi @ phi = 0 and cols(phi) - pointrank(psi) for each
+    with phi @ psi = 0, products formed only where the degrees match.
+    Proof: psi phi = 0 puts im phi in ker psi over Frac(k[X,Y,Z,T]), so
+    rank phi <= rows phi - rank psi (Sylvester); a point rank never exceeds
+    the rank, as evaluation never makes a zero minor nonzero; a submatrix
+    ranks no higher than its matrix.  In the DVR recipe
+    s = [[sigma1, 0], [a I, sigma2]], sigma1 @ sigma2 = 0 pairs two blocks
+    of s_t.
+    """
     def build() -> List[Tuple[GradedMatrix, int]]:
         if m.has_parameter():
             raise ValueError("specialize the parameter first")
-        subs = [m.submatrix(rows, cols) for rows, cols in block_decomposition(m)]
-        return [(sub, _block_rank(sub)) for sub in subs]
+        parts = _decomposition(m)
+        subs = [m.submatrix(rows, cols) for rows, cols in parts]
+        parent = m._kept.get("truncated_from")
+        ranked = []
+        for (rows, _), sub in zip(parts, subs):
+            bound = min(sub.nrows, sub.ncols)
+            if _point_rank(sub) < bound and parent is not None:
+                bound = min(bound, _rank_of_block_with_row(parent, rows[0]))
+            if _point_rank(sub) < bound:
+                bound = min([bound] + _partner_bounds(sub, subs))
+            ranked.append((sub, _block_rank(sub, bound)))
+        return ranked
     return m.kept("blocks", build)
+
+
+def _decomposition(m: GradedMatrix) -> List[Tuple[List[int], List[int]]]:
+    """`block_decomposition(m)`, computed once and kept on m."""
+    return m.kept("decomposition", lambda: block_decomposition(m))
+
+
+def _rank_of_block_with_row(m: GradedMatrix, row: int) -> int:
+    ranks = ranked_blocks(m)
+    return next(r for (rows, _), (_, r) in zip(_decomposition(m), ranks) if row in rows)
+
+
+def _point_rank(sub: GradedMatrix) -> int:
+    """The rank of sub at its first seeded point, a lower bound on its rank;
+    kept on sub, for its own rank and its partners' bounds."""
+    def build() -> int:
+        return _linalg.rank_mod_p(sub.evaluate(_eval_points(sub, 1)[0]), sub.field.characteristic)
+    return sub.kept("point_rank", build)
+
+
+def _partner_bounds(phi: GradedMatrix, blocks: Sequence[GradedMatrix]) -> List[int]:
+    """rows(phi) - pointrank(psi) for each other block psi with psi @ phi
+    zero, and cols(phi) - pointrank(psi) for each with phi @ psi zero; a
+    product is formed only when the degrees match."""
+    bounds = []
+    for psi in blocks:
+        if psi is phi:
+            continue
+        if psi.col_degrees == phi.row_degrees and (psi @ phi).is_zero_matrix():
+            bounds.append(phi.nrows - _point_rank(psi))
+        if phi.col_degrees == psi.row_degrees and (phi @ psi).is_zero_matrix():
+            bounds.append(phi.ncols - _point_rank(psi))
+    return bounds
 
 
 def rank_fraction_field(m: GradedMatrix) -> int:
@@ -640,17 +715,26 @@ def rank_fraction_field(m: GradedMatrix) -> int:
     return sum(r for _, r in ranked_blocks(m))
 
 
-def _block_rank(sub: GradedMatrix) -> int:
-    """Rank at two seeded points if full or exact, else the Groebner count."""
-    cap = min(sub.nrows, sub.ncols)  # >= 1: a block has a nonzero entry
-    p = sub.field.characteristic
-    for values in sub.evaluate_many(_eval_points(sub, 2)):
-        rank = _linalg.rank_mod_p(values, p)
-        if rank == cap or _in_one_variable(sub):
-            return rank
-    from biliaison import modgb
+def _block_rank(sub: GradedMatrix, bound: int) -> int:
+    """The rank of a block, given an exact upper ``bound`` on it: the rank at
+    the first seeded point if it meets the bound or the entries involve one
+    variable (`_in_one_variable`), else the larger rank at two points if it
+    meets the bound, else the Groebner leading-component count.  An unlucky
+    point costs time, never an answer.  A rank above the bound raises
+    `RankBoundError`."""
+    rank = _point_rank(sub)
+    if rank < bound and not _in_one_variable(sub):
+        second = sub.evaluate(_eval_points(sub, 2)[1])
+        rank = max(rank, _linalg.rank_mod_p(second, sub.field.characteristic))
+        if rank < bound:
+            from biliaison import modgb
 
-    return modgb.leading_component_rank(sub)
+            rank = modgb.leading_component_rank(sub)
+    if rank > bound:
+        raise RankBoundError(
+            f"a {sub.nrows}x{sub.ncols} block has rank {rank}, above its bound {bound}"
+        )
+    return rank
 
 
 def _in_one_variable(sub: GradedMatrix) -> bool:

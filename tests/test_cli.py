@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import io
 import json
+import random
 
+import numpy as np
 import pytest
 
-from biliaison import families, fixtures, modgb, polyring, qprofile
+from biliaison import families, fixtures, grmatrix, modgb, polyring, qprofile
 from biliaison.cli import main
 from biliaison.grmatrix import GradedMatrix
 from biliaison.modgb import HilbertPolynomial
 from biliaison.polyring import FieldSpec, MultiPoly
+
+F = FieldSpec.prime()
 
 
 def run(argv):
@@ -151,6 +155,26 @@ def test_profile_law_violation_exit_code(tmp_path, monkeypatch):
     code, out, _ = run(["qprofile", "--input", str(path)])
     assert code == 3
     assert "expected 0 <= q# <= beta <= alpha" in out
+
+
+def test_rank_above_its_bound_exit_code(tmp_path, monkeypatch):
+    # a product patched to zero pairs a 3 x 5 block of rank 3 with the 5 x 10
+    # syzygies of another matrix, of rank 3: the bound 5 - 3 is broken
+    rng = random.Random(5)
+    psi = families.random_matrix(F, [0] * 3, [1] * 5, rng)
+    phi = modgb.syzygies(families.random_matrix(F, [0, 0], [1] * 5, rng), 3)
+    path = tmp_path / "pair.json"
+    grmatrix.stack_blocks([[psi, None], [None, phi]]).save(str(path))
+
+    def zero_product(a, b):
+        empty = np.zeros(0, dtype=np.int64)
+        return GradedMatrix.from_terms(a.field, a.row_degrees, b.col_degrees,
+                                       empty, empty.reshape(0, 5), empty)
+
+    monkeypatch.setattr(GradedMatrix, "__matmul__", zero_product)
+    code, out, _ = run(["qprofile", "--input", str(path)])
+    assert code == 3
+    assert "rank 3, above its bound 2" in out
 
 
 def test_vanishing_combinations_leave_the_report_unchanged(monkeypatch):

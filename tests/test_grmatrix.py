@@ -144,12 +144,20 @@ def test_rank_equals_max_nonzero_minor_exhaustively():
                 row.append(MultiPoly(F, terms))
             grid.append(row)
         m = GradedMatrix(F, [0] * nrows, [1] * ncols, grid)
-        computed = rank_fraction_field(m)
-        largest = 0
-        for k in range(1, min(nrows, ncols) + 1):
-            if any(not d.is_zero() for d in minors(m, k)):
-                largest = k
-        assert computed == largest, f"trial {trial}"
+        assert rank_fraction_field(m) == _largest_nonzero_minor(m), f"trial {trial}"
+        # beside up to three of its syzygies, which it kills: every block of
+        # the pair still ranks as its largest nonzero minor
+        syz = modgb.syzygies(m, 2)
+        if syz.ncols:
+            phi = syz.submatrix(range(syz.nrows), range(min(3, syz.ncols)))
+            pair = grmatrix.stack_blocks([[m, None], [None, phi]])
+            for sub, r in grmatrix.ranked_blocks(pair):
+                assert r == _largest_nonzero_minor(sub), f"trial {trial}"
+
+
+def _largest_nonzero_minor(m: GradedMatrix) -> int:
+    return max([k for k in range(1, min(m.nrows, m.ncols) + 1)
+                if any(not d.is_zero() for d in minors(m, k))], default=0)
 
 
 def test_gb_rank_agrees_with_bareiss():
@@ -167,6 +175,101 @@ def test_gb_rank_agrees_with_bareiss():
             for _ in range(ncols)] for _ in range(nrows)]
         m = GradedMatrix(F, [0] * nrows, [1] * ncols, grid, validate=False)
         assert modgb.leading_component_rank(m) == _sympy_rank(m.entries)
+
+
+def _killed_pair(nrows: int, ncols: int, seed: int):
+    """(psi, phi) with psi @ phi = 0: psi of random linear forms, phi some of
+    its syzygies and X times the first of them, one degree higher."""
+    rng = random.Random(seed)
+    psi = families.random_matrix(F, [0] * nrows, [1] * ncols, rng)
+    syz = modgb.syzygies(psi, nrows + 1)
+    cols = sorted(rng.sample(range(syz.ncols), rng.randrange(1, syz.ncols + 1)))
+    first = syz.submatrix(range(syz.nrows), cols[:1])
+    times_x = first @ M(first.col_degrees, [first.col_degrees[0] + 1], [["X"]])
+    return psi, grmatrix.stack_blocks([[syz.submatrix(range(syz.nrows), cols), times_x]])
+
+
+@settings(max_examples=25, deadline=None)
+@given(nrows=st.integers(1, 2), extra=st.integers(1, 3), psi_first=st.booleans(),
+       truncate=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_block_ranks_beside_a_killing_block_match_the_oracles(nrows, extra, psi_first, truncate, seed):
+    # the partner bound (and, truncated, the parent's block rank) against the
+    # Groebner leading-component count and, on small blocks, sympy
+    psi, phi = _killed_pair(nrows, nrows + extra, seed)
+    assert (psi @ phi).is_zero_matrix()
+    m = grmatrix.stack_blocks([[psi, None], [None, phi]] if psi_first else [[phi, None], [None, psi]])
+    if truncate:
+        m = m.truncate_columns(min(phi.col_degrees))
+    for sub, r in grmatrix.ranked_blocks(m):
+        assert r == modgb.leading_component_rank(sub)
+        if sub.nrows * sub.ncols <= 24:
+            assert r == _sympy_rank(sub.entries)
+
+
+def _recorded_bounds(monkeypatch) -> list:
+    """(rows, cols, bound) of every `_block_rank` call from now on."""
+    seen, real = [], grmatrix._block_rank
+
+    def recorded(sub, bound):
+        seen.append((sub.nrows, sub.ncols, bound))
+        return real(sub, bound)
+
+    monkeypatch.setattr(grmatrix, "_block_rank", recorded)
+    return seen
+
+
+def test_a_pair_with_a_nonzero_product_bounds_nothing(monkeypatch):
+    # phi kills the syzygies of another matrix of the same degrees: its
+    # product with psi is nonzero, so its bound stays its size, and the
+    # Groebner count ranks it
+    rng = random.Random(5)
+    psi = families.random_matrix(F, [0, 0], [1] * 5, rng)
+    phi = modgb.syzygies(families.random_matrix(F, [0, 0], [1] * 5, rng), 3)
+    assert psi.col_degrees == phi.row_degrees and not (psi @ phi).is_zero_matrix()
+    bounds = _recorded_bounds(monkeypatch)
+    ranked = grmatrix.ranked_blocks(grmatrix.stack_blocks([[psi, None], [None, phi]]))
+    assert [r for _, r in ranked] == [2, 3] == [modgb.leading_component_rank(sub) for sub, _ in ranked]
+    assert bounds == [(2, 5, 2), (5, 10, 5)]
+
+
+def test_killing_blocks_and_the_parent_block_bound_the_rank(monkeypatch):
+    # syzygies of a 2 x 5 matrix have rank 3, short of their size; the block
+    # that kills them bounds it by 5 - 2, and on a truncation the parent
+    # block bounds it too
+    psi = families.random_matrix(F, [0, 0], [1] * 5, random.Random(5))
+    syz = modgb.syzygies(psi, 3)
+    first = syz.submatrix(range(5), [0])
+    phi = grmatrix.stack_blocks([[syz, first @ M([3], [4], [["X"]])]])
+    bounds = _recorded_bounds(monkeypatch)
+    m = grmatrix.stack_blocks([[phi, None], [None, psi]])
+    assert [r for _, r in grmatrix.ranked_blocks(m)] == [3, 2]
+    assert bounds == [(5, 11, 3), (2, 5, 2)]
+    bounds.clear()
+    assert rank_fraction_field(m.truncate_columns(3)) == 5  # phi loses X * syz[0]
+    assert bounds == [(5, 10, 3), (2, 5, 2)]
+    # alone, phi has no partner and takes the Groebner count; its truncation
+    # is bounded by that rank
+    bounds.clear()
+    assert rank_fraction_field(phi.truncate_columns(3)) == 3
+    assert bounds == [(5, 11, 5), (5, 10, 3)]
+
+
+def test_a_rank_above_the_bound_raises(monkeypatch):
+    # a product patched to zero pairs the syzygies of one matrix with a
+    # 3 x 5 matrix of rank 3: the bound 5 - 3 falls below the point rank 3
+    rng = random.Random(5)
+    psi = families.random_matrix(F, [0] * 3, [1] * 5, rng)
+    phi = modgb.syzygies(families.random_matrix(F, [0, 0], [1] * 5, rng), 3)
+    m = grmatrix.stack_blocks([[psi, None], [None, phi]])
+
+    def zero_product(a, b):
+        empty = np.zeros(0, dtype=np.int64)
+        return GradedMatrix.from_terms(a.field, a.row_degrees, b.col_degrees,
+                                       empty, empty.reshape(0, 5), empty)
+
+    monkeypatch.setattr(GradedMatrix, "__matmul__", zero_product)
+    with pytest.raises(grmatrix.RankBoundError, match="rank 3, above its bound 2"):
+        rank_fraction_field(m)
 
 
 def test_rank_refuses_the_parameter():

@@ -535,6 +535,48 @@ def test_gapped_degrees_are_analysed_once_per_truncation(monkeypatch):
     assert profile.b0 == 3 and profile.stabilized
 
 
+def _buchberger_runs(monkeypatch) -> list:
+    """The basis sizes of every `modgb._buchberger` run from now on."""
+    runs, real = [], modgb._buchberger
+
+    def counted(*args):
+        basis, truncated_at = real(*args)
+        runs.append(len(basis))
+        return basis, truncated_at
+
+    monkeypatch.setattr(modgb, "_buchberger", counted)
+    return runs
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+@pytest.mark.parametrize("seed", [qprofile.DEFAULT_SEED, 902, 100])
+def test_profiles_of_recipe_inputs_compute_no_groebner_basis(name, seed, monkeypatch):
+    # every block of s_t and of its truncations meets the bound of the block
+    # that kills it (sigma1 @ sigma2 = 0) or of the block of s_t it lies in
+    desc = fixtures.example(name)
+    s = GradedMatrix.from_json(desc.matrix.to_json())
+    runs = _buchberger_runs(monkeypatch)
+    profile = qprofile.compute_q_profile(s, seed=seed)
+    assert runs == []
+    assert profile.q_function().support == desc.expected["q"]
+
+
+def test_rao_family_profile_computes_no_groebner_basis(monkeypatch):
+    s = fixtures.rao_family(5, 3, 1)
+    runs = _buchberger_runs(monkeypatch)
+    assert qprofile.compute_q_profile(s).q_function() == CharFunction({1: 3, 2: 13, 3: 36})
+    assert runs == []
+
+
+def test_a_short_block_without_bound_takes_the_groebner_count(monkeypatch):
+    # [[X, Y], [X, Y]] has rank 1 < 2, and the block beside it has other
+    # degrees: no partner, no parent, so the Groebner count ranks it
+    m = M([0, 0, 1], [1, 1, 2], [["X", "Y", "0"], ["X", "Y", "0"], ["0", "0", "Z"]])
+    runs = _buchberger_runs(monkeypatch)
+    assert [r for _, r in ranked_blocks(m)] == [1, 1]
+    assert len(runs) == 1
+
+
 def test_window_override_caps_scan():
     desc = fixtures.example("3.2")
     profile = qprofile.compute_q_profile(desc.matrix, window=(0, 1))

@@ -3,11 +3,13 @@
 All degreewise dimension counts, kernels and minimal-generator counts reduce
 to ranks/kernels of integer matrices mod p.  Arithmetic stays in int64:
 `FieldSpec` admits only p < 2^31, so a product of two residues is below 2^62
-and a difference of two such values still fits.
+and a difference of two such values still fits.  The seeded residues of
+the certificates' random combinations are drawn here too.
 """
 
 from __future__ import annotations
 
+import random
 from typing import List, Tuple
 
 import numpy as np
@@ -109,6 +111,14 @@ def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def random_residues(rng: random.Random, p: int, count: int) -> np.ndarray:
+    """``count`` residues mod p from one draw of 32-bit words of ``rng`` (a
+    residue bias matters only to the odds of a certificate, not to its
+    truth)."""
+    words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+    return np.frombuffer(words, dtype="<u4").astype(np.int64) % p
+
+
 def det_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     """Determinants mod p of a stack of square matrices, shape (B, n, n).
 
@@ -117,9 +127,14 @@ def det_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     pivot * row - row[c] * pivot_row, which scales the determinant by pivot
     once per row.  The signed product of the pivots is then the determinant
     times prod_c pivot_c^(n-1-c), which one inverse per matrix divides out.
+    A 3 x 3 stack takes the cofactor expansion, in fewer array operations.
     """
     m = np.array(a, dtype=np.int64) % p
     batch, n = m.shape[0], m.shape[1]
+    if n == 3:  # each product is reduced, so no sum leaves int64
+        (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = m.transpose(1, 2, 0)
+        return (x0 * ((y1 * z2 - y2 * z1) % p) % p + x1 * ((y2 * z0 - y0 * z2) % p) % p
+                + x2 * ((y0 * z1 - y1 * z0) % p) % p) % p
     at = np.arange(batch)
     num = np.ones(batch, dtype=np.int64)  # signed product of the pivots
     den = np.ones(batch, dtype=np.int64)  # prod_c pivot_c^(n-1-c) ...

@@ -19,12 +19,15 @@ P_Q + P_P != P_N, or a block rank above its exact bound; 4 degree budget, window
 command lets escape to their codes.
 
 Local freeness of the cokernel at the closed point is certified by
-`modgb.has_constant_rank` from the rank-level minors of each block, at most
-`modgb.MINOR_LIMIT` (20000) per block.  Their values on a lattice of points
-certify a block whose minors span every form of their top degree; any other
-block takes the symbolic minors and one Groebner basis, which decide.  A
-block with more minors exits with code 3 before any minor work, as does one
-whose minors vanish somewhere, and --assume-locally-free skips the check.
+`modgb.has_constant_rank`, block by block, for blocks of at most
+`modgb.MINOR_LIMIT` (20000) rank-level minors.  Seeded random combinations
+of the minors, taken per degree pattern, certify a block when their values
+on a lattice of points span every form of the minors' top degree; any
+other block takes the symbolic minors and one Groebner basis, which
+decide.  A block with more minors exits with code 3 before any certificate
+work, as does one whose minors vanish somewhere, and --assume-locally-free
+skips the check.  The profile counts a block certified here as coprime and
+makes no plane certificate for it.
 A --window must start at or below inf L2 - 1 and must not end below its
 start (exit 2).  A matrix JSON whose entries are not lists of
 strings or whose degrees are not integers, a --p whose degrees or

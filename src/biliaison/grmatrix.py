@@ -24,10 +24,12 @@ A result about a matrix is kept on that matrix (`GradedMatrix.kept`), and
 every module stores through that one method: the entries, the
 fingerprint and the closed point here, the block decomposition, the
 blocks with their ranks (`ranked_blocks`) and each block's first point
-rank, the Groebner presentations by degree cap
-(`modgb.groebner_basis`), the q-profiles by window and seed
-(`qprofile.compute_q_profile`), and the composite s_t * v on a lift v
-(`families`).  Each is computed once per matrix and freed with it.  There is
+rank, each block's local-freeness verdict (`modgb.has_constant_rank`,
+which `qprofile` reads with `GradedMatrix.known`, building nothing), the
+Groebner presentations by degree cap (`modgb.groebner_basis`), the
+q-profiles by window and seed (`qprofile.compute_q_profile`), and the
+composite s_t * v on a lift v (`families`).  Each is computed once per
+matrix and freed with it.  There is
 no module-level cache: a matrix derived again is a new object with nothing
 kept, so code that needs a result twice passes the matrix it already has.
 `truncate_columns` returns the matrix itself when it keeps every column,
@@ -237,6 +239,10 @@ class GradedMatrix:
         if key not in self._kept:
             self._kept[key] = build()
         return self._kept[key]
+
+    def known(self, key: Hashable):
+        """The result kept under ``key``, or None if none is; builds nothing."""
+        return self._kept.get(key)
 
     def fingerprint(self) -> str:
         """Hash of p, the degrees and the sorted term table."""
@@ -643,9 +649,12 @@ def restrict_to_plane(m: GradedMatrix, seed: int) -> GradedMatrix:
 def ranked_blocks(m: GradedMatrix) -> List[Tuple[GradedMatrix, int]]:
     """The blocks of m (`block_decomposition`) as submatrices, each with its
     rank over the fraction field.  Kept on m: each matrix is decomposed once
-    and each block ranked once.
+    and each block ranked once.  On a truncation (`truncate_columns`), a
+    block equal to the parent block holding its rows, so with all of its
+    columns, is that parent block: the same object, with its rank and all
+    it keeps.
 
-    Each block phi gets an exact upper bound on its rank (`_block_rank`):
+    Each other block phi gets an exact upper bound on its rank (`_block_rank`):
     min(rows, cols), lowered, while phi's first point rank falls short of
     it, first to the rank of the parent block holding phi on a truncation
     (`truncate_columns`), then to rows(phi) - pointrank(psi) for each other
@@ -662,13 +671,19 @@ def ranked_blocks(m: GradedMatrix) -> List[Tuple[GradedMatrix, int]]:
         if m.has_parameter():
             raise ValueError("specialize the parameter first")
         parts = _decomposition(m)
+        parent = m.known("truncated_from")
+        # the parent block holding each block's rows; a block equal to it is it
+        held = [None if parent is None else _parent_block(parent, rows[0]) for rows, _ in parts]
         subs = [m.submatrix(rows, cols) for rows, cols in parts]
-        parent = m._kept.get("truncated_from")
+        subs = [whole[0] if whole is not None and whole[0] == sub else sub for sub, whole in zip(subs, held)]
         ranked = []
-        for (rows, _), sub in zip(parts, subs):
+        for whole, sub in zip(held, subs):
+            if whole is not None and whole[0] is sub:
+                ranked.append(whole)
+                continue
             bound = min(sub.nrows, sub.ncols)
-            if _point_rank(sub) < bound and parent is not None:
-                bound = min(bound, _rank_of_block_with_row(parent, rows[0]))
+            if _point_rank(sub) < bound and whole is not None:
+                bound = min(bound, whole[1])
             if _point_rank(sub) < bound:
                 bound = min([bound] + _partner_bounds(sub, subs))
             ranked.append((sub, _block_rank(sub, bound)))
@@ -681,9 +696,9 @@ def _decomposition(m: GradedMatrix) -> List[Tuple[List[int], List[int]]]:
     return m.kept("decomposition", lambda: block_decomposition(m))
 
 
-def _rank_of_block_with_row(m: GradedMatrix, row: int) -> int:
-    ranks = ranked_blocks(m)
-    return next(r for (rows, _), (_, r) in zip(_decomposition(m), ranks) if row in rows)
+def _parent_block(m: GradedMatrix, row: int) -> Tuple[GradedMatrix, int]:
+    """The ranked block of m that holds ``row``."""
+    return next(block for (rows, _), block in zip(_decomposition(m), ranked_blocks(m)) if row in rows)
 
 
 def _point_rank(sub: GradedMatrix) -> int:

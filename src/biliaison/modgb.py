@@ -6,25 +6,48 @@ Hilbert-series numerators), degreewise syzygies and minimal generator
 counts (plain exact linear algebra, independent of the Groebner
 machinery), and the local-freeness check: `has_constant_rank` asks
 whether the rank-level minors of each block cut out the empty set, first
-from their values (below), and otherwise by `is_empty_projective_locus` on
-the distinct symbolic minors, which is one uncapped basis.
+from the values of seeded combinations of them (below), and otherwise by
+`is_empty_projective_locus` on the distinct symbolic minors, which is one
+uncapped basis.
 
-Local freeness by values.  Let I be the ideal of the r-minors of a block of
-rank r, and D their top degree: the r largest column degrees minus the r
+Local freeness by values.  Let I be the ideal of the r-minors of a block B
+of rank r, and D their top degree: the r largest column degrees minus the r
 smallest row degrees.  If I_D = S_D, then I holds every monomial of degree D
 and cuts out the empty set (the converse needs a higher degree in general,
 so a block that does not fill at D takes the symbolic route, which
 decides).  I_D is spanned by the products of each minor of degree e >= 0
-with the monomials of degree D - e.  Setting X = 1 maps S_D isomorphically
-onto the polynomials of degree <= D in Y, Z, T, and for p > D these are
-determined by their values on the lattice {(a, b, c) : a + b + c <= D} of
-binom3(D) points, which is unisolvent (Chung and Yao, SIAM J. Numer. Anal.
-14, 1977): in the falling-factorial basis (Y)_i (Z)_j (T)_k the evaluation
-matrix is triangular under the componentwise order, with diagonal
-a! b! c! != 0 mod p.  So the rank of the values of those products on the
-lattice is exactly dim I_D, and rank binom3(D) certifies the block.  The
-values of the minors are batched determinants of the block's values at the
-lattice points (`_minors_fill_top_degree`).
+with the monomials of degree D - e.  The minors are not enumerated.  A
+degree pattern is how many rows and how many columns of each degree an
+r-minor takes; every minor of a pattern has the same degree e.  For a
+pattern, draw V (r x rows) and U (cols x r) at random over F_p, zero outside
+its degree classes: m_a rows of V live on the rows of degree a, and n_b
+columns of U on the columns of degree b, as the pattern says.  By
+Cauchy-Binet, det(V B U) = sum_{I,J} det V[:, I] det B[I, J] det U[J, :],
+and det V[:, I] = 0 unless I takes m_a rows of each degree a (V[:, I] is
+block diagonal by degree, with a block that is not square otherwise), and
+likewise for U.  So det(V B U) is a combination of the minors of that
+pattern, a form of degree e in I, and its products with the monomials of
+degree D - e lie in I_D.  Each pattern takes min(its minors, binom3(e) + 2)
+combinations, lowest e first: k of them span the k-dimensional span of its
+minors except with probability at most 2 r k / p, as their coefficients
+det V[:, I] det U[J, :] have degree 2r in the draws and selection matrices
+pick any k minors (Schwartz-Zippel; the preconditioners of Kaltofen,
+Krishnamoorthy and Saunders, Linear Algebra Appl. 136, 1990).
+The draws are seeded by the block's `fingerprint`, as the rank's points
+are (`grmatrix._eval_points`), so a block takes the same combinations in
+every run.  They choose only the certificate: whatever they are, their
+span lies in I_D, so a full span proves I_D = S_D, and a span that falls
+short sends the block to the symbolic route.  Setting X = 1 maps S_D
+isomorphically onto the polynomials of degree <= D in Y, Z, T, and for
+p > D these are determined by their values on the lattice
+{(a, b, c) : a + b + c <= D} of binom3(D) points, which is unisolvent
+(Chung and Yao, SIAM J. Numer. Anal. 14, 1977): in the falling-factorial
+basis (Y)_i (Z)_j (T)_k the evaluation matrix is triangular under the
+componentwise order, with diagonal a! b! c! != 0 mod p.  So the rank of the
+values of those products on the lattice is the dimension of their span,
+and rank binom3(D) certifies the block.  The values of a combination are
+batched determinants of V B(x) U at the lattice points
+(`_minors_fill_top_degree`).
 
 Module order: term-over-position extension of graded reverse lex, ties
 broken toward the smaller component index.  Buchberger runs degree by degree
@@ -147,7 +170,7 @@ and with it each decision, is the same.
 from __future__ import annotations
 
 import heapq
-import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -888,10 +911,15 @@ def has_constant_rank(m: GradedMatrix) -> bool:
     Exactly then the cokernel sheaf is locally free (Fitting ideals; Eisenbud,
     Commutative Algebra, GTM 150, ch. 20).  Per block of rank r the r-minors
     must cut out the empty set; a block with more than `MINOR_LIMIT`
-    rank-level minors raises `BudgetExhaustedError` before any minor work.
-    `_minors_fill_top_degree` certifies a block from minor values; a block it
-    leaves open takes the symbolic minors and `is_empty_projective_locus`,
-    which decides.
+    rank-level minors raises `BudgetExhaustedError` before any certificate
+    work.  `_minors_fill_top_degree` certifies a block when seeded
+    combinations det(V B U), one family per degree pattern of the minors,
+    span every form of the minors' top degree; the draws are seeded by the
+    block's fingerprint and choose only the certificate (see "Local
+    freeness by values").  A block it leaves open takes the symbolic minors
+    and `is_empty_projective_locus`, which decides.  Each block keeps its
+    verdict ("locally_free"), so a second check is free, and `qprofile`
+    counts a block kept as locally free as coprime at its rank.
     """
     for sub, r in ranked_blocks(m):
         count = comb(sub.nrows, r) * comb(sub.ncols, r)
@@ -900,25 +928,39 @@ def has_constant_rank(m: GradedMatrix) -> bool:
                 f"a {sub.nrows}x{sub.ncols} block of rank {r} has {count} rank-level "
                 f"minors, more than the {MINOR_LIMIT} that are enumerated"
             )
-        if _minors_fill_top_degree(sub, r):
-            continue
-        distinct = dict.fromkeys(d.monic() for d in minors(sub, r) if not d.is_zero())
-        if not is_empty_projective_locus(distinct):
+        if not sub.kept("locally_free", lambda: _minors_fill_top_degree(sub, r)
+                        or _minors_cut_out_nothing(sub, r)):
             return False
     return True
 
 
-def _minors_fill_top_degree(sub: GradedMatrix, r: int) -> bool:
-    """Do the r-minors of ``sub`` span every form of their top degree D?
+def _minors_cut_out_nothing(sub: GradedMatrix, r: int) -> bool:
+    """The symbolic route: do the distinct r-minors cut out the empty set?"""
+    return is_empty_projective_locus(dict.fromkeys(d.monic() for d in minors(sub, r) if not d.is_zero()))
 
-    If so they cut out the empty set; False only means that degree D does
-    not decide (see the module docstring).  Each minor of degree e >= 0 is
-    evaluated on the lattice {(1, a, b, c, 0) : a + b + c <= D} by batched
-    determinants of the block's values, in chunks of at most _MAX_PIECE
-    cells, and its values times those of the monomials of degree D - e
-    span the values of I_D; the chunks stop as soon as their rank is
-    binom3(D).  D >= p, or a lattice too large for a _MAX_PIECE-cell span,
-    leaves the block to the symbolic route.
+
+def _degree_patterns(degrees: Tuple[int, ...], r: int) -> List[Tuple[Tuple[int, ...], int]]:
+    """Each multiset of degrees that r distinct indices of ``degrees`` take,
+    ascending, with the number of index sets that take it."""
+    have = [(d, degrees.count(d)) for d in sorted(set(degrees))]
+    out = [((), 1)]
+    for i, (d, n) in enumerate(have):
+        later = sum(k for _, k in have[i + 1:])
+        out = [(pick + (d,) * j, count * comb(n, j)) for pick, count in out
+               for j in range(max(0, r - len(pick) - later), min(n, r - len(pick)) + 1)]
+    return out
+
+
+def _minors_fill_top_degree(sub: GradedMatrix, r: int) -> bool:
+    """Do seeded combinations of the r-minors of ``sub`` span every form of
+    their top degree D?
+
+    If so the minors cut out the empty set; False only means that these
+    combinations do not decide at D (see "Local freeness by values").  They
+    are evaluated on the lattice {(1, a, b, c, 0) : a + b + c <= D} in
+    chunks of at most _MAX_PIECE cells, and the chunks stop as soon as the
+    span is full.  D >= p, or a lattice too large for a _MAX_PIECE-cell
+    span, leaves the block to the symbolic route.
     """
     p = sub.field.characteristic
     top = sum(sorted(sub.col_degrees)[-r:]) - sum(sorted(sub.row_degrees)[:r])
@@ -928,30 +970,39 @@ def _minors_fill_top_degree(sub: GradedMatrix, r: int) -> bool:
     lattice = np.array(monomials_of_degree(top), dtype=np.int64)[:, 1:]
     points = np.zeros((size, 5), dtype=np.int64)
     points[:, 0], points[:, 1:4] = 1, lattice
-    values = sub.evaluate_many(points)
+    values = sub.evaluate_many(points)[None]
     powers = np.ones((top + 1, 3, size), dtype=np.int64)  # powers[k] = (a, b, c)^k
     for k in range(1, top + 1):
         powers[k] = powers[k - 1] * lattice.T % p
-    row_sets = np.array(list(itertools.combinations(range(sub.nrows), r)))
-    col_sets = np.array(list(itertools.combinations(range(sub.ncols), r)))
-    degrees = (np.array(sub.col_degrees)[col_sets].sum(axis=1)
-               - np.array(sub.row_degrees)[row_sets].sum(axis=1)[:, None])
-    ri, ci = (degrees >= 0).nonzero()
-    degrees = degrees[ri, ci]
+    # the degree patterns of degree e >= 0, lowest first, and the combinations
+    # each takes; V and U of a combination are zero outside its pattern's classes
+    patterns = sorted(((sum(cols) - sum(rows), rows, cols, m * n)
+                       for rows, m in _degree_patterns(sub.row_degrees, r)
+                       for cols, n in _degree_patterns(sub.col_degrees, r) if sum(cols) >= sum(rows)),
+                      key=lambda pattern: pattern[0])
+    takes = [min(count, binom3(e) + 2) for e, _, _, count in patterns]
+    degrees = np.repeat([e for e, _, _, _ in patterns], takes)
+    row_mask = np.repeat([np.equal.outer(rows, sub.row_degrees) for _, rows, _, _ in patterns], takes, axis=0)
+    col_mask = np.repeat([np.equal.outer(sub.col_degrees, cols) for _, _, cols, _ in patterns], takes, axis=0)
     multiples = {}  # e -> values of the monomials of degree D - e, one row each
     for e in sorted(set(degrees.tolist())):
         x = np.array(monomials_of_degree(top - e), dtype=np.int64)
         multiples[e] = powers[x[:, 1], 0] * powers[x[:, 2], 1] % p * powers[x[:, 3], 2] % p
-    widest = max(r * r, max(len(v) for v in multiples.values()))
+    widest = max(r * sub.ncols, max(len(v) for v in multiples.values()))
     step = max(1, _MAX_PIECE // (size * widest))
+    rng = random.Random(int(sub.fingerprint()[12:24], 16))  # `_eval_points` takes [:12]
     span = np.zeros((0, size), dtype=np.int64)
     for start in range(0, len(degrees), step):
         at = slice(start, start + step)
-        stack = values[:, row_sets[ri[at], :, None], col_sets[ci[at], None, :]]
-        dets = _linalg.det_mod_p(stack.swapaxes(0, 1).reshape(-1, r, r), p).reshape(-1, size)
         chunk = degrees[at]
-        parts = [span] + [(dets[chunk == e, None] * v).reshape(-1, size) % p
-                          for e, v in multiples.items()]
+        draws = _linalg.random_residues(rng, p, len(chunk) * r * (sub.nrows + sub.ncols))
+        cut = len(chunk) * r * sub.nrows
+        v = draws[:cut].reshape(-1, 1, r, sub.nrows) * row_mask[at, None]
+        u = draws[cut:].reshape(-1, 1, sub.ncols, r) * col_mask[at, None]
+        stack = _linalg.matmul_mod_p(_linalg.matmul_mod_p(v, values, p), u, p)
+        dets = _linalg.det_mod_p(stack.reshape(-1, r, r), p).reshape(-1, size)
+        parts = [span] + [(dets[chunk == e, None] * mono).reshape(-1, size) % p
+                          for e, mono in multiples.items()]
         span, pivots = _linalg.rref_mod_p(np.concatenate(parts), p)
         if len(pivots) == size:
             return True

@@ -47,7 +47,11 @@ kept on the matrix (`ranked_blocks`).  No minor is enumerated:
    nonconstant g, or three lines without a certificate, leave the block to
    the fallback.  Random V and U are the preconditioners of Kaltofen,
    Krishnamoorthy and Saunders (Linear Algebra Appl. 136, 1990); they
-   choose only the certificate.
+   choose only the certificate.  A block that `modgb.has_constant_rank`
+   kept as locally free skips this step: the CLI's check runs on the same
+   s_t, whose truncations hold its whole blocks (`ranked_blocks`).  Its
+   k-minors have no common zero in P^3, and a nonconstant common factor
+   would vanish on a surface, so they are coprime.
 2. Honest fallback.  Only when the plane certificate fails is the GCD of
    a few true witness minors taken, picked by pivoting at seeded points,
    by `polyring.gcd` (Brown's dense modular GCD, certified by exact
@@ -67,10 +71,9 @@ Randomness only chooses which certificate is tried, never the answer.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -117,10 +120,6 @@ class MassMismatchError(ValueError):
 
 class ProfileConsistencyError(RuntimeError):
     """Computed invariants violate a structural law; hypotheses likely fail."""
-
-
-class BudgetExceededError(RuntimeError):
-    """An instance is too large for the requested (oracle) computation."""
 
 
 def subseed(seed: int, *labels) -> int:
@@ -236,12 +235,8 @@ class PlaneCertificate(NamedTuple):
 
 
 def _combinations(rng: random.Random, p: int, k: int, nrows: int, ncols: int):
-    """Two seeded pairs over F_p: V of shape (2, k, nrows), U of (2, ncols, k),
-    from one draw of 32-bit words (a residue bias matters only to the odds
-    of a certificate, not to its truth)."""
-    size = 2 * k * (nrows + ncols)
-    words = rng.getrandbits(32 * size).to_bytes(4 * size, "little")
-    draws = np.frombuffer(words, dtype="<u4").astype(np.int64) % p
+    """Two seeded pairs over F_p: V of shape (2, k, nrows), U of (2, ncols, k)."""
+    draws = _linalg.random_residues(rng, p, 2 * k * (nrows + ncols))
     return draws[:2 * k * nrows].reshape(2, k, nrows), draws[2 * k * nrows:].reshape(2, ncols, k)
 
 
@@ -321,7 +316,7 @@ def coprime_minor_analysis(w: GradedMatrix, seed: int = DEFAULT_SEED) -> MinorAn
     k = sum(kb for _, kb in blocks)
     overall = MultiPoly.one(w.field)
     for bi, (sub, kb) in enumerate(blocks):
-        if _restricted_minor_gcd(sub, kb, subseed(seed, "block", bi)).coprime:
+        if sub.known("locally_free") or _restricted_minor_gcd(sub, kb, subseed(seed, "block", bi)).coprime:
             continue
         notes.append(f"block {bi}: plane certificate inconclusive, honest fallback")
         g = _honest_sampled_gcd(sub, kb, subseed(seed, "honest", bi))
@@ -533,89 +528,6 @@ def check_p_admissible(
                         f"p#({m}) = {p.cumulative(m)} differs from alpha_{m} = {profile.alpha(m)}"
                     )
     return True, "admissible"
-
-
-# ---------------------------------------------------------------------------
-# the sampling oracle for q#
-
-
-def _candidate_shapes(mass: int, degrees: Sequence[int], cap: int = 80) -> List[CharFunction]:
-    """Compositions of mass over the given degrees, top-heavy first."""
-    out = []
-    k = len(degrees)
-    for split in itertools.combinations_with_replacement(range(k), mass):
-        shape: Dict[int, int] = {}
-        for i in split:
-            shape[degrees[i]] = shape.get(degrees[i], 0) + 1
-        out.append(CharFunction(shape))
-    uniq = []
-    seen = set()
-    for c in out:
-        key = tuple(sorted(c.support.items()))
-        if key not in seen:
-            seen.add(key)
-            uniq.append(c)
-    uniq.sort(key=lambda c: -c.weighted_sum())
-    return uniq[:cap]
-
-
-def q_oracle(
-    s: GradedMatrix,
-    n: int,
-    trials: int = 50,
-    seed: int = DEFAULT_SEED,
-) -> int:
-    """Certified lower bound for q#(n) by sampling dissociated submodules.
-
-    For each candidate mass (descending) and each candidate degree shape, draw
-    random lifts through the presentation and certify injectivity plus a
-    torsion-free quotient through the degeneracy criterion.  The returned
-    value carries an explicit certificate; `trials` caps the sampled lifts
-    per mass level.
-    """
-    from biliaison import families  # local import to avoid a cycle
-
-    if s.nrows * s.ncols > 96:
-        raise BudgetExceededError("oracle reserved for small instances")
-    p = s.field.characteristic
-    s_t = s.specialize_closed_point()
-    r = rank_fraction_field(s_t)
-    w_n = s_t.truncate_columns(n)
-    m_hi = rank_fraction_field(w_n)
-    if m_hi == 0:
-        return 0
-    degrees = sorted(set(d for d in s.col_degrees if d <= n))
-    for mass in range(m_hi, 0, -1):
-        shapes = _candidate_shapes(mass, degrees)
-        if not shapes:
-            continue
-        for attempt in range(trials):
-            shape = shapes[attempt % len(shapes)]
-            rng = random.Random(subseed(seed, "oracle", n, mass, attempt))
-            v = families.random_lift(s, shape.degrees(), rng)
-            w = families._composite(s, v)
-            # cheap numeric pre-filter; discards only, never accepts
-            point = tuple(rng.randrange(1, p) for _ in range(5))
-            if _linalg.rank_mod_p(w.evaluate(point), p) < mass:
-                continue
-            if rank_fraction_field(w) != mass:
-                continue
-            if mass < r:
-                analysis = coprime_minor_analysis(
-                    w, seed=subseed(seed, "oracle-analysis", n, mass, attempt)
-                )
-                if analysis.coprime:
-                    return mass
-            else:
-                # full-rank subsheaf: the quotient is torsion-free only if it
-                # vanishes, certified by constant rank of w; a block with too
-                # many minors to enumerate leaves the lift uncertified
-                try:
-                    if modgb.has_constant_rank(w):
-                        return mass
-                except modgb.BudgetExhaustedError:
-                    pass
-    return 0
 
 
 # ---------------------------------------------------------------------------

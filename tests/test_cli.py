@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +239,43 @@ def test_minor_limit_exit_code(tmp_path, monkeypatch):
     # the small block is certified from minor values; the large one is
     # refused before any certificate or minor work
     assert sizes == {"certificate": [(2, 17, 2)], "minors": []}
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, profile_calls", [("3.2", 3), ("3.3", 3), ("3.4", 4)])
+def test_blocks_kept_as_locally_free_skip_the_plane_certificate(name, profile_calls, monkeypatch):
+    # each command on a freshly built fixture; the plane certificates it
+    # makes, as pinned in plane-certificates.json, of which the first
+    # `profile_calls` are the profile's and the rest the family's.  The
+    # local-freeness check certifies every block of 3.2 and 3.3, so their
+    # profiles make none; 3.4 asserts local freeness and keeps every one, as
+    # does --assume-locally-free
+    monkeypatch.setattr(fixtures, "example", fixtures.example.__wrapped__)
+    calls = []
+    certify = qprofile._restricted_minor_gcd
+
+    def spy(block, k, block_seed):
+        certificate = certify(block, k, block_seed)
+        calls.append([block.nrows, block.ncols, k, block_seed, *certificate])
+        return certificate
+
+    monkeypatch.setattr(qprofile, "_restricted_minor_gcd", spy)
+    pinned = json.loads((GOLDEN / "plane-certificates.json").read_text())[
+        f"{name} seed {qprofile.DEFAULT_SEED}"]
+    checked = name != "3.4"
+    for command, trusted in (("qprofile", False), ("minimal-family", False),
+                             ("qprofile", True), ("minimal-family", True)):
+        calls.clear()
+        code, out, err = run([command, "--fixture", name, "--format", "json"]
+                             + ["--assume-locally-free"] * trusted)
+        assert code == 0
+        assert out == (GOLDEN / f"{command}-{name}.json").read_text()
+        if not trusted:
+            assert err == (GOLDEN / f"{command}-{name}.stderr").read_text()
+        made = pinned if command == "minimal-family" else pinned[:profile_calls]
+        assert calls == (made[profile_calls:] if checked and not trusted else made)
 
 
 def test_profile_budget_error_exit_code(tmp_path):

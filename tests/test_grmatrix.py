@@ -235,7 +235,8 @@ def test_a_pair_with_a_nonzero_product_bounds_nothing(monkeypatch):
 def test_killing_blocks_and_the_parent_block_bound_the_rank(monkeypatch):
     # syzygies of a 2 x 5 matrix have rank 3, short of their size; the block
     # that kills them bounds it by 5 - 2, and on a truncation the parent
-    # block bounds it too
+    # block bounds it too.  psi keeps all its columns there, so the
+    # truncation holds the parent's psi, ranked once
     psi = families.random_matrix(F, [0, 0], [1] * 5, random.Random(5))
     syz = modgb.syzygies(psi, 3)
     first = syz.submatrix(range(5), [0])
@@ -245,8 +246,11 @@ def test_killing_blocks_and_the_parent_block_bound_the_rank(monkeypatch):
     assert [r for _, r in grmatrix.ranked_blocks(m)] == [3, 2]
     assert bounds == [(5, 11, 3), (2, 5, 2)]
     bounds.clear()
-    assert rank_fraction_field(m.truncate_columns(3)) == 5  # phi loses X * syz[0]
-    assert bounds == [(5, 10, 3), (2, 5, 2)]
+    truncation = m.truncate_columns(3)
+    assert rank_fraction_field(truncation) == 5  # phi loses X * syz[0]
+    assert bounds == [(5, 10, 3)]
+    (held, rank), = [block for block in grmatrix.ranked_blocks(truncation) if block[0].nrows == 2]
+    assert held is grmatrix.ranked_blocks(m)[1][0] and rank == 2
     # alone, phi has no partner and takes the Groebner count; its truncation
     # is bounded by that rank
     bounds.clear()

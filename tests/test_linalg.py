@@ -156,3 +156,17 @@ def test_det_mod_p_matches_sympy(n, batch, p, seed):
     for a, det in zip(stack, got.tolist()):
         oracle = DomainMatrix([[K(x) for x in row] for row in a], (n, n), K).det()
         assert det == int(oracle) % p
+
+
+@pytest.mark.parametrize("p", [10007, 32003, P31])
+def test_3x3_determinants_by_cofactors_match_sympy(p):
+    # a 3 x 3 stack takes the cofactor expansion: entries near p - 1 make
+    # every product near p^2, and the last matrix is singular
+    rng = random.Random(p)
+    stack = [[[p - 1 - rng.randrange(3) for _ in range(3)] for _ in range(3)] for _ in range(40)]
+    stack.append([[1, 2, 3], [2, 4, 6], [p - 1, 5, 7]])
+    K = GF(p)
+    got = _linalg.det_mod_p(np.array(stack, dtype=np.int64), p).tolist()
+    assert got == [int(DomainMatrix([[K(x) for x in row] for row in a], (3, 3), K).det()) % p
+                   for a in stack]
+    assert got[-1] == 0

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from biliaison import families, fixtures, modgb, qprofile
 from biliaison.grmatrix import CharFunction, GradedMatrix
 from biliaison.modgb import HilbertPolynomial
@@ -860,13 +861,14 @@ def test_constant_rank_at_degree_p_takes_the_symbolic_route():
 
 
 def test_minor_values_in_chunks(monkeypatch):
-    # 400 cells: a 20-point lattice and two 3 x 3 stacks per chunk; the rank
-    # is carried from chunk to chunk, and the chunks stop once it is full
+    # 720 cells: a 20-point lattice and two combinations of the 80 cubic
+    # 3-minors per chunk, up to 22 of them; the rank is carried from chunk to
+    # chunk, and the chunks stop once it is full, after the twentieth
     from biliaison.grmatrix import block_decomposition
 
     s_t = fixtures.example("3.2").matrix.specialize_closed_point()
     rows, cols = block_decomposition(s_t)[1]
-    block = s_t.submatrix(rows, cols)  # 4 x 6 of rank 3, 80 cubic minors
+    block = s_t.submatrix(rows, cols)  # 4 x 6 of rank 3
     chunks = []
     det_mod_p = modgb._linalg.det_mod_p
 
@@ -874,17 +876,37 @@ def test_minor_values_in_chunks(monkeypatch):
         chunks.append(len(stack))
         return det_mod_p(stack, p)
 
-    monkeypatch.setattr(modgb, "_MAX_PIECE", 400)
+    monkeypatch.setattr(modgb, "_MAX_PIECE", 720)
     monkeypatch.setattr(modgb._linalg, "det_mod_p", spy)
     assert modgb._minors_fill_top_degree(block, 3)
-    assert set(chunks) == {2 * 20} and 10 <= len(chunks) < 40
-    # 100 cells: a 10-point lattice and ten 1 x 1 stacks per chunk; twelve
-    # minors that never fill take every chunk
-    monkeypatch.setattr(modgb, "_MAX_PIECE", 100)
+    assert chunks == [2 * 20] * 10
+    # 600 cells: a 10-point lattice and five combinations of the twelve
+    # squares per chunk; they span 4 of the 10 quadrics, so they take every
+    # chunk, and the symbolic route decides
+    monkeypatch.setattr(modgb, "_MAX_PIECE", 600)
     chunks.clear()
     squares = M([0], [2] * 12, [["X^2", "Y^2", "Z^2", "T^2"] * 3])
     assert not modgb._minors_fill_top_degree(squares, 1)
-    assert chunks == [10 * 10, 2 * 10]
+    assert chunks == [5 * 10, 5 * 10, 2 * 10]
+    calls = []
+    enumerate_minors = modgb.minors
+    monkeypatch.setattr(modgb, "minors", lambda m, k: calls.append(k) or enumerate_minors(m, k))
+    assert modgb.has_constant_rank(squares)
+    assert calls == [1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_blocks())
+def test_combinations_fill_only_where_the_minors_fill(case):
+    """Every block the seeded combinations fill at its top degree, the
+    enumerated minors fill too: each combination lies in the span of the
+    minors of its degree."""
+    from biliaison.grmatrix import ranked_blocks
+
+    _, m = case
+    for sub, r in ranked_blocks(m):
+        if modgb._minors_fill_top_degree(sub, r):
+            assert oracles.minors_fill_top_degree(sub, r)
 
 
 @pytest.mark.parametrize("name", ["3.2", "3.3"])

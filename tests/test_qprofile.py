@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
+import oracles
 from biliaison import _linalg, families, fixtures, modgb, qprofile
 from biliaison.grmatrix import (
     CharFunction,
@@ -659,15 +660,15 @@ def test_admissibility_refuses_dissociated():
 
 def test_oracle_on_small_example(example_runs):
     desc, profile, _ = example_runs.get("3.2")
-    assert qprofile.q_oracle(desc.matrix, 2, trials=20) == 3 == profile.q_sharp(2)
-    assert qprofile.q_oracle(desc.matrix, 1, trials=20) == 0
-    assert qprofile.q_oracle(desc.matrix, 0, trials=5) == 0
+    assert oracles.q_oracle(desc.matrix, 2, trials=20) == 3 == profile.q_sharp(2)
+    assert oracles.q_oracle(desc.matrix, 1, trials=20) == 0
+    assert oracles.q_oracle(desc.matrix, 0, trials=5) == 0
 
 
 def test_oracle_budget_guard(example_runs):
     desc, _, _ = example_runs.get("3.4")
-    with pytest.raises(qprofile.BudgetExceededError):
-        qprofile.q_oracle(desc.matrix, 3)
+    with pytest.raises(oracles.BudgetExceededError):
+        oracles.q_oracle(desc.matrix, 3)
 
 
 def test_oracle_matches_profile_on_random_linear_matrix():
@@ -681,7 +682,7 @@ def test_oracle_matches_profile_on_random_linear_matrix():
     s = GradedMatrix(F, [0] * 3, [1] * 4, grid, validate=False)
     profile = qprofile.compute_q_profile(s)
     for rec in profile.records:
-        assert qprofile.q_oracle(s, rec.n, trials=50) == rec.q_sharp
+        assert oracles.q_oracle(s, rec.n, trials=50) == rec.q_sharp
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Time the local-freeness check, `modgb.has_constant_rank`, and the cold
-`qprofile` command it runs in front of.
+CLI commands it runs in front of.
 
 Run from the root of a source checkout (no install step):
 
@@ -13,8 +13,9 @@ verdict.  The generic 2 x 4 block degenerates on a curve, so the symbolic
 route decides it (not locally free).
 
 CLI: `biliaison qprofile --fixture F --format json` for F = 3.2, 3.3 and 3.4,
-each run in a fresh interpreter that builds the fixture first and then
-times the one `cli.main` call, as the benchmark's `profile_s` does.  3.4
+and `biliaison minimal-family --fixture 3.4 --format json`, each run in a
+fresh interpreter that builds the fixture first and then times the one
+`cli.main` call, as the benchmark's `profile_s` and `solve_s` do.  3.4
 asserts local freeness, so no check runs there.
 
 The script writes `BENCH_local_freeness.json` (or `--out`) with the git sha,
@@ -46,16 +47,17 @@ from biliaison import families, fixtures, modgb  # noqa: E402
 from biliaison.grmatrix import GradedMatrix, ranked_blocks  # noqa: E402
 from biliaison.polyring import FieldSpec  # noqa: E402
 
-FIXTURES = ("3.2", "3.3", "3.4")
+COMMANDS = (("qprofile", "3.2"), ("qprofile", "3.3"), ("qprofile", "3.4"),
+            ("minimal-family", "3.4"))
 LINEAR_SHAPES = ((1, 4), (2, 5), (3, 6), (2, 4))  # (rows, cols) of the random blocks
 
 COLD_CALL = """
 import io, sys, time
 from biliaison import cli, fixtures
 from biliaison.polyring import FieldSpec
-fixtures.example(sys.argv[1], FieldSpec.parse("prime:32003"))
+fixtures.example(sys.argv[2], FieldSpec.parse("prime:32003"))
 start = time.perf_counter()
-code = cli.main(["qprofile", "--fixture", sys.argv[1], "--format", "json"],
+code = cli.main([sys.argv[1], "--fixture", sys.argv[2], "--format", "json"],
                 out=io.StringIO(), err=io.StringIO())
 print(time.perf_counter() - start, code)
 """
@@ -87,15 +89,15 @@ def time_block(block: GradedMatrix, runs: int) -> dict:
     return {"median_s": statistics.median(times), "locally_free": verdict, "runs": times}
 
 
-def time_cold_qprofile(name: str, runs: int) -> dict:
+def time_cold_command(command: str, name: str, runs: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     times = []
     for _ in range(runs):
-        done = subprocess.run([sys.executable, "-c", COLD_CALL, name], env=env, cwd=ROOT,
-                              capture_output=True, text=True, check=True)
+        done = subprocess.run([sys.executable, "-c", COLD_CALL, command, name], env=env,
+                              cwd=ROOT, capture_output=True, text=True, check=True)
         seconds, code = done.stdout.split()
         if code != "0":
-            raise RuntimeError(f"qprofile --fixture {name} exited {code}")
+            raise RuntimeError(f"{command} --fixture {name} exited {code}")
         times.append(float(seconds))
     return {"median_s": statistics.median(times), "runs": times}
 
@@ -111,9 +113,10 @@ def main() -> None:
         print(f"has_constant_rank {name}: {checked[name]['median_s'] * 1e3:.3f} ms, "
               f"locally free {checked[name]['locally_free']}", file=sys.stderr)
     cold = {}
-    for name in FIXTURES:
-        cold[name] = time_cold_qprofile(name, args.runs)
-        print(f"cold qprofile {name}: {cold[name]['median_s'] * 1e3:.3f} ms", file=sys.stderr)
+    for command, name in COMMANDS:
+        key = f"{command} {name}"
+        cold[key] = time_cold_command(command, name, args.runs)
+        print(f"cold {key}: {cold[key]['median_s'] * 1e3:.3f} ms", file=sys.stderr)
     sha, dirty = git_state()
     report = {
         "bench": "local_freeness",
@@ -123,7 +126,7 @@ def main() -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "has_constant_rank": checked,
-        "cold_qprofile": cold,
+        "cold_cli": cold,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
 

@@ -2,13 +2,15 @@
 
 The certificate evaluates each block once on a seeded line and takes the
 determinants of two random k x k combinations V B(t) U of it, at every
-interpolation node, in one batched call; their GCD and the rank at (1 : 0)
-decide.  Run from the root of a source checkout (no install step):
+interpolation node and at (1 : 0), in one batched call; their GCD and the
+determinants at (1 : 0) decide.  Run from the root of a source checkout (no
+install step):
 
     python3 bench/bench_plane_certificate.py --runs 5
 
 One cold `compute_q_profile` and `minimal_family` per instance records every
-call the pipeline makes, as (block, k, seed).  Each call is then repeated
+call the pipeline makes, as (block, k, seed); a block that several
+truncations share is certified once.  Each call is then repeated
 `--runs` times on the same block, and its median is kept.  The instances are
 fixture 3.4 and `rao_family(8, 4, 1)`.  Each is split into the calls of the
 profile and those of the family, which on 3.4 is the 19 x 16 composite.

@@ -7,6 +7,10 @@ minimal-family  q, deg N, h0, d0, g0 and the verification certificate
 check-p         admissibility of a candidate characteristic function
 examples        run the built-in examples against their expected values
 
+`main` builds the subparser of the command it is given alone; --help, no
+command or an unknown one build all four.  Either way every help, usage
+and error text, and every exit code, is the same.
+
 Coefficients live in F_p for a prime 1000 <= p < 2^31 (default 32003);
 any other --field, and a matrix JSON over any other field, is a parse error.
 
@@ -61,12 +65,12 @@ class CliError(Exception):
         self.code = code
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone (module docstring)."""
     parser = argparse.ArgumentParser(
         prog="biliaison",
         description="Exact invariants and minimal curve families of graded matrix presentations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
     def basic(p: argparse.ArgumentParser) -> None:
         p.add_argument("--field", default="prime:32003",
@@ -93,21 +97,30 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--export-matrix", metavar="PATH", default=None,
                        help="also write the input matrix in the JSON format")
 
-    p_q = sub.add_parser("qprofile", help="alpha/beta/q table, b0, stable rank")
-    common(p_q)
+    def check_p(p: argparse.ArgumentParser) -> None:
+        common(p)
+        p.add_argument("--p", required=True,
+                       help='candidate characteristic function as JSON, e.g. {"2": 3}')
 
-    p_mf = sub.add_parser("minimal-family", help="minimal-shift curve family")
-    common(p_mf)
+    def examples(p: argparse.ArgumentParser) -> None:
+        basic(p)
+        p.add_argument("--perturb", action="store_true",
+                       help="test hook: zero one presentation entry (negative control)")
 
-    p_cp = sub.add_parser("check-p", help="admissibility of a characteristic function")
-    common(p_cp)
-    p_cp.add_argument("--p", required=True,
-                      help='candidate characteristic function as JSON, e.g. {"2": 3}')
-
-    p_ex = sub.add_parser("examples", help="run all built-in examples against expected values")
-    basic(p_ex)
-    p_ex.add_argument("--perturb", action="store_true",
-                      help="test hook: zero one presentation entry (negative control)")
+    commands = {
+        "qprofile": ("alpha/beta/q table, b0, stable rank", common),
+        "minimal-family": ("minimal-shift curve family", common),
+        "check-p": ("admissibility of a characteristic function", check_p),
+        "examples": ("run all built-in examples against expected values", examples),
+    }
+    alone = command in commands
+    # the usage names all four commands either way; on the full parser the
+    # metavar would replace `command` in the missing-command error
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{%s}" % ",".join(commands) if alone else None)
+    for name, (text, build) in commands.items():
+        if not alone or name == command:
+            build(sub.add_parser(name, help=text))
     return parser
 
 
@@ -346,8 +359,8 @@ _EXIT_CODES = {
 def main(argv: Optional[List[str]] = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     handlers = {
         "qprofile": cmd_qprofile,
         "minimal-family": cmd_minimal_family,

@@ -739,10 +739,11 @@ def leading_component_rank(gens: GradedMatrix) -> int:
 
 
 def _minimalize_monomials(gens: List[Expo4]) -> List[Expo4]:
-    gens = sorted(set(gens), key=lambda e: (sum(e), e))
+    """The minimal generators of the monomial ideal, by ascending degree."""
     out: List[Expo4] = []
-    for e in gens:
-        if not any(all(f[i] <= e[i] for i in range(4)) for f in out):
+    for e in sorted(set(gens), key=sum):
+        a, b, c, d = e
+        if not any(f0 <= a and f1 <= b and f2 <= c and f3 <= d for f0, f1, f2, f3 in out):
             out.append(e)
     return out
 
@@ -766,20 +767,17 @@ def _hilbert_numerator(gens: List[Expo4]) -> List[int]:
         return [1]
     if gens[0] == (0, 0, 0, 0):
         return []
-    # pairwise support-disjoint generators: product formula
-    if all(
-        not any(gens[i][v] and gens[j][v] for v in range(4))
-        for i in range(len(gens)) for j in range(i + 1, len(gens))
-    ):
+    counts = [sum(1 for e in gens if e[v]) for v in range(4)]
+    if max(counts) <= 1:  # pairwise support-disjoint generators: product formula
         num = [1]
         for e in gens:
             num = _poly_mul(num, [1] + [0] * (sum(e) - 1) + [-1])
         return num
     # pivot on the most shared variable
-    counts = [sum(1 for e in gens if e[v]) for v in range(4)]
     var = counts.index(max(counts))
-    plus = [e for e in gens if e[var] == 0] + [tuple(1 if i == var else 0 for i in range(4))]
-    colon = [tuple(max(e[i] - (1 if i == var else 0), 0) for i in range(4)) for e in gens]
+    unit = (0,) * var + (1,) + (0,) * (3 - var)
+    plus = [e for e in gens if e[var] == 0] + [unit]
+    colon = [e[:var] + (e[var] - 1,) + e[var + 1:] if e[var] else e for e in gens]
     return _poly_shift_add(_hilbert_numerator(plus), _hilbert_numerator(colon), 1)
 
 

@@ -32,26 +32,29 @@ kept on the matrix (`ranked_blocks`).  No minor is enumerated:
    a combination of every restricted k-minor, of degree at most top, the
    largest degree of a k-minor.  Two such combinations are taken at once:
    their values at t = 0..top (from P(t) = sum_n (V C_n U) t^n by Horner's
-   rule) and at the extra node (from the values there) by batched
-   determinants mod p, in slabs of at most `_MAX_GRID` cells (one slab on
-   every fixture block), their coefficients by Newton interpolation,
+   rule), at the extra node and at (1 : 0) (from the values there) by
+   batched determinants mod p, in slabs of at most `_MAX_GRID` cells (one
+   slab on every fixture block), their coefficients by Newton interpolation,
    checked at the extra node.  Let g be their GCD (Euclid mod p).  If g is
-   constant and the values at (1 : 0) have rank k, the k-minors are
-   coprime.  Proof: let F be a nonconstant common factor of all k-minors.
-   It divides every restricted k-minor, and the combinations are nonzero,
-   so F restricted to the line is a nonzero binary form whose value at
-   (t : 1) divides both combinations, hence g.  With g constant, F
-   restricts to a multiple of Y^(deg F), so every k-minor vanishes at
-   (1 : 0) and the rank there is below k.  A zero combination, or a rank
-   below k at (1 : 0), moves the certificate to the next line; a
-   nonconstant g, or three lines without a certificate, leave the block to
-   the fallback.  Random V and U are the preconditioners of Kaltofen,
-   Krishnamoorthy and Saunders (Linear Algebra Appl. 136, 1990); they
-   choose only the certificate.  A block that `modgb.has_constant_rank`
-   kept as locally free skips this step: the CLI's check runs on the same
-   s_t, whose truncations hold its whole blocks (`ranked_blocks`).  Its
-   k-minors have no common zero in P^3, and a nonconstant common factor
-   would vanish on a surface, so they are coprime.
+   constant and a determinant at (1 : 0) is nonzero, the k-minors are
+   coprime.  Proof: that determinant makes the rank at (1 : 0) k, so some
+   k-minor is nonzero there.  A nonconstant common factor F of all k-minors
+   divides every restricted k-minor, and the combinations are nonzero, so F
+   restricted to the line is a nonzero binary form whose value at (t : 1)
+   divides both combinations, hence g.  With g constant, F restricts to a
+   multiple of Y^(deg F) and vanishes at (1 : 0): a contradiction.  A zero
+   combination, or two zero determinants at (1 : 0), move the certificate
+   to the next line; a nonconstant g, or three lines without a
+   certificate, leave the block to the fallback.  Random V and U are the
+   preconditioners of Kaltofen, Krishnamoorthy and Saunders (Linear Algebra
+   Appl. 136, 1990); they choose only the certificate.  The certificate,
+   and the fallback's GCD when it fails, are kept on the block: a block
+   that truncations share (`ranked_blocks`) is analysed once, and a verdict
+   read at another seed is still a proof.  A block that
+   `modgb.has_constant_rank` kept as locally free skips this step: the
+   CLI's check runs on the same s_t, whose truncations hold its whole
+   blocks.  Its k-minors have no common zero in P^3, and a nonconstant
+   common factor would vanish on a surface, so they are coprime.
 2. Honest fallback.  Only when the plane certificate fails is the GCD of
    a few true witness minors taken, picked by pivoting at seeded points,
    by `polyring.gcd` (Brown's dense modular GCD, certified by exact
@@ -225,8 +228,8 @@ class MinorAnalysis:
 class PlaneCertificate(NamedTuple):
     """How `_restricted_minor_gcd` decided a block: the verdict, the number
     of combinations taken, deg g in the last attempt that took one (None if
-    every combination vanished), and whether the rank at (1 : 0) was
-    measured, which happens only after a constant g."""
+    every combination vanished), and whether the determinants at (1 : 0)
+    were consulted, which happens only after a constant g."""
 
     coprime: bool
     combinations: int
@@ -245,13 +248,14 @@ def _restricted_minor_gcd(block: GradedMatrix, k: int, seed: int) -> PlaneCertif
 
     Verdict True certifies exactly that the k-minors are coprime.  False
     means the two combinations had a nonconstant GCD, or no line of three
-    gave nonzero combinations with rank k at (1 : 0); the honest fallback
-    then decides.  An attempt evaluates the block once and takes the two
-    combinations' determinants at t = 0..top and at the extra node in
-    slabs of at most `_MAX_GRID` cells, the extra node in the last slab, so
-    a block with 2 (top + 2) k^2 <= `_MAX_GRID` takes one `det_mod_p` call.
-    A value at the extra node off the interpolated combination raises
-    `HomogeneityError`; top >= p raises `InterpolationRangeError`.
+    gave nonzero combinations with a nonzero determinant at (1 : 0); the
+    honest fallback then decides.  An attempt evaluates the block once and
+    takes the two combinations' determinants at t = 0..top, at the extra
+    node and at (1 : 0) in slabs of at most `_MAX_GRID` cells, the last two
+    nodes in the last slab, so a block with 2 (top + 3) k^2 <= `_MAX_GRID`
+    takes one `det_mod_p` call.  A value at the extra node off the
+    interpolated combination raises `HomogeneityError`; top >= p raises
+    `InterpolationRangeError`.
     """
     p = block.field.characteristic
     rd, cd = block.row_degrees, block.col_degrees
@@ -277,20 +281,22 @@ def _restricted_minor_gcd(block: GradedMatrix, k: int, seed: int) -> PlaneCertif
         values = block.evaluate_many(points)
         coeffs = _newton_coefficients(values[:e + 1], 0, p)
         small = _linalg.matmul_mod_p(_linalg.matmul_mod_p(v[:, None], coeffs, p), u[:, None], p)
-        at_extra = _linalg.matmul_mod_p(_linalg.matmul_mod_p(v, values[e + 1], p), u, p)
+        tail = _linalg.matmul_mod_p(_linalg.matmul_mod_p(v[:, None], values[e + 1:], p),
+                                    u[:, None], p)  # at the extra node, then at (1 : 0)
         slabs = []
-        for lo in range(0, top + 2, step):
-            nodes = np.arange(lo, min(lo + step, top + 1), dtype=np.int64)[:, None, None]
+        for lo in range(0, top + 3, step):
+            hi = min(lo + step, top + 3)
+            nodes = np.arange(lo, min(hi, top + 1), dtype=np.int64)[:, None, None]
             at = np.zeros((2, len(nodes), k, k), dtype=np.int64)
             for n in range(e, -1, -1):
                 at = (at * nodes + small[:, n, None]) % p
-            if lo + step >= top + 2:
-                at = np.concatenate([at, at_extra[:, None]], axis=1)
+            if hi > top + 1:
+                at = np.concatenate([at, tail[:, max(lo - top - 1, 0):hi - top - 1]], axis=1)
             slabs.append(_linalg.det_mod_p(at.reshape(-1, k, k), p).reshape(2, -1))
         dets = np.concatenate(slabs, axis=1)
         c1, c2 = (np.trim_zeros(c, "b").tolist()
-                  for c in _newton_coefficients(dets[:, :-1], 1, p))
-        if [_horner(c1, extra, p), _horner(c2, extra, p)] != dets[:, -1].tolist():
+                  for c in _newton_coefficients(dets[:, :top + 1], 1, p))
+        if [_horner(c1, extra, p), _horner(c2, extra, p)] != dets[:, top + 1].tolist():
             raise HomogeneityError(f"a {k} x {k} minor is not homogeneous of degree <= {top}")
         done = done._replace(combinations=done.combinations + 2)
         if not c1 or not c2:
@@ -299,7 +305,7 @@ def _restricted_minor_gcd(block: GradedMatrix, k: int, seed: int) -> PlaneCertif
         if done.gcd_degree:
             return done
         done = done._replace(at_infinity=True)
-        if _linalg.rank_mod_p(values[-1], p) == k:
+        if dets[:, top + 2].any():  # rank k at (1 : 0)
             return done._replace(coprime=True)
     return done
 
@@ -316,10 +322,11 @@ def coprime_minor_analysis(w: GradedMatrix, seed: int = DEFAULT_SEED) -> MinorAn
     k = sum(kb for _, kb in blocks)
     overall = MultiPoly.one(w.field)
     for bi, (sub, kb) in enumerate(blocks):
-        if sub.known("locally_free") or _restricted_minor_gcd(sub, kb, subseed(seed, "block", bi)).coprime:
+        if sub.known("locally_free") or sub.kept("plane_certificate", lambda: _restricted_minor_gcd(
+                sub, kb, subseed(seed, "block", bi))).coprime:
             continue
         notes.append(f"block {bi}: plane certificate inconclusive, honest fallback")
-        g = _honest_sampled_gcd(sub, kb, subseed(seed, "honest", bi))
+        g = sub.kept("honest_gcd", lambda: _honest_sampled_gcd(sub, kb, subseed(seed, "honest", bi)))
         if not g.is_constant():
             overall = overall * g
     if overall.is_constant():
@@ -390,11 +397,12 @@ def beta(s: GradedMatrix, n: int, seed: int = DEFAULT_SEED) -> int:
 
 
 def _column_module_free(w: GradedMatrix, target_rank: int) -> bool:
-    """Freeness of the column module via mu(F) = rank(F)."""
-    if w.ncols == 0:
-        return target_rank == 0
-    mu = modgb.minimal_generator_count(w)
-    return mu.rank() == target_rank
+    """Freeness of the column module F of rank target_rank via mu(F) =
+    rank(F).  Columns as many as the rank are independent over the fraction
+    field, so over S too, and generate F freely: no generator count."""
+    if w.ncols == target_rank:
+        return True
+    return modgb.minimal_generator_count(w).rank() == target_rank
 
 
 def compute_q_profile(

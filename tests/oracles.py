@@ -2,8 +2,10 @@
 
 `minors_fill_top_degree` is the lattice fill of `modgb` with every
 rank-level minor enumerated, which the seeded combinations must never beat:
-a block they fill, the minors fill.  `q_oracle` bounds q# from below by
-sampling dissociated submodules.
+a block they fill, the minors fill.  `hilbert_numerator` is the Hilbert
+numerator of a monomial ideal by the same pivot recursion as `modgb`'s,
+with a pairwise test for disjoint supports and a plain minimalization.
+`q_oracle` bounds q# from below by sampling dissociated submodules.
 """
 
 from __future__ import annotations
@@ -70,6 +72,39 @@ def minors_fill_top_degree(sub: GradedMatrix, r: int) -> bool:
             return True
         span = span[:len(pivots)]
     return False
+
+
+def minimalize_monomials(gens: List[modgb.Expo4]) -> List[modgb.Expo4]:
+    gens = sorted(set(gens), key=lambda e: (sum(e), e))
+    out: List[modgb.Expo4] = []
+    for e in gens:
+        if not any(all(f[i] <= e[i] for i in range(4)) for f in out):
+            out.append(e)
+    return out
+
+
+def hilbert_numerator(gens: List[modgb.Expo4]) -> List[int]:
+    """Numerator of the Hilbert series of R/I over (1-t)^4, I monomial."""
+    gens = minimalize_monomials(gens)
+    if not gens:
+        return [1]
+    if gens[0] == (0, 0, 0, 0):
+        return []
+    # pairwise support-disjoint generators: product formula
+    if all(
+        not any(gens[i][v] and gens[j][v] for v in range(4))
+        for i in range(len(gens)) for j in range(i + 1, len(gens))
+    ):
+        num = [1]
+        for e in gens:
+            num = modgb._poly_mul(num, [1] + [0] * (sum(e) - 1) + [-1])
+        return num
+    # pivot on the most shared variable
+    counts = [sum(1 for e in gens if e[v]) for v in range(4)]
+    var = counts.index(max(counts))
+    plus = [e for e in gens if e[var] == 0] + [tuple(1 if i == var else 0 for i in range(4))]
+    colon = [tuple(max(e[i] - (1 if i == var else 0), 0) for i in range(4)) for e in gens]
+    return modgb._poly_shift_add(hilbert_numerator(plus), hilbert_numerator(colon), 1)
 
 
 def _candidate_shapes(mass: int, degrees: Sequence[int], cap: int = 80) -> List[CharFunction]:

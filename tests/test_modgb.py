@@ -528,6 +528,14 @@ def test_hilbert_vs_dense_oracle_random():
             assert pres.hilbert_function(n) == modgb.module_dimension_oracle(gens, n)
 
 
+@settings(max_examples=200, deadline=None)
+@given(gens=st.lists(st.tuples(*[st.integers(0, 3)] * 4), max_size=10))
+def test_hilbert_numerator_matches_the_pairwise_oracle(gens):
+    # the per-variable support counts decide the product formula, and the
+    # minimalization unrolls its divisibility test
+    assert modgb._hilbert_numerator(gens) == oracles.hilbert_numerator(gens)
+
+
 def test_late_saturating_row_has_the_exact_polynomial():
     # (X, Y, Z, T^12) agrees with C(n + 3, 3) only from degree 12 on: the
     # leads give the polynomial with no window to find

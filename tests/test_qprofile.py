@@ -155,11 +155,11 @@ def test_minor_analysis_matches_exhaustive_oracle(
 )
 def test_combination_determinants_match_a_python_int_reference(nrows, ncols, p, per_slab, seed):
     # random forms of degree 0-3, some entries zero.  Every matrix the first
-    # attempt hands to det_mod_p must be V B(t) U, with B(t) the symbolic
-    # plane restriction at (t : 1), for t = 0..top and then the extra node,
-    # and every determinant must be that of a Python-int reference.  With
-    # per_slab set, the grid bound holds that many nodes of both
-    # combinations, so the nodes come in several slabs; otherwise in one
+    # attempt hands to det_mod_p must be V B U, with B the symbolic plane
+    # restriction at (t : 1) for t = 0..top, then at the extra node, then at
+    # (1 : 0), and every determinant must be that of a Python-int
+    # reference.  With per_slab set, the grid bound holds that many nodes of
+    # both combinations, so the nodes come in several slabs; otherwise in one
     field = FieldSpec.prime(p)
     rng = random.Random(seed)
     row_degs = [rng.randrange(2) for _ in range(nrows)]
@@ -202,21 +202,22 @@ def test_combination_determinants_match_a_python_int_reference(nrows, ncols, p, 
     # each slab holds its nodes of the first combination, then of the second
     stack = np.concatenate([s.reshape(2, -1, k, k) for s, _ in first], axis=1).reshape(-1, k, k)
     dets = np.concatenate([d.reshape(2, -1) for _, d in first], axis=1).reshape(-1)
-    top = len(stack) // 2 - 2
-    assert len(first) == (1 if per_slab is None else -(-(top + 2) // per_slab))
+    top = len(stack) // 2 - 3
+    assert len(first) == (1 if per_slab is None else -(-(top + 3) // per_slab))
     # the extra node is the first draw of the attempt's generator
     extra = random.Random(qprofile.subseed(seed, "combination", 0)).randrange(1, p)
     K = GF(p)
     for i in range(2):
-        for n, t in enumerate(list(range(top + 1)) + [extra]):
-            b = [[e.evaluate((t, 1, 0, 0, 0)) for e in row] for row in restricted.entries]
+        nodes = [(t, 1) for t in range(top + 1)] + [(extra, 1), (1, 0)]
+        for n, (tx, ty) in enumerate(nodes):
+            b = [[e.evaluate((tx, ty, 0, 0, 0)) for e in row] for row in restricted.entries]
             vb = [[sum(int(x) * y for x, y in zip(row, col)) % p for col in zip(*b)]
                   for row in v[i].tolist()]
             want = [[sum(x * int(y) for x, y in zip(row, col)) % p for col in zip(*u[i].tolist())]
                     for row in vb]
-            assert stack[i * (top + 2) + n].tolist() == want
+            assert stack[i * (top + 3) + n].tolist() == want
             det = DomainMatrix([[K(x) for x in row] for row in want], (k, k), K).det()
-            assert dets[i * (top + 2) + n] == int(det) % p
+            assert dets[i * (top + 3) + n] == int(det) % p
 
 
 @settings(max_examples=30, deadline=None)
@@ -362,6 +363,59 @@ def test_line_through_the_rank_drop_locus_falls_back(monkeypatch):
     assert qprofile._restricted_minor_gcd(row, 1, 0) == (False, 2, 1, False)
     analysis = qprofile.coprime_minor_analysis(row)
     assert analysis.coprime and len(analysis.notes) == 1
+
+
+def test_vanishing_determinants_at_infinity_move_to_the_next_line(monkeypatch):
+    # the two determinants at (1 : 0) close each attempt's batch; forced to
+    # zero, they move the certificate to the next line as a rank drop there
+    # does, and after three lines the honest fallback decides
+    row = M([0], [1, 1, 1, 1], [["X", "Y", "Z", "T"]])
+    det_mod_p, zeroed, attempts = _linalg.det_mod_p, [], [0]
+
+    def zero_at_infinity(stack, p):
+        dets = det_mod_p(stack, p).reshape(2, -1)
+        if len(zeroed) < attempts[0]:  # one batch per attempt on this block
+            zeroed.append(dets[:, -1].tolist())
+            dets[:, -1] = 0
+        return dets.reshape(-1)
+
+    monkeypatch.setattr(_linalg, "det_mod_p", zero_at_infinity)
+    for count, certificate in ((1, (True, 4, 0, True)), (3, (False, 6, 0, True))):
+        attempts[0] = count
+        zeroed.clear()
+        assert qprofile._restricted_minor_gcd(row, 1, 0) == certificate
+        assert len(zeroed) == count and all(any(dets) for dets in zeroed)
+    zeroed.clear()
+    analysis = qprofile.coprime_minor_analysis(row)
+    assert analysis.coprime and len(analysis.notes) == 1
+
+
+def test_a_block_analysed_twice_is_certified_once(monkeypatch):
+    # what the analysis learns is kept on the block object: a second
+    # analysis, at another seed, makes no plane certificate, and a block the
+    # certificate leaves to the fallback takes one sampled GCD
+    calls = []
+
+    def counted(name):
+        real = getattr(qprofile, name)
+
+        def spy(*args):
+            calls.append(name)
+            return real(*args)
+        return spy
+
+    monkeypatch.setattr(qprofile, "_restricted_minor_gcd", counted("_restricted_minor_gcd"))
+    monkeypatch.setattr(qprofile, "_honest_sampled_gcd", counted("_honest_sampled_gcd"))
+    coprime = M([0, 0], [1, 1, 1], [["X", "Y", "Z"], ["Y", "Z", "T"]])
+    common = M([0], [2, 2, 2, 3], [["X*Y", "X*Z", "X*T", "X*Y^2 + X*Z^2 + X*T^2"]])
+    for w, made, min_rank in ((coprime, ["_restricted_minor_gcd"], 2),
+                              (common, ["_restricted_minor_gcd", "_honest_sampled_gcd"], 0)):
+        calls.clear()
+        first = qprofile.coprime_minor_analysis(w, seed=1)
+        second = qprofile.coprime_minor_analysis(w, seed=2)
+        assert calls == made
+        assert first.min_rank == second.min_rank == min_rank
+        assert first.common_factor == second.common_factor
 
 
 PLANE_PINS = Path(__file__).parent / "golden" / "plane-certificates.json"
@@ -576,6 +630,44 @@ def test_a_short_block_without_bound_takes_the_groebner_count(monkeypatch):
     runs = _buchberger_runs(monkeypatch)
     assert [r for _, r in ranked_blocks(m)] == [1, 1]
     assert len(runs) == 1
+
+
+def test_as_many_columns_as_the_rank_count_no_generators(monkeypatch):
+    # 3.4's truncation at n = 1 is one column of rank 1: free without a
+    # minimal generator count; the 19 x 17 truncation at n = 2 takes one
+    m = fixtures.example("3.4").matrix
+    cold = GradedMatrix(m.field, m.row_degrees, m.col_degrees, m.entries)
+    counted, count = [], modgb.minimal_generator_count
+
+    def spy(w):
+        counted.append((w.nrows, w.ncols))
+        return count(w)
+
+    monkeypatch.setattr(modgb, "minimal_generator_count", spy)
+    assert qprofile.compute_q_profile(cold).b0 == 1
+    assert counted == [(19, 17)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(nrows=st.integers(1, 3), ncols=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_column_module_freeness_matches_the_generator_count(nrows, ncols, seed):
+    # every truncation of a random matrix with column degrees 1 and 2, some
+    # columns a multiple of another by a linear form
+    rng = random.Random(seed)
+    col_degs = sorted(rng.randrange(1, 3) for _ in range(ncols))
+    grid = [[_random_form(c, rng) for c in col_degs] for _ in range(nrows)]
+    for j, c in enumerate(col_degs):
+        if c == 2 and col_degs[0] == 1 and rng.random() < 0.5:
+            form = _random_form(1, rng)
+            for row in grid:
+                row[j] = form * row[0]
+    s = GradedMatrix(F, [0] * nrows, col_degs, grid)
+    for n in (1, 2):
+        w = s.truncate_columns(n)
+        if w.ncols:
+            rank = rank_fraction_field(w)
+            want = modgb.minimal_generator_count(w).rank() == rank
+            assert qprofile._column_module_free(w, rank) == want
 
 
 def test_window_override_caps_scan():

@@ -34,13 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from biliaison import modgb
-from biliaison.grmatrix import (
-    CharFunction,
-    GradedMatrix,
-    identity_matrix,
-    rank_fraction_field,
-    stack_blocks,
-)
+from biliaison.grmatrix import CharFunction, GradedMatrix, rank_fraction_field
 from biliaison.modgb import HilbertPolynomial
 from biliaison.polyring import FieldSpec
 from biliaison.qprofile import (
@@ -81,6 +75,9 @@ class PresentationError(RuntimeError):
 
 class ConservationError(RuntimeError):
     """A verified morphism violates the Hilbert conservation P_Q + P_P = P_N."""
+
+
+RETRY_CAP = 10  # lifts `minimal_family` draws before it gives up
 
 
 @dataclass
@@ -186,37 +183,22 @@ def random_matrix(
     return GradedMatrix.from_terms(field, row_degrees, col_degrees, cells[back], drawn[back], draws[back])
 
 
-def random_lift(s: GradedMatrix, column_degrees: Sequence[int], rng: random.Random) -> GradedMatrix:
-    """Random homogeneous v with rows matching L2 and the given column degrees."""
-    return random_matrix(s.field, s.col_degrees, column_degrees, rng)
-
-
 def sample_general_morphism(
-    s: GradedMatrix,
-    p: CharFunction,
-    seed: int = DEFAULT_SEED,
-    profile: Optional[QProfile] = None,
+    s: GradedMatrix, p: CharFunction, profile: QProfile, seed: int = DEFAULT_SEED
 ) -> GradedMatrix:
-    """Random lift v : P -> L2 for an admissible shape p (deterministic in seed)."""
-    if profile is None:
-        profile = compute_q_profile(s)
+    """Random lift v : P -> L2 for a shape p admissible under ``profile``,
+    the profile of s (deterministic in seed)."""
     ok, reason = check_p_admissible(p, profile)
     if not ok:
         raise InadmissibleShapeError(reason)
-    rng = random.Random(subseed(seed, "lift"))
-    return random_lift(s, p.degrees(), rng)
+    return random_matrix(s.field, s.col_degrees, p.degrees(), random.Random(subseed(seed, "lift")))
 
 
 def verify_general_morphism(
-    s: GradedMatrix,
-    v: GradedMatrix,
-    profile: Optional[QProfile] = None,
-    seed: int = DEFAULT_SEED,
+    s: GradedMatrix, v: GradedMatrix, profile: QProfile, seed: int = DEFAULT_SEED
 ) -> Certificate:
     """Certify injectivity at the closed point and a torsion-free cokernel,
-    from the composite s_t * v."""
-    if profile is None:
-        profile = compute_q_profile(s)
+    from the composite s_t * v; ``profile`` is the profile of s."""
     r = profile.stable_rank
     if v.ncols != r - 1:
         raise ValueError(f"lift has {v.ncols} columns, expected rank - 1 = {r - 1}")
@@ -258,18 +240,11 @@ def quotient_hilbert_data(
 
 
 def family_degree_genus(
-    s: GradedMatrix,
-    v: GradedMatrix,
-    p: CharFunction,
-    profile: Optional[QProfile] = None,
-    deg_n: Optional[int] = None,
+    s: GradedMatrix, v: GradedMatrix, p: CharFunction, profile: QProfile
 ) -> Tuple[int, int, int]:
-    """(h, d, g) of the curve family cut out by a verified morphism."""
-    if profile is None:
-        profile = compute_q_profile(s)
-    if deg_n is None:
-        deg_n = sheaf_degree(s, profile)
-    h = deg_n + p.weighted_sum()
+    """(h, d, g) of the curve family cut out by a verified morphism;
+    ``profile`` is the profile of s."""
+    h = sheaf_degree(s, profile) + p.weighted_sum()
     _, p_q = quotient_hilbert_data(s, v)
     return (h,) + _degree_genus(h, p_q)
 
@@ -309,7 +284,6 @@ def minimal_family(
     s: GradedMatrix,
     seed: int = DEFAULT_SEED,
     profile: Optional[QProfile] = None,
-    retry_cap: int = 10,
 ) -> MinimalFamilyReport:
     """Minimal-shift curve family for the presented sheaf (p = q)."""
     if profile is None:
@@ -322,7 +296,7 @@ def minimal_family(
     deg_n = sheaf_degree(s, profile)
     h0 = minimal_shift(profile, deg_n)
     last_error: Optional[Exception] = None
-    for attempt in range(retry_cap):
+    for attempt in range(RETRY_CAP):
         attempt_seed = subseed(seed, "minimal-family", attempt)
         v = sample_general_morphism(s, q, seed=attempt_seed, profile=profile)
         try:
@@ -354,15 +328,5 @@ def minimal_family(
             conservation=(p_n, p_p, p_q),
         )
     raise RetryExhaustedError(
-        f"no general morphism found in {retry_cap} attempts; last failure: {last_error}"
+        f"no general morphism found in {RETRY_CAP} attempts; last failure: {last_error}"
     )
-
-
-# ---------------------------------------------------------------------------
-# elementary augmentation (trivial biliaison step)
-
-
-def augment_with_free_summand(s: GradedMatrix, degree: int) -> GradedMatrix:
-    """Extend the presentation by a free rank-one summand in the given degree."""
-    one_block = identity_matrix(s.field, [degree])
-    return stack_blocks([[s, None], [None, one_block]])

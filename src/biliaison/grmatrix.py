@@ -9,21 +9,18 @@ exact rank over the fraction field, minor enumeration, and rank over
 the local ring at a codimension-1 point (a hypersurface).
 
 Submatrices, truncations, the block decomposition, stacking, identities,
-homogeneity checks, the batched evaluation at many points, the fingerprint,
-the one-variable test and the determinant grids all work on term tables,
-as do the product, which joins two tables on the inner index, and the
-closed-point specialization, kept on the matrix.  The grid of `MultiPoly`
-entries is a view for the symbolic paths only: parsing, printing and JSON,
-closed-form minors up to 3 x 3, rank modulo a hypersurface, and
-`restrict_to_plane`.  A matrix built from a grid keeps it; any other builds
-it from the table on first use.  The plane certificate of `qprofile`
-evaluates on the plane that `restrict_to_plane` substitutes symbolically,
-and the symbolic restriction is the reference its tests compare against.
+homogeneity checks, the batched evaluation at many points, the fingerprint
+and the determinant grids all work on term tables, as do the product, which
+joins two tables on the inner index, and the closed-point specialization,
+kept on the matrix.  The grid of `MultiPoly` entries is a view for the
+symbolic paths only: parsing, printing and JSON, closed-form minors up to
+3 x 3, and rank modulo a hypersurface.  A matrix built from a grid keeps
+it; any other builds it from the table on first use.
 
 A result about a matrix is kept on that matrix (`GradedMatrix.kept`), and
 every module stores through that one method: the entries, the
 fingerprint and the closed point here, the block decomposition, the
-blocks with their ranks (`ranked_blocks`) and each block's first point
+blocks with their ranks (`ranked_blocks`) and each block's point
 rank, each block's local-freeness verdict (`modgb.has_constant_rank`,
 which `qprofile` reads with `GradedMatrix.known`, building nothing), the
 Groebner presentations by degree cap (`modgb.groebner_basis`), the
@@ -37,16 +34,15 @@ and else keeps on the truncation a parent free of the parameter.
 
 Determinants take evaluation plus exact linear algebra mod p: one beyond
 3 x 3 (closed forms) is evaluated on a grid, its values are taken mod p in
-one batch, and interpolation recovers it.  Evaluation at seeded points
+one batch, and interpolation recovers it.  Evaluation at a seeded point
 certifies a block whose rank there meets an exact upper bound (its size, a
 block that kills it, or the block of the matrix it was truncated from; see
-`ranked_blocks`), and gives the exact rank of a block whose entries involve
-one variable only; any other block takes a Groebner leading-component
-count.  Rank modulo a linear form substitutes for one
-variable; rank modulo a hypersurface f of higher degree is the one symbolic
-elimination, pivoting on entries coprime to f over S/(f) (`_eliminate_mod`).
-Neither accepts the parameter a.  Everything is exact; sampling
-only ever produces certificates, never answers.
+`ranked_blocks`); any other block takes a Groebner leading-component count.
+Rank modulo a linear form substitutes for one variable; rank modulo a
+hypersurface f of higher degree is the one symbolic elimination, pivoting
+on entries coprime to f over S/(f) (`_eliminate_mod`).  Neither accepts the
+parameter a.  Everything is exact; sampling only ever produces
+certificates, never answers.
 """
 
 from __future__ import annotations
@@ -55,7 +51,7 @@ import hashlib
 import itertools
 import json
 import random
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -101,13 +97,6 @@ class CharFunction:
                 if m:
                     self.support[int(d)] = int(m)
 
-    @staticmethod
-    def from_degrees(degrees: Iterable[int]) -> "CharFunction":
-        out: Dict[int, int] = {}
-        for d in degrees:
-            out[d] = out.get(d, 0) + 1
-        return CharFunction(out)
-
     def degrees(self) -> List[int]:
         """Sorted degree list with multiplicity."""
         out: List[int] = []
@@ -128,12 +117,6 @@ class CharFunction:
     def weighted_sum(self) -> int:
         """Sum of n * f(n)."""
         return sum(d * m for d, m in self.support.items())
-
-    def add(self, other: "CharFunction") -> "CharFunction":
-        out = dict(self.support)
-        for d, m in other.support.items():
-            out[d] = out.get(d, 0) + m
-        return CharFunction(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CharFunction) and self.support == other.support
@@ -280,9 +263,6 @@ class GradedMatrix:
         return tuple(tuple(flat[i * ncols:(i + 1) * ncols]) for i in range(self.nrows))
 
     # basic operations -------------------------------------------------------
-    def column(self, j: int) -> List[MultiPoly]:
-        return [row[j] for row in self.entries]
-
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "GradedMatrix":
         """The listed rows and columns, each at most once, in the listed order."""
         rows, cols = list(rows), list(cols)
@@ -468,7 +448,7 @@ def block_decomposition(m: GradedMatrix) -> List[Tuple[List[int], List[int]]]:
 # determinants by evaluation and interpolation
 
 
-_MAX_GRID = 1 << 20  # cells of one coefficient or value array of a determinant: 8 MB
+_MAX_CELLS = 1 << 20  # cells of one int64 work array (8 MB): determinant slabs, degree pieces
 
 
 def determinant(m: GradedMatrix) -> MultiPoly:
@@ -561,7 +541,7 @@ def _grid_determinants(
     coefficients go into one array with an axis per variable, highest power
     first, and a last axis of cells, which Horner's rule evaluates in slabs
     along the first axis.  Neither that array nor a slab at any stage holds
-    more than _MAX_GRID cells; a grid too wide for that raises
+    more than _MAX_CELLS cells; a grid too wide for that raises
     `InterpolationRangeError` before anything is allocated.
     """
     tops = exps.max(axis=0)
@@ -569,16 +549,16 @@ def _grid_determinants(
     width = n * n  # cells of one slice along the first axis
     for size, at in zip(sizes[1:], axes[1:]):
         width *= max(size, len(at))
-    if width * (sizes[0] if sizes else 1) > _MAX_GRID:
+    if width * (sizes[0] if sizes else 1) > _MAX_CELLS:
         raise InterpolationRangeError(
-            f"a determinant's interpolation needs {width} cells per slice, too many for {_MAX_GRID}"
+            f"a determinant's interpolation needs {width} cells per slice, too many for {_MAX_CELLS}"
         )
     coeffs = np.zeros(sizes + [n * n], dtype=np.int64)
     np.add.at(coeffs, tuple(tops[:, None] - exps.T) + (cells,), coefs)
     coeffs %= p
     if not axes:  # one value, in an array of shape (1,)
         return _linalg.det_mod_p(coeffs.reshape(1, n, n), p)
-    step = _MAX_GRID // width
+    step = _MAX_CELLS // width
     slabs = []
     for start in range(0, len(axes[0]), step):
         values = coeffs
@@ -619,10 +599,11 @@ def _newton_coefficients(values: np.ndarray, axis: int, p: int) -> np.ndarray:
 # rank over the fraction field
 
 
-def _eval_points(m: GradedMatrix, count: int) -> List[Tuple[int, ...]]:
+def _eval_points(m: GradedMatrix) -> Tuple[int, ...]:
+    """The seeded point of m, coordinates in 1..p-1, drawn from its fingerprint."""
     p = m.field.characteristic
     rng = random.Random(int(m.fingerprint()[:12], 16))
-    return [tuple(rng.randrange(1, p) for _ in range(5)) for _ in range(count)]
+    return tuple(rng.randrange(1, p) for _ in range(5))
 
 
 def random_plane(p: int, seed: int) -> Tuple[List[Tuple[int, int]], int]:
@@ -630,20 +611,6 @@ def random_plane(p: int, seed: int) -> Tuple[List[Tuple[int, int]], int]:
     (c, d), and the parameter a to the returned constant."""
     rng = random.Random(seed)
     return [(rng.randrange(p), rng.randrange(p)) for _ in range(4)], rng.randrange(p)
-
-
-def restrict_to_plane(m: GradedMatrix, seed: int) -> GradedMatrix:
-    """Substitute the plane of `random_plane` into every entry.
-
-    The plane certificate works on values instead; this symbolic restriction
-    is the reference its tests compare against.
-    """
-    pairs, a = random_plane(m.field.characteristic, seed)
-    x, y = MultiPoly.variable(m.field, "X"), MultiPoly.variable(m.field, "Y")
-    images = {i: x.scale(c) + y.scale(d) for i, (c, d) in enumerate(pairs)}
-    images[PARAM_INDEX] = MultiPoly.const(m.field, a)
-    grid = [[p.substitute(images) for p in row] for row in m.entries]
-    return GradedMatrix(m.field, m.row_degrees, m.col_degrees, grid, validate=False)
 
 
 def ranked_blocks(m: GradedMatrix) -> List[Tuple[GradedMatrix, int]]:
@@ -655,7 +622,7 @@ def ranked_blocks(m: GradedMatrix) -> List[Tuple[GradedMatrix, int]]:
     it keeps.
 
     Each other block phi gets an exact upper bound on its rank (`_block_rank`):
-    min(rows, cols), lowered, while phi's first point rank falls short of
+    min(rows, cols), lowered, while phi's point rank falls short of
     it, first to the rank of the parent block holding phi on a truncation
     (`truncate_columns`), then to rows(phi) - pointrank(psi) for each other
     block psi with psi @ phi = 0 and cols(phi) - pointrank(psi) for each
@@ -702,10 +669,10 @@ def _parent_block(m: GradedMatrix, row: int) -> Tuple[GradedMatrix, int]:
 
 
 def _point_rank(sub: GradedMatrix) -> int:
-    """The rank of sub at its first seeded point, a lower bound on its rank;
+    """The rank of sub at its seeded point, a lower bound on its rank;
     kept on sub, for its own rank and its partners' bounds."""
     def build() -> int:
-        return _linalg.rank_mod_p(sub.evaluate(_eval_points(sub, 1)[0]), sub.field.characteristic)
+        return _linalg.rank_mod_p(sub.evaluate(_eval_points(sub)), sub.field.characteristic)
     return sub.kept("point_rank", build)
 
 
@@ -732,36 +699,19 @@ def rank_fraction_field(m: GradedMatrix) -> int:
 
 def _block_rank(sub: GradedMatrix, bound: int) -> int:
     """The rank of a block, given an exact upper ``bound`` on it: the rank at
-    the first seeded point if it meets the bound or the entries involve one
-    variable (`_in_one_variable`), else the larger rank at two points if it
-    meets the bound, else the Groebner leading-component count.  An unlucky
-    point costs time, never an answer.  A rank above the bound raises
-    `RankBoundError`."""
+    its seeded point if it meets the bound, else the Groebner
+    leading-component count.  An unlucky point costs time, never an answer.
+    A rank above the bound raises `RankBoundError`."""
     rank = _point_rank(sub)
-    if rank < bound and not _in_one_variable(sub):
-        second = sub.evaluate(_eval_points(sub, 2)[1])
-        rank = max(rank, _linalg.rank_mod_p(second, sub.field.characteristic))
-        if rank < bound:
-            from biliaison import modgb
+    if rank < bound:
+        from biliaison import modgb
 
-            rank = modgb.leading_component_rank(sub)
+        rank = modgb.leading_component_rank(sub)
     if rank > bound:
         raise RankBoundError(
             f"a {sub.nrows}x{sub.ncols} block has rank {rank}, above its bound {bound}"
         )
     return rank
-
-
-def _in_one_variable(sub: GradedMatrix) -> bool:
-    """Do the entries involve at most one of X, Y, Z, T, and not a?
-
-    Then entry (i, j) is c_ij v^(d_j - e_i) for one variable v, so the block
-    is diag(v^-e) C diag(v^d) for a scalar matrix C, and its rank is rank C
-    at every point with v != 0: evaluation at any point of `_eval_points`
-    (coordinates in 1..p-1) is exact.
-    """
-    used = sub.term_table()[1].any(axis=0)
-    return used.sum() <= 1 and not used[PARAM_INDEX]
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
 """Groebner bases for submodules of graded free modules over k[X,Y,Z,T].
 
-The engine powers five consumers: membership tests, Hilbert functions and
-Hilbert polynomials (both read off the leading-term module through
-Hilbert-series numerators), degreewise syzygies and minimal generator
-counts (plain exact linear algebra, independent of the Groebner
-machinery), and the local-freeness check: `has_constant_rank` asks
-whether the rank-level minors of each block cut out the empty set, first
-from the values of seeded combinations of them (below), and otherwise by
-`is_empty_projective_locus` on the distinct symbolic minors, which is one
-uncapped basis.
+The engine powers four consumers: ranks (the count of leading components),
+Hilbert polynomials (read off the leading-term module through Hilbert-series
+numerators), degreewise syzygies and minimal generator counts (plain exact
+linear algebra, independent of the Groebner machinery), and the
+local-freeness check: `has_constant_rank` asks whether the rank-level
+minors of each block cut out the empty set, first from the values of seeded
+combinations of them (below), and otherwise by `is_empty_projective_locus`
+on the distinct symbolic minors, which is one uncapped basis.
 
 Local freeness by values.  Let I be the ideal of the r-minors of a block B
 of rank r, and D their top degree: the r largest column degrees minus the r
@@ -33,8 +32,8 @@ minors except with probability at most 2 r k / p, as their coefficients
 det V[:, I] det U[J, :] have degree 2r in the draws and selection matrices
 pick any k minors (Schwartz-Zippel; the preconditioners of Kaltofen,
 Krishnamoorthy and Saunders, Linear Algebra Appl. 136, 1990).
-The draws are seeded by the block's `fingerprint`, as the rank's points
-are (`grmatrix._eval_points`), so a block takes the same combinations in
+The draws are seeded by the block's `fingerprint`, as the rank's point
+is (`grmatrix._eval_points`), so a block takes the same combinations in
 every run.  They choose only the certificate: whatever they are, their
 span lies in I_D, so a full span proves I_D = S_D, and a span that falls
 short sends the block to the symbolic route.  Setting X = 1 maps S_D
@@ -64,10 +63,10 @@ homogeneous input: a new element of degree d has a lead that no earlier
 lead divides, so all of its pairs have degree > d.  An optional degree cap
 stops the run before the first degree above it, so a capped run holds no
 element above the cap, input generators included; it certifies every
-leading term up to the cap, so it gives the Hilbert function up to the cap
-and no Hilbert polynomial.  The order of the reductions changes no result:
-a reduced Groebner basis, capped or not, is unique for a fixed order, and
-every consumer reads only the module and that basis.
+leading term up to the cap, and gives no Hilbert polynomial.  The order of
+the reductions changes no result: a reduced Groebner basis, capped or not,
+is unique for a fixed order, and every consumer reads only the module and
+that basis.
 
 Packed term keys.  Inside the engine a term (comp, e0, e1, e2, e3) is one
 int holding five fixed-width fields of _BITS = 10 bits, most significant
@@ -103,11 +102,10 @@ updates are not reduced mod p: entries start in [0, p) and a step lowers
 one by at most (p - 1)**2, so the block is reduced mod p after every
 K = `_linalg.reduction_delay(p)` steps, and once at the end: K >= 2 for
 every admitted p (K = 2 at p = 2**31 - 1, and about 9e9 at the default p).
-A membership test passes a one-row block.  The work arrays cost memory in
-proportion to the piece, so a piece of more than
-_MAX_PIECE terms raises `TermRangeError`, and a degree's rows are reduced
-in chunks of at most _MAX_PIECE cells.  Each chunk is reduced by the
-elements of lower degree and echeloned together with the elements the
+The work arrays cost memory in proportion to the piece, so a piece of more
+than `_MAX_CELLS` terms raises `TermRangeError`, and a degree's rows are
+reduced in chunks of at most `_MAX_CELLS` cells.  Each chunk is reduced by
+the elements of lower degree and echeloned together with the elements the
 chunks before it found; the row space, and so its reduced echelon form,
 is that of one block of all the rows.
 
@@ -180,7 +178,8 @@ import numpy as np
 
 from biliaison import _linalg
 from biliaison.grmatrix import (
-    BudgetExhaustedError, CharFunction, GradedMatrix, HomogeneityError, minors, ranked_blocks,
+    _MAX_CELLS, BudgetExhaustedError, CharFunction, GradedMatrix, HomogeneityError, minors,
+    ranked_blocks,
 )
 from biliaison.polyring import FieldSpec, MultiPoly
 
@@ -197,7 +196,6 @@ class TermRangeError(BudgetExhaustedError):
 
 _BITS = 10
 _R = (1 << _BITS) - 1
-_MAX_PIECE = 1 << 20  # terms of one degree piece, cells of one block: 8 MB in int64
 
 
 def _pack(t: Term) -> int:
@@ -310,9 +308,9 @@ class _DegreePieces:
         if keys is None:
             _check_range(d, self.ambient_degrees)
             size = sum(binom3(d - a) for a in self.ambient_degrees)
-            if size > _MAX_PIECE:
+            if size > _MAX_CELLS:
                 raise TermRangeError(
-                    f"the degree-{d} piece has {size} terms, more than {_MAX_PIECE}"
+                    f"the degree-{d} piece has {size} terms, more than {_MAX_CELLS}"
                 )
             # the component is the lowest field, stored as R - comp
             parts = [self._monomials(d - a) - comp for comp, a in enumerate(self.ambient_degrees)]
@@ -334,10 +332,10 @@ class _Reducers:
 
     __slots__ = ("pieces", "basis", "p", "_tables")
 
-    def __init__(self, pieces: _DegreePieces, p: int, basis: Iterable[_Vec] = ()):
+    def __init__(self, pieces: _DegreePieces, p: int):
         self.pieces = pieces
         self.p = p
-        self.basis: List[_Vec] = list(basis)
+        self.basis: List[_Vec] = []
         self._tables: Dict[int, np.ndarray] = {}
 
     def add(self, v: _Vec) -> int:
@@ -380,7 +378,6 @@ class SubmodulePresentation:
         for v in gb:
             self._by_component.setdefault(v.lead()[0], []).append(v)
         self._shifts: Optional[Dict[int, int]] = None  # s -> count_s of the Hilbert series
-        self._reducers = _Reducers(_DegreePieces(ambient_degrees), field.characteristic, gb)
 
     # --- leading term data -------------------------------------------------
     def leading_components(self) -> List[int]:
@@ -390,27 +387,6 @@ class SubmodulePresentation:
         """Minimal generators of the leading-term ideal in ``comp``: the leads
         of the reduced basis there."""
         return [v.lead()[1:] for v in self._by_component.get(comp, [])]
-
-    def _check_degree(self, n: int) -> None:
-        if self.truncated_at is not None and n > self.truncated_at:
-            raise BudgetExhaustedError(
-                f"degree {n} exceeds the certified Groebner degree {self.truncated_at}"
-            )
-
-    # --- membership ----------------------------------------------------------
-    def normal_form(self, vec: _Vec) -> _Vec:
-        keys = self._reducers.pieces(vec.degree)
-        work = _normal_form(_dense(vec, keys)[None], self._reducers, vec.degree)
-        return _row_vec(work[0], keys, vec.degree)
-
-    def contains_column(self, column: Sequence[MultiPoly], degree: int) -> bool:
-        v = _column_vecs(GradedMatrix(
-            self.field, self.ambient_degrees, [degree], [[q] for q in column], validate=False))[0]
-        if v.is_zero():
-            return True
-        if self.truncated_at is not None and degree > self.truncated_at:
-            raise BudgetExhaustedError("membership beyond certified degree")
-        return self.normal_form(v).is_zero()
 
     # --- Hilbert data ----------------------------------------------------------
     def _shift_counts(self) -> Dict[int, int]:
@@ -425,11 +401,6 @@ class SubmodulePresentation:
                     counts[a + j] = counts.get(a + j, 0) - c
             self._shifts = counts
         return self._shifts
-
-    def hilbert_function(self, n: int) -> int:
-        """dim_k of the degree-n piece of the submodule."""
-        self._check_degree(n)
-        return sum(c * binom3(n - s) for s, c in self._shift_counts().items())
 
     def hilbert_polynomial(self) -> "HilbertPolynomial":
         """The Hilbert polynomial, exact: equal to the Hilbert function from
@@ -688,11 +659,11 @@ def _buchberger(
         keys = pieces(deg)
         missing = sum(binom3(deg - e) for e in free) - int((reducers.table(deg) >= 0).sum())
         # the generators of this degree, then the S-vectors: the first
-        # missing + 2 rows, then chunks of at most _MAX_PIECE cells, until
+        # missing + 2 rows, then chunks of at most _MAX_CELLS cells, until
         # `missing` elements are found; each chunk is echeloned together
         # with the elements found before it
         new: List[_Vec] = []
-        step = max(1, _MAX_PIECE // len(keys))
+        step = max(1, _MAX_CELLS // len(keys))
         start, stop = 0, min(missing + 2, step)
         while len(new) < missing and start < len(rows) + len(batch):
             parts = [_dense(g, keys)[None] for g in rows[start:stop]]
@@ -828,15 +799,6 @@ def _span_matrix_mod_p(gens: GradedMatrix, n: int) -> Tuple[np.ndarray, np.ndarr
     return mat, labels
 
 
-def module_dimension_oracle(gens: GradedMatrix, n: int) -> int:
-    """dim of the degree-n piece of the column module via dense linear algebra.
-
-    Independent of the Groebner path; used as a test oracle.
-    """
-    mat, _ = _span_matrix_mod_p(gens, n)
-    return _linalg.rank_mod_p(mat, gens.field.characteristic)
-
-
 def minimal_generator_count(gens: GradedMatrix) -> CharFunction:
     """Minimal generators needed per degree (dim F_d modulo m*F at each d).
 
@@ -956,14 +918,14 @@ def _minors_fill_top_degree(sub: GradedMatrix, r: int) -> bool:
     If so the minors cut out the empty set; False only means that these
     combinations do not decide at D (see "Local freeness by values").  They
     are evaluated on the lattice {(1, a, b, c, 0) : a + b + c <= D} in
-    chunks of at most _MAX_PIECE cells, and the chunks stop as soon as the
-    span is full.  D >= p, or a lattice too large for a _MAX_PIECE-cell
+    chunks of at most _MAX_CELLS cells, and the chunks stop as soon as the
+    span is full.  D >= p, or a lattice too large for a _MAX_CELLS-cell
     span, leaves the block to the symbolic route.
     """
     p = sub.field.characteristic
     top = sum(sorted(sub.col_degrees)[-r:]) - sum(sorted(sub.row_degrees)[:r])
     size = binom3(top)
-    if top >= p or size * size > _MAX_PIECE:
+    if top >= p or size * size > _MAX_CELLS:
         return False
     lattice = np.array(monomials_of_degree(top), dtype=np.int64)[:, 1:]
     points = np.zeros((size, 5), dtype=np.int64)
@@ -987,7 +949,7 @@ def _minors_fill_top_degree(sub: GradedMatrix, r: int) -> bool:
         x = np.array(monomials_of_degree(top - e), dtype=np.int64)
         multiples[e] = powers[x[:, 1], 0] * powers[x[:, 2], 1] % p * powers[x[:, 3], 2] % p
     widest = max(r * sub.ncols, max(len(v) for v in multiples.values()))
-    step = max(1, _MAX_PIECE // (size * widest))
+    step = max(1, _MAX_CELLS // (size * widest))
     rng = random.Random(int(sub.fingerprint()[12:24], 16))  # `_eval_points` takes [:12]
     span = np.zeros((0, size), dtype=np.int64)
     for start in range(0, len(degrees), step):

@@ -366,7 +366,7 @@ class MultiPoly:
                     del rem[t]
         return self._new(quo), self._new(out)
 
-    # substitution / evaluation -------------------------------------------
+    # substitution -----------------------------------------------------------
     def substitute(self, images: Dict[int, "MultiPoly"]) -> "MultiPoly":
         """Substitute variables by polynomials (variable index -> image)."""
         result = MultiPoly.zero(self.field)
@@ -391,17 +391,6 @@ class MultiPoly:
                 piece = piece.mul_monomial(tuple(rest), 1)
             result = result + piece
         return result
-
-    def evaluate(self, point: Sequence[Scalar]) -> Scalar:
-        p = self.field.characteristic
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for i in range(NVARS):
-                if e[i]:
-                    v = (v * pow(point[i], e[i], p)) % p
-            total = (total + v) % p
-        return total
 
     def derivative(self, var: int) -> "MultiPoly":
         out: Dict[Expo, Scalar] = {}

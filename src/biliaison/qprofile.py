@@ -33,7 +33,7 @@ kept on the matrix (`ranked_blocks`).  No minor is enumerated:
    largest degree of a k-minor.  Two such combinations are taken at once:
    their values at t = 0..top (from P(t) = sum_n (V C_n U) t^n by Horner's
    rule), at the extra node and at (1 : 0) (from the values there) by
-   batched determinants mod p, in slabs of at most `_MAX_GRID` cells (one
+   batched determinants mod p, in slabs of at most `_MAX_CELLS` cells (one
    slab on every fixture block), their coefficients by Newton interpolation,
    checked at the extra node.  Let g be their GCD (Euclid mod p).  If g is
    constant and a determinant at (1 : 0) is nonzero, the k-minors are
@@ -86,7 +86,7 @@ from biliaison.grmatrix import (
     GradedMatrix,
     HomogeneityError,
     InterpolationRangeError,
-    _MAX_GRID,
+    _MAX_CELLS,
     _newton_coefficients,
     determinant,
     random_plane,
@@ -217,7 +217,6 @@ class MinorAnalysis:
     level: int
     min_rank: int
     common_factor: Optional[MultiPoly]
-    factor_ranks: Dict[str, int]
     notes: List[str]
 
     @property
@@ -251,8 +250,8 @@ def _restricted_minor_gcd(block: GradedMatrix, k: int, seed: int) -> PlaneCertif
     gave nonzero combinations with a nonzero determinant at (1 : 0); the
     honest fallback then decides.  An attempt evaluates the block once and
     takes the two combinations' determinants at t = 0..top, at the extra
-    node and at (1 : 0) in slabs of at most `_MAX_GRID` cells, the last two
-    nodes in the last slab, so a block with 2 (top + 3) k^2 <= `_MAX_GRID`
+    node and at (1 : 0) in slabs of at most `_MAX_CELLS` cells, the last two
+    nodes in the last slab, so a block with 2 (top + 3) k^2 <= `_MAX_CELLS`
     takes one `det_mod_p` call.  A value at the extra node off the
     interpolated combination raises `HomogeneityError`; top >= p raises
     `InterpolationRangeError`.
@@ -266,7 +265,7 @@ def _restricted_minor_gcd(block: GradedMatrix, k: int, seed: int) -> PlaneCertif
             f"a minor of degree {top} needs {top + 1} interpolation points, "
             f"more than F_{p} has"
         )
-    step = max(1, _MAX_GRID // (2 * k * k))  # nodes per slab
+    step = max(1, _MAX_CELLS // (2 * k * k))  # nodes per slab
     done = PlaneCertificate(False, 0, None, False)
     for attempt in range(3):
         pairs, _ = random_plane(p, subseed(seed, "plane", attempt))
@@ -330,14 +329,9 @@ def coprime_minor_analysis(w: GradedMatrix, seed: int = DEFAULT_SEED) -> MinorAn
         if not g.is_constant():
             overall = overall * g
     if overall.is_constant():
-        return MinorAnalysis(k, k, None, {}, notes)
-    factor_ranks: Dict[str, int] = {}
-    min_rank = k
-    for f in squarefree_factors(overall):
-        r = rank_modulo_hypersurface(w, f)
-        factor_ranks[str(f)] = r
-        min_rank = min(min_rank, r)
-    return MinorAnalysis(k, min_rank, overall, factor_ranks, notes)
+        return MinorAnalysis(k, k, None, notes)
+    min_rank = min([k] + [rank_modulo_hypersurface(w, f) for f in squarefree_factors(overall)])
+    return MinorAnalysis(k, min_rank, overall, notes)
 
 
 def _honest_sampled_gcd(sub: GradedMatrix, k: int, seed: int) -> MultiPoly:
@@ -382,18 +376,7 @@ def _honest_sampled_gcd(sub: GradedMatrix, k: int, seed: int) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# the four headline operations
-
-
-def alpha(s: GradedMatrix, n: int) -> int:
-    """Rank of the closed-point truncation s_{n,t} over the fraction field."""
-    return rank_fraction_field(s.truncate_columns(n).specialize_closed_point())
-
-
-def beta(s: GradedMatrix, n: int, seed: int = DEFAULT_SEED) -> int:
-    """Largest k such that the k-minors of s_{n,t} have no common factor."""
-    w = s.truncate_columns(n).specialize_closed_point()
-    return coprime_minor_analysis(w, seed=seed).min_rank
+# the profile
 
 
 def _column_module_free(w: GradedMatrix, target_rank: int) -> bool:

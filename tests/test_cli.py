@@ -149,7 +149,7 @@ def test_profile_law_violation_exit_code(tmp_path, monkeypatch):
     # matrix read from a file is a new object with no profile kept on it
     def inflated(w, seed=qprofile.DEFAULT_SEED):
         k = qprofile.rank_fraction_field(w)
-        return qprofile.MinorAnalysis(k, k + 1, None, {}, [])
+        return qprofile.MinorAnalysis(k, k + 1, None, [])
 
     path = tmp_path / "32.json"
     fixtures.example("3.2").matrix.save(str(path))
@@ -340,6 +340,19 @@ def test_minimal_family_json_roundtrip():
     assert obj["d0"] == 6 and obj["g0"] == 3 and obj["h0"] == 1
     assert obj["q"] == {"2": 2, "3": 3}
     assert len(obj["hilbert_polynomial"]) == 4
+
+
+SURJECTIVITY_NOTE = ("note: surjectivity onto the section module is assumed "
+                     "(built-in examples satisfy it by construction)\n")
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+@pytest.mark.parametrize("command", ["qprofile", "minimal-family"])
+def test_assume_surjective_drops_only_the_surjectivity_note(command, name):
+    argv = [command, "--fixture", name, "--format", "json"]
+    code, out, err = run(argv)
+    assert SURJECTIVITY_NOTE in err
+    assert run(argv + ["--assume-surjective"]) == (code, out, err.replace(SURJECTIVITY_NOTE, ""))
 
 
 def test_retry_exhaustion_exit_code(monkeypatch):

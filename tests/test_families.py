@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from biliaison import families, fixtures, grmatrix, modgb, qprofile
 from biliaison.grmatrix import CharFunction, GradedMatrix
 from biliaison.modgb import HilbertPolynomial
@@ -85,7 +86,7 @@ def test_sample_shape_matches_p(example_runs):
     desc, profile, _ = example_runs.get("3.3")
     q = profile.q_function()
     v = families.sample_general_morphism(desc.matrix, q, profile=profile)
-    assert CharFunction.from_degrees(v.col_degrees) == q
+    assert oracles.from_degrees(v.col_degrees) == q
     assert v.row_degrees == desc.matrix.col_degrees
     v.validate_homogeneity()
 
@@ -164,7 +165,7 @@ def test_minimal_family_of_a_late_saturating_koszul_input():
     p_n = report.conservation[0]
     s_t = s.specialize_closed_point()
     for n in (10, 11):
-        assert p_n(n) == modgb.module_dimension_oracle(s_t, n)
+        assert p_n(n) == oracles.module_dimension_oracle(s_t, n)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +377,7 @@ def test_free_summand_augmentation(example_runs):
     # one extra generator at degree m + 1; the computed shift rises by one
     desc, profile, report = example_runs.get("3.2")
     m = profile.inf_l2
-    s2 = families.augment_with_free_summand(desc.matrix, m)
+    s2 = oracles.augment_with_free_summand(desc.matrix, m)
     prof2 = qprofile.compute_q_profile(s2)
     assert prof2.stable_rank == profile.stable_rank + 1
     # q# gains exactly the new free summand's cumulative step
@@ -385,7 +386,7 @@ def test_free_summand_augmentation(example_runs):
     deg2 = families.sheaf_degree(s2, prof2)
     assert deg2 == report.deg_N - m
     assert families.minimal_shift(prof2, deg2) == report.h0
-    p_up = profile.q_function().add(CharFunction({m + 1: 1}))
+    p_up = oracles.add(profile.q_function(), CharFunction({m + 1: 1}))
     ok, reason = qprofile.check_p_admissible(p_up, prof2)
     assert ok, reason
     assert deg2 + p_up.weighted_sum() == report.h0 + 1

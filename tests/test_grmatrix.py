@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sympy import GF, symbols
 from sympy.polys.matrices import DomainMatrix
 
+import oracles
 from biliaison import _linalg, families, fixtures, grmatrix, modgb, qprofile
 from biliaison.grmatrix import (
     CharFunction,
@@ -21,7 +22,6 @@ from biliaison.grmatrix import (
     minors,
     rank_fraction_field,
     rank_modulo_hypersurface,
-    restrict_to_plane,
 )
 from biliaison.polyring import FieldSpec, MultiPoly
 
@@ -87,7 +87,7 @@ def test_truncate_columns():
     desc = fixtures.example("3.4")
     t1 = desc.matrix.truncate_columns(1)
     assert t1.ncols == 1
-    col = [str(p) for p in t1.column(0)]
+    col = [str(p) for p in oracles.column(t1, 0)]
     # the single degree-1 column: transpose (X, -Y, a, 0, ..., 0); the sign of
     # the parameter entry is a unit and the printed reference flips it
     assert col[0] == "X" and col[1] == "-Y" and col[2] in ("a", "-a")
@@ -416,7 +416,7 @@ def test_rank_modulo_product_of_linear_forms(nrows, ncols, factors, on_plane, se
         for c in col_degs] for r in row_degs]
     m = GradedMatrix(F, row_degs, col_degs, grid, validate=False)
     if on_plane:
-        m = restrict_to_plane(m, seed)
+        m = oracles.restrict_to_plane(m, seed)
     nvars = 2 if on_plane else 4
     components = []
     while len(components) < factors:
@@ -466,16 +466,6 @@ def test_rank_modulo_linear_factor_planted(nrows, ncols, seed):
         [MultiPoly(F, {(0, d - e, 0, 0, 0): c[i][j]} if c[i][j] else {})
          for j, d in enumerate(col_degs)] for i, e in enumerate(row_degs)])
     assert rank_fraction_field(on_line) == planted
-
-
-def test_one_variable_rule_scope():
-    # evaluation is exact only when no entry involves a second variable or a
-    from biliaison.grmatrix import _in_one_variable
-
-    assert _in_one_variable(M([0, 1], [1, 2], [["Y", "0"], ["3", "Y"]]))
-    assert _in_one_variable(M([0], [0], [["5"]]))
-    assert not _in_one_variable(M([0, 1], [1, 2], [["Y", "0"], ["3", "X"]]))
-    assert not _in_one_variable(M([0], [0, 1], [["a", "0"]]))
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +595,7 @@ def _assert_same_matrix(got: GradedMatrix, want: GradedMatrix) -> None:
 
 
 def _reference_forms(field, row_degs, col_degs, rng):
-    """The grid `random_lift` must draw: row by row, one draw per monomial of
+    """The grid `random_matrix` must draw: row by row, one draw per monomial of
     each entry's degree, in the order of `monomials_of_degree`."""
     p = field.characteristic
     return [[MultiPoly(field, {e + (0,): c for e in modgb.monomials_of_degree(d - r)
@@ -624,7 +614,7 @@ def test_table_operations_match_the_grid(row_degs, col_degs, seed):
     # column order, truncations, identities, stacked blocks and syzygies
     zero = MultiPoly.zero(F)
     grid = _reference_forms(F, row_degs, col_degs, random.Random(seed))
-    m = families.random_lift(GradedMatrix(F, [], row_degs, []), col_degs, random.Random(seed))
+    m = families.random_matrix(F, row_degs, col_degs, random.Random(seed))
     _assert_same_matrix(m, GradedMatrix(F, row_degs, col_degs, grid))
     rng = random.Random(seed + 1)
     rows = rng.sample(range(len(row_degs)), rng.randrange(len(row_degs) + 1))
@@ -683,7 +673,7 @@ def test_evaluate_many_matches_entry_evaluation(nrows, ncols, npoints, large_pri
     values = m.evaluate_many(points)
     assert values.shape == (npoints, nrows, ncols)
     for q, point in enumerate(points):
-        assert values[q].tolist() == [[e.evaluate(point) for e in row] for row in grid]
+        assert values[q].tolist() == [[oracles.evaluate(e, point) for e in row] for row in grid]
         assert (m.evaluate(point) == values[q]).all()
 
 
@@ -745,7 +735,7 @@ def test_determinant_matches_sympy(n, kind, density, seed):
         grid.append(line)
     m = GradedMatrix(F, row_degs, col_degs, grid)
     if kind == "plane":
-        m = restrict_to_plane(m, seed)
+        m = oracles.restrict_to_plane(m, seed)
     oracle = _sympy_matrix(m.entries).det()
     expected = MultiPoly(F, {e + (0,): int(c) % 32003 for e, c in oracle.items() if int(c) % 32003})
     assert determinant(m) == expected
@@ -765,4 +755,4 @@ def test_determinant_of_a_16_minor_of_the_34_composite(example_runs):
     rng = random.Random(34)
     for _ in range(3):
         point = tuple(rng.randrange(degree + 1, 32003) for _ in range(3)) + (1, 0)
-        assert det.evaluate(point) == _linalg.det_mod_p(sub.evaluate(point)[None], 32003)[0]
+        assert oracles.evaluate(det, point) == _linalg.det_mod_p(sub.evaluate(point)[None], 32003)[0]

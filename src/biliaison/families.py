@@ -43,7 +43,6 @@ from biliaison.qprofile import (
     QProfile,
     WindowExhaustedError,
     check_p_admissible,
-    compute_q_profile,
     coprime_minor_analysis,
     subseed,
 )
@@ -130,15 +129,15 @@ class MinimalFamilyReport:
 # sheaf degree and minimal shift
 
 
-def sheaf_degree(s: GradedMatrix, profile: Optional[QProfile] = None) -> int:
+def sheaf_degree(s: GradedMatrix, profile: QProfile) -> int:
     """First Chern number of the presented sheaf, from Hilbert bookkeeping.
 
     With P_N the Hilbert polynomial of the closed-point column module and r
-    the stable rank, deg N = 2 * ([n^2] P_N - r).
+    the stable rank of ``profile``, the profile of s,
+    deg N = 2 * ([n^2] P_N - r).
     """
-    s_t = s.specialize_closed_point()
-    r = profile.stable_rank if profile is not None else rank_fraction_field(s_t)
-    p_n = modgb.groebner_basis(s_t).hilbert_polynomial()
+    r = profile.stable_rank
+    p_n = modgb.groebner_basis(s.specialize_closed_point()).hilbert_polynomial()
     if p_n.coeffs[3] != Fraction(r, 6):
         raise PresentationError(
             f"leading Hilbert coefficient {p_n.coeffs[3]} does not match rank {r}"
@@ -283,11 +282,11 @@ def hilbert_conservation(
 def minimal_family(
     s: GradedMatrix,
     seed: int = DEFAULT_SEED,
-    profile: Optional[QProfile] = None,
+    *,
+    profile: QProfile,
 ) -> MinimalFamilyReport:
-    """Minimal-shift curve family for the presented sheaf (p = q)."""
-    if profile is None:
-        profile = compute_q_profile(s, seed=seed)
+    """Minimal-shift curve family for the presented sheaf (p = q);
+    ``profile`` is the profile of s."""
     if profile.dissociated:
         raise DissociatedSheafError("no minimal curve family for a dissociated sheaf")
     if not profile.stabilized:

@@ -10,12 +10,15 @@ the local ring at a codimension-1 point (a hypersurface).
 
 Submatrices, truncations, the block decomposition, stacking, identities,
 homogeneity checks, the batched evaluation at many points, the fingerprint
-and the determinant grids all work on term tables, as do the product, which
-joins two tables on the inner index, and the closed-point specialization,
-kept on the matrix.  The grid of `MultiPoly` entries is a view for the
-symbolic paths only: parsing, printing and JSON, closed-form minors up to
-3 x 3, and rank modulo a hypersurface.  A matrix built from a grid keeps
-it; any other builds it from the table on first use.
+and the determinant grids all work on term tables, as do the product and
+the closed-point specialization, kept on the matrix.  The product joins two
+tables on the inner index, run by run: a run is a stretch of consecutive
+rows of A meeting at most `_MAX_CELLS // 8` pairs of terms, or a single
+row, so a run's pairs, not the whole product's, bound its memory.  The
+grid of `MultiPoly` entries is a view for the symbolic paths only:
+parsing, printing and JSON, closed-form minors up to 3 x 3, and rank
+modulo a hypersurface.  A matrix built from a grid keeps it; any other
+builds it from the table on first use.
 
 A result about a matrix is kept on that matrix (`GradedMatrix.kept`), and
 every module stores through that one method: the entries, the
@@ -47,13 +50,23 @@ certificates, never answers.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import random
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
+
+# SHA-256 from the interpreter's built-in module, the one the standard
+# library falls back to without OpenSSL: the same digests, and no libcrypto
+# (3.5 MB resident) loaded into the process.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without either
+        from hashlib import sha256
 
 from biliaison import _linalg
 from biliaison.polyring import (
@@ -228,9 +241,11 @@ class GradedMatrix:
         return self._kept.get(key)
 
     def fingerprint(self) -> str:
-        """Hash of p, the degrees and the sorted term table."""
+        """Hash of p, the degrees and the sorted term table: the hex SHA-256
+        digest, taken with the interpreter's built-in module (`sha256`), equal
+        bit for bit to the one OpenSSL gives."""
         def build() -> str:
-            h = hashlib.sha256()
+            h = sha256()
             h.update(repr((self.field.characteristic, self.row_degrees, self.col_degrees)).encode())
             for a in self._terms:
                 h.update(a.tobytes())
@@ -311,30 +326,55 @@ class GradedMatrix:
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
         """Product on the term tables: every term of A[i, k] meets every term
         of B[k, j]; exponents add, coefficients multiply mod p, and equal
-        (cell, exponent) keys are summed."""
+        (cell, exponent) keys are summed.
+
+        The join runs over runs of consecutive rows of A.  A run takes rows
+        while its pairs of terms stay within `_MAX_CELLS // 8`, and at least
+        one row, so the pair arrays of one run (about 150 bytes a pair, under
+        20 MB a run), not the whole product, bound the memory.  Runs hold
+        disjoint cells in row order, so their summed tables concatenate into
+        the sorted table.
+        """
         if self.col_degrees != other.row_degrees:
             raise ValueError("inner degree profiles do not match")
         p = self.field.characteristic
-        inner, ncols = self.ncols, other.ncols
+        nrows, inner, ncols = self.nrows, self.ncols, other.ncols
         a_cells, a_exps, a_coefs = self._terms
         b_cells, b_exps, b_coefs = other._terms
         a_k = a_cells % inner  # no terms, so no division, when inner == 0
         b_k = b_cells // ncols  # nondecreasing: the table is sorted by cell
         met = np.bincount(b_k, minlength=inner)[a_k]  # terms of B each term of A meets
-        a_at = np.repeat(np.arange(len(a_k)), met)
-        b_at = np.repeat(b_k.searchsorted(a_k) - (met.cumsum() - met), met) + np.arange(len(a_at))
-        cells = a_cells[a_at] // inner * ncols + b_cells[b_at] % ncols
-        exps = a_exps[a_at] + b_exps[b_at]
-        order = np.lexsort(tuple(exps.T[::-1]) + (cells,))  # by cell, then by exponent
-        cells, exps = cells[order], exps[order]
-        coefs = a_coefs[a_at][order] * b_coefs[b_at][order] % p
-        first = np.ones(len(cells), dtype=bool)
-        first[1:] = (cells[1:] != cells[:-1]) | (exps[1:] != exps[:-1]).any(axis=1)
-        starts = first.nonzero()[0]
-        coefs = np.add.reduceat(coefs, starts) % p
-        keep = starts[coefs != 0]
-        return GradedMatrix.from_terms(
-            self.field, self.row_degrees, other.col_degrees, cells[keep], exps[keep], coefs[coefs != 0])
+
+        def join(lo: int, hi: int):
+            """The summed table of the terms lo:hi of A times B."""
+            run = met[lo:hi]
+            a_at = np.repeat(np.arange(lo, hi), run)
+            b_at = np.repeat(b_k.searchsorted(a_k[lo:hi]) - (run.cumsum() - run), run) + np.arange(len(a_at))
+            cells = a_cells[a_at] // inner * ncols + b_cells[b_at] % ncols
+            exps = a_exps[a_at] + b_exps[b_at]
+            order = np.lexsort(tuple(exps.T[::-1]) + (cells,))  # by cell, then by exponent
+            cells, exps = cells[order], exps[order]
+            coefs = a_coefs[a_at][order] * b_coefs[b_at][order] % p
+            first = np.ones(len(cells), dtype=bool)
+            first[1:] = (cells[1:] != cells[:-1]) | (exps[1:] != exps[:-1]).any(axis=1)
+            starts = first.nonzero()[0]
+            coefs = np.add.reduceat(coefs, starts) % p
+            keep = starts[coefs != 0]
+            return cells[keep], exps[keep], coefs[coefs != 0]
+
+        budget = _MAX_CELLS // 8
+        if met.sum() <= budget:  # one run, with nothing to split or concatenate
+            cells, exps, coefs = join(0, len(a_k))
+        else:
+            bounds = a_cells.searchsorted(np.arange(nrows + 1) * inner)  # the terms of each row
+            before = np.concatenate(([0], met.cumsum()))[bounds]  # pairs met before each row
+            runs, row = [], 0
+            while row < nrows:
+                stop = max(row + 1, int(before.searchsorted(before[row] + budget, side="right")) - 1)
+                runs.append(join(int(bounds[row]), int(bounds[stop])))
+                row = stop
+            cells, exps, coefs = (np.concatenate(parts) for parts in zip(*runs))
+        return GradedMatrix.from_terms(self.field, self.row_degrees, other.col_degrees, cells, exps, coefs)
 
     def __eq__(self, other) -> bool:
         return (
@@ -448,7 +488,11 @@ def block_decomposition(m: GradedMatrix) -> List[Tuple[List[int], List[int]]]:
 # determinants by evaluation and interpolation
 
 
-_MAX_CELLS = 1 << 20  # cells of one int64 work array (8 MB): determinant slabs, degree pieces
+# cells of one int64 work array (8 MB), the one memory bound.  Its users:
+# determinant slabs (here, in `qprofile`'s plane certificate and `modgb`'s
+# lattice), degree pieces (`modgb`) and, an eighth of it in pairs of terms,
+# the runs of a product (`GradedMatrix.__matmul__`)
+_MAX_CELLS = 1 << 20
 
 
 def determinant(m: GradedMatrix) -> MultiPoly:

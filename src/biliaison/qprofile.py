@@ -73,7 +73,6 @@ Randomness only chooses which certificate is tried, never the answer.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -93,6 +92,7 @@ from biliaison.grmatrix import (
     rank_fraction_field,
     rank_modulo_hypersurface,
     ranked_blocks,
+    sha256,
 )
 from biliaison.polyring import (
     MultiPoly,
@@ -126,9 +126,11 @@ class ProfileConsistencyError(RuntimeError):
 
 
 def subseed(seed: int, *labels) -> int:
-    """Stable derived seed; identical across platforms and sessions."""
+    """Stable derived seed; identical across platforms and sessions: the first
+    64 bits of the SHA-256 digest of the labels, taken with the interpreter's
+    built-in module (`grmatrix.sha256`), equal bit for bit to OpenSSL's."""
     text = ":".join([str(seed)] + [str(x) for x in labels])
-    return int(hashlib.sha256(text.encode()).hexdigest()[:16], 16)
+    return int(sha256(text.encode()).hexdigest()[:16], 16)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +301,23 @@ def test_profile_budget_error_exit_code(tmp_path):
 
 # ---------------------------------------------------------------------------
 # minimal-family
+
+
+def test_commands_load_no_openssl():
+    # the digests come from the interpreter's built-in SHA-256, so neither
+    # command imports hashlib, which would load OpenSSL's libcrypto
+    script = (
+        "import io, sys\n"
+        "from biliaison.cli import main\n"
+        "for argv in (['qprofile', '--fixture', '3.2'], ['minimal-family', '--fixture', '3.2']):\n"
+        "    assert main(argv, out=io.StringIO(), err=io.StringIO()) == 0, argv\n"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_minimal_family_values():

@@ -29,12 +29,12 @@ def M(row_degs, col_degs, rows) -> GradedMatrix:
 def test_sheaf_degree_of_single_free_summand():
     for k in (0, 1, 3):
         s = M([k], [k], [["1"]])
-        assert families.sheaf_degree(s) == -k
+        assert families.sheaf_degree(s, qprofile.compute_q_profile(s)) == -k
 
 
 def test_sheaf_degree_additivity_on_free_sum():
     s = M([1, 2], [1, 2], [["1", "0"], ["0", "1"]])
-    assert families.sheaf_degree(s) == -3
+    assert families.sheaf_degree(s, qprofile.compute_q_profile(s)) == -3
 
 
 def test_sheaf_degree_of_examples(example_runs):
@@ -160,7 +160,7 @@ def test_minimal_family_of_a_late_saturating_koszul_input():
     # N's column module agrees with its Hilbert polynomial only from about
     # degree k on; the polynomial read off the leads needs no window
     s = _koszul_dvr(10)
-    report = families.minimal_family(s)
+    report = families.minimal_family(s, profile=qprofile.compute_q_profile(s))
     assert (report.deg_N, report.h0, report.d0, report.g0) == (-13, 2, 15, 57)
     p_n = report.conservation[0]
     s_t = s.specialize_closed_point()
@@ -346,7 +346,7 @@ def test_cold_minimal_family_decomposes_each_matrix_once(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(grmatrix, "block_decomposition", counted)
-    report = families.minimal_family(s)
+    report = families.minimal_family(s, profile=qprofile.compute_q_profile(s))
     assert [report.h0, report.d0, report.g0] == [desc.expected[k] for k in ("h0", "d0", "g0")]
     assert len({id(m) for m in seen}) == len(seen) <= 5
 

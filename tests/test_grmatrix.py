@@ -567,6 +567,67 @@ def test_product_of_the_34_composite_prints_as_before(example_runs):
         assert got.fingerprint() == want.fingerprint()
 
 
+def _product_in_runs(a: GradedMatrix, b: GradedMatrix, max_cells: int) -> GradedMatrix:
+    """A @ B with `_MAX_CELLS` set to max_cells: runs of at most
+    max_cells // 8 pairs of terms, or of one row."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grmatrix, "_MAX_CELLS", max_cells)
+        return a @ b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(0, 5), st.integers(0, 4), st.integers(0, 4)),
+    max_cells=st.integers(0, 48),
+    empty=st.sampled_from(["none", "left", "right"]),
+    cancel=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_product_in_row_runs_has_the_one_run_table(shape, max_cells, empty, cancel, seed):
+    # a budget of 0 to 6 pairs splits every product with more pairs into
+    # runs, most of one row; rows whose pairs alone pass the budget, empty
+    # operands, an inner dimension of 0 and cancelling terms (as in the test
+    # above) must all give the table of the one-run product
+    rng = random.Random(seed)
+    nrows, inner, ncols = shape
+    left, right = _random_grid(F, nrows, inner, rng), _random_grid(F, inner, ncols, rng)
+    if empty == "left":
+        left = [[MultiPoly.zero(F)] * inner for _ in range(nrows)]
+    elif empty == "right":
+        right = [[MultiPoly.zero(F)] * ncols for _ in range(inner)]
+    if cancel and inner >= 2:
+        k1, k2 = rng.sample(range(inner), 2)
+        for row in left:
+            row[k2] = row[k1]
+        right[k2] = [-q for q in right[k1]]
+    a = GradedMatrix(F, [0] * nrows, [0] * inner, left, validate=False)
+    b = GradedMatrix(F, [0] * inner, [0] * ncols, right, validate=False)
+    one_run, runs = a @ b, _product_in_runs(a, b, max_cells)
+    assert runs == one_run and runs.fingerprint() == one_run.fingerprint()
+    assert one_run == _reference_product(a, b)
+
+
+def test_a_row_over_the_budget_is_a_run_of_its_own():
+    # row 0 meets 6 pairs and row 2 meets 4, against a budget of 1 pair;
+    # row 1 is zero, and X*X - X*X cancels in cell (2, 0)
+    a = M([0, 0, 0], [1, 1], [["X + Y", "Z"], ["0", "0"], ["X", "-X"]])
+    b = M([1, 1], [2, 2], [["X", "T"], ["X", "Y"]])
+    got, one_run = _product_in_runs(a, b, 8), a @ b
+    assert got == one_run == _reference_product(a, b)
+    assert got.fingerprint() == one_run.fingerprint()
+    assert got.entries[2][0].is_zero()
+
+
+def test_the_r8_composite_keeps_its_fingerprint():
+    # rao_family(8, 4, 1)'s composite joins its 508,476 pairs of terms in 4 runs
+    s = fixtures.rao_family(8, 4, 1)
+    profile = qprofile.compute_q_profile(s)
+    seed = qprofile.subseed(qprofile.DEFAULT_SEED, "minimal-family", 0)
+    v = families.sample_general_morphism(s, profile.q_function(), seed=seed, profile=profile)
+    assert families._composite(s, v).fingerprint() == \
+        "9c60f017a6d8f6082da6607f6299d34631456cec40552941f7fbd8c30087a949"
+
+
 @settings(max_examples=40, deadline=None)
 @given(nrows=st.integers(0, 4), ncols=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
 def test_specialization_from_the_term_table(nrows, ncols, seed):
@@ -693,6 +754,21 @@ def test_fingerprint_ignores_the_order_of_terms():
     assert forward == backward
     assert forward.fingerprint() == backward.fingerprint()
     assert build(list, bump=1).fingerprint() != forward.fingerprint()
+
+
+def test_digests_equal_hashlib_sha256():
+    # the fingerprint and the derived seeds take SHA-256 from the
+    # interpreter's built-in module; any drift would move every seed and golden
+    import hashlib
+
+    m = M([0, 1], [1, 2], [["X + 3*Y", "Z^2"], ["0", "T - X"]])
+    want = hashlib.sha256(repr((F.characteristic, m.row_degrees, m.col_degrees)).encode())
+    for a in m.term_table():
+        want.update(a.tobytes())
+    assert m.fingerprint() == want.hexdigest()
+    for seed, labels in ((qprofile.DEFAULT_SEED, ("minimal-family", 0)), (7, ("lift",)), (0, ())):
+        text = ":".join(map(str, (seed,) + labels))
+        assert qprofile.subseed(seed, *labels) == int(hashlib.sha256(text.encode()).hexdigest()[:16], 16)
 
 
 def test_determinant_signs():

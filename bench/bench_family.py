@@ -11,14 +11,17 @@ each built anew.  On that matrix it times
 `minimal_family` draws, `sample_general_morphism` (lift), the composite
 s_t * v (composite), `verify_general_morphism`, which ranks it and
 certifies its coprime minors (verify), and `quotient_hilbert_data`, the
-Hilbert polynomials of the quotient (quotient_hilbert).  Last comes
+Hilbert polynomials of the quotient (quotient_hilbert): P_N from the
+Groebner basis of s_t, and P_U of the composite from its kept rank and one
+rank of its span at the lift's top degree, with no basis.  Last comes
 `minimal_family` with that profile on a second fresh copy (family), which
 takes all of those steps again; the first copy, with all it keeps, is
 dropped before the second is built, so the process holds one copy's results
 at a time, as a command does.  The matrices are built outside the timed
 stages.  Each figure is the median of `--runs`.  Beside the times, each
 stage counts its Buchberger runs (`modgb._buchberger`), which do not vary
-from run to run.
+from run to run: each copy needs one basis, that of s_t, taken in
+quotient_hilbert on the first copy and in the family stage on the second.
 
 Memory is read two ways.  After each instance's timed runs the script reads
 the process's peak resident set (`ru_maxrss`), a maximum over the process so

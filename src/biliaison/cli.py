@@ -17,8 +17,9 @@ any other --field, and a matrix JSON over any other field, is a parse error.
 Exit codes: 0 success / admissible; 1 rejection or example mismatch;
 2 parse error, or a candidate p of the wrong mass; 3 hypothesis
 certification failure without a trust flag, or a broken structural law:
-the profile laws, a P_N that gives no integral sheaf degree,
-P_Q + P_P != P_N, or a block rank above its exact bound; 4 degree budget, window, retry or GCD node exhaustion;
+the profile laws, a P_N that gives no integral sheaf degree, a P_Q
+that is not a twisted curve ideal's, P_Q + P_P != P_N, or a block rank
+above its exact bound; 4 degree budget, window, retry or GCD node exhaustion;
 5 dissociated sheaf.  One table in `main` maps the typed errors that a
 command lets escape to their codes.
 
@@ -353,6 +354,7 @@ _EXIT_CODES = {
     RankBoundError: EXIT_HYPOTHESIS,
     families.ConservationError: EXIT_HYPOTHESIS,
     families.PresentationError: EXIT_HYPOTHESIS,
+    families.ShapeMismatchError: EXIT_HYPOTHESIS,
 }
 
 

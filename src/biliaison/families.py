@@ -11,29 +11,36 @@ which is saturation-invariant, so the unsaturated quotient suffices:
 
     P_Q(n) = C(n+h+3, 3) - d*(n+h) - 1 + g.
 
-Every Hilbert polynomial here is exact, read off the leading terms of a
-full Groebner basis (`modgb`, "Hilbert polynomials, exact"): P_N from that
-of the closed-point column module N, which also gives deg N, and
-P_Q = P_N - P_U from that of the column module U of W = s_t * v, which lies
-in N.
-
 Verification is the degeneracy-locus criterion: the specialized composite
 W = (s*v)|_{a=0} must have rank r-1 (injectivity at the closed point, hence
 flatness) and coprime (r-1)-minors (degeneracy locus of codimension >= 2,
 hence a torsion-free cokernel).
+
+Every Hilbert polynomial here is exact.  P_N is read off the leading terms
+of a full Groebner basis of the closed-point column module N (`modgb`,
+"Hilbert polynomials, exact"), which also gives deg N.  P_Q = P_N - P_U for
+the column module U of W = s_t * v, which lies in N, and U needs no basis:
+W has rank v.ncols over the fraction field (the rank certificate), so W is
+injective, U is isomorphic to the free module P of the lift's column
+degrees, and P_U = P_P.  The Hilbert conservation P_Q + P_P = P_N is then
+checked at run time by one exact rank, independent of the point rank and
+of Buchberger: at top = the largest column degree of v, the degree-top span
+matrix of W (`modgb._span_matrix_mod_p`) must have full column rank
+dim P_top, so W has no syzygy of degree <= top.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from biliaison import modgb
+from biliaison import _linalg, modgb
 from biliaison.grmatrix import CharFunction, GradedMatrix, rank_fraction_field
 from biliaison.modgb import HilbertPolynomial
 from biliaison.polyring import FieldSpec
@@ -219,8 +226,8 @@ def verify_general_morphism(
 def _composite(s: GradedMatrix, v: GradedMatrix) -> GradedMatrix:
     """W = (s*v)|_{a=0} = s_t * v for a lift v free of the parameter, so the
     a*I block of s is never multiplied.  (A lift with the parameter leaves
-    it in W, and the rank and the Groebner basis of W refuse it.)  W is kept
-    on v, so every step taken with one lift shares W and what W keeps."""
+    it in W, and the rank of W refuses it.)  W is kept on v, so every step
+    taken with one lift shares W and what W keeps."""
     return v.kept(("composite", s), lambda: s.specialize_closed_point() @ v)
 
 
@@ -233,9 +240,33 @@ def quotient_hilbert_data(
 ) -> Tuple[HilbertPolynomial, HilbertPolynomial]:
     """(P_N, P_Q) for Q = column module of s_t modulo columns of (s*v)_t:
     the columns of the composite w = s_t * v lie in the column module of
-    s_t, so P_Q = P_N - P_U with U the column module of w."""
+    s_t, so P_Q = P_N - P_U with U the column module of w, and P_U = P_P
+    for an injective w (module docstring).  Two exact gates come first:
+    the rank of w that `rank_fraction_field` keeps must be v.ncols, else
+    `RankDeficiencyError`; and w's degree-top span matrix must have full
+    column rank, else `ConservationError`.  Both are kept on w."""
+    w = _composite(s, v)
+    rank = rank_fraction_field(w)
+    if rank != v.ncols:
+        raise RankDeficiencyError(f"composite has rank {rank}, needs {v.ncols} for P_U = P_P")
+    w.kept("injective_to_top", lambda: _check_injective_to_top(w))
     p_n = modgb.groebner_basis(s.specialize_closed_point()).hilbert_polynomial()
-    return p_n, p_n - modgb.groebner_basis(_composite(s, v)).hilbert_polynomial()
+    return p_n, p_n - HilbertPolynomial.shifted(Counter(v.col_degrees))
+
+
+def _check_injective_to_top(w: GradedMatrix) -> None:
+    """Raise `ConservationError` unless w's columns have no syzygy of degree
+    <= top, the largest column degree: a syzygy of degree e times x0^(top-e)
+    is one of degree top, so full column rank of the degree-top span matrix
+    rules them all out."""
+    top = max(w.col_degrees, default=0)
+    mat, labels = modgb._span_matrix_mod_p(w, top)
+    rank = _linalg.rank_mod_p(mat, w.field.characteristic)
+    if rank != len(labels):
+        raise ConservationError(
+            f"the composite's degree-{top} span has rank {rank} < {len(labels)} = dim P_{top}: "
+            f"it has a syzygy, so P_Q + P_P = P_N fails for a rank-certified morphism"
+        )
 
 
 def family_degree_genus(
@@ -270,7 +301,10 @@ def _degree_genus(h: int, p_q: HilbertPolynomial) -> Tuple[int, int]:
 def hilbert_conservation(
     s: GradedMatrix, v: GradedMatrix, p: CharFunction
 ) -> Tuple[HilbertPolynomial, HilbertPolynomial, HilbertPolynomial]:
-    """(P_N, P_P, P_Q); a verified morphism satisfies P_Q + P_P = P_N."""
+    """(P_N, P_P, P_Q) for a lift v of shape p.  P_Q + P_P = P_N holds once
+    `quotient_hilbert_data` returns: its rank gate makes the composite
+    injective, so P_U = P_P, and its span gate checks that the composite
+    has no syzygy up to the lift's top degree."""
     p_n, p_q = quotient_hilbert_data(s, v)
     return p_n, HilbertPolynomial.dissociated(p), p_q
 
@@ -302,7 +336,7 @@ def minimal_family(
             cert = verify_general_morphism(s, v, profile, seed=attempt_seed)
             p_n, p_q = quotient_hilbert_data(s, v)
             d, g = _degree_genus(h0, p_q)
-        except (RankDeficiencyError, TorsionError, ShapeMismatchError) as exc:
+        except (RankDeficiencyError, TorsionError) as exc:
             last_error = exc
             continue
         p_p = HilbertPolynomial.dissociated(q)

@@ -122,9 +122,9 @@ S-pairs and generators all reduce to zero and are skipped.  Otherwise the
 first missing + 2 rows are reduced, then further chunks only until missing
 elements are found: then the leads fill bound(d) >= dim M_d, the basis is a
 Groebner basis up to degree d, and every row left reduces into the span of
-the elements found, which changes nothing.  The bound is tight for a free
-module, such as the image of an injective composite s_t v, and never met
-by a module with syzygies in that degree.
+the elements found, which changes nothing.  The bound is met exactly in
+the degrees where the generators have no syzygy, such as every degree of
+s_t's columns below their first syzygy.
 
 Hilbert polynomials, exact.  A module and its leading-term module have the
 same Hilbert function (Macaulay's basis theorem; Eisenbud, Commutative

@@ -17,6 +17,9 @@ runs, live here too, as functions of the object they read:
 - `reducers`, `normal_form`, `contains_column` and `hilbert_function` of a
   `modgb.SubmodulePresentation`: membership and the Hilbert function,
   read off its basis.
+- `quotient_hilbert_by_basis`: (P_N, P_Q) with P_U read off a full
+  Groebner basis of the composite s_t * v, the route that the rank
+  certificate replaced in `families.quotient_hilbert_data`.
 - `augment_with_free_summand`: a presentation with a free rank-one
   summand added.
 - `evaluate`: the value of a `MultiPoly` at a point, term by term.
@@ -275,6 +278,13 @@ def hilbert_function(pres: modgb.SubmodulePresentation, n: int) -> int:
     """dim_k of the degree-n piece of the submodule."""
     _check_degree(pres, n)
     return sum(c * modgb.binom3(n - s) for s, c in pres._shift_counts().items())
+
+
+def quotient_hilbert_by_basis(s: GradedMatrix, v: GradedMatrix) -> tuple:
+    """(P_N, P_N - P_U), each read off a full Groebner basis: of s_t, and of
+    the composite w = s_t * v, whose column module is U."""
+    p_n = modgb.groebner_basis(s.specialize_closed_point()).hilbert_polynomial()
+    return p_n, p_n - modgb.groebner_basis(families._composite(s, v)).hilbert_polynomial()
 
 
 def augment_with_free_summand(s: GradedMatrix, degree: int) -> GradedMatrix:

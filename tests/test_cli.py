@@ -385,6 +385,24 @@ def test_retry_exhaustion_exit_code(monkeypatch):
     assert "no general morphism found in 10 attempts" in out
 
 
+def test_shape_mismatch_exits_after_one_lift(monkeypatch):
+    # P_Q does not depend on the lift, so a P_Q that is no twisted curve
+    # ideal's for the shift h0 + 1 is not retried: exit 3 on the first lift
+    real_shift, real_sample = families.minimal_shift, families.sample_general_morphism
+    lifts = []
+
+    def sample(*args, **kwargs):
+        lifts.append(None)
+        return real_sample(*args, **kwargs)
+
+    monkeypatch.setattr(families, "minimal_shift", lambda profile, deg_n: real_shift(profile, deg_n) + 1)
+    monkeypatch.setattr(families, "sample_general_morphism", sample)
+    code, out, _ = run(["minimal-family", "--fixture", "3.2"])
+    assert code == 3
+    assert "residual" in out
+    assert len(lifts) == 1
+
+
 def test_broken_hilbert_laws_exit_code(monkeypatch):
     # a P_Q off by one breaks P_Q + P_P = P_N, and a non-integral sheaf
     # degree breaks the presentation: both exit 3 with their message

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from biliaison import families, fixtures, grmatrix, modgb, qprofile
@@ -305,9 +307,10 @@ def test_minimal_family_forms_the_composite_once_per_attempt(monkeypatch):
     assert len(products) == report.certificate.retries + 1 == 1
 
 
-def test_one_lift_forms_its_composite_and_basis_once(monkeypatch):
+def test_one_lift_forms_its_composite_once_and_no_basis_of_it(monkeypatch):
     # the composite s_t * v and what it keeps are kept on the lift, so the
-    # public steps applied to one lift share them
+    # public steps applied to one lift share them; its Hilbert polynomial
+    # comes from the rank certificate, so it never gets a Groebner basis
     s = fixtures.example("3.2").matrix
     profile = qprofile.compute_q_profile(s)
     p = CharFunction({2: 2, 3: 1})
@@ -330,7 +333,26 @@ def test_one_lift_forms_its_composite_and_basis_once(monkeypatch):
     families.hilbert_conservation(s, v, p)
     assert products == [v]
     w = families._composite(s, v)
-    assert sum(gens is w for gens in bases) == 1
+    assert not any(gens is w for gens in bases)
+
+
+@pytest.mark.parametrize("name", ["3.2", "3.3", "3.4"])
+def test_cold_minimal_family_runs_buchberger_once_for_s_t(name, monkeypatch):
+    # a matrix read from a file keeps nothing: the one Groebner basis of
+    # minimal_family is that of s_t, which gives P_N and deg N
+    s = GradedMatrix.from_json(fixtures.example(name).matrix.to_json())
+    profile = qprofile.compute_q_profile(s)
+    runs = []
+    real = modgb._buchberger
+
+    def counted(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(modgb, "_buchberger", counted)
+    families.minimal_family(s, profile=profile)
+    assert len(runs) == 1
+    assert None in s.specialize_closed_point().known("groebner")
 
 
 def test_cold_minimal_family_decomposes_each_matrix_once(monkeypatch):
@@ -370,6 +392,75 @@ def test_hilbert_conservation(example_runs):
         _, _, report = example_runs.get(name)
         p_n, p_p, p_q = report.conservation
         assert p_q + p_p == p_n, name
+
+
+def _assert_matches_the_composite_basis(s, p, v):
+    # the reference route: P_U read off a full Groebner basis of the
+    # composite is the Hilbert polynomial of the free module P, and gives
+    # the same P_Q
+    w = families._composite(s, v)
+    assert modgb.groebner_basis(w).hilbert_polynomial() == HilbertPolynomial.dissociated(p)
+    assert families.quotient_hilbert_data(s, v) == oracles.quotient_hilbert_by_basis(s, v)
+
+
+@pytest.mark.parametrize("name", ["3.2", "3.3", "3.4"])
+def test_quotient_hilbert_matches_the_composite_basis(name):
+    # the first lift minimal_family draws, at the default seed and two more
+    s = fixtures.example(name).matrix
+    profile = qprofile.compute_q_profile(s)
+    q = profile.q_function()
+    for seed in (qprofile.DEFAULT_SEED, 1, 2):
+        lift_seed = qprofile.subseed(seed, "minimal-family", 0)
+        v = families.sample_general_morphism(s, q, seed=lift_seed, profile=profile)
+        _assert_matches_the_composite_basis(s, q, v)
+
+
+def test_quotient_hilbert_matches_the_composite_basis_on_a_rao_family():
+    s = fixtures.rao_family(5, 3, 1)
+    profile = qprofile.compute_q_profile(s)
+    q = profile.q_function()
+    _assert_matches_the_composite_basis(s, q, families.sample_general_morphism(s, q, profile=profile))
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape_seed=st.integers(0, 2**32 - 1), lift_seed=st.integers(0, 2**32 - 1))
+def test_quotient_hilbert_matches_the_composite_basis_on_random_lifts(example_runs, shape_seed, lift_seed):
+    # admissible shapes of 3.2, generators pushed up by one or two degrees;
+    # where the rank gate refuses a lift, the basis gives another P_U
+    desc, profile, _ = example_runs.get("3.2")
+    p = _random_admissible(profile, random.Random(shape_seed))
+    assume(p is not None)
+    v = families.sample_general_morphism(desc.matrix, p, seed=lift_seed, profile=profile)
+    w = families._composite(desc.matrix, v)
+    if families.rank_fraction_field(w) < v.ncols:
+        with pytest.raises(families.RankDeficiencyError):
+            families.quotient_hilbert_data(desc.matrix, v)
+        assert modgb.groebner_basis(w).hilbert_polynomial() != HilbertPolynomial.dissociated(p)
+        return
+    _assert_matches_the_composite_basis(desc.matrix, p, v)
+
+
+def _lift_with_equal_columns(example_runs):
+    desc, profile, _ = example_runs.get("3.2")
+    q = profile.q_function()
+    v = families.sample_general_morphism(desc.matrix, q, profile=profile)
+    rows = [[row[0], row[0], *row[2:]] for row in v.entries]
+    return desc.matrix, q, GradedMatrix(F, v.row_degrees, v.col_degrees, rows)
+
+
+def test_hilbert_conservation_refuses_a_lift_of_lower_rank(example_runs):
+    s, q, v = _lift_with_equal_columns(example_runs)
+    with pytest.raises(families.RankDeficiencyError, match="needs 3"):
+        families.hilbert_conservation(s, v, q)
+
+
+def test_span_gate_refuses_a_composite_with_a_syzygy(example_runs, monkeypatch):
+    # past a rank certificate that wrongly claims full rank, the span of
+    # the composite at the lift's top degree still finds its syzygy
+    s, q, v = _lift_with_equal_columns(example_runs)
+    monkeypatch.setattr(families, "rank_fraction_field", lambda m: m.ncols)
+    with pytest.raises(families.ConservationError, match="degree-2 span has rank 2 < 3"):
+        families.hilbert_conservation(s, v, q)
 
 
 def test_free_summand_augmentation(example_runs):

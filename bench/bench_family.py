@@ -39,7 +39,6 @@ MB, and the family's (deg N, h0, d0, g0).  It is not part of the test suite.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import platform
 import resource
@@ -116,8 +115,7 @@ def run_once(build, measure=seconds) -> tuple:
         timed("composite", lambda: families._composite(s, v))
         timed("verify", lambda: families.verify_general_morphism(s, v, profile, seed=seed))
         timed("quotient_hilbert", lambda: families.quotient_hilbert_data(s, v))
-        del s, v  # with all they keep, some of it in reference cycles
-        gc.collect()
+        del s, v  # with all they keep
         again = build()
         report = timed("family", lambda: families.minimal_family(again, profile=profile))
     finally:

@@ -22,11 +22,14 @@ of a full Groebner basis of the closed-point column module N (`modgb`,
 the column module U of W = s_t * v, which lies in N, and U needs no basis:
 W has rank v.ncols over the fraction field (the rank certificate), so W is
 injective, U is isomorphic to the free module P of the lift's column
-degrees, and P_U = P_P.  The Hilbert conservation P_Q + P_P = P_N is then
-checked at run time by one exact rank, independent of the point rank and
-of Buchberger: at top = the largest column degree of v, the degree-top span
-matrix of W (`modgb._span_matrix_mod_p`) must have full column rank
-dim P_top, so W has no syzygy of degree <= top.
+degrees, and P_U = P_P, read off v's column degrees in one place
+(`quotient_hilbert_data`).  So P_Q + P_P = P_N holds by construction when
+W is injective, and the law's one run-time check tests that by one exact
+rank, independent of the point rank and of Buchberger.  At top = the
+largest column degree of v, the degree-top span matrix of W
+(`modgb._span_matrix_mod_p`) must have full column rank dim P_top, so W has
+no syzygy of degree <= top; else `ConservationError`, which nothing else
+raises.
 """
 
 from __future__ import annotations
@@ -301,12 +304,15 @@ def _degree_genus(h: int, p_q: HilbertPolynomial) -> Tuple[int, int]:
 def hilbert_conservation(
     s: GradedMatrix, v: GradedMatrix, p: CharFunction
 ) -> Tuple[HilbertPolynomial, HilbertPolynomial, HilbertPolynomial]:
-    """(P_N, P_P, P_Q) for a lift v of shape p.  P_Q + P_P = P_N holds once
-    `quotient_hilbert_data` returns: its rank gate makes the composite
-    injective, so P_U = P_P, and its span gate checks that the composite
-    has no syzygy up to the lift's top degree."""
+    """(P_N, P_P, P_Q) for a lift v of shape p, else `ValueError`.  P_P is
+    read off v's column degrees by `quotient_hilbert_data`, and
+    P_Q + P_P = P_N holds once it returns: its rank gate makes the composite
+    injective, so P_U = P_P, and its span gate checks that the composite has
+    no syzygy up to the lift's top degree."""
+    if p.degrees() != sorted(v.col_degrees):
+        raise ValueError(f"p = {p} is not the lift's shape {CharFunction(Counter(v.col_degrees))}")
     p_n, p_q = quotient_hilbert_data(s, v)
-    return p_n, HilbertPolynomial.dissociated(p), p_q
+    return p_n, p_n - p_q, p_q
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +345,6 @@ def minimal_family(
         except (RankDeficiencyError, TorsionError) as exc:
             last_error = exc
             continue
-        p_p = HilbertPolynomial.dissociated(q)
-        if p_q + p_p != p_n:
-            raise ConservationError(
-                f"P_Q + P_P = {p_q + p_p} differs from P_N = {p_n} for a verified morphism"
-            )
         cert.retries = attempt
         cert.seed = seed
         ideal_poly = HilbertPolynomial.binomial_shift(0) - HilbertPolynomial.from_coeffs(
@@ -358,7 +359,7 @@ def minimal_family(
             ideal_sheaf_polynomial=ideal_poly,
             seed=seed,
             certificate=cert,
-            conservation=(p_n, p_p, p_q),
+            conservation=(p_n, p_n - p_q, p_q),
         )
     raise RetryExhaustedError(
         f"no general morphism found in {RETRY_CAP} attempts; last failure: {last_error}"

@@ -29,8 +29,11 @@ which `qprofile` reads with `GradedMatrix.known`, building nothing), the
 Groebner presentations by degree cap (`modgb.groebner_basis`), the
 q-profiles by window and seed (`qprofile.compute_q_profile`), and the
 composite s_t * v on a lift v (`families`).  Each is computed once per
-matrix and freed with it.  There is
-no module-level cache: a matrix derived again is a new object with nothing
+matrix and freed with it by reference counting alone: no kept result refers
+back to the matrix that keeps it (a matrix free of the parameter is its own
+closed point, and a Groebner presentation holds its basis, not its
+generators), so nothing waits for the cyclic collector.  There is no
+module-level cache: a matrix derived again is a new object with nothing
 kept, so code that needs a result twice passes the matrix it already has.
 `truncate_columns` returns the matrix itself when it keeps every column,
 and else keeps on the truncation a parent free of the parameter.
@@ -309,11 +312,15 @@ class GradedMatrix:
 
     def specialize_closed_point(self) -> "GradedMatrix":
         """Set the parameter a := 0 in every entry: the terms free of a.
-        Built on first use and kept."""
+        A matrix free of a is its own closed point; any other builds it on
+        first use and keeps it."""
+        if not self.has_parameter():
+            return self
+
         def build() -> GradedMatrix:
             cells, exps, coefs = self._terms
             keep = exps[:, PARAM_INDEX] == 0
-            return self if keep.all() else GradedMatrix.from_terms(
+            return GradedMatrix.from_terms(
                 self.field, self.row_degrees, self.col_degrees, cells[keep], exps[keep], coefs[keep])
         return self.kept("closed", build)
 

@@ -109,23 +109,6 @@ the elements of lower degree and echeloned together with the elements the
 chunks before it found; the row space, and so its reduced echelon form,
 is that of one block of all the rows.
 
-Hilbert-driven degrees (Traverso, J. Symbolic Comput. 22, 1996).  Let M be
-the module of the nonzero input generators g_j, and F the free module on
-them, so M_d is the image of F_d and dim M_d <= bound(d) =
-sum_j binom3(d - deg g_j).  When degree d comes up, the basis holds every
-element of degree < d, and filled(d), the number of terms of the degree-d
-piece that one of their leads divides, counts distinct leading terms of
-elements of M_d, so filled(d) <= dim in(M)_d = dim M_d <= bound(d).  Every
-new element of degree d adds a lead outside those, so there are at most
-missing = bound(d) - filled(d) of them.  When missing is 0 the degree's
-S-pairs and generators all reduce to zero and are skipped.  Otherwise the
-first missing + 2 rows are reduced, then further chunks only until missing
-elements are found: then the leads fill bound(d) >= dim M_d, the basis is a
-Groebner basis up to degree d, and every row left reduces into the span of
-the elements found, which changes nothing.  The bound is met exactly in
-the degrees where the generators have no syzygy, such as every degree of
-s_t's columns below their first syzygy.
-
 Hilbert polynomials, exact.  A module and its leading-term module have the
 same Hilbert function (Macaulay's basis theorem; Eisenbud, Commutative
 Algebra, GTM 150, ch. 15).  In component c of degree a_c the leads generate
@@ -365,13 +348,11 @@ class SubmodulePresentation:
         self,
         field: FieldSpec,
         ambient_degrees: Tuple[int, ...],
-        generators: GradedMatrix,
         gb: List[_Vec],
         truncated_at: Optional[int],
     ):
         self.field = field
         self.ambient_degrees = ambient_degrees
-        self.generators = generators
         self.gb = gb
         self.truncated_at = truncated_at
         self._by_component: Dict[int, List[_Vec]] = {}
@@ -444,11 +425,6 @@ class HilbertPolynomial:
             for i, x in enumerate((a * b * c, a * b + a * c + b * c, a + b + c, 1)):
                 six[i] += m * x
         return HilbertPolynomial(tuple(Fraction(x, 6) for x in six))
-
-    @staticmethod
-    def dissociated(char_fn: CharFunction) -> "HilbertPolynomial":
-        """Hilbert polynomial of a free module with the given shape."""
-        return HilbertPolynomial.shifted(char_fn.support)
 
     def __call__(self, n: int) -> Fraction:
         c0, c1, c2, c3 = self.coeffs
@@ -629,7 +605,6 @@ def _buchberger(
     for g in gens:
         if not g.is_zero():
             pending.setdefault(g.degree, []).append(g)
-    free = [g.degree for g in gens if not g.is_zero()]  # degrees of the free module onto M
 
     truncated_at: Optional[int] = None
     while pairs or pending:
@@ -655,17 +630,14 @@ def _buchberger(
         rows = pending.pop(deg, [])
         if not batch and not rows:
             continue
-        # filled <= dim M_deg <= bound: at most `missing` new elements here
+        # the generators of this degree, then the S-vectors, in chunks of at
+        # most _MAX_CELLS cells; each chunk is echeloned together with the
+        # elements found before it
         keys = pieces(deg)
-        missing = sum(binom3(deg - e) for e in free) - int((reducers.table(deg) >= 0).sum())
-        # the generators of this degree, then the S-vectors: the first
-        # missing + 2 rows, then chunks of at most _MAX_CELLS cells, until
-        # `missing` elements are found; each chunk is echeloned together
-        # with the elements found before it
         new: List[_Vec] = []
         step = max(1, _MAX_CELLS // len(keys))
-        start, stop = 0, min(missing + 2, step)
-        while len(new) < missing and start < len(rows) + len(batch):
+        for start in range(0, len(rows) + len(batch), step):
+            stop = start + step
             parts = [_dense(g, keys)[None] for g in rows[start:stop]]
             chunk = batch[max(0, start - len(rows)):max(0, stop - len(rows))]
             if chunk:
@@ -673,7 +645,6 @@ def _buchberger(
             work = _normal_form(np.concatenate(parts), reducers, deg)
             found = [_dense(v, keys)[None] for v in new]
             new = _echelon_basis(np.concatenate(found + [work]), keys, deg, p)
-            start, stop = stop, stop + step
         for v in new:
             add(v)
     return basis, truncated_at
@@ -693,7 +664,7 @@ def groebner_basis(gens: GradedMatrix, degree_cap: Optional[int] = None) -> Subm
         field = gens.field
         ambient_degrees = gens.row_degrees
         gb, truncated_at = _buchberger(_column_vecs(gens), field, ambient_degrees, degree_cap)
-        pres = SubmodulePresentation(field, ambient_degrees, gens, gb, truncated_at)
+        pres = SubmodulePresentation(field, ambient_degrees, gb, truncated_at)
         bases[degree_cap] = pres
         if truncated_at is None:
             bases[None] = pres

@@ -15,7 +15,6 @@ import pytest
 from biliaison import cli, families, fixtures, grmatrix, modgb, polyring, qprofile
 from biliaison.cli import main
 from biliaison.grmatrix import GradedMatrix
-from biliaison.modgb import HilbertPolynomial
 from biliaison.polyring import FieldSpec, MultiPoly
 
 F = FieldSpec.prime()
@@ -404,18 +403,21 @@ def test_shape_mismatch_exits_after_one_lift(monkeypatch):
 
 
 def test_broken_hilbert_laws_exit_code(monkeypatch):
-    # a P_Q off by one breaks P_Q + P_P = P_N, and a non-integral sheaf
+    # a lift with two equal columns past a rank certificate that wrongly
+    # claims full rank breaks P_Q + P_P = P_N, and a non-integral sheaf
     # degree breaks the presentation: both exit 3 with their message
-    real = families.quotient_hilbert_data
+    real = families.sample_general_morphism
 
-    def skewed(s, v):
-        p_n, p_q = real(s, v)
-        return p_n, p_q + HilbertPolynomial.from_coeffs([1])
+    def equal_columns(s, p, profile, seed):
+        v = real(s, p, profile=profile, seed=seed)
+        rows = [[row[0], row[0], *row[2:]] for row in v.entries]
+        return GradedMatrix(F, v.row_degrees, v.col_degrees, rows)
 
-    monkeypatch.setattr(families, "quotient_hilbert_data", skewed)
+    monkeypatch.setattr(families, "sample_general_morphism", equal_columns)
+    monkeypatch.setattr(families, "rank_fraction_field", lambda m: m.ncols)
     code, out, _ = run(["minimal-family", "--fixture", "3.2"])
     assert code == 3
-    assert "differs from P_N" in out
+    assert "degree-2 span has rank 2 < 3" in out
     monkeypatch.undo()
 
     def fractional(s, profile=None):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 
@@ -315,18 +316,18 @@ def test_one_lift_forms_its_composite_once_and_no_basis_of_it(monkeypatch):
     profile = qprofile.compute_q_profile(s)
     p = CharFunction({2: 2, 3: 1})
     products, bases = [], []
-    real_product, real_basis = GradedMatrix.__matmul__, modgb.SubmodulePresentation.__init__
+    real_product, real_basis = GradedMatrix.__matmul__, modgb.groebner_basis
 
     def product(a, b):
         products.append(b)
         return real_product(a, b)
 
-    def basis(self, field, ambient_degrees, generators, gb, truncated_at):
-        bases.append(generators)
-        real_basis(self, field, ambient_degrees, generators, gb, truncated_at)
+    def basis(gens, *args, **kwargs):
+        bases.append(gens)
+        return real_basis(gens, *args, **kwargs)
 
     monkeypatch.setattr(GradedMatrix, "__matmul__", product)
-    monkeypatch.setattr(modgb.SubmodulePresentation, "__init__", basis)
+    monkeypatch.setattr(modgb, "groebner_basis", basis)
     v = families.sample_general_morphism(s, p, seed=4, profile=profile)
     families.verify_general_morphism(s, v, profile=profile)
     families.family_degree_genus(s, v, p, profile=profile)
@@ -334,6 +335,7 @@ def test_one_lift_forms_its_composite_once_and_no_basis_of_it(monkeypatch):
     assert products == [v]
     w = families._composite(s, v)
     assert not any(gens is w for gens in bases)
+    assert w.known("groebner") is None
 
 
 @pytest.mark.parametrize("name", ["3.2", "3.3", "3.4"])
@@ -355,6 +357,29 @@ def test_cold_minimal_family_runs_buchberger_once_for_s_t(name, monkeypatch):
     assert None in s.specialize_closed_point().known("groebner")
 
 
+@pytest.mark.parametrize("build", [
+    lambda: GradedMatrix.from_json(fixtures.example("3.4").matrix.to_json()),
+    lambda: fixtures.rao_family(5, 3, 1),
+], ids=["3.4", "rao_family(5, 3, 1)"])
+def test_cold_minimal_family_leaves_no_cycles(build):
+    # nothing a solve keeps refers back to the matrix that keeps it, so
+    # dropping the input frees every matrix and basis without the collector
+    s = build()
+    gc.collect()
+    gc.disable()
+    try:
+        families.minimal_family(s, profile=qprofile.compute_q_profile(s))
+        del s
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = [o for o in gc.garbage if isinstance(o, (GradedMatrix, modgb.SubmodulePresentation))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == []
+
+
 def test_cold_minimal_family_decomposes_each_matrix_once(monkeypatch):
     # fixture 3.4 read from a file keeps nothing; the ranks, the minor
     # analyses and the constant-rank checks share one decomposition per matrix
@@ -373,17 +398,19 @@ def test_cold_minimal_family_decomposes_each_matrix_once(monkeypatch):
     assert len({id(m) for m in seen}) == len(seen) <= 5
 
 
-def test_minimal_family_raises_on_conservation_mismatch(monkeypatch):
-    desc = fixtures.example("3.2")
-    profile = qprofile.compute_q_profile(desc.matrix)
-    real = families.quotient_hilbert_data
+def test_minimal_family_raises_on_conservation_mismatch(example_runs, monkeypatch):
+    # every lift gets two equal columns, and the rank certificate wrongly
+    # claims full rank: the composite has a syzygy, so P_Q + P_P = P_N
+    # fails, and the span gate refuses it
+    desc, profile, _ = example_runs.get("3.2")
+    real = families.sample_general_morphism
 
-    def skewed(s, v):
-        p_n, p_q = real(s, v)
-        return p_n + HilbertPolynomial.from_coeffs([1]), p_q
+    def equal_columns(s, p, profile, seed):
+        return _with_equal_columns(real(s, p, profile=profile, seed=seed))
 
-    monkeypatch.setattr(families, "quotient_hilbert_data", skewed)
-    with pytest.raises(families.ConservationError):
+    monkeypatch.setattr(families, "sample_general_morphism", equal_columns)
+    monkeypatch.setattr(families, "rank_fraction_field", lambda m: m.ncols)
+    with pytest.raises(families.ConservationError, match="degree-2 span has rank 2 < 3"):
         families.minimal_family(desc.matrix, profile=profile)
 
 
@@ -399,7 +426,7 @@ def _assert_matches_the_composite_basis(s, p, v):
     # composite is the Hilbert polynomial of the free module P, and gives
     # the same P_Q
     w = families._composite(s, v)
-    assert modgb.groebner_basis(w).hilbert_polynomial() == HilbertPolynomial.dissociated(p)
+    assert modgb.groebner_basis(w).hilbert_polynomial() == HilbertPolynomial.shifted(p.support)
     assert families.quotient_hilbert_data(s, v) == oracles.quotient_hilbert_by_basis(s, v)
 
 
@@ -435,23 +462,37 @@ def test_quotient_hilbert_matches_the_composite_basis_on_random_lifts(example_ru
     if families.rank_fraction_field(w) < v.ncols:
         with pytest.raises(families.RankDeficiencyError):
             families.quotient_hilbert_data(desc.matrix, v)
-        assert modgb.groebner_basis(w).hilbert_polynomial() != HilbertPolynomial.dissociated(p)
+        assert modgb.groebner_basis(w).hilbert_polynomial() != HilbertPolynomial.shifted(p.support)
         return
     _assert_matches_the_composite_basis(desc.matrix, p, v)
+
+
+def _with_equal_columns(v: GradedMatrix) -> GradedMatrix:
+    """v with its first column in place of its second, of the same degree."""
+    rows = [[row[0], row[0], *row[2:]] for row in v.entries]
+    return GradedMatrix(F, v.row_degrees, v.col_degrees, rows)
 
 
 def _lift_with_equal_columns(example_runs):
     desc, profile, _ = example_runs.get("3.2")
     q = profile.q_function()
     v = families.sample_general_morphism(desc.matrix, q, profile=profile)
-    rows = [[row[0], row[0], *row[2:]] for row in v.entries]
-    return desc.matrix, q, GradedMatrix(F, v.row_degrees, v.col_degrees, rows)
+    return desc.matrix, q, _with_equal_columns(v)
 
 
 def test_hilbert_conservation_refuses_a_lift_of_lower_rank(example_runs):
     s, q, v = _lift_with_equal_columns(example_runs)
     with pytest.raises(families.RankDeficiencyError, match="needs 3"):
         families.hilbert_conservation(s, v, q)
+
+
+def test_hilbert_conservation_refuses_a_p_other_than_the_lift_shape(example_runs):
+    # 3.2's default lift has q's shape {2: 3}; P_P is read off the lift, so
+    # another p is refused, naming both shapes
+    desc, profile, _ = example_runs.get("3.2")
+    v = families.sample_general_morphism(desc.matrix, profile.q_function(), profile=profile)
+    with pytest.raises(ValueError, match=r"CharFunction\(\{2->2, 3->1\}\).*CharFunction\(\{2->3\}\)"):
+        families.hilbert_conservation(desc.matrix, v, CharFunction({2: 2, 3: 1}))
 
 
 def test_span_gate_refuses_a_composite_with_a_syzygy(example_runs, monkeypatch):

@@ -109,8 +109,12 @@ def test_specialize_closed_point():
         for j in range(4):
             assert s_t.entries[i][j].is_zero()
     assert M([0], [1], [["a*X"]]).specialize_closed_point().entries[0][0].is_zero()
+    # a matrix free of a is its own closed point, and keeps nothing for it,
+    # so it holds no reference to itself
     unchanged = M([0], [1], [["X"]])
-    assert unchanged.specialize_closed_point() == unchanged
+    assert unchanged.specialize_closed_point() is unchanged
+    assert unchanged.known("closed") is None
+    assert s.known("closed") is s_t
 
 
 # ---------------------------------------------------------------------------

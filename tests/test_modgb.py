@@ -232,8 +232,9 @@ def test_block_reduces_like_its_rows(seed, nrows):
     # reducing a block of same-degree vectors gives, row by row, the normal
     # form of each row reduced alone
     rng = random.Random(seed)
-    pres = modgb.groebner_basis(rng.choice(_membership_cases()))
-    degree = min(pres.generators.col_degrees) + rng.randrange(3)
+    gens = rng.choice(_membership_cases())
+    pres = modgb.groebner_basis(gens)
+    degree = min(gens.col_degrees) + rng.randrange(3)
     reducers = oracles.reducers(pres)
     keys = reducers.pieces(degree)
     rows = []
@@ -280,10 +281,6 @@ def _reduced_basis(gens, monkeypatch, chunk_cells=None):
     return [sorted(_vec_terms(v).items()) for v in gb], truncated_at, blocks, max(pieces)
 
 
-def _rows_reduced(blocks, degree):
-    return sum(rows for d, rows, _ in blocks if d == degree)
-
-
 def _fixture_34_bases():
     """3.4's s_t and the composite w = s_t v of the first lift minimal_family tries."""
     desc = fixtures.example("3.4")
@@ -310,22 +307,14 @@ def test_chunked_blocks_give_the_same_basis(monkeypatch):
             assert len(chunked[2]) > len(whole[2])
             split.append(gens)
         if gens is s_t:
-            # s_t is not free, so its degree 4 never fills the Hilbert bound:
-            # all 26 rows are reduced, one 250-term row per block
-            assert _rows_reduced(whole[2], 4) == _rows_reduced(chunked[2], 4) == 26
+            # the one basis a command computes: every generator and every
+            # S-pair that survives the chain criterion is reduced, 111 rows
+            # in one block per degree, and in the chunked run degree 4 takes
+            # its 26 rows one 250-term row per block
+            assert [(d, rows) for d, rows, _ in whole[2]] == [(1, 1), (2, 16), (3, 68), (4, 26)]
+            assert sum(rows for _, rows, _ in chunked[2]) == 111
             assert [b for b in chunked[2] if b[0] == 4] == [(4, 1, 250)] * 26
     assert s_t in split and w in split
-
-
-def test_free_composite_stops_at_the_hilbert_bound(monkeypatch):
-    # 3.4's composite is injective, so its column module is free on its 16
-    # columns and the bound is its Hilbert function: degree 6 reduces the
-    # first missing + 2 rows, and degree 7, where the leads fill the bound,
-    # reduces none
-    _, w = _fixture_34_bases()
-    _, _, blocks, _ = _reduced_basis(w, monkeypatch)
-    assert _rows_reduced(blocks, 7) == 0
-    assert 0 < _rows_reduced(blocks, 6) <= 8
 
 
 def _sympy_reduced_basis(polys, p):
@@ -369,8 +358,8 @@ def test_ideal_gb_matches_sympy_at_the_largest_prime(seed):
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(["3.2", "3.3"]))
 def test_random_composites_match_the_dense_oracle(seed, name):
-    # a composite s_t v is free on its columns when v is injective: the
-    # Hilbert bound is met from some degree on and those degrees are skipped
+    # a composite s_t v is free on its columns when v is injective: its
+    # basis must still give the Hilbert function of the dense oracle
     s = fixtures.example(name).matrix
     rng = random.Random(seed)
     shape = qprofile.compute_q_profile(s).q_function()
@@ -387,7 +376,7 @@ def test_random_composites_match_the_dense_oracle(seed, name):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_random_complete_intersections_match_sympy_and_the_oracle(seed):
     # 1-4 dense forms of degrees 1-3 are a regular sequence at random: the
-    # bound is met below the first Koszul syzygy and missed above it
+    # basis must be sympy's, and its Hilbert function the dense oracle's
     rng = random.Random(seed)
     degrees = sorted(rng.choice([1, 2, 3]) for _ in range(rng.randrange(1, 5)))
     gens = _random_matrix(rng, [0], degrees, 1.0)

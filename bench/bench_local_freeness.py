@@ -9,8 +9,9 @@ Blocks: every block of s_t for fixtures 3.2 and 3.3, and a few seeded
 random blocks of linear forms (row degrees 0, one column degree 1).  Each
 run checks a fresh copy of the block, with nothing kept on it, so it is
 ranked and certified from scratch; the median of `--runs` is kept, with the
-verdict.  The generic 2 x 4 block degenerates on a curve, so the symbolic
-route decides it (not locally free).
+verdict.  The generic 2 x 4, 4 x 6 and 5 x 7 blocks drop rank at points,
+so the symbolic route decides them (not locally free): their 2-, 4- and
+5-minors are taken together by `grmatrix.minors`.
 
 CLI: `biliaison qprofile --fixture F --format json` for F = 3.2, 3.3 and 3.4,
 and `biliaison minimal-family --fixture 3.4 --format json`, each run in a
@@ -49,7 +50,7 @@ from biliaison.polyring import FieldSpec  # noqa: E402
 
 COMMANDS = (("qprofile", "3.2"), ("qprofile", "3.3"), ("qprofile", "3.4"),
             ("minimal-family", "3.4"))
-LINEAR_SHAPES = ((1, 4), (2, 5), (3, 6), (2, 4))  # (rows, cols) of the random blocks
+LINEAR_SHAPES = ((1, 4), (2, 5), (3, 6), (2, 4), (4, 6), (5, 7))  # (rows, cols) of the random blocks
 
 COLD_CALL = """
 import io, sys, time

@@ -103,16 +103,11 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p.add_argument("--p", required=True,
                        help='candidate characteristic function as JSON, e.g. {"2": 3}')
 
-    def examples(p: argparse.ArgumentParser) -> None:
-        basic(p)
-        p.add_argument("--perturb", action="store_true",
-                       help="test hook: zero one presentation entry (negative control)")
-
     commands = {
         "qprofile": ("alpha/beta/q table, b0, stable rank", common),
         "minimal-family": ("minimal-shift curve family", common),
         "check-p": ("admissibility of a characteristic function", check_p),
-        "examples": ("run all built-in examples against expected values", examples),
+        "examples": ("run all built-in examples against expected values", basic),
     }
     alone = command in commands
     # the usage names all four commands either way; on the full parser the
@@ -307,16 +302,8 @@ def cmd_examples(args, out, err) -> int:
     for name in fixtures.FIXTURE_NAMES:
         try:
             desc = fixtures.example(name, field)
-            matrix = desc.matrix
-            if args.perturb and name == "3.2":
-                cells, exps, coefs = matrix.term_table()
-                keep = cells != 1  # drop the Y of the top row
-                matrix = GradedMatrix.from_terms(field, matrix.row_degrees, matrix.col_degrees,
-                                                 cells[keep], exps[keep], coefs[keep])
-                desc = fixtures.ExampleDescriptor(name, matrix, desc.expected, desc.notes,
-                                                  desc.hypothesis_certifiable)
-            profile = qprofile.compute_q_profile(matrix, seed=args.seed)
-            report = families.minimal_family(matrix, seed=args.seed, profile=profile)
+            profile = qprofile.compute_q_profile(desc.matrix, seed=args.seed)
+            report = families.minimal_family(desc.matrix, seed=args.seed, profile=profile)
             checks = _expected_checks(desc, profile, report)
         except Exception as exc:  # noqa: BLE001 - negative controls must surface as failures
             print(f"[FAIL] {name}: {type(exc).__name__}: {exc}", file=out)

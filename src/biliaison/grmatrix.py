@@ -16,9 +16,9 @@ tables on the inner index, run by run: a run is a stretch of consecutive
 rows of A meeting at most `_MAX_CELLS // 8` pairs of terms, or a single
 row, so a run's pairs, not the whole product's, bound its memory.  The
 grid of `MultiPoly` entries is a view for the symbolic paths only:
-parsing, printing and JSON, closed-form minors up to 3 x 3, and rank
-modulo a hypersurface.  A matrix built from a grid keeps it; any other
-builds it from the table on first use.
+parsing, printing and JSON, and rank modulo a hypersurface.  A matrix
+built from a grid keeps it; any other builds it from the table on first
+use.
 
 A result about a matrix is kept on that matrix (`GradedMatrix.kept`), and
 every module stores through that one method: the entries, the
@@ -38,9 +38,12 @@ kept, so code that needs a result twice passes the matrix it already has.
 `truncate_columns` returns the matrix itself when it keeps every column,
 and else keeps on the truncation a parent free of the parameter.
 
-Determinants take evaluation plus exact linear algebra mod p: one beyond
-3 x 3 (closed forms) is evaluated on a grid, its values are taken mod p in
-one batch, and interpolation recovers it.  Evaluation at a seeded point
+Minors and determinants of every size take one route, evaluation plus
+exact linear algebra mod p (`_interpolated_minors`): the matrix is
+evaluated once on a grid, the determinants of all the submatrices asked
+for are taken mod p in one batch, and interpolation recovers each minor at
+its own degree (a minor up to 3 x 3 too large for the grid expands along
+its first row into smaller ones).  Evaluation at a seeded point
 certifies a block whose rank there meets an exact upper bound (its size, a
 block that kills it, or the block of the matrix it was truncated from; see
 `ranked_blocks`); any other block takes a Groebner leading-component count.
@@ -503,138 +506,160 @@ _MAX_CELLS = 1 << 20
 
 
 def determinant(m: GradedMatrix) -> MultiPoly:
-    """Exact determinant of a square graded matrix free of the parameter.
-
-    It is homogeneous of degree D = (sum of column degrees) - (sum of row
-    degrees).  Up to 3 x 3 the closed forms on the entries are cheapest
-    (`minors`); larger matrices are evaluated and interpolated
-    (`_interpolated_determinant`).  Every route accepts the same range,
-    D < p, which interpolation needs; a larger D raises
-    `InterpolationRangeError`.
-    """
+    """Exact determinant of a square graded matrix free of the parameter: its
+    one minor on every row and column (`_interpolated_minors`), homogeneous
+    of degree D = (sum of column degrees) - (sum of row degrees).  D >= p,
+    or a matrix beyond 3 x 3 whose grid passes `_MAX_CELLS`, raises
+    `InterpolationRangeError`."""
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
-    if m.nrows <= 3:
-        return minors(m, m.nrows)[0]
-    return _interpolated_determinant(m, _minor_degree(m.field, m.row_degrees, m.col_degrees))
+    every = tuple(range(m.nrows))
+    return _interpolated_minors(m, [(every, every)])[0]
 
 
-def _minor_degree(field: FieldSpec, row_degrees: Sequence[int], col_degrees: Sequence[int]) -> int:
-    """The degree D of a minor on these rows and columns; D >= p raises."""
-    degree = sum(col_degrees) - sum(row_degrees)
-    if degree >= field.characteristic:
-        raise InterpolationRangeError(
-            f"a minor of degree {degree} needs {degree + 1} interpolation points, "
-            f"more than F_{field.characteristic} has"
-        )
-    return degree
+def _interpolated_minors(
+    m: GradedMatrix, index_sets: Sequence[Tuple[Sequence[int], Sequence[int]]],
+) -> List[MultiPoly]:
+    """The k x k minors of m on the listed (rows, columns) index sets, by
+    dense evaluation and interpolation (Brown, JACM 18, 1971).
 
+    Let v_1..v_f, u be the variables the entries use.  A minor is a form of
+    degree d <= D, the largest degree of the listed minors, so it is fixed by
+    its value at u = 1, a polynomial of degree <= D in each v_i, and so by
+    its values on the grid {0..D}^f.  The matrix is evaluated once on the
+    grid, in slabs of nodes of the v_i of highest degree: term by term in
+    that variable, by Horner's rule in the others.  Every index set's
+    submatrix is gathered from the values, `_linalg.det_mod_p` takes all
+    their determinants in one batch per slab, Newton interpolation along
+    each axis turns them back into coefficients, and each minor is
+    rehomogenized at its own degree d.
 
-def _closed_form(e: Sequence[Sequence[MultiPoly]], field: FieldSpec) -> MultiPoly:
-    """Determinant of an n x n grid of entries, n <= 3."""
-    if not e:
-        return MultiPoly.one(field)
-    if len(e) == 1:
-        return e[0][0]
-    if len(e) == 2:
-        return e[0][0] * e[1][1] - e[0][1] * e[1][0]
-    return (
-        e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
-        - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
-        + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
-    )
-
-
-def _interpolated_determinant(m: GradedMatrix, degree: int) -> MultiPoly:
-    """Dense evaluation and interpolation (Brown, JACM 18, 1971).
-
-    Let v_1..v_f, u be the variables the entries use.  The determinant is a
-    form of degree D, so it is fixed by its value at u = 1, a polynomial of
-    degree <= D in each v_i, and so by its values on the grid {0..D}^f.
-    Horner's rule evaluates the entries on the grid axis by axis
-    (`_grid_determinants`), `_linalg.det_mod_p` takes all the determinants in
-    one batch, and Newton interpolation along each axis turns them back into
-    coefficients.
+    No array holds more than `_MAX_CELLS` cells: not the work arrays of a
+    slab (powers of the first variable, terms, values, gathered
+    submatrices), nor the determinants on the grid, which Newton's passes
+    copy.  Index sets that would need more, or with k <= 3 whose grid times
+    the D + 1 sweeps of Newton's passes exceeds the bound, split in halves,
+    each on the submatrix of the rows and columns it uses
+    (`_minors_of_submatrix`), down to one set on its own k x k submatrix.
+    With k <= 3 that set expands along its first row: k entries times
+    (k - 1)-minors taken here at a lower degree, at most six products of
+    entries, so no degree below p is out of range.  A larger set raises
+    `InterpolationRangeError` before anything is allocated, as does D >= p.
+    k = 0 gives the minor 1; the parameter raises `ValueError`, and an
+    interpolated minor with terms off its degree `HomogeneityError`.
     """
-    field, n = m.field, m.nrows
+    field = m.field
     p = field.characteristic
+    rows = np.array([r for r, _ in index_sets], dtype=np.int64)
+    cols = np.array([c for _, c in index_sets], dtype=np.int64)
+    sets, k = rows.shape
+    degrees = (np.array(m.col_degrees, dtype=np.int64)[cols].sum(axis=1)
+               - np.array(m.row_degrees, dtype=np.int64)[rows].sum(axis=1))
+    top = int(degrees.max())
+    if top >= p:
+        raise InterpolationRangeError(
+            f"a minor of degree {top} needs {top + 1} interpolation points, "
+            f"more than F_{p} has"
+        )
+    if not k:
+        return [MultiPoly.one(field) for _ in range(sets)]
     cells, exps, coefs = m.term_table()
-    if not len(cells) or degree < 0:
-        return MultiPoly.zero(field)
     used = np.flatnonzero(exps.any(axis=0)).tolist()
     if PARAM_INDEX in used:
         raise ValueError("specialize the parameter first")
-    free, last = used[:-1], (used[-1] if used else None)
-    f = len(free)
-    axes = [np.arange(degree + 1, dtype=np.int64)] * f
-    dets = _grid_determinants(exps[:, free], cells, coefs, axes, n, p)
-    for axis in range(f):
+    if not len(cells) or top < 0:
+        return [MultiPoly.zero(field) for _ in range(sets)]
+    # the free variables by falling largest exponent: the first is evaluated
+    # term by term into a dense array of the others' coefficients (highest
+    # power first), which Horner's rule then evaluates, the fewest
+    # coefficients last; with no free variable, one slab of one node
+    highest, last = exps.max(axis=0), (used[-1] if used else None)
+    free = sorted(used[:-1], key=lambda v: -highest[v])
+    f, grid = len(free), top + 1
+    lead = exps[:, free[0]] if f else np.zeros(len(cells), dtype=np.int64)
+    tops = exps[:, free[1:]].max(axis=0)
+    width = max(m.nrows * m.ncols, sets * k * k)  # cells at one node of the first variable
+    for e in tops.tolist():
+        width *= max(e + 1, grid)
+    width = max(width, len(cells), int(lead.max()) + 1)
+    swept = k <= 3 and grid ** (f + 1) > _MAX_CELLS  # Newton sweeps a grid D + 1 times an axis
+    if width > _MAX_CELLS or sets * grid ** f > _MAX_CELLS or swept:
+        if sets > 1:
+            return (_minors_of_submatrix(m, index_sets[:sets // 2])
+                    + _minors_of_submatrix(m, index_sets[sets // 2:]))
+        if k > 3:
+            raise InterpolationRangeError(f"a {k} x {k} minor's interpolation needs {width} "
+                                          f"cells a node and {grid ** f} nodes, over {_MAX_CELLS}")
+        (first, *below), columns = index_sets[0]
+        columns = list(columns)
+        smaller = _interpolated_minors(m, [(below, columns[:j] + columns[j + 1:]) for j in range(k)])
+        terms = [m.entries[first][c] * minor for c, minor in zip(columns, smaller)]
+        return [sum(terms[::2], MultiPoly.zero(field)) - sum(terms[1::2], MultiPoly.zero(field))]
+    place = (slice(None),) + tuple(tops[:, None] - exps[:, free[1:]].T) + (cells,)
+    gather = (rows[:, :, None] * m.ncols + cols[:, None, :]).reshape(-1)
+    nodes, step = np.arange(grid if f else 1, dtype=np.int64), _MAX_CELLS // width
+    slabs = []
+    for start in range(0, len(nodes), step):
+        at = nodes[start:start + step, None]
+        powers = np.ones((len(at), int(lead.max()) + 1), dtype=np.int64)
+        for e in range(1, powers.shape[1]):
+            powers[:, e] = powers[:, e - 1] * at[:, 0] % p
+        values = np.zeros((len(at),) + tuple(tops + 1) + (m.nrows * m.ncols,), dtype=np.int64)
+        np.add.at(values, place, powers[:, lead] * coefs % p)
+        values %= p
+        for axis in range(1, f):
+            values = _horner(values, axis, nodes, p)
+        at_points = values[..., gather].reshape(-1, k, k)
+        slabs.append(_linalg.det_mod_p(at_points, p).reshape(values.shape[:-1] + (sets,)))
+    dets = np.moveaxis(np.concatenate(slabs), -1, 0)  # with no free variable, one node
+    for axis in range(1, f + 1):
         dets = _newton_coefficients(dets, axis, p)
-    index = np.nonzero(dets)
+    index = np.nonzero(dets)  # grouped by index set, which comes first
     out = np.zeros((len(index[0]), 5), dtype=np.int64)
-    for k, v in enumerate(free):
-        out[:, v] = index[k]
-    rest = degree - out.sum(axis=1)
-    if (rest < 0).any() or (last is None and rest.any()):
-        raise HomogeneityError(f"a {n} x {n} minor is not homogeneous of degree {degree}")
+    for axis, v in enumerate(free, start=1):
+        out[:, v] = index[axis]
+    rest = degrees[index[0]] - out.sum(axis=1)
+    bad = np.flatnonzero(rest < 0 if last is not None else rest != 0)
+    if bad.size:
+        raise HomogeneityError(
+            f"a {k} x {k} minor is not homogeneous of degree {degrees[index[0][bad[0]]]}")
     if last is not None:
         out[:, last] = rest
-    return MultiPoly(field, dict(zip(map(tuple, out.tolist()), dets[index].tolist())))
+    keys, found = list(map(tuple, out.tolist())), dets[index].tolist()
+    bounds = index[0].searchsorted(np.arange(sets + 1)).tolist()
+    return [MultiPoly(field, dict(zip(keys[lo:hi], found[lo:hi]))) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _grid_determinants(
-    exps: np.ndarray, cells: np.ndarray, coefs: np.ndarray,
-    axes: Sequence[np.ndarray], n: int, p: int,
-) -> np.ndarray:
-    """Determinants of the n x n matrices on the grid axes[0] x ... x axes[f-1].
-
-    Cell cells[t] (of n * n) has the term coefs[t] * v^exps[t].  The
-    coefficients go into one array with an axis per variable, highest power
-    first, and a last axis of cells, which Horner's rule evaluates in slabs
-    along the first axis.  Neither that array nor a slab at any stage holds
-    more than _MAX_CELLS cells; a grid too wide for that raises
-    `InterpolationRangeError` before anything is allocated.
-    """
-    tops = exps.max(axis=0)
-    sizes = [e + 1 for e in tops.tolist()]
-    width = n * n  # cells of one slice along the first axis
-    for size, at in zip(sizes[1:], axes[1:]):
-        width *= max(size, len(at))
-    if width * (sizes[0] if sizes else 1) > _MAX_CELLS:
-        raise InterpolationRangeError(
-            f"a determinant's interpolation needs {width} cells per slice, too many for {_MAX_CELLS}"
-        )
-    coeffs = np.zeros(sizes + [n * n], dtype=np.int64)
-    np.add.at(coeffs, tuple(tops[:, None] - exps.T) + (cells,), coefs)
-    coeffs %= p
-    if not axes:  # one value, in an array of shape (1,)
-        return _linalg.det_mod_p(coeffs.reshape(1, n, n), p)
-    step = _MAX_CELLS // width
-    slabs = []
-    for start in range(0, len(axes[0]), step):
-        values = coeffs
-        for axis, at in enumerate([axes[0][start:start + step]] + list(axes[1:])):
-            values = _horner(values, axis, at, p)
-        slabs.append(_linalg.det_mod_p(values.reshape(-1, n, n), p))
-    return np.concatenate(slabs).reshape([len(at) for at in axes])
+def _minors_of_submatrix(
+    m: GradedMatrix, index_sets: Sequence[Tuple[Sequence[int], Sequence[int]]],
+) -> List[MultiPoly]:
+    """`_interpolated_minors` of the index sets on the submatrix of the rows
+    and columns they use."""
+    rows = sorted(set().union(*(r for r, _ in index_sets)))
+    cols = sorted(set().union(*(c for _, c in index_sets)))
+    row_at, col_at = {i: n for n, i in enumerate(rows)}, {j: n for n, j in enumerate(cols)}
+    return _interpolated_minors(m.submatrix(rows, cols), [
+        ([row_at[i] for i in r], [col_at[j] for j in c]) for r, c in index_sets])
 
 
 def _horner(values: np.ndarray, axis: int, at: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate along ``axis`` (coefficients, highest power first) at the
-    points ``at``; that axis then indexes the points."""
-    v = np.moveaxis(values, axis, 0)
-    x = at.reshape((-1,) + (1,) * (v.ndim - 1))
-    acc = np.broadcast_to(v[0], (len(at),) + v.shape[1:])
-    for c in v[1:]:
-        acc = (acc * x + c) % p
-    return np.moveaxis(acc, 0, axis)
+    """Evaluate along ``axis`` (at least two coefficients, highest power
+    first) at the points ``at``; that axis then indexes the points."""
+    x = at.reshape((-1,) + (1,) * (values.ndim - axis - 1))
+    index = [slice(None)] * values.ndim
+    index[axis] = slice(0, 1)
+    acc = values[tuple(index)]
+    for i in range(1, values.shape[axis]):
+        index[axis] = slice(i, i + 1)
+        acc = (acc * x + values[tuple(index)]) % p
+    return acc
 
 
 def _newton_coefficients(values: np.ndarray, axis: int, p: int) -> np.ndarray:
     """Values at the nodes 0..D along ``axis`` -> coefficients of x^0..x^D,
     by Newton's divided differences (with these nodes, those of step s
     divide by s)."""
-    dd = np.moveaxis(values, axis, 0).copy()
+    dd = values.swapaxes(0, axis).copy()
     size = dd.shape[0]
     for s in range(1, size):
         dd[s:] = (dd[s:] - dd[s - 1:-1]) * pow(s, -1, p) % p
@@ -643,7 +668,7 @@ def _newton_coefficients(values: np.ndarray, axis: int, p: int) -> np.ndarray:
     for i in range(size - 2, -1, -1):  # coeffs := coeffs * (x - i) + dd[i]
         coeffs[1:] = (coeffs[:-1] - i * coeffs[1:]) % p
         coeffs[0] = (dd[i] - i * coeffs[0]) % p
-    return np.moveaxis(coeffs, 0, axis)
+    return coeffs.swapaxes(0, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -770,20 +795,12 @@ def _block_rank(sub: GradedMatrix, bound: int) -> int:
 
 
 def minors(m: GradedMatrix, k: int) -> List[MultiPoly]:
-    """All k x k minors, in the lexicographic order of (row set, column set).
-    Up to 3 x 3 they are the closed forms on the entries of m, after the
-    checks of `determinant`: the range, at the top degree, and the parameter."""
+    """All k x k minors, in the lexicographic order of (row set, column set),
+    taken together by `_interpolated_minors`."""
     if k < 0 or k > min(m.nrows, m.ncols):
         raise ValueError(f"minor size {k} out of range for {m.nrows}x{m.ncols}")
-    index_sets = itertools.product(itertools.combinations(range(m.nrows), k),
-                                   itertools.combinations(range(m.ncols), k))
-    if k > 3:
-        return [determinant(m.submatrix(rows, cols)) for rows, cols in index_sets]
-    _minor_degree(m.field, sorted(m.row_degrees)[:k], sorted(m.col_degrees)[m.ncols - k:])
-    if k and m.has_parameter():
-        raise ValueError("specialize the parameter first")
-    e = m.entries
-    return [_closed_form([[e[i][j] for j in cols] for i in rows], m.field) for rows, cols in index_sets]
+    return _interpolated_minors(m, list(itertools.product(
+        itertools.combinations(range(m.nrows), k), itertools.combinations(range(m.ncols), k))))
 
 
 # ---------------------------------------------------------------------------

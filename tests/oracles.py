@@ -232,6 +232,19 @@ def restrict_to_plane(m: GradedMatrix, seed: int) -> GradedMatrix:
     return GradedMatrix(m.field, m.row_degrees, m.col_degrees, grid, validate=False)
 
 
+def cofactor_determinant(grid: Sequence[Sequence[MultiPoly]], field) -> MultiPoly:
+    """Determinant of a square grid of entries by cofactor expansion along
+    the first row: polynomial arithmetic only, no evaluation or interpolation."""
+    if not grid:
+        return MultiPoly.one(field)
+    out = MultiPoly.zero(field)
+    for j, entry in enumerate(grid[0]):
+        if not entry.is_zero():
+            term = entry * cofactor_determinant([row[:j] + row[j + 1:] for row in grid[1:]], field)
+            out = out - term if j % 2 else out + term
+    return out
+
+
 def module_dimension_oracle(gens: GradedMatrix, n: int) -> int:
     """dim of the degree-n piece of the column module via dense linear algebra.
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -527,8 +528,23 @@ def test_examples_all_pass():
         assert f"[PASS] {name}" in out
 
 
-def test_examples_negative_control():
-    code, out, _ = run(["examples", "--perturb"])
+def test_examples_negative_control(monkeypatch):
+    # 3.2 with the Y of its top row dropped fails its expected values
+    example = fixtures.example
+
+    def perturbed(name, field=FieldSpec.prime()):
+        desc = example(name, field)
+        if name != "3.2":
+            return desc
+        m = desc.matrix
+        cells, exps, coefs = m.term_table()
+        keep = cells != 1
+        matrix = GradedMatrix.from_terms(field, m.row_degrees, m.col_degrees,
+                                         cells[keep], exps[keep], coefs[keep])
+        return dataclasses.replace(desc, matrix=matrix)
+
+    monkeypatch.setattr(cli.fixtures, "example", perturbed)
+    code, out, _ = run(["examples"])
     assert code == 1
     assert "[FAIL] 3.2" in out
 

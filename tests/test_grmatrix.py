@@ -321,6 +321,139 @@ def test_minor_size_out_of_range():
         minors(M([0], [1], [["X"]]), 2)
 
 
+def _index_sets(m: GradedMatrix, k: int):
+    return [(rows, cols) for rows in combinations(range(m.nrows), k)
+            for cols in combinations(range(m.ncols), k)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    k=st.integers(0, 4),
+    kind=st.sampled_from(["mixed", "plane", "one-variable"]),
+    density=st.sampled_from([0.3, 0.7, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_minors_match_the_cofactor_expansion(shape, k, kind, density, seed):
+    # mixed row and column degrees, so the minors have different degrees;
+    # each comes out at its own, equal to the expansion on the entries
+    nrows, ncols = shape
+    k = min(k, nrows, ncols)
+    rng = random.Random(seed)
+    row_degs = [rng.randrange(2) for _ in range(nrows)]
+    col_degs = [rng.randrange(1, 3) for _ in range(ncols)]
+    grid = [[MultiPoly(F, {
+        tuple(mono) + (0,): rng.randrange(1, 32003)
+        for mono in ([(0, c - r, 0, 0)] if kind == "one-variable" else modgb.monomials_of_degree(c - r))
+        if rng.random() < density}) for c in col_degs] for r in row_degs]
+    m = GradedMatrix(F, row_degs, col_degs, grid)
+    if kind == "plane":
+        m = oracles.restrict_to_plane(m, seed)
+    got = minors(m, k)
+    assert len(got) == len(_index_sets(m, k))
+    for (rows, cols), minor in zip(_index_sets(m, k), got):
+        assert minor == oracles.cofactor_determinant(
+            [[m.entries[i][j] for j in cols] for i in rows], F)
+        degree = sum(col_degs[j] for j in cols) - sum(row_degs[i] for i in rows)
+        assert minor.is_zero() or minor.is_homogeneous(degree)
+
+
+def test_minors_in_chunks_are_the_minors_taken_at_once(monkeypatch):
+    # a generic 5 x 7 block of linear forms: each 4 x 4 submatrix, in all
+    # four variables, needs 16 * 5^2 = 400 cells at one node of the first
+    # free variable of its grid {0..4}^3; bounds below the 175 minors' needs
+    # split them into chunks, no stack handed to det_mod_p exceeds the
+    # bound, and the answer stays.  Only a bound below one minor's own need
+    # raises.
+    m = families.random_matrix(F, [0] * 5, [1] * 7, random.Random(57))
+    want = minors(m, 4)
+    det_mod_p, stacks = _linalg.det_mod_p, []
+
+    def spy(stack, p):
+        stacks.append(stack.size)
+        return det_mod_p(stack, p)
+
+    monkeypatch.setattr(_linalg, "det_mod_p", spy)
+    for bound in (400, 3000, 20000):
+        monkeypatch.setattr(grmatrix, "_MAX_CELLS", bound)
+        stacks.clear()
+        fresh = GradedMatrix.from_terms(m.field, m.row_degrees, m.col_degrees, *m.term_table())
+        assert minors(fresh, 4) == want
+        assert len(stacks) > 1 and max(stacks) <= bound
+    monkeypatch.setattr(grmatrix, "_MAX_CELLS", 399)
+    with pytest.raises(grmatrix.InterpolationRangeError):
+        minors(m, 4)
+    with pytest.raises(grmatrix.InterpolationRangeError):
+        determinant(m.submatrix(range(4), range(4)))
+
+
+def _spy_on_arrays(monkeypatch):
+    """Sizes of the stacks handed to det_mod_p and of the arrays Newton's
+    passes interpolate."""
+    sizes = []
+    for module, name in ((_linalg, "det_mod_p"), (grmatrix, "_newton_coefficients")):
+        def spy(values, *args, real=getattr(module, name)):
+            sizes.append(values.size)
+            return real(values, *args)
+        monkeypatch.setattr(module, name, spy)
+    return sizes
+
+
+def test_a_minor_too_large_for_the_grid_expands_or_raises(monkeypatch):
+    # degree-10 entries in X, Y, Z, T: with a bound of 512 cells even one
+    # entry's grid {0..10}^3 is too large.  Up to 3 x 3, a minor expands
+    # along its first row into entries times smaller minors, interpolated
+    # where they fit, and equals the cofactor expansion with no array over
+    # the bound; a 4 x 4 minor raises before allocating
+    rng = random.Random(3)
+    grid = [[MultiPoly(F, {
+        tuple(mono) + (0,): rng.randrange(1, 32003)
+        for mono in rng.sample(modgb.monomials_of_degree(10), 3)}) for _ in range(4)] for _ in range(4)]
+    grid[1][2] = P("X^10 + 5*Y^10")  # an entry in two variables interpolates on 11 nodes
+    m = GradedMatrix(F, [0] * 4, [10] * 4, grid)
+    monkeypatch.setattr(grmatrix, "_MAX_CELLS", 512)
+    sizes = _spy_on_arrays(monkeypatch)
+    for k in (1, 2, 3):
+        for (rows, cols), minor in zip(_index_sets(m, k), minors(m, k)):
+            assert minor == oracles.cofactor_determinant([[grid[i][j] for j in cols] for i in rows], F)
+    assert sizes and max(sizes) <= 512
+    with pytest.raises(grmatrix.InterpolationRangeError):
+        determinant(m)
+    # so does one whose 16 cells a node fit but whose 101 nodes do not
+    diagonal = [[P("Y^25 + X*Y^24") if i == j else P("0") for j in range(4)] for i in range(4)]
+    monkeypatch.setattr(grmatrix, "_MAX_CELLS", 64)
+    with pytest.raises(grmatrix.InterpolationRangeError):
+        determinant(GradedMatrix(F, [0] * 4, [25] * 4, diagonal))
+    monkeypatch.setattr(grmatrix, "_MAX_CELLS", 1 << 20)
+    assert determinant(m) == oracles.cofactor_determinant(grid, F)
+
+
+def test_the_powers_of_the_first_variable_count_against_the_bound(monkeypatch):
+    # X^60 + 3 X^7 Y^53 + Y^60 beside an identity: the 4 x 4 determinant is
+    # interpolated in X alone on 61 nodes, and each node needs the powers
+    # X^0..X^60, so a bound of 64 cells allows one node a slab: 61 stacks,
+    # not the 4 that 16 cells a node would give
+    entry = P("X^60 + 3*X^7*Y^53 + Y^60")
+    grid = [[entry if i == j == 0 else P("1" if i == j else "0") for j in range(4)] for i in range(4)]
+    monkeypatch.setattr(grmatrix, "_MAX_CELLS", 64)
+    sizes = _spy_on_arrays(monkeypatch)
+    assert determinant(GradedMatrix(F, [0] * 4, [60, 0, 0, 0], grid)) == entry
+    assert len(sizes) == 61 + 1  # the stacks and one Newton pass
+
+
+def test_small_minors_of_high_degree_take_the_expansion(monkeypatch):
+    # 1 x 1 minors of degree 1100 in X and Y, and of degree 1000 in X, Y
+    # and Z: their grids of 1101 and 1001^2 nodes fit the bound, but
+    # Newton's passes would sweep them 1101 and 2002 times; each minor is
+    # its entry, and no array is built for it
+    sizes = _spy_on_arrays(monkeypatch)
+    for degree, text in ((1100, "X^1100 + 2*X^3*Y^1097 + Y^1100"),
+                         (1000, "X^1000 + 2*Y^1000 + 3*Z^1000 + 7*X^300*Y^300*Z^400")):
+        entry = P(text)
+        assert minors(GradedMatrix(F, [0], [degree], [[entry]]), 1) == [entry]
+        assert not sizes
+
+
 # ---------------------------------------------------------------------------
 # rank modulo a hypersurface
 

@@ -9,10 +9,11 @@ fixture 3.4, then `rao_family(8, 4, 1)` and, last, `rao_family(12, 6, 1)`,
 each built anew.  On that matrix it times
 `compute_q_profile` (profile), then, one after the other on the first lift
 `minimal_family` draws, `sample_general_morphism` (lift), the composite
-s_t * v (composite), `verify_general_morphism`, which ranks it and
-certifies its coprime minors (verify), and `quotient_hilbert_data`, the
-Hilbert polynomials of the quotient (quotient_hilbert): P_N from the
-Groebner basis of s_t, and P_U of the composite from its kept rank and one
+s_t * v (composite), `verify_general_morphism`, which certifies its rank
+and its coprime maximal minors by one plane certificate and ranks it only
+if that fails (verify), and `quotient_hilbert_data`, the Hilbert
+polynomials of the quotient (quotient_hilbert): P_N from the Groebner
+basis of s_t, and P_U of the composite from its kept certificate and one
 rank of its span at the lift's top degree, with no basis.  Last comes
 `minimal_family` with that profile on a second fresh copy (family), which
 takes all of those steps again; the first copy, with all it keeps, is

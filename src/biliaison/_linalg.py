@@ -4,7 +4,7 @@ All degreewise dimension counts, kernels and minimal-generator counts reduce
 to ranks/kernels of integer matrices mod p.  Arithmetic stays in int64:
 `FieldSpec` admits only p < 2^31, so a product of two residues is below 2^62
 and a difference of two such values still fits.  The seeded residues of
-the certificates' random combinations are drawn here too.
+the certificates' random combinations and of the lifts are drawn here too.
 """
 
 from __future__ import annotations
@@ -107,6 +107,20 @@ def random_residues(rng: random.Random, p: int, count: int) -> np.ndarray:
     truth)."""
     words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
     return np.frombuffer(words, dtype="<u4").astype(np.int64) % p
+
+
+def random_below(rng: random.Random, p: int, count: int) -> np.ndarray:
+    """The ``count`` residues that ``count`` calls rng.randrange(p) return,
+    with rng left in the state they leave it in.  Each call keeps the top
+    p.bit_length() bits of one 32-bit word if they are below p, else it reads
+    the next word; so the words of one draw, filtered, then as many words as
+    were rejected, and so on, are the words the calls read."""
+    shift, kept = 32 - p.bit_length(), [np.zeros(0, dtype=np.int64)]
+    while count:
+        words = np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), dtype="<u4") >> shift
+        kept.append(words[words < p].astype(np.int64))
+        count -= len(kept[-1])
+    return np.concatenate(kept)
 
 
 def det_mod_p(a: np.ndarray, p: int) -> np.ndarray:

@@ -14,22 +14,24 @@ which is saturation-invariant, so the unsaturated quotient suffices:
 Verification is the degeneracy-locus criterion: the specialized composite
 W = (s*v)|_{a=0} must have rank r-1 (injectivity at the closed point, hence
 flatness) and coprime (r-1)-minors (degeneracy locus of codimension >= 2,
-hence a torsion-free cokernel).
+hence a torsion-free cokernel).  One plane certificate of W's maximal
+minors proves both (`qprofile.certify_maximal_minors`); W is ranked only
+when it fails.
 
 Every Hilbert polynomial here is exact.  P_N is read off the leading terms
 of a full Groebner basis of the closed-point column module N (`modgb`,
 "Hilbert polynomials, exact"), which also gives deg N.  P_Q = P_N - P_U for
 the column module U of W = s_t * v, which lies in N, and U needs no basis:
-W has rank v.ncols over the fraction field (the rank certificate), so W is
-injective, U is isomorphic to the free module P of the lift's column
-degrees, and P_U = P_P, read off v's column degrees in one place
-(`quotient_hilbert_data`).  So P_Q + P_P = P_N holds by construction when
-W is injective, and the law's one run-time check tests that by one exact
-rank, independent of the point rank and of Buchberger.  At top = the
-largest column degree of v, the degree-top span matrix of W
-(`modgb._span_matrix_mod_p`) must have full column rank dim P_top, so W has
-no syzygy of degree <= top; else `ConservationError`, which nothing else
-raises.
+W has rank v.ncols over the fraction field (the plane certificate, or the
+rank when it fails), so W is injective, U is isomorphic to the free module
+P of the lift's column degrees, and P_U = P_P, read off v's column degrees
+in one place (`quotient_hilbert_data`).  So P_Q + P_P = P_N holds by
+construction when W is injective, and the law's one run-time check tests
+that by one exact rank, independent of the point rank and of Buchberger.
+At top = the largest column degree of v, the degree-top span matrix of W
+(`modgb._span_matrix_mod_p`) must have full column rank dim P_top, so W
+has no syzygy of degree <= top; else `ConservationError`, which nothing
+else raises.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from biliaison.qprofile import (
     QProfile,
     WindowExhaustedError,
     check_p_admissible,
+    certify_maximal_minors,
     coprime_minor_analysis,
     subseed,
 )
@@ -177,12 +180,13 @@ def random_matrix(
     """A matrix of seeded random forms, the package's one random form: entry
     by entry, row by row, one draw rng.randrange(p) per monomial of degree
     col_degrees[j] - row_degrees[i], in the order of `modgb.monomials_of_degree`;
-    the nonzero draws are the entry's coefficients."""
+    the nonzero draws are the entry's coefficients.  The draws are taken
+    together (`_linalg.random_below`)."""
     degrees = [d - e for e in row_degrees for d in col_degrees]
     monomials = {m: np.array([e + (0,) for e in modgb.monomials_of_degree(m)], dtype=np.int64).reshape(-1, 5)
                  for m in set(degrees)}
     count = np.array([len(monomials[m]) for m in degrees], dtype=np.int64)
-    draws = np.array([rng.randrange(field.characteristic) for _ in range(count.sum())], dtype=np.int64)
+    draws = _linalg.random_below(rng, field.characteristic, int(count.sum()))
     drawn = np.concatenate([monomials[m] for m in degrees] + [np.zeros((0, 5), dtype=np.int64)])
     cells = np.repeat(np.arange(len(degrees)), count)
     # a cell draws for its monomials largest first, and a table lists them
@@ -207,17 +211,21 @@ def verify_general_morphism(
     s: GradedMatrix, v: GradedMatrix, profile: QProfile, seed: int = DEFAULT_SEED
 ) -> Certificate:
     """Certify injectivity at the closed point and a torsion-free cokernel,
-    from the composite s_t * v; ``profile`` is the profile of s."""
+    from the composite W = s_t * v; ``profile`` is the profile of s.  One
+    plane certificate of W's maximal minors, kept on W, proves both; only
+    if it fails, or v has no columns, is W ranked and its minors analysed."""
     r = profile.stable_rank
     if v.ncols != r - 1:
         raise ValueError(f"lift has {v.ncols} columns, expected rank - 1 = {r - 1}")
-    w = _composite(s, v)
+    w, verify_seed = _composite(s, v), subseed(seed, "verify")
+    if v.ncols and w.kept("maximal_minors_coprime", lambda: certify_maximal_minors(w, verify_seed)):
+        return Certificate(rank=r - 1, coprime=True, seed=seed)
     rank = rank_fraction_field(w)
     if rank != r - 1:
         raise RankDeficiencyError(
             f"composite has rank {rank} at the closed point, needs {r - 1}"
         )
-    analysis = coprime_minor_analysis(w, seed=subseed(seed, "verify"))
+    analysis = coprime_minor_analysis(w, seed=verify_seed)
     if not analysis.coprime:
         raise TorsionError(
             f"(r-1)-minors share the factor {analysis.common_factor}; "
@@ -229,8 +237,8 @@ def verify_general_morphism(
 def _composite(s: GradedMatrix, v: GradedMatrix) -> GradedMatrix:
     """W = (s*v)|_{a=0} = s_t * v for a lift v free of the parameter, so the
     a*I block of s is never multiplied.  (A lift with the parameter leaves
-    it in W, and the rank of W refuses it.)  W is kept on v, so every step
-    taken with one lift shares W and what W keeps."""
+    it in W, and the certificate and the rank of W refuse it.)  W is kept
+    on v, so every step taken with one lift shares W and what W keeps."""
     return v.kept(("composite", s), lambda: s.specialize_closed_point() @ v)
 
 
@@ -245,11 +253,12 @@ def quotient_hilbert_data(
     the columns of the composite w = s_t * v lie in the column module of
     s_t, so P_Q = P_N - P_U with U the column module of w, and P_U = P_P
     for an injective w (module docstring).  Two exact gates come first:
-    the rank of w that `rank_fraction_field` keeps must be v.ncols, else
-    `RankDeficiencyError`; and w's degree-top span matrix must have full
-    column rank, else `ConservationError`.  Both are kept on w."""
+    (a) w must have rank v.ncols, else `RankDeficiencyError`: a True verdict
+    that `verify_general_morphism` kept on w proves it, else the rank that
+    `rank_fraction_field` keeps is read; (b) w's degree-top span matrix must
+    have full column rank, else `ConservationError`.  Both are kept on w."""
     w = _composite(s, v)
-    rank = rank_fraction_field(w)
+    rank = v.ncols if w.known("maximal_minors_coprime") else rank_fraction_field(w)
     if rank != v.ncols:
         raise RankDeficiencyError(f"composite has rank {rank}, needs {v.ncols} for P_U = P_P")
     w.kept("injective_to_top", lambda: _check_injective_to_top(w))

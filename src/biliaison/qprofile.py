@@ -68,6 +68,10 @@ kept on the matrix (`ranked_blocks`).  No minor is enumerated:
    `fixtures.rank_drop_sigma1` reaches it once, at its genuine common
    factor.
 
+The maximal minors of a matrix, k its column count, need no block and no
+rank (`certify_maximal_minors`, for the composite of a lift in `families`):
+a True plane certificate of the matrix itself also proves rank k.
+
 Randomness only chooses which certificate is tried, never the answer.
 """
 
@@ -334,6 +338,16 @@ def coprime_minor_analysis(w: GradedMatrix, seed: int = DEFAULT_SEED) -> MinorAn
         return MinorAnalysis(k, k, None, notes)
     min_rank = min([k] + [rank_modulo_hypersurface(w, f) for f in squarefree_factors(overall)])
     return MinorAnalysis(k, min_rank, overall, notes)
+
+
+def certify_maximal_minors(w: GradedMatrix, seed: int = DEFAULT_SEED) -> bool:
+    """Whether the plane certificate of w's k-minors, k = w.ncols >= 1, taken
+    on w itself at the seed `coprime_minor_analysis` gives block 0, proves
+    them coprime.  True also proves rank w = k: its nonzero determinant at
+    (1 : 0) is a nonzero k-minor.  False proves nothing."""
+    if w.has_parameter():
+        raise ValueError("specialize the parameter first")
+    return _restricted_minor_gcd(w, w.ncols, subseed(seed, "block", 0)).coprime
 
 
 def _honest_sampled_gcd(sub: GradedMatrix, k: int, seed: int) -> MultiPoly:

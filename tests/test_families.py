@@ -136,6 +136,78 @@ def test_verify_detects_torsion_on_toy_instance():
     assert cert.coprime
 
 
+def test_verify_refuses_a_lift_with_the_parameter(example_runs):
+    desc, profile, _ = example_runs.get("3.2")
+    v = families.sample_general_morphism(desc.matrix, profile.q_function(), profile=profile)
+    with_a = GradedMatrix(F, v.row_degrees, v.col_degrees, [[e * P("1 + a") for e in row] for row in v.entries])
+    with pytest.raises(ValueError, match="specialize the parameter first"):
+        families.verify_general_morphism(desc.matrix, with_a, profile=profile)
+
+
+def _certified_blocks(monkeypatch):
+    """Spy on the plane certificate: the list it fills with (block, k, seed,
+    certificate) per call."""
+    calls = []
+    certify = qprofile._restricted_minor_gcd
+
+    def spy(block, k, seed):
+        calls.append((block, k, seed, certify(block, k, seed)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(qprofile, "_restricted_minor_gcd", spy)
+    return calls
+
+
+def _ranked(monkeypatch):
+    """Spy on the ranks `families` takes: the list of matrices it ranks."""
+    ranked = []
+    rank = families.rank_fraction_field
+    monkeypatch.setattr(families, "rank_fraction_field", lambda m: ranked.append(m) or rank(m))
+    return ranked
+
+
+@pytest.mark.parametrize("name", ["3.2", "3.3", "3.4"])
+def test_minimal_family_certifies_the_composite_once(name, monkeypatch):
+    # the plane certificate of W's maximal minors, taken on W itself, proves
+    # its rank and its coprimality: W is never decomposed or point-ranked,
+    # and the quotient's rank gate reads the kept verdict
+    s = GradedMatrix.from_json(fixtures.example(name).matrix.to_json())
+    profile = qprofile.compute_q_profile(s)
+    calls, ranked = _certified_blocks(monkeypatch), _ranked(monkeypatch)
+    report = families.minimal_family(s, profile=profile)
+    [(w, k, seed, certificate)] = calls
+    assert k == w.ncols == profile.stable_rank - 1 and w.nrows == s.nrows
+    seed_0 = qprofile.subseed(qprofile.DEFAULT_SEED, "minimal-family", 0)
+    assert seed == qprofile.subseed(qprofile.subseed(seed_0, "verify"), "block", 0)
+    assert certificate.coprime and w.known("maximal_minors_coprime") is True
+    assert [w.known(key) for key in ("blocks", "decomposition", "point_rank")] == [None] * 3
+    assert ranked == []
+    assert report.certificate == families.Certificate(rank=k, coprime=True, seed=qprofile.DEFAULT_SEED)
+
+
+def test_a_failed_composite_certificate_takes_the_ranked_path(example_runs, monkeypatch):
+    # with W's own certificate forced False, W is ranked and its one block
+    # certified again at the same seed, and the certificate is the one the
+    # ranked path has always given; the quotient's rank gate ranks W too
+    desc, profile, _ = example_runs.get("3.2")
+    s = desc.matrix
+    v = families.sample_general_morphism(s, profile.q_function(), seed=3, profile=profile)
+    w = families._composite(s, v)
+    calls, ranked = _certified_blocks(monkeypatch), _ranked(monkeypatch)
+    spy = qprofile._restricted_minor_gcd
+    failed = qprofile.PlaneCertificate(False, 6, None, False)
+    monkeypatch.setattr(qprofile, "_restricted_minor_gcd",
+                        lambda block, k, seed: failed if block is w else spy(block, k, seed))
+    cert = families.verify_general_morphism(s, v, profile=profile, seed=3)
+    assert cert == families.Certificate(rank=3, coprime=True, seed=3)
+    [(block, k, seed, certificate)] = calls
+    assert block is not w and block == w and k == 3 and certificate.coprime
+    assert seed == qprofile.subseed(qprofile.subseed(3, "verify"), "block", 0)
+    assert w.known("maximal_minors_coprime") is False and w.known("blocks") is not None
+    families.quotient_hilbert_data(s, v)
+    assert ranked == [w, w]
+
+
 def test_minimal_family_34_at_seed_11(example_runs):
     # at this seed single restricted (r-1)-minors share a linear factor that
     # does not divide all of them; two random combinations of all of them

@@ -170,3 +170,16 @@ def test_3x3_determinants_by_cofactors_match_sympy(p):
     assert got == [int(DomainMatrix([[K(x) for x in row] for row in a], (3, 3), K).det()) % p
                    for a in stack]
     assert got[-1] == 0
+
+
+@pytest.mark.parametrize("p", [1009, 10007, 32003, P31])
+@pytest.mark.parametrize("count", [0, 1, 1621, 4099])
+def test_random_below_reads_the_words_of_randrange(p, count):
+    # the same residues as count calls rng.randrange(p), and the same state
+    # after.  A word is rejected with odds 1 - p / 2^bits: 39 % at 10007,
+    # under 3 % at 1009 and 32003, and almost never at 2^31 - 1
+    batched, one_by_one = random.Random(count * p), random.Random(count * p)
+    draws = _linalg.random_below(batched, p, count)
+    assert draws.dtype == np.int64 and draws.shape == (count,)
+    assert draws.tolist() == [one_by_one.randrange(p) for _ in range(count)]
+    assert batched.getstate() == one_by_one.getstate()
